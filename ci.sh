@@ -51,6 +51,8 @@
 #                  replays every acknowledged record from its WAL, a
 #                  saturated daemon (1 worker, no queue) answers 503 +
 #                  Retry-After and the push client retries to success,
+#                  a push of two-record perflogs costs at most one WAL
+#                  commit per ingest POST (group commit),
 #                  SIGTERM drains gracefully (exit 0, lease released),
 #                  and `store fsck --json` stays clean throughout
 set -euo pipefail
@@ -597,6 +599,15 @@ if [ "$after_sat" != "$total_records" ]; then
     echo "serve smoke FAILED: dedup re-push changed the record set" >&2
     exit 1
 fi
+# Group commit: a new study whose perflogs carry two records each. Its
+# push is this daemon's only source of new records (the saturated
+# re-push above was pure dedup), so with one WAL commit per batch the
+# drain summary's commit count is at most this push's ingest POSTs;
+# per-record fsyncs would count twice that.
+study_c="$nightly_dir/study-c"
+./target/release/benchkit survey -c babelstream_omp -c babelstream_tbb \
+    --system csd3 --system archer2 --seed 9 --perflog "$study_c" >/dev/null
+ingest_posts="$(./target/release/benchkit push "$study_c" --to "$addr" | grep -c '^pushed ')"
 # The store directory stays fsck-clean with the daemon's state dir in it,
 # in both renderings.
 ./target/release/benchkit store fsck "$serve_dir"
@@ -618,10 +629,16 @@ if ! grep -q "^serve: drained" "$serve_log2"; then
     cat "$serve_log2" >&2
     exit 1
 fi
+wal_commits="$(sed -n 's/^serve: drained.*, \([0-9]*\) WAL commits$/\1/p' "$serve_log2")"
+if [ -z "$wal_commits" ] || [ "$wal_commits" -gt "$ingest_posts" ]; then
+    echo "serve smoke FAILED: ${wal_commits:-no} WAL commits for $ingest_posts ingest POSTs" >&2
+    cat "$serve_log2" >&2
+    exit 1
+fi
 if [ -e "$serve_dir/servd/.lease" ]; then
     echo "serve smoke FAILED: drain left the daemon lease behind" >&2
     exit 1
 fi
-echo "serve smoke OK (concurrent pushes, verdict==rank byte-for-byte, WAL survives SIGKILL, 503+retry, clean drain)"
+echo "serve smoke OK (concurrent pushes, verdict==rank byte-for-byte, WAL survives SIGKILL, 503+retry, group commit, clean drain)"
 
 echo "ci OK"

@@ -1497,8 +1497,9 @@ pub fn execute(
             let summary = server.run().map_err(|e| CliError(format!("serve: {e}")))?;
             writeln!(
                 out,
-                "serve: drained — {} connections served, {} rejected, {} records durable",
-                summary.served, summary.rejected, summary.wal_records
+                "serve: drained — {} connections served, {} rejected, {} records durable, \
+                 {} WAL commits",
+                summary.served, summary.rejected, summary.wal_records, summary.wal_commits
             )?;
         }
         Command::Push {

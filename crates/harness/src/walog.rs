@@ -125,8 +125,17 @@ impl AppendLog {
     /// failure the file is rolled back to the previous durable length, so
     /// the next append never lands after a torn fragment.
     pub fn append(&self, line: &str) -> io::Result<()> {
+        self.append_all(&[line])
+    }
+
+    /// Group commit: append every line in one write and one fsync. The
+    /// bytes on disk are exactly those of appending the lines one by one;
+    /// only the number of fsyncs differs. All or nothing: on failure the
+    /// file is rolled back to the previous durable length, so no line of
+    /// the batch survives, not even a complete leading one.
+    pub fn append_all(&self, lines: &[&str]) -> io::Result<()> {
         debug_assert!(
-            !line.contains('\n'),
+            lines.iter().all(|line| !line.contains('\n')),
             "append-log records are single lines; embedded newlines would \
              forge extra records"
         );
@@ -138,7 +147,11 @@ impl AppendLog {
                 self.path.display()
             )));
         }
-        let bytes = format!("{line}\n");
+        let mut bytes = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            bytes.push_str(line);
+            bytes.push('\n');
+        }
         let LogState {
             ref mut file,
             ref mut durable_len,
@@ -255,5 +268,44 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "durable\n");
         assert_eq!(log.durable_len(), "durable\n".len() as u64);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A torn group commit is all or nothing: even when the tear lands
+    /// after complete lines of the batch, rollback leaves the durable
+    /// prefix byte-identical and recovery replays no line of the batch.
+    #[test]
+    fn torn_append_all_recovers_no_part_of_the_batch() {
+        let batch: Vec<String> = (0..8).map(|i| format!("batch-line-{i}")).collect();
+        let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
+        let mut deepest_cut = 0usize;
+        for seed in 0..8 {
+            let path = tmpfile("torn-batch");
+            {
+                let log = AppendLog::create(&path, IoShim::Real).unwrap();
+                log.append("durable").unwrap();
+            }
+            let mut spec = FaultSpec::quiet(seed);
+            spec.torn = 1.0;
+            let log =
+                AppendLog::open_at(&path, IoShim::faulty(spec), "durable\n".len() as u64).unwrap();
+            let err = log.append_all(&batch).unwrap_err().to_string();
+            let cut: usize = err
+                .split("torn write at byte ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("unexpected error {err}"));
+            deepest_cut = deepest_cut.max(cut);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "durable\n");
+            assert_eq!(log.durable_len(), "durable\n".len() as u64);
+            drop(log);
+            let (_, lines) = AppendLog::recover(&path, IoShim::Real, |_, _| true).unwrap();
+            assert_eq!(lines, vec!["durable".to_string()]);
+            let _ = std::fs::remove_file(&path);
+        }
+        assert!(
+            deepest_cut > batch[0].len(),
+            "no seed tore past the batch's first complete line"
+        );
     }
 }

@@ -14,10 +14,10 @@
 //!   slowloris answer) and bounded header/body sizes (the oversized-body
 //!   answer) hold per connection: the offender loses its connection, the
 //!   sibling on the next worker never notices.
-//! * **Durability before acknowledgment.** Ingested records are fsync'd
-//!   into the [WAL](crate::wal) before the `200` is written; restart
-//!   replays the WAL, truncating torn tails, so an acknowledged record
-//!   survives SIGKILL. Retried batches deduplicate on canonical record
+//! * **Durability before acknowledgment.** An ingest batch's new records
+//!   go into the [WAL](crate::wal) as one group commit, one write and one
+//!   fsync, before the `200` is written; restart replays the WAL,
+//!   truncating torn tails, so an acknowledged record survives SIGKILL. Retried batches deduplicate on canonical record
 //!   content, so a client that never saw its ack can safely re-push.
 //! * **Graceful drain.** SIGTERM (or the in-process drain flag) stops the
 //!   acceptor, lets in-flight requests finish, releases the daemon lease,
@@ -28,9 +28,12 @@ use crate::netfault::NetShim;
 use crate::wal::IngestWal;
 use perflogs::PerflogRecord;
 use spackle::{read_lease_info, write_lease, DiskStore, IoShim, StoreOptions};
-use std::collections::BTreeSet;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
@@ -40,6 +43,10 @@ use std::time::{Duration, Instant, SystemTime};
 /// Subdirectory of the store that holds the daemon's own state (WAL,
 /// daemon lease). Invisible to `fsck`, which scans only store layout.
 pub const SERVD_DIR: &str = "servd";
+
+/// How long the acceptor blocks in `poll(2)` for a connection before it
+/// rechecks the drain flags and the lease-renewal clock.
+const ACCEPT_POLL_MS: i32 = 50;
 
 /// Daemon configuration. The defaults favor the torture suites' scale;
 /// production use tunes via CLI flags.
@@ -86,6 +93,9 @@ pub struct ServeSummary {
     pub rejected: u64,
     /// Records durable in the WAL at drain.
     pub wal_records: u64,
+    /// Group commits (one write + one fsync each) this daemon made: one
+    /// per ingest batch that carried new records.
+    pub wal_commits: u64,
 }
 
 /// Process-global drain request, set by the SIGTERM handler. A static
@@ -118,15 +128,78 @@ fn unix_now() -> i64 {
         .unwrap_or(0)
 }
 
+/// Block until `listener` has a connection waiting or `timeout_ms`
+/// passes. Raw `poll(2)` via FFI, in the engine crate's no-libc idiom. The
+/// result is ignored: on a timeout or an error (EINTR from the SIGTERM
+/// handler) the caller's non-blocking `accept` just finds nothing.
+fn wait_for_connection(listener: &TcpListener, timeout_ms: i32) {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is a live `struct pollfd` (same layout via `repr(C)`)
+    // for the one-element array `poll` reads and writes; the listener
+    // owning the descriptor outlives the call.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
 /// In-memory ingest state, guarded by one lock: the (dedup, WAL append)
 /// pair must be atomic or two retries of the same batch could both pass
 /// the dedup check.
 struct Ingest {
     wal: IngestWal,
-    /// Canonical record lines already acknowledged — the dedup key space.
-    seen: BTreeSet<String>,
+    /// Dedup index over `records`.
+    seen: Dedup,
     /// Acknowledged records in WAL order.
     records: Vec<PerflogRecord>,
+    /// Successful group commits since bind.
+    commits: u64,
+}
+
+/// The dedup key space without a second copy of any record: a 64-bit hash
+/// of each acknowledged record's canonical line maps to the indices (into
+/// [`Ingest::records`]) of the records with that hash. A hash hit is only
+/// a duplicate once the canonical lines compare equal, so a collision can
+/// never drop a record. The hash is keyed per process, so bucket collisions
+/// cannot be crafted from outside.
+#[derive(Default)]
+struct Dedup {
+    hasher: RandomState,
+    buckets: HashMap<u64, Vec<usize>>,
+}
+
+impl Dedup {
+    fn hash(&self, canonical: &str) -> u64 {
+        self.hasher.hash_one(canonical)
+    }
+
+    /// Whether a record whose canonical line is `canonical` (hashing to
+    /// `hash`) is already in `records`.
+    fn contains(&self, records: &[PerflogRecord], hash: u64, canonical: &str) -> bool {
+        self.buckets.get(&hash).is_some_and(|bucket| {
+            bucket
+                .iter()
+                .any(|&i| records[i].to_json_line() == canonical)
+        })
+    }
+
+    /// Index `records[index]`, whose canonical line hashes to `hash`.
+    fn insert(&mut self, hash: u64, index: usize) {
+        self.buckets.entry(hash).or_default().push(index);
+    }
 }
 
 struct Shared {
@@ -208,12 +281,20 @@ impl Server {
             }
         }
         let (wal, records) = IngestWal::open(&state_dir, io.clone())?;
-        let seen: BTreeSet<String> = records.iter().map(|r| r.to_json_line()).collect();
+        let mut seen = Dedup::default();
+        for (i, record) in records.iter().enumerate() {
+            seen.insert(seen.hash(&record.to_json_line()), i);
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             dir: cfg.dir.clone(),
-            ingest: Mutex::new(Ingest { wal, seen, records }),
+            ingest: Mutex::new(Ingest {
+                wal,
+                seen,
+                records,
+                commits: 0,
+            }),
             max_body: cfg.max_body,
             read_timeout: Duration::from_millis(cfg.read_timeout_ms),
             served: AtomicU64::new(0),
@@ -292,8 +373,9 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_for_connection(&self.listener, ACCEPT_POLL_MS);
                 }
+                // A real accept error (EMFILE, ...): back off briefly.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
@@ -302,19 +384,21 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        // Appends fsync'd individually; release the daemon lease if it is
-        // still ours (never clobber a taker's lease after an expiry).
+        // Every acknowledged batch is already fsync'd; release the daemon
+        // lease if it is still ours (never clobber a taker's lease after
+        // an expiry).
         match read_lease_info(&self.lease_path) {
             Some(info) if info.writer == self.writer => {
                 let _ = std::fs::remove_file(&self.lease_path);
             }
             _ => {}
         }
-        let wal_records = self.shared.ingest.lock().expect("ingest lock").wal.len();
+        let ingest = self.shared.ingest.lock().expect("ingest lock");
         Ok(ServeSummary {
             served: self.shared.served.load(Ordering::SeqCst),
             rejected,
-            wal_records,
+            wal_records: ingest.wal.len(),
+            wal_commits: ingest.commits,
         })
     }
 
@@ -375,8 +459,9 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 }
 
 /// `POST /v1/ingest`: a perflog JSONL body. All-or-nothing parse, then
-/// per-record (dedup, durable append, ack). The `200` is only written
-/// after every non-duplicate record is fsync'd in the WAL.
+/// all-or-nothing (dedup, durable append, ack): the batch's new records go
+/// to the WAL in one group commit, and the `200` is only written after it
+/// is fsync'd.
 fn handle_ingest(req: &Request, shared: &Shared) -> Response {
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
@@ -388,7 +473,7 @@ fn handle_ingest(req: &Request, shared: &Shared) -> Response {
             continue;
         }
         match PerflogRecord::from_json_line(line) {
-            Ok(r) => parsed.push(r),
+            Ok(r) => parsed.push((r.to_json_line(), r)),
             Err(e) => {
                 return Response::new(400, format!("bad perflog record on line {}: {e}\n", i + 1))
             }
@@ -397,28 +482,38 @@ fn handle_ingest(req: &Request, shared: &Shared) -> Response {
     if parsed.is_empty() {
         return Response::new(400, "empty ingest body\n");
     }
-    let mut ingest = shared.ingest.lock().expect("ingest lock");
-    let mut acked = 0u64;
-    let mut duplicates = 0u64;
-    for record in parsed {
-        let canonical = record.to_json_line();
-        if ingest.seen.contains(&canonical) {
-            duplicates += 1;
-            continue;
+    let batch_len = parsed.len();
+    let mut guard = shared.ingest.lock().expect("ingest lock");
+    let ingest = &mut *guard;
+    let mut in_batch = HashSet::new();
+    let mut fresh = Vec::new();
+    for (canonical, record) in parsed {
+        let hash = ingest.seen.hash(&canonical);
+        if !ingest.seen.contains(&ingest.records, hash, &canonical) && in_batch.insert(canonical) {
+            fresh.push((hash, record));
         }
-        // Durable append *before* counting the record acknowledged; a
-        // failed append fails the whole batch so the client retries it
-        // (records already appended deduplicate on the retry).
-        if let Err(e) = ingest.wal.append(&record) {
+    }
+    let acked = fresh.len();
+    if !fresh.is_empty() {
+        // Durable append *before* any record counts as acknowledged; a
+        // failed append rolls back the whole batch and the client retries
+        // it, so the retry is still exactly-once.
+        let batch: Vec<&PerflogRecord> = fresh.iter().map(|(_, r)| r).collect();
+        if let Err(e) = ingest.wal.append_batch(&batch) {
             return Response::new(500, format!("WAL append failed: {e}\n"));
         }
-        ingest.seen.insert(canonical);
-        ingest.records.push(record);
-        acked += 1;
+        ingest.commits += 1;
+        for (hash, record) in fresh {
+            ingest.seen.insert(hash, ingest.records.len());
+            ingest.records.push(record);
+        }
     }
     let mut m = tinycfg::Map::new();
     m.insert("acked", tinycfg::Value::Int(acked as i64));
-    m.insert("duplicates", tinycfg::Value::Int(duplicates as i64));
+    m.insert(
+        "duplicates",
+        tinycfg::Value::Int((batch_len - acked) as i64),
+    );
     m.insert("total", tinycfg::Value::Int(ingest.wal.len() as i64));
     Response::new(200, tinycfg::Value::Map(m).to_json() + "\n")
         .with_header("Content-Type", "application/json")
@@ -524,5 +619,37 @@ fn handle_health(shared: &Shared) -> Response {
                 .with_header("Content-Type", "application/json")
         }
         Err(e) => Response::new(500, format!("fsck failed: {e}\n")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(benchmark: &str) -> PerflogRecord {
+        PerflogRecord::from_json_line(&format!(
+            "{{\"sequence\":1,\"benchmark\":\"{benchmark}\",\"system\":\"archer2\",\
+             \"partition\":\"compute\",\"environ\":\"gcc@11.2.0\",\
+             \"spec\":\"{benchmark}%gcc\",\"build_hash\":\"abc123\",\
+             \"num_tasks\":1,\"num_tasks_per_node\":1,\"num_cpus_per_task\":1,\
+             \"foms\":[{{\"name\":\"bw\",\"value\":1.5,\"unit\":\"GB/s\"}}]}}"
+        ))
+        .expect("test record parses")
+    }
+
+    /// Two distinct records forced into one hash bucket: each is still
+    /// found, and neither is ever taken for the other.
+    #[test]
+    fn hash_collision_is_never_a_duplicate() {
+        let records = vec![record("stream"), record("hpgmg")];
+        let (first, second) = (records[0].to_json_line(), records[1].to_json_line());
+        let mut seen = Dedup::default();
+        seen.insert(7, 0);
+        assert!(seen.contains(&records, 7, &first));
+        assert!(!seen.contains(&records, 7, &second));
+        seen.insert(7, 1);
+        assert!(seen.contains(&records, 7, &first));
+        assert!(seen.contains(&records, 7, &second));
+        assert!(!seen.contains(&records, 7, &record("hpcg").to_json_line()));
     }
 }

@@ -1,5 +1,5 @@
 //! The daemon's ingest write-ahead log: the durability contract behind
-//! every `202`-free `200` the daemon sends.
+//! every `200` the daemon sends for an ingest — no ack before the fsync.
 //!
 //! One WAL line per accepted perflog record:
 //!
@@ -7,10 +7,11 @@
 //! {"seq": 17, "record": {…canonical perflog record…}}
 //! ```
 //!
-//! built on [`harness::walog::AppendLog`], so appends are fsync'd through
-//! `spackle::IoShim` *before* the ingest handler acknowledges, and
-//! recovery trusts the longest valid prefix — a torn tail from a SIGKILL
-//! mid-append is truncated, never replayed into the record. `seq` is the
+//! built on [`harness::walog::AppendLog`], so each ingest batch lands with
+//! one write and one fsync through `spackle::IoShim` *before* the ingest
+//! handler acknowledges, and recovery trusts the longest valid prefix — a
+//! torn tail from a SIGKILL mid-append is truncated, never replayed into
+//! the record. `seq` is the
 //! zero-based line index; recovery additionally checks it, so a line
 //! transplanted from another WAL (or a lost middle line) ends the prefix
 //! instead of silently renumbering history.
@@ -63,13 +64,30 @@ impl IngestWal {
     /// The canonical line (`record.to_json_line()`) is what lands, so the
     /// WAL is also the dedup key space.
     pub fn append(&mut self, record: &PerflogRecord) -> io::Result<u64> {
-        let seq = self.next_seq;
-        let mut m = tinycfg::Map::new();
-        m.insert("seq", tinycfg::Value::Int(seq as i64));
-        m.insert("record", record.to_value());
-        self.log.append(&tinycfg::Value::Map(m).to_json())?;
-        self.next_seq += 1;
-        Ok(seq)
+        self.append_batch(&[record])
+    }
+
+    /// Durably append a batch with one write and one fsync, assigning
+    /// contiguous `seq`s and returning the first. On `Ok` every record may
+    /// be acknowledged; on `Err` none is, and the WAL is rolled back to
+    /// its previous length. The file bytes are those of appending the
+    /// records one by one.
+    pub fn append_batch(&mut self, records: &[&PerflogRecord]) -> io::Result<u64> {
+        let first = self.next_seq;
+        let lines: Vec<String> = records
+            .iter()
+            .zip(first..)
+            .map(|(record, seq)| {
+                let mut m = tinycfg::Map::new();
+                m.insert("seq", tinycfg::Value::Int(seq as i64));
+                m.insert("record", record.to_value());
+                tinycfg::Value::Map(m).to_json()
+            })
+            .collect();
+        let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+        self.log.append_all(&lines)?;
+        self.next_seq += records.len() as u64;
+        Ok(first)
     }
 
     /// Records acknowledged so far (recovered + appended).
@@ -183,10 +201,47 @@ mod tests {
             let (mut wal, replayed) = IngestWal::open(&dir, IoShim::faulty(spec)).unwrap();
             assert_eq!(replayed.len(), 1);
             assert!(wal.append(&record("hpgmg", 0.92)).is_err());
+            assert_eq!(wal.len(), 1, "a failed append must not consume a seq");
         }
         let (wal, replayed) = IngestWal::open(&dir, IoShim::Real).unwrap();
         assert_eq!(wal.len(), 1);
         assert_eq!(replayed[0].benchmark, "stream");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The WAL format is pinned: one `append_batch` of N records writes
+    /// exactly the bytes of N single `append`s, and recovers the same way.
+    #[test]
+    fn batch_append_is_byte_identical_to_single_appends() {
+        let batch = [
+            record("stream", 181.4),
+            record("hpgmg", 0.92),
+            record("hpcg", 31.5),
+        ];
+        let (singles, grouped) = (tmpdir("singles"), tmpdir("grouped"));
+        {
+            let (mut wal, _) = IngestWal::open(&singles, IoShim::Real).unwrap();
+            wal.append(&record("babelstream", 1.0)).unwrap();
+            for r in &batch {
+                wal.append(r).unwrap();
+            }
+        }
+        {
+            let (mut wal, _) = IngestWal::open(&grouped, IoShim::Real).unwrap();
+            wal.append(&record("babelstream", 1.0)).unwrap();
+            assert_eq!(
+                wal.append_batch(&batch.iter().collect::<Vec<_>>()).unwrap(),
+                1
+            );
+            assert_eq!(wal.len(), 4);
+        }
+        let bytes = std::fs::read(grouped.join(WAL_FILE)).unwrap();
+        assert_eq!(bytes, std::fs::read(singles.join(WAL_FILE)).unwrap());
+        let (wal, replayed) = IngestWal::open(&grouped, IoShim::Real).unwrap();
+        assert_eq!(wal.len(), 4);
+        let names: Vec<&str> = replayed.iter().map(|r| r.benchmark.as_str()).collect();
+        assert_eq!(names, ["babelstream", "stream", "hpgmg", "hpcg"]);
+        let _ = std::fs::remove_dir_all(&singles);
+        let _ = std::fs::remove_dir_all(&grouped);
     }
 }

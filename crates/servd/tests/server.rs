@@ -112,6 +112,9 @@ fn ingest_query_drain_restart_round_trip() {
     drain.store(true, Ordering::SeqCst);
     let summary = join.join().unwrap().unwrap();
     assert_eq!(summary.wal_records, 3);
+    // One group commit for the first batch; the all-duplicate re-push
+    // commits nothing.
+    assert_eq!(summary.wal_commits, 1);
     assert!(
         !dir.join("servd").join(".lease").exists(),
         "drain must release the daemon lease"
@@ -290,6 +293,55 @@ fn push_client_round_trips_and_deduplicates() {
     drain.store(true, Ordering::SeqCst);
     let summary = join.join().unwrap().unwrap();
     assert_eq!(summary.wal_records, 2);
+    assert_eq!(summary.wal_commits, 2);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&logs);
+}
+
+/// A batch that repeats a record acknowledges it once: dedup covers
+/// earlier records of the same batch, not only earlier batches.
+#[test]
+fn repeated_record_within_a_batch_lands_once() {
+    let dir = tmpdir("inbatch");
+    let (addr, drain, join) = start(quick_cfg(&dir));
+    let body = [
+        record_line("stream", "sysa", 1, 180.0),
+        record_line("stream", "sysb", 1, 140.0),
+        record_line("stream", "sysa", 1, 180.0),
+    ]
+    .join("\n");
+    let resp = http_post(&addr, "/v1/ingest", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    let ack = tinycfg::parse(resp.body_text().trim()).unwrap();
+    assert_eq!(ack.get_path("acked").and_then(|v| v.as_int()), Some(2));
+    assert_eq!(ack.get_path("duplicates").and_then(|v| v.as_int()), Some(1));
+    assert_eq!(ack.get_path("total").and_then(|v| v.as_int()), Some(2));
+    drain.store(true, Ordering::SeqCst);
+    let summary = join.join().unwrap().unwrap();
+    assert_eq!((summary.wal_records, summary.wal_commits), (2, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The acceptor blocks in `poll(2)` between connections; on a daemon that
+/// gets no traffic at all it must still notice the drain flag promptly.
+#[test]
+fn idle_daemon_drains_within_two_seconds() {
+    let dir = tmpdir("idle");
+    let server = Server::bind(quick_cfg(&dir)).expect("bind daemon");
+    let drain = server.drain_handle();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let join = std::thread::spawn(move || {
+        let summary = server.run();
+        let _ = done_tx.send(());
+        summary
+    });
+    // Give the acceptor time to block in its wait; no connection arrives.
+    std::thread::sleep(Duration::from_millis(200));
+    drain.store(true, Ordering::SeqCst);
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("idle daemon did not drain within 2 s");
+    let summary = join.join().unwrap().unwrap();
+    assert_eq!((summary.served, summary.wal_commits), (0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
