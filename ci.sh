@@ -94,34 +94,45 @@ echo "fault smoke OK (replay byte-identical, $(printf '%s\n' "$first" | tail -1)
 
 echo "== ci: kill-and-resume smoke (checkpointed survey) =="
 ckpt_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$bench_log" "$kern_log"' EXIT
+ckpt_j1="$(mktemp -d)"
+trap 'rm -rf "$ckpt_dir" "$ckpt_j1" "$bench_log" "$kern_log"' EXIT
 resumable_survey() {
-    # $1: extra flags (checkpoint/resume/interrupt); output ends in exit:N.
+    # $1: jobs; $2: extra flags (checkpoint/resume/interrupt); output ends
+    # in exit:N.
     # shellcheck disable=SC2086
     ./target/release/benchkit survey -c babelstream_omp -c hpgmg \
         --system csd3 --system archer2 \
-        --fault-profile flaky --seed 7 --max-retries 2 --jobs 4 \
-        $1 && status=0 || status=$?
+        --fault-profile flaky --seed 7 --max-retries 2 --jobs "$1" \
+        $2 && status=0 || status=$?
     echo "exit:$status"
 }
-uninterrupted="$(resumable_survey "")"
-interrupted="$(resumable_survey "--checkpoint $ckpt_dir --interrupt-after 2")"
+uninterrupted="$(resumable_survey 4 "")"
+interrupted="$(resumable_survey 4 "--checkpoint $ckpt_dir --interrupt-after 2")"
 if [ "$(printf '%s\n' "$interrupted" | tail -1)" != "exit:3" ]; then
     echo "resume smoke FAILED: --interrupt-after did not exit 3" >&2
     printf '%s\n' "$interrupted" >&2
     exit 1
 fi
-resumed="$(resumable_survey "--resume $ckpt_dir")"
+# The header never binds --jobs: the same interrupted journal must also
+# resume byte-identically at a different parallelism.
+cp "$ckpt_dir"/* "$ckpt_j1"/
+resumed="$(resumable_survey 4 "--resume $ckpt_dir")"
 if [ "$resumed" != "$uninterrupted" ]; then
     echo "resume smoke FAILED: resumed survey diverged from uninterrupted run" >&2
     diff <(printf '%s\n' "$uninterrupted") <(printf '%s\n' "$resumed") >&2 || true
     exit 1
 fi
-echo "resume smoke OK (killed after 2 cells, resumed byte-identical)"
+resumed_j1="$(resumable_survey 1 "--resume $ckpt_j1")"
+if [ "$resumed_j1" != "$uninterrupted" ]; then
+    echo "resume smoke FAILED: --jobs 1 resume of a --jobs 4 checkpoint diverged" >&2
+    diff <(printf '%s\n' "$uninterrupted") <(printf '%s\n' "$resumed_j1") >&2 || true
+    exit 1
+fi
+echo "resume smoke OK (killed after 2 cells, resumed byte-identical at --jobs 4 and 1)"
 
 echo "== ci: nightly-rerun smoke (persistent store) =="
 nightly_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$bench_log" "$kern_log" "$nightly_dir"' EXIT
+trap 'rm -rf "$ckpt_dir" "$ckpt_j1" "$bench_log" "$kern_log" "$nightly_dir"' EXIT
 store_dir="$nightly_dir/store"
 nightly_survey() {
     ./target/release/benchkit survey -c babelstream_omp -c babelstream_tbb \
@@ -494,7 +505,7 @@ echo "== ci: serve smoke (daemon ingest, byte-identical verdict, 503 backpressur
 serve_dir="$nightly_dir/served-store"
 serve_log="$nightly_dir/serve-a.out"
 serve_pid=""
-trap 'kill -9 $serve_pid 2>/dev/null || true; rm -rf "$ckpt_dir" "$bench_log" "$kern_log" "$nightly_dir"' EXIT
+trap 'kill -9 $serve_pid 2>/dev/null || true; rm -rf "$ckpt_dir" "$ckpt_j1" "$bench_log" "$kern_log" "$nightly_dir"' EXIT
 
 # Start a daemon and wait for its readiness line ("serving DIR on ADDR").
 # Sets serve_pid and addr — must run in this shell, not a substitution,

@@ -11,11 +11,14 @@
 //! grammar is small and fixed.
 
 use crate::study::Study;
-use harness::{cases, Harness, RunOptions, TestCase};
+use harness::checkpoint::CheckpointMode;
+use harness::{cases, Harness, RunOptions, SuiteRunner, TestCase};
+use simhpc::faults::FaultProfile;
 use std::fmt;
+use std::path::PathBuf;
 
 /// A parsed CLI invocation.
-// One `Command` exists per process; `Survey` carrying its full engine
+// One `Command` exists per process; `Survey` carrying its full survey
 // configuration inline beats boxing for a value never stored in bulk.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
@@ -36,40 +39,21 @@ pub enum Command {
     /// `survey --system a --system b -c x -c y [--seed N] [--jobs N]
     /// [--warm-store] [--fault-profile [SYS=]NAME]... [--max-retries N]
     /// [--fail-fast] [--quarantine K] [--heal] [--checkpoint DIR |
-    /// --resume DIR] [--interrupt-after N]`
+    /// --resume DIR] [--interrupt-after N] [--store DIR] [--perflog DIR]
+    /// [--engine [CASE=]SPEC]... [--engine-timeout S]`
     Survey {
         benchmarks: Vec<String>,
-        systems: Vec<String>,
-        seed: u64,
-        jobs: usize,
-        warm_store: bool,
-        fault_profile: String,
-        /// Per-system overrides: (system spec, profile name).
-        fault_overrides: Vec<(String, String)>,
-        max_retries: u32,
-        fail_fast: bool,
-        quarantine: u32,
-        /// Return drained nodes after each system's repair window.
-        heal: bool,
-        /// Journal completed cells into this directory (fresh journal).
-        checkpoint: Option<String>,
-        /// Continue an interrupted survey from this directory's journal.
-        resume: Option<String>,
+        /// Every survey knob, parsed and resolved once: the systems, seed,
+        /// parallelism, fault profiles, retry policy, checkpoint mode,
+        /// store and engines the study runs with.
+        suite: SuiteRunner,
         /// Abort the process (exit 3) after this many cells have been
         /// journaled — a deterministic crash for resume testing.
         interrupt_after: Option<usize>,
-        /// Persistent package store directory (`--store DIR`): warm
-        /// builds from it, persist new builds back into it.
-        store: Option<String>,
         /// Write one `<system>-<benchmark>.jsonl` perflog per surveyed
         /// (system, benchmark family) into this directory (`--perflog`),
         /// the input format of `rank` and `cmp`.
         perflog: Option<String>,
-        /// External engine subprocess for every case's run stage
-        /// (`--engine SPEC`), speaking the KLV protocol.
-        engine: Option<engine::EngineSpec>,
-        /// Per-case engine overrides (`--engine CASE=SPEC`).
-        engine_overrides: Vec<(String, engine::EngineSpec)>,
     },
     /// `rank <perflog-or-dir>... [--lower-is-better] [--markdown]
     /// [--jobs N]` — geometric-mean-speedup ranking of systems across
@@ -306,12 +290,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "list-benchmarks" => Ok(Command::ListBenchmarks),
         "run" => {
             let opts = parse_options(&rest)?;
-            if opts.warm_store {
-                return Err(CliError(
-                    "run: `--warm-store` only applies to `survey`".into(),
-                ));
-            }
             for (set, flag) in [
+                (opts.warm_store, "--warm-store"),
                 (!opts.fault_profiles.is_empty(), "--fault-profile"),
                 (opts.max_retries.is_some(), "--max-retries"),
                 (opts.fail_fast, "--fail-fast"),
@@ -361,108 +341,43 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         .into(),
                 ));
             }
-            // Split repeated --fault-profile values into the base profile
-            // (bare NAME, at most once) and per-system overrides
-            // (SYS=NAME, at most once per system, SYS must be surveyed).
-            let mut fault_profile: Option<String> = None;
-            let mut fault_overrides: Vec<(String, String)> = Vec::new();
-            for value in &opts.fault_profiles {
-                match value.split_once('=') {
-                    None => {
-                        if fault_profile.is_some() {
-                            return Err(CliError(format!(
-                                "survey: duplicate base `--fault-profile {value}` \
-                                 (use SYS=NAME for per-system overrides)"
-                            )));
-                        }
-                        fault_profile = Some(value.clone());
-                    }
-                    Some((system, name)) => {
-                        if !opts.systems.iter().any(|s| s == system) {
-                            return Err(CliError(format!(
-                                "survey: `--fault-profile {value}` names system `{system}` \
-                                 which is not in the surveyed `--system` list"
-                            )));
-                        }
-                        if fault_overrides.iter().any(|(s, _)| s == system) {
-                            return Err(CliError(format!(
-                                "survey: duplicate `--fault-profile` override for `{system}`"
-                            )));
-                        }
-                        fault_overrides.push((system.to_string(), name.to_string()));
-                    }
-                }
-            }
-            // Split repeated --engine values into the base engine (bare
-            // SPEC, at most once) and per-case overrides (CASE=SPEC, at
-            // most once per case, CASE must be surveyed). A value counts
-            // as an override only when everything before its first `=` is
-            // shaped like a benchmark name, so engine commands containing
-            // `=` (e.g. `./engine --mode=fast`) still parse as base specs.
+            let (fault_profile, fault_overrides) =
+                FAULT_PROFILE.split(&opts.fault_profiles, &opts.systems, fault_profile_named)?;
             let default_timeout = opts.engine_timeout.unwrap_or(engine::DEFAULT_TIMEOUT_S);
-            let parse_spec = |raw: &str| {
+            let (engine, engine_overrides) = ENGINE.split(&opts.engines, &opts.cases, |raw| {
                 engine::EngineSpec::parse(raw, default_timeout)
                     .map_err(|e| CliError(format!("survey: bad `--engine` spec `{raw}`: {e}")))
-            };
-            let case_shaped = |name: &str| {
-                !name.is_empty()
-                    && name
-                        .bytes()
-                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-            };
-            let mut engine_spec: Option<engine::EngineSpec> = None;
-            let mut engine_overrides: Vec<(String, engine::EngineSpec)> = Vec::new();
-            for value in &opts.engines {
-                match value.split_once('=').filter(|(case, _)| case_shaped(case)) {
-                    None => {
-                        if engine_spec.is_some() {
-                            return Err(CliError(format!(
-                                "survey: duplicate base `--engine {value}` \
-                                 (use CASE=SPEC for per-case overrides)"
-                            )));
-                        }
-                        engine_spec = Some(parse_spec(value)?);
-                    }
-                    Some((case, spec)) => {
-                        if !opts.cases.iter().any(|c| c == case) {
-                            return Err(CliError(format!(
-                                "survey: `--engine {value}` names case `{case}` \
-                                 which is not in the surveyed `-c` list"
-                            )));
-                        }
-                        if engine_overrides.iter().any(|(c, _)| c == case) {
-                            return Err(CliError(format!(
-                                "survey: duplicate `--engine` override for `{case}`"
-                            )));
-                        }
-                        engine_overrides.push((case.to_string(), parse_spec(spec)?));
-                    }
-                }
-            }
+            })?;
             if opts.engine_timeout.is_some() && opts.engines.is_empty() {
                 return Err(CliError(
                     "survey: `--engine-timeout` requires `--engine`".into(),
                 ));
             }
+            let checkpoint = match (opts.checkpoint, opts.resume) {
+                (Some(dir), _) => Some(CheckpointMode::Fresh(dir.into())),
+                (_, Some(dir)) => Some(CheckpointMode::Resume(dir.into())),
+                (None, None) => None,
+            };
             Ok(Command::Survey {
                 benchmarks: opts.cases,
-                systems: opts.systems,
-                seed: opts.seed,
-                jobs: opts.jobs,
-                warm_store: opts.warm_store,
-                fault_profile: fault_profile.unwrap_or_else(|| "none".to_string()),
-                fault_overrides,
-                max_retries: opts.max_retries.unwrap_or(2),
-                fail_fast: opts.fail_fast,
-                quarantine: opts.quarantine.unwrap_or(0),
-                heal: opts.heal,
-                checkpoint: opts.checkpoint,
-                resume: opts.resume,
+                suite: SuiteRunner {
+                    systems: opts.systems,
+                    seed: opts.seed,
+                    jobs: opts.jobs,
+                    warm_store: opts.warm_store,
+                    fault_profile: fault_profile.unwrap_or_default(),
+                    max_retries: opts.max_retries.unwrap_or(2),
+                    fail_fast: opts.fail_fast,
+                    quarantine: opts.quarantine.unwrap_or(0),
+                    fault_overrides,
+                    heal: opts.heal,
+                    checkpoint,
+                    store: opts.store.map(PathBuf::from),
+                    engine,
+                    engine_overrides,
+                },
                 interrupt_after: opts.interrupt_after,
-                store: opts.store,
                 perflog: opts.perflog,
-                engine: engine_spec,
-                engine_overrides,
             })
         }
         "rank" => {
@@ -802,6 +717,107 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Resolve a `--fault-profile` name (`off` is an alias of `none`).
+fn fault_profile_named(name: &str) -> Result<FaultProfile, CliError> {
+    FaultProfile::from_name(name).ok_or_else(|| {
+        CliError(format!(
+            "unknown fault profile `{name}` (known: {})",
+            FaultProfile::known_names().join(", ")
+        ))
+    })
+}
+
+/// A repeatable survey flag taking one bare base value plus at most one
+/// `KEY=VALUE` override per surveyed key (`--fault-profile`, `--engine`).
+struct OverrideFlag {
+    flag: &'static str,
+    /// What a key names (`system`/`case`), the flag listing the surveyed
+    /// keys, and the override form shown when the base is repeated.
+    noun: &'static str,
+    list_flag: &'static str,
+    form: &'static str,
+    /// Whether the text before a value's first `=` is shaped like a key;
+    /// otherwise the whole value is a base value.
+    key_shaped: fn(&str) -> bool,
+}
+
+/// `--fault-profile [SYS=]NAME`: any `=` makes an override.
+const FAULT_PROFILE: OverrideFlag = OverrideFlag {
+    flag: "--fault-profile",
+    noun: "system",
+    list_flag: "--system",
+    form: "SYS=NAME for per-system overrides",
+    key_shaped: |_| true,
+};
+
+/// `--engine [CASE=]SPEC`: an override only when the text before the
+/// first `=` is shaped like a benchmark name, so engine commands holding
+/// `=` (e.g. `./engine --mode=fast`) still parse as base specs.
+const ENGINE: OverrideFlag = OverrideFlag {
+    flag: "--engine",
+    noun: "case",
+    list_flag: "-c",
+    form: "CASE=SPEC for per-case overrides",
+    key_shaped: |key| {
+        !key.is_empty()
+            && key
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    },
+};
+
+/// A split [`OverrideFlag`]: the base value, then `(key, value)` overrides.
+type Split<T> = (Option<T>, Vec<(String, T)>);
+
+impl OverrideFlag {
+    /// Split `values` into the base value (bare, at most once) and
+    /// per-key overrides (at most once per key, each key in `keys`),
+    /// parsing every value with `parse` in argument order.
+    fn split<T>(
+        &self,
+        values: &[String],
+        keys: &[String],
+        parse: impl Fn(&str) -> Result<T, CliError>,
+    ) -> Result<Split<T>, CliError> {
+        let OverrideFlag {
+            flag,
+            noun,
+            list_flag,
+            form,
+            key_shaped,
+        } = self;
+        let mut base = None;
+        let mut overrides: Vec<(String, T)> = Vec::new();
+        for value in values {
+            match value.split_once('=').filter(|(key, _)| key_shaped(key)) {
+                None => {
+                    if base.is_some() {
+                        return Err(CliError(format!(
+                            "survey: duplicate base `{flag} {value}` (use {form})"
+                        )));
+                    }
+                    base = Some(parse(value)?);
+                }
+                Some((key, raw)) => {
+                    if !keys.iter().any(|k| k == key) {
+                        return Err(CliError(format!(
+                            "survey: `{flag} {value}` names {noun} `{key}` \
+                             which is not in the surveyed `{list_flag}` list"
+                        )));
+                    }
+                    if overrides.iter().any(|(k, _)| k == key) {
+                        return Err(CliError(format!(
+                            "survey: duplicate `{flag}` override for `{key}`"
+                        )));
+                    }
+                    overrides.push((key.to_string(), parse(raw)?));
+                }
+            }
+        }
+        Ok((base, overrides))
+    }
+}
+
 struct Options {
     cases: Vec<String>,
     systems: Vec<String>,
@@ -809,8 +825,9 @@ struct Options {
     repeats: u32,
     jobs: usize,
     warm_store: bool,
-    /// Raw repeated `--fault-profile` values (`NAME` or `SYS=NAME`);
-    /// split into base + overrides by the survey arm.
+    /// Repeated `--fault-profile` values (`NAME` or `SYS=NAME`, names
+    /// already known good); split and resolved by [`FAULT_PROFILE`] in
+    /// the survey arm.
     fault_profiles: Vec<String>,
     max_retries: Option<u32>,
     fail_fast: bool,
@@ -821,8 +838,8 @@ struct Options {
     interrupt_after: Option<usize>,
     store: Option<String>,
     perflog: Option<String>,
-    /// Raw repeated `--engine` values (`SPEC` or `CASE=SPEC`); split into
-    /// base + overrides by the survey arm.
+    /// Raw repeated `--engine` values (`SPEC` or `CASE=SPEC`); split and
+    /// parsed by [`ENGINE`] in the survey arm.
     engines: Vec<String>,
     /// `--engine-timeout S`: default deadline for engine specs that do
     /// not set their own. Validated (finite, positive) at parse time.
@@ -888,14 +905,9 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             }
             "--fault-profile" => {
                 let v = take_value(args, &mut i, "--fault-profile")?;
-                // `SYS=NAME` overrides one system; bare `NAME` is the base.
-                let name = v.split_once('=').map(|(_, n)| n).unwrap_or(&v);
-                if simhpc::faults::FaultProfile::from_name(name).is_none() {
-                    return Err(CliError(format!(
-                        "unknown fault profile `{name}` (known: {})",
-                        simhpc::faults::FaultProfile::known_names().join(", ")
-                    )));
-                }
+                // Unknown names fail at the flag, before any survey-level
+                // check; `SYS=NAME` overrides one system.
+                fault_profile_named(v.split_once('=').map_or(v.as_str(), |(_, n)| n))?;
                 opts.fault_profiles.push(v);
             }
             "--max-retries" => {
@@ -1114,57 +1126,15 @@ pub fn execute(
         }
         Command::Survey {
             benchmarks,
-            systems,
-            seed,
-            jobs,
-            warm_store,
-            fault_profile,
-            fault_overrides,
-            max_retries,
-            fail_fast,
-            quarantine,
-            heal,
-            checkpoint,
-            resume,
+            suite,
             interrupt_after,
-            store,
             perflog,
-            engine,
-            engine_overrides,
         } => {
-            let profile = simhpc::faults::FaultProfile::from_name(&fault_profile)
-                .ok_or_else(|| CliError(format!("unknown fault profile `{fault_profile}`")))?;
-            let mut study = Study::new("cli-survey")
-                .with_seed(seed)
-                .with_jobs(jobs)
-                .with_warm_store(warm_store)
-                .with_fault_profile(profile.clone())
-                .with_max_retries(max_retries)
-                .with_fail_fast(fail_fast)
-                .with_quarantine(quarantine)
-                .with_heal(heal);
-            for (system, name) in &fault_overrides {
-                let p = simhpc::faults::FaultProfile::from_name(name)
-                    .ok_or_else(|| CliError(format!("unknown fault profile `{name}`")))?;
-                study = study.with_fault_override(system, p);
-            }
-            if let Some(dir) = &checkpoint {
-                study = study.with_checkpoint(std::path::Path::new(dir));
-            }
-            if let Some(dir) = &resume {
-                study = study.with_resume(std::path::Path::new(dir));
-            }
-            if let Some(dir) = &store {
-                study = study.with_store(std::path::Path::new(dir));
-            }
-            study = study.with_engine(engine.clone());
-            for (case, spec) in &engine_overrides {
-                study = study.with_engine_override(case, spec.clone());
-            }
-            for b in &benchmarks {
-                study = study.with_case(case_by_name(b)?);
-            }
-            study = study.on_systems(&systems.iter().map(String::as_str).collect::<Vec<_>>());
+            let cases = benchmarks
+                .iter()
+                .map(|b| case_by_name(b))
+                .collect::<Result<Vec<_>, _>>()?;
+            let study = Study::new("cli-survey", suite).with_cases(cases);
             // Stream one line per grid cell as soon as it (and every
             // earlier cell) finishes; the flush order is canonical, so
             // this output is byte-identical for any --jobs count.
@@ -1214,24 +1184,25 @@ pub fn execute(
                 results.report.n_skipped(),
                 results.report.n_failed()
             )?;
-            if let Some(spec) = &engine {
+            let suite = &study.suite;
+            if let Some(spec) = &suite.engine {
                 writeln!(out, "engine: {}", spec.render())?;
             }
-            for (case, spec) in &engine_overrides {
+            for (case, spec) in &suite.engine_overrides {
                 writeln!(out, "engine override: {case}={}", spec.render())?;
             }
-            let any_faults =
-                !profile.is_none() || fault_overrides.iter().any(|(_, name)| name != "none");
+            let any_faults = !suite.fault_profile.is_none()
+                || suite.fault_overrides.iter().any(|(_, p)| !p.is_none());
             if any_faults {
                 let mut line = format!(
                     "fault profile `{}`: {} faults injected, {} retries, {:.1}s simulated time lost, {} quarantined",
-                    profile.name,
+                    suite.fault_profile.name,
                     results.report.total_faults_injected(),
                     results.report.total_retries(),
                     results.report.total_time_lost_s(),
                     results.report.n_quarantined()
                 );
-                if heal {
+                if suite.heal {
                     line.push_str(&format!(
                         ", {} nodes repaired",
                         results.report.total_nodes_repaired()
@@ -1239,10 +1210,11 @@ pub fn execute(
                 }
                 writeln!(out, "{line}")?;
             }
-            if !fault_overrides.is_empty() {
-                let rendered: Vec<String> = fault_overrides
+            if !suite.fault_overrides.is_empty() {
+                let rendered: Vec<String> = suite
+                    .fault_overrides
                     .iter()
-                    .map(|(s, n)| format!("{s}={n}"))
+                    .map(|(s, p)| format!("{s}={}", p.name))
                     .collect();
                 writeln!(out, "fault overrides: {}", rendered.join(", "))?;
             }
@@ -1257,7 +1229,7 @@ pub fn execute(
                     }
                 )?;
             }
-            if warm_store {
+            if suite.warm_store {
                 writeln!(
                     out,
                     "warm store: {} built, {} reused, {:.1}s total build time",
@@ -1758,42 +1730,29 @@ mod tests {
         match cmd {
             Command::Survey {
                 benchmarks,
-                systems,
-                seed,
-                jobs,
-                warm_store,
-                fault_profile,
-                fault_overrides,
-                max_retries,
-                fail_fast,
-                quarantine,
-                heal,
-                checkpoint,
-                resume,
+                suite,
                 interrupt_after,
-                store,
                 perflog,
-                engine,
-                engine_overrides,
             } => {
                 assert_eq!(benchmarks, vec!["hpgmg", "babelstream_omp"]);
-                assert_eq!(systems, vec!["archer2", "csd3"]);
-                assert_eq!(seed, 42);
-                assert_eq!(jobs, 1, "serial by default");
-                assert!(!warm_store, "cold by default");
-                assert_eq!(fault_profile, "none", "no faults by default");
-                assert!(fault_overrides.is_empty(), "no overrides by default");
-                assert_eq!(max_retries, 2);
-                assert!(!fail_fast);
-                assert_eq!(quarantine, 0, "quarantine off by default");
-                assert!(!heal, "healing off by default");
-                assert_eq!(checkpoint, None, "no checkpointing by default");
-                assert_eq!(resume, None);
+                assert_eq!(suite.systems, vec!["archer2", "csd3"]);
+                assert_eq!(suite.seed, 42);
+                assert_eq!(suite.jobs, 1, "serial by default");
+                assert!(!suite.warm_store, "cold by default");
+                assert_eq!(suite.fault_profile.name, "none", "no faults by default");
+                assert!(suite.fault_overrides.is_empty(), "no overrides by default");
+                assert_eq!(suite.max_retries, 2);
+                assert!(!suite.fail_fast);
+                assert_eq!(suite.quarantine, 0, "quarantine off by default");
+                assert!(!suite.heal, "healing off by default");
+                assert_eq!(suite.checkpoint, None, "no checkpointing by default");
                 assert_eq!(interrupt_after, None);
-                assert_eq!(store, None, "no persistent store by default");
+                assert_eq!(suite.store, None, "no persistent store by default");
                 assert_eq!(perflog, None, "no perflog export by default");
-                assert_eq!(engine, None, "in-process run stage by default");
-                assert!(engine_overrides.is_empty());
+                assert_eq!(suite.engine, None, "in-process run stage by default");
+                assert!(suite.engine_overrides.is_empty());
+                // The CLI's defaults are the runner's defaults.
+                assert_eq!(suite, SuiteRunner::new(&["archer2", "csd3"]));
             }
             other => panic!("{other:?}"),
         }
@@ -1806,28 +1765,24 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Survey {
-                warm_store, jobs, ..
-            } => {
-                assert!(warm_store);
-                assert_eq!(jobs, 2);
+            Command::Survey { suite, .. } => {
+                assert!(suite.warm_store);
+                assert_eq!(suite.jobs, 2);
             }
             other => panic!("{other:?}"),
         }
-        // Only survey takes it.
-        assert!(parse(&argv("run -c hpgmg --system archer2 --warm-store")).is_err());
     }
 
     #[test]
     fn parse_survey_jobs() {
         let cmd = parse(&argv("survey -c hpgmg --system archer2 --jobs 4")).unwrap();
         match cmd {
-            Command::Survey { jobs, .. } => assert_eq!(jobs, 4),
+            Command::Survey { suite, .. } => assert_eq!(suite.jobs, 4),
             other => panic!("{other:?}"),
         }
         let cmd = parse(&argv("survey -c hpgmg --system archer2 -j 0")).unwrap();
         match cmd {
-            Command::Survey { jobs, .. } => assert_eq!(jobs, 0, "0 = auto"),
+            Command::Survey { suite, .. } => assert_eq!(suite.jobs, 0, "0 = auto"),
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("survey -c hpgmg --system archer2 --jobs nope")).is_err());
@@ -1847,23 +1802,19 @@ mod tests {
         };
         let cmd = parse(&args(&["--engine", "./stub --ok"])).unwrap();
         match cmd {
-            Command::Survey {
-                engine,
-                engine_overrides,
-                ..
-            } => {
-                let spec = engine.expect("base engine parsed");
+            Command::Survey { suite, .. } => {
+                let spec = suite.engine.expect("base engine parsed");
                 assert_eq!(spec.cmd, vec!["./stub", "--ok"]);
                 assert_eq!(spec.timeout_s, engine::DEFAULT_TIMEOUT_S);
-                assert!(engine_overrides.is_empty());
+                assert!(suite.engine_overrides.is_empty());
             }
             other => panic!("{other:?}"),
         }
         // --engine-timeout applies to specs that don't pin their own.
         let cmd = parse(&args(&["--engine", "./stub", "--engine-timeout", "30"])).unwrap();
         match cmd {
-            Command::Survey { engine, .. } => {
-                assert_eq!(engine.unwrap().timeout_s, 30.0);
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.engine.unwrap().timeout_s, 30.0);
             }
             other => panic!("{other:?}"),
         }
@@ -1871,28 +1822,23 @@ mod tests {
         // left of it is not shaped like a benchmark name.
         let cmd = parse(&args(&["--engine", "./eng --mode=fast"])).unwrap();
         match cmd {
-            Command::Survey {
-                engine,
-                engine_overrides,
-                ..
-            } => {
-                assert_eq!(engine.unwrap().cmd, vec!["./eng", "--mode=fast"]);
-                assert!(engine_overrides.is_empty());
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.engine.unwrap().cmd, vec!["./eng", "--mode=fast"]);
+                assert!(suite.engine_overrides.is_empty());
             }
             other => panic!("{other:?}"),
         }
         // CASE=SPEC is an override when CASE is a surveyed benchmark.
         let cmd = parse(&args(&["--engine", "hpgmg=./special --hpgmg"])).unwrap();
         match cmd {
-            Command::Survey {
-                engine,
-                engine_overrides,
-                ..
-            } => {
-                assert_eq!(engine, None, "override only, no base engine");
-                assert_eq!(engine_overrides.len(), 1);
-                assert_eq!(engine_overrides[0].0, "hpgmg");
-                assert_eq!(engine_overrides[0].1.cmd, vec!["./special", "--hpgmg"]);
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.engine, None, "override only, no base engine");
+                assert_eq!(suite.engine_overrides.len(), 1);
+                assert_eq!(suite.engine_overrides[0].0, "hpgmg");
+                assert_eq!(
+                    suite.engine_overrides[0].1.cmd,
+                    vec!["./special", "--hpgmg"]
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -1911,9 +1857,6 @@ mod tests {
         assert!(parse(&args(&["--engine-timeout", "30"])).is_err());
         // An empty spec has no command to run.
         assert!(parse(&args(&["--engine", ""])).is_err());
-        // Only survey takes engine flags.
-        assert!(parse(&argv("run -c hpgmg --system archer2 --engine ./stub")).is_err());
-        assert!(parse(&argv("run -c hpgmg --system archer2 --engine-timeout 5")).is_err());
     }
 
     #[test]
@@ -1924,17 +1867,11 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Survey {
-                fault_profile,
-                max_retries,
-                fail_fast,
-                quarantine,
-                ..
-            } => {
-                assert_eq!(fault_profile, "flaky");
-                assert_eq!(max_retries, 5);
-                assert!(fail_fast);
-                assert_eq!(quarantine, 3);
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.fault_profile.name, "flaky");
+                assert_eq!(suite.max_retries, 5);
+                assert!(suite.fail_fast);
+                assert_eq!(suite.quarantine, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -1948,18 +1885,6 @@ mod tests {
         assert!(err.contains("flaky"), "{err}");
         assert!(parse(&argv("survey -c x --system y --max-retries nope")).is_err());
         assert!(parse(&argv("survey -c x --system y --quarantine nope")).is_err());
-        // Fault flags apply to survey only.
-        for flags in [
-            "--fault-profile flaky",
-            "--max-retries 1",
-            "--fail-fast",
-            "--quarantine 2",
-        ] {
-            assert!(
-                parse(&argv(&format!("run -c hpgmg --system archer2 {flags}"))).is_err(),
-                "run should reject {flags}"
-            );
-        }
     }
 
     #[test]
@@ -1970,15 +1895,11 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Survey {
-                fault_profile,
-                fault_overrides,
-                ..
-            } => {
-                assert_eq!(fault_profile, "flaky");
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.fault_profile.name, "flaky");
                 assert_eq!(
-                    fault_overrides,
-                    vec![("csd3".to_string(), "brutal".to_string())]
+                    suite.fault_overrides,
+                    vec![("csd3".to_string(), FaultProfile::brutal())]
                 );
             }
             other => panic!("{other:?}"),
@@ -2025,25 +1946,25 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Survey {
-                heal,
-                checkpoint,
-                resume,
+                suite,
                 interrupt_after,
                 ..
             } => {
-                assert!(heal);
-                assert_eq!(checkpoint.as_deref(), Some("/tmp/ck"));
-                assert_eq!(resume, None);
+                assert!(suite.heal);
+                assert_eq!(
+                    suite.checkpoint,
+                    Some(CheckpointMode::Fresh("/tmp/ck".into()))
+                );
                 assert_eq!(interrupt_after, Some(3));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("survey -c hpgmg --system csd3 --resume /tmp/ck")).unwrap() {
-            Command::Survey {
-                checkpoint, resume, ..
-            } => {
-                assert_eq!(checkpoint, None);
-                assert_eq!(resume.as_deref(), Some("/tmp/ck"));
+            Command::Survey { suite, .. } => {
+                assert_eq!(
+                    suite.checkpoint,
+                    Some(CheckpointMode::Resume("/tmp/ck".into()))
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -2055,18 +1976,48 @@ mod tests {
         .to_string();
         assert!(err.contains("mutually exclusive"), "{err}");
         assert!(parse(&argv("survey -c x --system y --interrupt-after nope")).is_err());
-        // All of them are survey-only.
-        for flags in [
-            "--heal",
-            "--checkpoint /a",
-            "--resume /a",
-            "--interrupt-after 1",
+    }
+
+    #[test]
+    fn run_rejects_every_survey_only_flag() {
+        for (flag, value) in [
+            ("--warm-store", None),
+            ("--fault-profile", Some("flaky")),
+            ("--max-retries", Some("1")),
+            ("--fail-fast", None),
+            ("--quarantine", Some("2")),
+            ("--heal", None),
+            ("--checkpoint", Some("/a")),
+            ("--resume", Some("/a")),
+            ("--interrupt-after", Some("1")),
+            ("--store", Some("/a")),
+            ("--perflog", Some("/a")),
+            ("--engine", Some("./stub")),
+            ("--engine-timeout", Some("5")),
         ] {
-            assert!(
-                parse(&argv(&format!("run -c hpgmg --system csd3 {flags}"))).is_err(),
-                "run should reject {flags}"
-            );
+            let args = format!("run -c hpgmg --system csd3 {flag} {}", value.unwrap_or(""));
+            let err = parse(&argv(&args)).unwrap_err().to_string();
+            assert_eq!(err, format!("run: `{flag}` only applies to `survey`"));
         }
+    }
+
+    #[test]
+    fn off_alias_reports_exactly_like_none() {
+        // `off` and `none` are one profile: the same header binding and the
+        // same report bytes, with no fault line for a fault-free survey.
+        let run = |name: &str| {
+            let args =
+                format!("survey -c babelstream_omp -c hpgmg --system csd3 --fault-profile {name}");
+            run_cmd(parse(&argv(&args)).unwrap())
+        };
+        let (none_text, none_err) = run("csd3=none");
+        assert_eq!(run("csd3=off"), (none_text.clone(), none_err));
+        assert!(
+            none_text.contains("fault overrides: csd3=none"),
+            "{none_text}"
+        );
+        assert!(!none_text.contains("fault profile"), "{none_text}");
+        assert_eq!(run("off"), run("none"));
     }
 
     #[test]
@@ -2143,26 +2094,10 @@ mod tests {
     fn execute_survey_counts_and_streams() {
         let mut buf = Vec::new();
         execute(
-            Command::Survey {
-                benchmarks: vec!["babelstream_cuda".into()],
-                systems: vec!["csd3".into(), "isambard-macs:volta".into()],
-                seed: 42,
-                jobs: 2,
-                warm_store: false,
-                fault_profile: "none".into(),
-                fault_overrides: vec![],
-                max_retries: 2,
-                fail_fast: false,
-                quarantine: 0,
-                heal: false,
-                checkpoint: None,
-                resume: None,
-                interrupt_after: None,
-                store: None,
-                perflog: None,
-                engine: None,
-                engine_overrides: Vec::new(),
-            },
+            survey(
+                &["babelstream_cuda"],
+                SuiteRunner::new(&["csd3", "isambard-macs:volta"]).with_jobs(2),
+            ),
             &mut buf,
         )
         .unwrap();
@@ -2187,30 +2122,13 @@ mod tests {
         let run_at = |jobs: usize| {
             let mut buf = Vec::new();
             execute(
-                Command::Survey {
-                    benchmarks: vec![
-                        "babelstream_omp".into(),
-                        "babelstream_tbb".into(),
-                        "hpgmg".into(),
-                    ],
-                    systems: vec!["csd3".into(), "archer2".into()],
-                    seed: 7,
-                    jobs,
-                    warm_store: true,
-                    fault_profile: "none".into(),
-                    fault_overrides: vec![],
-                    max_retries: 2,
-                    fail_fast: false,
-                    quarantine: 0,
-                    heal: false,
-                    checkpoint: None,
-                    resume: None,
-                    interrupt_after: None,
-                    store: None,
-                    perflog: None,
-                    engine: None,
-                    engine_overrides: Vec::new(),
-                },
+                survey(
+                    &["babelstream_omp", "babelstream_tbb", "hpgmg"],
+                    SuiteRunner::new(&["csd3", "archer2"])
+                        .with_seed(7)
+                        .with_jobs(jobs)
+                        .with_warm_store(true),
+                ),
                 &mut buf,
             )
             .unwrap();
@@ -2250,26 +2168,14 @@ mod tests {
         let run_at = |seed: u64, jobs: usize| {
             let mut buf = Vec::new();
             let result = execute(
-                Command::Survey {
-                    benchmarks: vec!["babelstream_omp".into(), "hpgmg".into()],
-                    systems: vec!["csd3".into(), "archer2".into()],
-                    seed,
-                    jobs,
-                    warm_store: false,
-                    fault_profile: "flaky".into(),
-                    fault_overrides: vec![],
-                    max_retries: 4,
-                    fail_fast: false,
-                    quarantine: 0,
-                    heal: false,
-                    checkpoint: None,
-                    resume: None,
-                    interrupt_after: None,
-                    store: None,
-                    perflog: None,
-                    engine: None,
-                    engine_overrides: Vec::new(),
-                },
+                survey(
+                    &["babelstream_omp", "hpgmg"],
+                    SuiteRunner::new(&["csd3", "archer2"])
+                        .with_seed(seed)
+                        .with_jobs(jobs)
+                        .with_fault_profile(FaultProfile::flaky())
+                        .with_max_retries(4),
+                ),
                 &mut buf,
             );
             (
@@ -2303,26 +2209,14 @@ mod tests {
         let run_at = |seed: u64, jobs: usize| {
             let mut buf = Vec::new();
             let result = execute(
-                Command::Survey {
-                    benchmarks: vec!["babelstream_omp".into()],
-                    systems: vec!["csd3".into(), "archer2".into()],
-                    seed,
-                    jobs,
-                    warm_store: false,
-                    fault_profile: "brutal".into(),
-                    fault_overrides: vec![],
-                    max_retries: 0,
-                    fail_fast: false,
-                    quarantine: 0,
-                    heal: false,
-                    checkpoint: None,
-                    resume: None,
-                    interrupt_after: None,
-                    store: None,
-                    perflog: None,
-                    engine: None,
-                    engine_overrides: Vec::new(),
-                },
+                survey(
+                    &["babelstream_omp"],
+                    SuiteRunner::new(&["csd3", "archer2"])
+                        .with_seed(seed)
+                        .with_jobs(jobs)
+                        .with_fault_profile(FaultProfile::brutal())
+                        .with_max_retries(0),
+                ),
                 &mut buf,
             );
             (
@@ -2371,26 +2265,14 @@ printf 'done:0:\n'
         let run_at = |jobs: usize| {
             let mut buf = Vec::new();
             let result = execute(
-                Command::Survey {
-                    benchmarks: vec!["babelstream_omp".into(), "babelstream_tbb".into()],
-                    systems: vec!["csd3".into()],
-                    seed: 42,
-                    jobs,
-                    warm_store: false,
-                    fault_profile: "none".into(),
-                    fault_overrides: vec![],
-                    max_retries: 1,
-                    fail_fast: false,
-                    quarantine: 0,
-                    heal: false,
-                    checkpoint: None,
-                    resume: None,
-                    interrupt_after: None,
-                    store: None,
-                    perflog: None,
-                    engine: Some(ok.clone()),
-                    engine_overrides: vec![("babelstream_tbb".into(), crashing.clone())],
-                },
+                survey(
+                    &["babelstream_omp", "babelstream_tbb"],
+                    SuiteRunner::new(&["csd3"])
+                        .with_jobs(jobs)
+                        .with_max_retries(1)
+                        .with_engine(Some(ok.clone()))
+                        .with_engine_override("babelstream_tbb", crashing.clone()),
+                ),
                 &mut buf,
             );
             (
@@ -2435,27 +2317,13 @@ printf 'done:0:\n'
         dir
     }
 
-    /// A Survey command with every knob at its default.
-    fn survey(benchmarks: &[&str], systems: &[&str]) -> Command {
+    /// A Survey command over `benchmarks` configured by `suite`.
+    fn survey(benchmarks: &[&str], suite: SuiteRunner) -> Command {
         Command::Survey {
             benchmarks: benchmarks.iter().map(|s| s.to_string()).collect(),
-            systems: systems.iter().map(|s| s.to_string()).collect(),
-            seed: 42,
-            jobs: 1,
-            warm_store: false,
-            fault_profile: "none".into(),
-            fault_overrides: vec![],
-            max_retries: 2,
-            fail_fast: false,
-            quarantine: 0,
-            heal: false,
-            checkpoint: None,
-            resume: None,
+            suite,
             interrupt_after: None,
-            store: None,
             perflog: None,
-            engine: None,
-            engine_overrides: Vec::new(),
         }
     }
 
@@ -2476,29 +2344,17 @@ printf 'done:0:\n'
         // simulated by truncating the journal to k records.
         let base = tmpdir("resume-full");
         let make = |jobs: usize, dir: &std::path::Path, resume: bool| {
-            let mut cmd = survey(&["babelstream_omp", "hpgmg"], &["csd3", "archer2"]);
-            if let Command::Survey {
-                seed,
-                jobs: j,
-                fault_profile,
-                max_retries,
-                checkpoint,
-                resume: r,
-                ..
-            } = &mut cmd
-            {
-                *seed = 3;
-                *j = jobs;
-                *fault_profile = "flaky".into();
-                *max_retries = 4;
-                let d = Some(dir.to_string_lossy().into_owned());
-                if resume {
-                    *r = d;
-                } else {
-                    *checkpoint = d;
-                }
-            }
-            cmd
+            let suite = SuiteRunner::new(&["csd3", "archer2"])
+                .with_seed(3)
+                .with_jobs(jobs)
+                .with_fault_profile(FaultProfile::flaky())
+                .with_max_retries(4);
+            let suite = if resume {
+                suite.with_resume(dir)
+            } else {
+                suite.with_checkpoint(dir)
+            };
+            survey(&["babelstream_omp", "hpgmg"], suite)
         };
         let (full_text, full_err) = run_cmd(make(1, &base, false));
         let journal =
@@ -2525,8 +2381,8 @@ printf 'done:0:\n'
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(harness::checkpoint::JOURNAL_FILE), &journal).unwrap();
         let mut wrong = make(1, &dir, true);
-        if let Command::Survey { seed, .. } = &mut wrong {
-            *seed = 4;
+        if let Command::Survey { suite, .. } = &mut wrong {
+            suite.seed = 4;
         }
         let (_, err) = run_cmd(wrong);
         let err = err.expect("mismatched resume must fail");
@@ -2543,25 +2399,14 @@ printf 'done:0:\n'
         let scan = |seed: u64| {
             let dir = tmpdir(&format!("canary-{seed}"));
             let make = |s| {
-                let mut cmd = survey(&["babelstream_omp"], &["csd3", "archer2"]);
-                if let Command::Survey {
-                    seed,
-                    fault_profile,
-                    max_retries,
-                    quarantine,
-                    heal,
-                    checkpoint,
-                    ..
-                } = &mut cmd
-                {
-                    *seed = s;
-                    *fault_profile = "brutal".into();
-                    *max_retries = 0;
-                    *quarantine = 1;
-                    *heal = true;
-                    *checkpoint = Some(dir.to_string_lossy().into_owned());
-                }
-                cmd
+                let suite = SuiteRunner::new(&["csd3", "archer2"])
+                    .with_seed(s)
+                    .with_fault_profile(FaultProfile::brutal())
+                    .with_max_retries(0)
+                    .with_quarantine(1)
+                    .with_heal(true)
+                    .with_checkpoint(&dir);
+                survey(&["babelstream_omp"], suite)
             };
             let (_, first_err) = run_cmd(make(seed));
             let second = run_cmd(make(seed));
@@ -2581,18 +2426,13 @@ printf 'done:0:\n'
         // Healing surveys extend the resilience line with repair counts.
         assert!(second_text.contains("nodes repaired"), "{second_text}");
         // Per-system overrides are echoed so reports are self-describing.
-        let mut cmd = survey(&["babelstream_omp"], &["csd3", "archer2"]);
-        if let Command::Survey {
-            fault_profile,
-            fault_overrides,
-            max_retries,
-            ..
-        } = &mut cmd
-        {
-            *fault_profile = "flaky".into();
-            *fault_overrides = vec![("archer2".to_string(), "none".to_string())];
-            *max_retries = 6;
-        }
+        let cmd = survey(
+            &["babelstream_omp"],
+            SuiteRunner::new(&["csd3", "archer2"])
+                .with_fault_profile(FaultProfile::flaky())
+                .with_fault_override("archer2", FaultProfile::none())
+                .with_max_retries(6),
+        );
         let (text, _) = run_cmd(cmd);
         assert!(text.contains("fault overrides: archer2=none"), "{text}");
         assert!(text.contains("fault profile `flaky`:"), "{text}");
@@ -2601,11 +2441,11 @@ printf 'done:0:\n'
     #[test]
     fn parse_store_flag_and_subcommands() {
         match parse(&argv("survey -c hpgmg --system csd3 --store /tmp/st")).unwrap() {
-            Command::Survey { store, .. } => assert_eq!(store.as_deref(), Some("/tmp/st")),
+            Command::Survey { suite, .. } => {
+                assert_eq!(suite.store, Some("/tmp/st".into()))
+            }
             other => panic!("{other:?}"),
         }
-        // `run` does not take a persistent store.
-        assert!(parse(&argv("run -c hpgmg --system csd3 --store /tmp/st")).is_err());
 
         assert_eq!(
             parse(&argv("store gc /tmp/st")).unwrap(),
@@ -2694,19 +2534,13 @@ printf 'done:0:\n'
         let store_dir = tmpdir("cli-store");
         let ck_dir = tmpdir("cli-store-ck");
         let make = |checkpoint: bool| {
-            let mut cmd = survey(&["babelstream_omp", "babelstream_tbb"], &["csd3"]);
-            if let Command::Survey {
-                store,
-                checkpoint: ck,
-                ..
-            } = &mut cmd
-            {
-                *store = Some(store_dir.to_string_lossy().into_owned());
-                if checkpoint {
-                    *ck = Some(ck_dir.to_string_lossy().into_owned());
-                }
-            }
-            cmd
+            let suite = SuiteRunner::new(&["csd3"]).with_store(&store_dir);
+            let suite = if checkpoint {
+                suite.with_checkpoint(&ck_dir)
+            } else {
+                suite
+            };
+            survey(&["babelstream_omp", "babelstream_tbb"], suite)
         };
         let (cold, cold_err) = run_cmd(make(false));
         assert!(cold_err.is_none(), "{cold_err:?}");
@@ -2776,11 +2610,10 @@ printf 'done:0:\n'
         let clean_dir = tmpdir("cli-store-clean");
         let busy_dir = tmpdir("cli-store-held");
         let make = |dir: &std::path::Path| {
-            let mut cmd = survey(&["babelstream_omp"], &["csd3"]);
-            if let Command::Survey { store, .. } = &mut cmd {
-                *store = Some(dir.to_string_lossy().into_owned());
-            }
-            cmd
+            survey(
+                &["babelstream_omp"],
+                SuiteRunner::new(&["csd3"]).with_store(dir),
+            )
         };
         let (clean_text, err) = run_cmd(make(&clean_dir));
         assert!(err.is_none(), "{err:?}");
@@ -3052,12 +2885,11 @@ printf 'done:0:\n'
             );
         }
 
-        // Survey grows --perflog; run rejects it.
+        // Survey grows --perflog.
         match parse(&argv("survey -c hpgmg --system csd3 --perflog out/")).unwrap() {
             Command::Survey { perflog, .. } => assert_eq!(perflog.as_deref(), Some("out/")),
             other => panic!("{other:?}"),
         }
-        assert!(parse(&argv("run -c hpgmg --system csd3 --perflog out/")).is_err());
 
         // bench-digest grows --rank, which needs history to compare.
         match parse(&argv("bench-digest a.json b.json --rank stream")).unwrap() {
@@ -3077,7 +2909,7 @@ printf 'done:0:\n'
         // The tentpole, end to end: survey two systems into a perflog
         // directory, then rank them — byte-identically at any --jobs.
         let dir = tmpdir("rank-e2e");
-        let mut cmd = survey(&["babelstream_omp"], &["csd3", "archer2"]);
+        let mut cmd = survey(&["babelstream_omp"], SuiteRunner::new(&["csd3", "archer2"]));
         if let Command::Survey { perflog, .. } = &mut cmd {
             *perflog = Some(dir.to_string_lossy().into_owned());
         }

@@ -31,9 +31,9 @@
 //! use benchkit::prelude::*;
 //!
 //! // Define a study: which benchmarks, which systems (Figure 1's loop).
-//! let study = Study::new("triad-survey")
-//!     .with_case(harness::cases::babelstream(parkern::Model::Omp, 1 << 22))
-//!     .on_systems(&["archer2", "csd3"]);
+//! // The `SuiteRunner` is the whole survey configuration.
+//! let study = Study::new("triad-survey", SuiteRunner::new(&["archer2", "csd3"]))
+//!     .with_case(harness::cases::babelstream(parkern::Model::Omp, 1 << 22));
 //! let results = study.run();
 //! assert_eq!(results.report.n_ran(), 2);
 //! let frame = results.frame();
@@ -71,5 +71,5 @@ pub mod prelude {
         batchsim, benchapps, dframe, harness, mpisim, parkern, perflogs, postproc, ppmetrics,
         rexpr, simhpc, spackle, tinycfg,
     };
-    pub use harness::{cases, App, Harness, RunOptions, TestCase};
+    pub use harness::{cases, App, Harness, RunOptions, SuiteRunner, TestCase};
 }

@@ -161,15 +161,14 @@ pub fn regression_digest(frame: &dframe::DataFrame, policy: &postproc::Regressio
 mod tests {
     use super::*;
     use crate::study::Study;
-    use harness::cases;
+    use harness::{cases, SuiteRunner};
     use parkern::Model;
 
     #[test]
     fn report_covers_outcomes_foms_energy() {
-        let study = Study::new("nightly")
+        let study = Study::new("nightly", SuiteRunner::new(&["csd3"]))
             .with_case(cases::babelstream(Model::Omp, 1 << 25))
-            .with_case(cases::babelstream(Model::Cuda, 1 << 25))
-            .on_systems(&["csd3"]);
+            .with_case(cases::babelstream(Model::Cuda, 1 << 25));
         let results = study.run();
         let md = markdown_report(&results);
         assert!(md.contains("# Benchmark report: nightly"));
@@ -191,13 +190,15 @@ mod tests {
     fn faulty_report_carries_resilience_line() {
         use simhpc::faults::FaultProfile;
         let run_at = |seed| {
-            Study::new("faulty-nightly")
-                .with_case(cases::babelstream(Model::Omp, 1 << 22))
-                .on_systems(&["csd3", "archer2"])
-                .with_seed(seed)
-                .with_fault_profile(FaultProfile::flaky())
-                .with_max_retries(4)
-                .run()
+            Study::new(
+                "faulty-nightly",
+                SuiteRunner::new(&["csd3", "archer2"])
+                    .with_seed(seed)
+                    .with_fault_profile(FaultProfile::flaky())
+                    .with_max_retries(4),
+            )
+            .with_case(cases::babelstream(Model::Omp, 1 << 22))
+            .run()
         };
         let results = (0..30)
             .map(run_at)
@@ -215,14 +216,16 @@ mod tests {
         // Healing: find a seed where repairs actually land, then check the
         // resilience line picks them up.
         let heal_at = |seed| {
-            Study::new("healing-nightly")
-                .with_case(cases::babelstream(Model::Omp, 1 << 22))
-                .on_systems(&["csd3", "archer2"])
-                .with_seed(seed)
-                .with_fault_profile(FaultProfile::flaky())
-                .with_max_retries(4)
-                .with_heal(true)
-                .run()
+            Study::new(
+                "healing-nightly",
+                SuiteRunner::new(&["csd3", "archer2"])
+                    .with_seed(seed)
+                    .with_fault_profile(FaultProfile::flaky())
+                    .with_max_retries(4)
+                    .with_heal(true),
+            )
+            .with_case(cases::babelstream(Model::Omp, 1 << 22))
+            .run()
         };
         let results = (0..40)
             .map(heal_at)
@@ -241,15 +244,17 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let run = || {
-                Study::new("canary-nightly")
-                    .with_case(cases::babelstream(Model::Omp, 1 << 22))
-                    .on_systems(&["csd3", "archer2"])
-                    .with_seed(seed)
-                    .with_fault_profile(FaultProfile::brutal())
-                    .with_max_retries(0)
-                    .with_quarantine(1)
-                    .with_checkpoint(&dir)
-                    .run()
+                Study::new(
+                    "canary-nightly",
+                    SuiteRunner::new(&["csd3", "archer2"])
+                        .with_seed(seed)
+                        .with_fault_profile(FaultProfile::brutal())
+                        .with_max_retries(0)
+                        .with_quarantine(1)
+                        .with_checkpoint(&dir),
+                )
+                .with_case(cases::babelstream(Model::Omp, 1 << 22))
+                .run()
             };
             let first = run();
             let second = run();
@@ -274,17 +279,17 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("benchkit-report-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let make = || {
-            Study::new("store-nightly")
+        let make = |suite| {
+            Study::new("store-nightly", suite)
                 .with_case(cases::babelstream(Model::Omp, 1 << 22))
                 .with_case(cases::babelstream(Model::Tbb, 1 << 22))
-                .on_systems(&["csd3"])
         };
-        let plain = markdown_report(&make().run());
+        let csd3 = || SuiteRunner::new(&["csd3"]);
+        let plain = markdown_report(&make(csd3()).run());
         assert!(!plain.contains("Store: "), "{plain}");
-        let cold = markdown_report(&make().with_store(&dir).run());
+        let cold = markdown_report(&make(csd3().with_store(&dir)).run());
         assert!(cold.contains("Store: 0 hits, "), "{cold}");
-        let warm = markdown_report(&make().with_store(&dir).run());
+        let warm = markdown_report(&make(csd3().with_store(&dir)).run());
         assert!(warm.contains("Store: "), "{warm}");
         assert!(!warm.contains("Store: 0 hits, "), "warm rerun hits: {warm}");
         // The FOM tables are byte-identical across all three reports.

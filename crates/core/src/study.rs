@@ -7,49 +7,22 @@ use harness::checkpoint::CheckpointError;
 use harness::{SuiteProgress, SuiteReport, SuiteRunner, TestCase};
 use postproc::Heatmap;
 use ppmetrics::EfficiencySet;
-use simhpc::faults::FaultProfile;
-use std::path::{Path, PathBuf};
 
-/// A benchmarking study: cases × systems.
-#[derive(Debug, Default)]
+/// A benchmarking study: cases × the systems and survey configuration
+/// of one [`SuiteRunner`], which the study carries unchanged.
+#[derive(Debug)]
 pub struct Study {
     pub name: String,
     cases: Vec<TestCase>,
-    systems: Vec<String>,
-    seed: u64,
-    jobs: usize,
-    warm_store: bool,
-    fault_profile: FaultProfile,
-    max_retries: u32,
-    fail_fast: bool,
-    quarantine: u32,
-    fault_overrides: Vec<(String, FaultProfile)>,
-    heal: bool,
-    checkpoint: Option<(PathBuf, bool)>,
-    store: Option<PathBuf>,
-    engine: Option<engine::EngineSpec>,
-    engine_overrides: Vec<(String, engine::EngineSpec)>,
+    pub suite: SuiteRunner,
 }
 
 impl Study {
-    pub fn new(name: &str) -> Study {
+    pub fn new(name: &str, suite: SuiteRunner) -> Study {
         Study {
             name: name.to_string(),
             cases: Vec::new(),
-            systems: Vec::new(),
-            seed: 42,
-            jobs: 1,
-            warm_store: false,
-            fault_profile: FaultProfile::none(),
-            max_retries: 2,
-            fail_fast: false,
-            quarantine: 0,
-            fault_overrides: Vec::new(),
-            heal: false,
-            checkpoint: None,
-            store: None,
-            engine: None,
-            engine_overrides: Vec::new(),
+            suite,
         }
     }
 
@@ -60,110 +33,6 @@ impl Study {
 
     pub fn with_cases(mut self, cases: Vec<TestCase>) -> Study {
         self.cases.extend(cases);
-        self
-    }
-
-    pub fn on_systems(mut self, systems: &[&str]) -> Study {
-        self.systems.extend(systems.iter().map(|s| s.to_string()));
-        self
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> Study {
-        self.seed = seed;
-        self
-    }
-
-    /// Run up to `jobs` (case, system) combinations concurrently
-    /// (0 = one per available core). The results are identical to a
-    /// serial study; only the wall-clock changes.
-    pub fn with_jobs(mut self, jobs: usize) -> Study {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Share one package store per system across the study's cases, so
-    /// multi-case systems reuse dependency builds (the results stay
-    /// identical; only build accounting and wall-clock change).
-    pub fn with_warm_store(mut self, warm: bool) -> Study {
-        self.warm_store = warm;
-        self
-    }
-
-    /// Inject seeded deterministic faults (builds, node failures,
-    /// timeouts) from a named profile. The default profile is `none`,
-    /// which leaves every run untouched.
-    pub fn with_fault_profile(mut self, profile: FaultProfile) -> Study {
-        self.fault_profile = profile;
-        self
-    }
-
-    /// How many times each faulted stage is retried before the cell is
-    /// reported failed.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Study {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Skip every grid cell after the first failure (in canonical grid
-    /// order, so the report is still identical at any `--jobs` count).
-    pub fn with_fail_fast(mut self, fail_fast: bool) -> Study {
-        self.fail_fast = fail_fast;
-        self
-    }
-
-    /// Quarantine a system after `k` consecutive failures: its remaining
-    /// cells are skipped with an explicit reason. `0` disables.
-    pub fn with_quarantine(mut self, k: u32) -> Study {
-        self.quarantine = k;
-        self
-    }
-
-    /// Override the fault profile for one system (`--fault-profile
-    /// sys=name`); other systems keep the base profile.
-    pub fn with_fault_override(mut self, system: &str, profile: FaultProfile) -> Study {
-        self.fault_overrides.push((system.to_string(), profile));
-        self
-    }
-
-    /// Return drained nodes to service after each system's deterministic
-    /// repair window (`--heal`).
-    pub fn with_heal(mut self, heal: bool) -> Study {
-        self.heal = heal;
-        self
-    }
-
-    /// Journal each completed cell to `dir` so an interrupted study can
-    /// be resumed (`--checkpoint`). Also enables quarantine memory.
-    pub fn with_checkpoint(mut self, dir: &Path) -> Study {
-        self.checkpoint = Some((dir.to_path_buf(), false));
-        self
-    }
-
-    /// Resume an interrupted study from the journal in `dir` (`--resume`).
-    pub fn with_resume(mut self, dir: &Path) -> Study {
-        self.checkpoint = Some((dir.to_path_buf(), true));
-        self
-    }
-
-    /// Warm builds from (and persist new builds to) the crash-safe
-    /// persistent package store at `dir` (`--store`). Store trouble
-    /// degrades to an in-memory warm store; it never fails the study.
-    pub fn with_store(mut self, dir: &Path) -> Study {
-        self.store = Some(dir.to_path_buf());
-        self
-    }
-
-    /// Run every case's run stage in an external engine subprocess
-    /// speaking the KLV protocol (`--engine`). Engine failures are
-    /// contained per attempt; they never abort the study.
-    pub fn with_engine(mut self, spec: Option<engine::EngineSpec>) -> Study {
-        self.engine = spec;
-        self
-    }
-
-    /// Override the engine for one case (`--engine case=SPEC`).
-    pub fn with_engine_override(mut self, case: &str, spec: engine::EngineSpec) -> Study {
-        self.engine_overrides.push((case.to_string(), spec));
         self
     }
 
@@ -186,32 +55,7 @@ impl Study {
         &self,
         on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
     ) -> Result<StudyResults, CheckpointError> {
-        let mut runner =
-            SuiteRunner::new(&self.systems.iter().map(String::as_str).collect::<Vec<_>>())
-                .with_seed(self.seed)
-                .with_jobs(self.jobs)
-                .with_warm_store(self.warm_store)
-                .with_fault_profile(self.fault_profile.clone())
-                .with_max_retries(self.max_retries)
-                .with_fail_fast(self.fail_fast)
-                .with_quarantine(self.quarantine)
-                .with_heal(self.heal);
-        for (system, profile) in &self.fault_overrides {
-            runner = runner.with_fault_override(system, profile.clone());
-        }
-        match &self.checkpoint {
-            Some((dir, true)) => runner = runner.with_resume(dir),
-            Some((dir, false)) => runner = runner.with_checkpoint(dir),
-            None => {}
-        }
-        if let Some(dir) = &self.store {
-            runner = runner.with_store(dir);
-        }
-        runner = runner.with_engine(self.engine.clone());
-        for (case, spec) in &self.engine_overrides {
-            runner = runner.with_engine_override(case, spec.clone());
-        }
-        let report = runner.try_run_with_progress(&self.cases, on_flush)?;
+        let report = self.suite.try_run_with_progress(&self.cases, on_flush)?;
         Ok(StudyResults {
             name: self.name.clone(),
             report,
@@ -307,10 +151,12 @@ mod tests {
 
     #[test]
     fn study_runs_and_summarizes() {
-        let study = Study::new("smoke")
-            .with_case(cases::babelstream(Model::Omp, 1 << 22))
-            .with_case(cases::babelstream(Model::Cuda, 1 << 22))
-            .on_systems(&["isambard-macs:cascadelake", "isambard-macs:volta"]);
+        let study = Study::new(
+            "smoke",
+            SuiteRunner::new(&["isambard-macs:cascadelake", "isambard-macs:volta"]),
+        )
+        .with_case(cases::babelstream(Model::Omp, 1 << 22))
+        .with_case(cases::babelstream(Model::Cuda, 1 << 22));
         let results = study.run();
         assert_eq!(results.report.n_ran(), 2, "omp on CPU + cuda on GPU");
         assert_eq!(results.report.n_skipped(), 2, "the two cross combinations");
@@ -326,10 +172,12 @@ mod tests {
 
     #[test]
     fn heatmap_has_stars_for_skips() {
-        let study = Study::new("fig2-mini")
-            .with_case(cases::babelstream(Model::Omp, 1 << 22))
-            .with_case(cases::babelstream(Model::Cuda, 1 << 22))
-            .on_systems(&["isambard-macs:cascadelake", "isambard-macs:volta"]);
+        let study = Study::new(
+            "fig2-mini",
+            SuiteRunner::new(&["isambard-macs:cascadelake", "isambard-macs:volta"]),
+        )
+        .with_case(cases::babelstream(Model::Omp, 1 << 22))
+        .with_case(cases::babelstream(Model::Cuda, 1 << 22));
         let results = study.run();
         let peaks = [
             ("isambard-macs:cascadelake", 282_000.0),
@@ -354,13 +202,15 @@ mod tests {
     #[test]
     fn parallel_study_reproduces_serial_frame() {
         let build = |jobs| {
-            Study::new("jobs-parity")
-                .with_case(cases::babelstream(Model::Omp, 1 << 22))
-                .with_case(cases::babelstream(Model::Tbb, 1 << 22))
-                .on_systems(&["archer2", "csd3"])
-                .with_seed(9)
-                .with_jobs(jobs)
-                .run()
+            Study::new(
+                "jobs-parity",
+                SuiteRunner::new(&["archer2", "csd3"])
+                    .with_seed(9)
+                    .with_jobs(jobs),
+            )
+            .with_case(cases::babelstream(Model::Omp, 1 << 22))
+            .with_case(cases::babelstream(Model::Tbb, 1 << 22))
+            .run()
         };
         let serial = build(1);
         let parallel = build(4);
@@ -374,17 +224,20 @@ mod tests {
     #[test]
     fn warm_study_streams_and_matches_cold_foms() {
         use std::sync::Mutex;
-        let build = |warm| {
-            Study::new("warmth")
-                .with_case(cases::babelstream(Model::Omp, 1 << 22))
-                .with_case(cases::babelstream(Model::Tbb, 1 << 22))
-                .on_systems(&["csd3"])
-                .with_seed(5)
-                .with_warm_store(warm)
+        let build = |warm, jobs| {
+            Study::new(
+                "warmth",
+                SuiteRunner::new(&["csd3"])
+                    .with_seed(5)
+                    .with_warm_store(warm)
+                    .with_jobs(jobs),
+            )
+            .with_case(cases::babelstream(Model::Omp, 1 << 22))
+            .with_case(cases::babelstream(Model::Tbb, 1 << 22))
         };
-        let cold = build(false).run();
+        let cold = build(false, 1).run();
         let streamed = Mutex::new(Vec::new());
-        let warm = build(true).with_jobs(2).run_with_progress(&|p| {
+        let warm = build(true, 2).run_with_progress(&|p| {
             streamed
                 .lock()
                 .unwrap()
@@ -406,9 +259,8 @@ mod tests {
 
     #[test]
     fn efficiency_set_feeds_pp_metric() {
-        let study = Study::new("pp")
-            .with_case(cases::babelstream(Model::Omp, 1 << 27))
-            .on_systems(&["archer2", "csd3"]);
+        let study = Study::new("pp", SuiteRunner::new(&["archer2", "csd3"]))
+            .with_case(cases::babelstream(Model::Omp, 1 << 27));
         let results = study.run();
         let set = results.efficiency_set(
             "babelstream_omp",

@@ -10,10 +10,11 @@
 //! resumed report is byte-identical to an uninterrupted run at any
 //! `--jobs` count.
 //!
-//! The journal's first line is a header binding the study configuration
-//! (systems, cases, seed, fault profile and overrides, retry/fail-fast/
-//! quarantine/heal settings, and the quarantine-memory snapshot the run
-//! started from). Resuming under a different configuration is a hard
+//! The journal's first line is a header binding the study configuration,
+//! rendered by [`header_line`] straight from the `SuiteRunner` (systems,
+//! cases, seed, store mode, fault profile and overrides, retry/fail-fast/
+//! quarantine/heal settings, engines, and the quarantine-memory snapshot
+//! the run started from). Resuming under a different configuration is a hard
 //! [`CheckpointError::ConfigMismatch`] — never silent reuse. A torn or
 //! truncated trailing record (the crash arrived mid-write) is detected,
 //! discarded, and re-run; everything before it is trusted because each
@@ -26,7 +27,7 @@
 //! `SuiteRunner`).
 
 use crate::walog::AppendLog;
-use crate::{CaseReport, HarnessError, SuiteOutcome};
+use crate::{CaseReport, HarnessError, SuiteOutcome, SuiteRunner, TestCase};
 use perflogs::PerflogRecord;
 use spackle::IoShim;
 use std::fmt;
@@ -40,7 +41,7 @@ pub const QUARANTINE_FILE: &str = "quarantine.json";
 const FORMAT_VERSION: i64 = 2;
 
 /// How the suite runner uses a checkpoint directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointMode {
     /// `--checkpoint DIR`: start a fresh journal (any previous journal is
     /// truncated), but honour the directory's quarantine memory.
@@ -107,78 +108,61 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Everything a journal binds. Two runs with equal bindings are the same
-/// experiment (`--jobs` is deliberately absent: the worker count never
-/// changes the report, so a survey may resume at a different parallelism).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StudyBinding {
-    pub systems: Vec<String>,
-    pub cases: Vec<String>,
-    pub seed: u64,
-    pub warm_store: bool,
-    /// Whether the study was backed by a persistent disk store. Bound so
-    /// a resume cannot silently switch store modes mid-study.
-    pub store: bool,
-    /// Base fault profile name.
-    pub profile: String,
-    /// Per-system profile overrides, in override order: (system, profile).
-    pub overrides: Vec<(String, String)>,
-    pub max_retries: u32,
-    pub fail_fast: bool,
-    pub quarantine: u32,
-    pub heal: bool,
-    /// Quarantine-memory snapshot the run started from. Binding it means
-    /// a resume sees exactly the canary decisions of the interrupted run.
-    pub streaks: Vec<(String, u32)>,
-    /// Canonical rendering of the engine configuration (base spec plus
-    /// per-case overrides), empty when the survey runs in-process. Bound
-    /// so a resume can never cross engine modes: an in-process journal
-    /// resumed with `--engine` (or vice versa, or with a different engine
-    /// command) is a [`CheckpointError::ConfigMismatch`] hard error.
-    pub engine: String,
-}
-
-impl StudyBinding {
-    /// The header line (compact JSON). Equality of header lines is the
-    /// definition of "same experiment".
-    pub fn header_line(&self) -> String {
-        let mut m = Map::new();
-        m.insert("format", Value::from("benchkit-checkpoint"));
-        m.insert("version", Value::Int(FORMAT_VERSION));
-        m.insert("systems", str_list(&self.systems));
-        m.insert("cases", str_list(&self.cases));
-        m.insert("seed", Value::Int(self.seed as i64));
-        m.insert("warm_store", Value::Bool(self.warm_store));
-        m.insert("store", Value::Bool(self.store));
-        m.insert("profile", Value::from(self.profile.as_str()));
-        let mut overrides = Map::new();
-        for (system, profile) in &self.overrides {
-            overrides.insert(system.clone(), Value::from(profile.as_str()));
-        }
-        m.insert("overrides", Value::Map(overrides));
-        m.insert("max_retries", Value::Int(i64::from(self.max_retries)));
-        m.insert("fail_fast", Value::Bool(self.fail_fast));
-        m.insert("quarantine", Value::Int(i64::from(self.quarantine)));
-        m.insert("heal", Value::Bool(self.heal));
-        let mut streaks = Map::new();
-        for (system, n) in &self.streaks {
-            streaks.insert(system.clone(), Value::Int(i64::from(*n)));
-        }
-        m.insert("streaks", Value::Map(streaks));
-        // Always present, `null` for the in-process mode, so the engine
-        // axis is part of every header — never an optional key whose
-        // absence could be confused with "don't care".
-        if self.engine.is_empty() {
-            m.insert("engine", Value::Null);
-        } else {
-            m.insert("engine", Value::from(self.engine.as_str()));
-        }
-        Value::Map(m).to_json()
+/// The journal's header line (compact JSON): everything `runner` binds
+/// over `cases`, plus the quarantine-memory snapshot the run started
+/// from. Equality of header lines is the definition of "same experiment".
+///
+/// `jobs` and the checkpoint directory are deliberately absent: the
+/// worker count never changes the report, so a survey may resume at a
+/// different parallelism. The store is bound as on/off so a resume cannot
+/// silently switch store modes mid-study. The engine is always present —
+/// `null` in-process, else the base spec then every per-case override —
+/// so a resume can never cross engine modes.
+pub fn header_line(runner: &SuiteRunner, cases: &[TestCase], streaks: &[(String, u32)]) -> String {
+    let mut m = Map::new();
+    m.insert("format", Value::from("benchkit-checkpoint"));
+    m.insert("version", Value::Int(FORMAT_VERSION));
+    m.insert("systems", str_list(runner.systems.iter()));
+    m.insert("cases", str_list(cases.iter().map(|c| &c.name)));
+    m.insert("seed", Value::Int(runner.seed as i64));
+    m.insert("warm_store", Value::Bool(runner.warm_store));
+    m.insert("store", Value::Bool(runner.store.is_some()));
+    m.insert("profile", Value::from(runner.fault_profile.name.as_str()));
+    let mut overrides = Map::new();
+    for (system, profile) in &runner.fault_overrides {
+        overrides.insert(system.clone(), Value::from(profile.name.as_str()));
     }
+    m.insert("overrides", Value::Map(overrides));
+    m.insert("max_retries", Value::Int(i64::from(runner.max_retries)));
+    m.insert("fail_fast", Value::Bool(runner.fail_fast));
+    m.insert("quarantine", Value::Int(i64::from(runner.quarantine)));
+    m.insert("heal", Value::Bool(runner.heal));
+    let mut memory = Map::new();
+    for (system, n) in streaks {
+        memory.insert(system.clone(), Value::Int(i64::from(*n)));
+    }
+    m.insert("streaks", Value::Map(memory));
+    let engines: Vec<String> = runner
+        .engine
+        .iter()
+        .map(|base| base.render())
+        .chain(
+            runner
+                .engine_overrides
+                .iter()
+                .map(|(case, spec)| format!("{case}={}", spec.render())),
+        )
+        .collect();
+    if engines.is_empty() {
+        m.insert("engine", Value::Null);
+    } else {
+        m.insert("engine", Value::from(engines.join(" ")));
+    }
+    Value::Map(m).to_json()
 }
 
-fn str_list(items: &[String]) -> Value {
-    Value::List(items.iter().map(|s| Value::from(s.as_str())).collect())
+fn str_list<'a>(items: impl Iterator<Item = &'a String>) -> Value {
+    Value::List(items.map(|s| Value::from(s.as_str())).collect())
 }
 
 /// One journal record replayed during resume.
@@ -203,33 +187,29 @@ pub struct Journal {
 
 impl Journal {
     /// Start a fresh journal in `dir` (creating the directory), write the
-    /// binding header, and fsync it. Honours `BENCHKIT_IOFAULTS`.
-    pub fn create(dir: &Path, binding: &StudyBinding) -> Result<Journal, CheckpointError> {
-        Journal::create_with(dir, binding, IoShim::from_env())
+    /// [`header_line`], and fsync it. Honours `BENCHKIT_IOFAULTS`.
+    pub fn create(dir: &Path, header: &str) -> Result<Journal, CheckpointError> {
+        Journal::create_with(dir, header, IoShim::from_env())
     }
 
     /// [`Journal::create`] with an explicit I/O shim (tests inject faults
     /// without touching the process environment).
-    pub fn create_with(
-        dir: &Path,
-        binding: &StudyBinding,
-        io: IoShim,
-    ) -> Result<Journal, CheckpointError> {
+    pub fn create_with(dir: &Path, header: &str, io: IoShim) -> Result<Journal, CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let log = AppendLog::create(&path, io)?;
-        log.append(&binding.header_line())?;
+        log.append(header)?;
         Ok(Journal { log })
     }
 
     /// Open an existing journal for continuation: validate its header
-    /// against `binding`, parse the contiguous prefix of completed cells,
+    /// against `expected` (a [`header_line`]), parse the contiguous prefix of completed cells,
     /// discard a torn/truncated trailing record (and truncate the file
     /// back to the valid prefix so appends continue cleanly), and return
     /// the replayable cells in grid order.
     pub fn resume(
         dir: &Path,
-        binding: &StudyBinding,
+        expected: &str,
     ) -> Result<(Journal, Vec<ReplayedCell>), CheckpointError> {
         let path = dir.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&path)
@@ -240,10 +220,9 @@ impl Journal {
             ));
         };
         let header = &text[..header_end];
-        let expected = binding.header_line();
         if header != expected {
             return Err(CheckpointError::ConfigMismatch {
-                expected,
+                expected: expected.to_string(),
                 found: header.to_string(),
             });
         }
@@ -650,22 +629,73 @@ mod tests {
         dir
     }
 
-    fn binding() -> StudyBinding {
-        StudyBinding {
-            systems: vec!["csd3".to_string(), "archer2".to_string()],
-            cases: vec!["babelstream_omp".to_string(), "hpgmg_fv".to_string()],
-            seed: 7,
-            warm_store: false,
-            store: false,
-            profile: "flaky".to_string(),
-            overrides: vec![("archer2".to_string(), "brutal".to_string())],
-            max_retries: 2,
-            fail_fast: false,
-            quarantine: 2,
-            heal: true,
-            streaks: vec![("csd3".to_string(), 3)],
-            engine: String::new(),
-        }
+    /// The study every journal test binds: a 2×2 grid with faults,
+    /// quarantine, healing and one remembered streak.
+    fn header_with(seed: u64, streaks: &[(String, u32)]) -> String {
+        use simhpc::faults::FaultProfile;
+        let runner = SuiteRunner::new(&["csd3", "archer2"])
+            .with_seed(seed)
+            .with_fault_profile(FaultProfile::flaky())
+            .with_fault_override("archer2", FaultProfile::brutal())
+            .with_quarantine(2)
+            .with_heal(true);
+        let cases = [
+            crate::cases::babelstream(parkern::Model::Omp, 1 << 22),
+            crate::cases::hpgmg(),
+        ];
+        header_line(&runner, &cases, streaks)
+    }
+
+    fn header() -> String {
+        header_with(7, &[("csd3".to_string(), 3)])
+    }
+
+    /// The v2 header bytes for a runner with every bound knob set. A
+    /// resume under a mismatching header reports the header it expected,
+    /// so this pins exactly what `--checkpoint` writes — and therefore
+    /// that journals written by earlier builds still resume.
+    #[test]
+    fn header_bytes_are_pinned_for_every_bound_knob() {
+        let dir = tmpdir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(JOURNAL_FILE), "{}\n").unwrap();
+        save_streaks(&dir, &[("archer2".to_string(), 3)]).unwrap();
+        let spec = |raw| engine::EngineSpec::parse(raw, 30.0).unwrap();
+        let runner = crate::SuiteRunner::new(&["csd3", "archer2"])
+            .with_seed(7)
+            .with_jobs(4)
+            .with_warm_store(true)
+            .with_store(&dir.join("store"))
+            .with_fault_profile(simhpc::faults::FaultProfile::flaky())
+            .with_fault_override("archer2", simhpc::faults::FaultProfile::brutal())
+            .with_max_retries(3)
+            .with_fail_fast(true)
+            .with_quarantine(2)
+            .with_heal(true)
+            .with_engine(Some(spec("./engine --fast")))
+            .with_engine_override("hpgmg_fv", spec("./other"))
+            .with_resume(&dir);
+        let cases = [
+            crate::cases::babelstream(parkern::Model::Omp, 1 << 22),
+            crate::cases::hpgmg(),
+        ];
+        let expected = match runner.try_run(&cases) {
+            Err(CheckpointError::ConfigMismatch { expected, .. }) => expected,
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        };
+        assert_eq!(
+            expected,
+            concat!(
+                r#"{"format":"benchkit-checkpoint","version":2,"#,
+                r#""systems":["csd3","archer2"],"cases":["babelstream_omp","hpgmg_fv"],"#,
+                r#""seed":7,"warm_store":true,"store":true,"profile":"flaky","#,
+                r#""overrides":{"archer2":"brutal"},"max_retries":3,"fail_fast":true,"#,
+                r#""quarantine":2,"heal":true,"streaks":{"archer2":3},"#,
+                r#""engine":"{\"cmd\":[\"./engine\",\"--fast\"],\"timeout\":30.0,\"grace\":1.0} "#,
+                r#"hpgmg_fv={\"cmd\":[\"./other\"],\"timeout\":30.0,\"grace\":1.0}"}"#,
+            )
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -699,7 +729,7 @@ mod tests {
     #[test]
     fn journal_round_trips_and_discards_torn_tail() {
         let dir = tmpdir("torn");
-        let b = binding();
+        let b = header();
         let journal = Journal::create(&dir, &b).unwrap();
         journal
             .append(
@@ -755,7 +785,7 @@ mod tests {
         // succeeded before the tear. Fault schedules are keyed by seed, so
         // scan seeds until one produces "some commits, then a tear" — the
         // chosen schedule then replays identically forever.
-        let b = binding();
+        let b = header();
         let mut exercised = false;
         for seed in 0..200u64 {
             let dir = tmpdir(&format!("iofault-{seed}"));
@@ -799,18 +829,14 @@ mod tests {
     #[test]
     fn mismatched_binding_is_a_hard_error() {
         let dir = tmpdir("mismatch");
-        drop(Journal::create(&dir, &binding()).unwrap());
-        let mut other = binding();
-        other.seed = 8;
-        match Journal::resume(&dir, &other) {
+        drop(Journal::create(&dir, &header()).unwrap());
+        match Journal::resume(&dir, &header_with(8, &[("csd3".to_string(), 3)])) {
             Err(CheckpointError::ConfigMismatch { .. }) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
         // Every bound knob participates, including the memory snapshot.
-        let mut other = binding();
-        other.streaks.clear();
         assert!(matches!(
-            Journal::resume(&dir, &other),
+            Journal::resume(&dir, &header_with(7, &[])),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -819,7 +845,7 @@ mod tests {
     #[test]
     fn out_of_order_records_are_discarded_from_first_deviation() {
         let dir = tmpdir("order");
-        let b = binding();
+        let b = header();
         let journal = Journal::create(&dir, &b).unwrap();
         journal
             .append(0, "a", "csd3", &SuiteOutcome::Skipped("s".into()))
@@ -893,9 +919,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A journal for `binding()`'s 2×2 grid with `n` completed cells.
+    /// A journal for `header()`'s 2×2 grid with `n` completed cells.
     fn journal_with_cells(dir: &Path, n: usize) {
-        let journal = Journal::create(dir, &binding()).unwrap();
+        let journal = Journal::create(dir, &header()).unwrap();
         for i in 0..n {
             journal
                 .append(i, "case", "sys", &SuiteOutcome::Skipped("s".into()))

@@ -3,7 +3,7 @@
 //! systems in one invocation, with unsupported combinations recorded as
 //! skips (the `*` boxes of Figure 2) rather than aborting the sweep.
 
-use crate::checkpoint::{self, CheckpointError, CheckpointMode, Journal, StudyBinding};
+use crate::checkpoint::{self, CheckpointError, CheckpointMode, Journal};
 use crate::{CaseReport, Harness, HarnessError, PreparedBuild, RunOptions, TestCase};
 use perflogs::Perflog;
 use simhpc::faults::FaultProfile;
@@ -285,6 +285,11 @@ struct SweepState {
 /// major, case-minor order) are done, with perflog sequence numbers
 /// renumbered per system in case order exactly as a serial sweep would
 /// have assigned them.
+///
+/// The runner is also the survey's one configuration value: the CLI parses
+/// it once, `benchkit::Study` carries it unchanged, and the checkpoint
+/// header is rendered straight from it ([`checkpoint::header_line`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRunner {
     pub systems: Vec<String>,
     pub seed: u64,
@@ -353,7 +358,8 @@ impl SuiteRunner {
         self
     }
 
-    /// Fan (system × case) jobs across `jobs` workers (0 = auto).
+    /// Fan (system × case) jobs across `jobs` workers (0 = auto). The
+    /// report is identical at any count; only the wall-clock changes.
     pub fn with_jobs(mut self, jobs: usize) -> SuiteRunner {
         self.jobs = jobs;
         self
@@ -403,7 +409,8 @@ impl SuiteRunner {
         self
     }
 
-    /// Journal every completed cell to `dir` (fresh journal).
+    /// Journal every completed cell to `dir` (fresh journal) so an
+    /// interrupted sweep can be resumed. Also enables quarantine memory.
     pub fn with_checkpoint(mut self, dir: &Path) -> SuiteRunner {
         self.checkpoint = Some(CheckpointMode::Fresh(dir.to_path_buf()));
         self
@@ -424,7 +431,8 @@ impl SuiteRunner {
         self
     }
 
-    /// Run every case's run stage in an external engine subprocess.
+    /// Run every case's run stage in an external engine subprocess
+    /// speaking the KLV protocol; its failures are contained per attempt.
     pub fn with_engine(mut self, spec: Option<engine::EngineSpec>) -> SuiteRunner {
         self.engine = spec;
         self
@@ -445,20 +453,6 @@ impl SuiteRunner {
             .find(|(c, _)| c == case)
             .map(|(_, s)| s)
             .or(self.engine.as_ref())
-    }
-
-    /// Canonical rendering of the engine configuration for the checkpoint
-    /// header: empty without engines, else the base spec and every
-    /// per-case override in override order.
-    fn engine_binding(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(base) = &self.engine {
-            parts.push(base.render());
-        }
-        for (case, spec) in &self.engine_overrides {
-            parts.push(format!("{case}={}", spec.render()));
-        }
-        parts.join(" ")
     }
 
     /// The fault profile a given system draws from (override or base).
@@ -709,29 +703,6 @@ impl SuiteRunner {
         self.try_run_with_progress(cases, &|_| {})
     }
 
-    /// Build the study-identity header this sweep binds its journal to.
-    fn binding(&self, cases: &[TestCase], streaks: &[(String, u32)]) -> StudyBinding {
-        StudyBinding {
-            systems: self.systems.clone(),
-            cases: cases.iter().map(|c| c.name.clone()).collect(),
-            seed: self.seed,
-            warm_store: self.warm_store,
-            store: self.store.is_some(),
-            profile: self.fault_profile.name.clone(),
-            overrides: self
-                .fault_overrides
-                .iter()
-                .map(|(s, p)| (s.clone(), p.name.clone()))
-                .collect(),
-            max_retries: self.max_retries,
-            fail_fast: self.fail_fast,
-            quarantine: self.quarantine,
-            heal: self.heal,
-            streaks: streaks.to_vec(),
-            engine: self.engine_binding(),
-        }
-    }
-
     /// Run every case on every system, streaming outcomes to `on_flush`
     /// in canonical grid order as soon as each cell (and every earlier
     /// one) completes. With a checkpoint configured, every flushed cell is
@@ -799,13 +770,13 @@ impl SuiteRunner {
             })
             .collect();
 
+        let header = || checkpoint::header_line(self, cases, &streaks);
         let (journal, replayed) = match &self.checkpoint {
-            Some(CheckpointMode::Fresh(dir)) => (
-                Some(Journal::create(dir, &self.binding(cases, &streaks))?),
-                Vec::new(),
-            ),
+            Some(CheckpointMode::Fresh(dir)) => {
+                (Some(Journal::create(dir, &header())?), Vec::new())
+            }
             Some(CheckpointMode::Resume(dir)) => {
-                let (j, cells) = Journal::resume(dir, &self.binding(cases, &streaks))?;
+                let (j, cells) = Journal::resume(dir, &header())?;
                 (Some(j), cells)
             }
             None => (None, Vec::new()),

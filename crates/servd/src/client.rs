@@ -10,7 +10,7 @@
 //! retried whole, and the daemon's content dedup makes that safe.
 
 use crate::http::{read_response, ClientResponse};
-use simhpc::faults::BACKOFF_SCALE_ENV;
+use simhpc::faults::{sleep_scaled, wall_scale};
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -18,21 +18,6 @@ use std::time::Duration;
 
 /// Connection/response deadline for one client attempt.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
-
-fn wall_scale() -> f64 {
-    std::env::var(BACKOFF_SCALE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| s.is_finite() && *s >= 0.0)
-        .unwrap_or(1.0)
-}
-
-fn sleep_scaled(nominal_s: f64) {
-    let actual = (nominal_s * wall_scale()).min(480.0);
-    if actual > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(actual));
-    }
-}
 
 /// One HTTP request over a fresh connection (one request per connection,
 /// matching the daemon). Any transport error — including a torn response
@@ -167,7 +152,7 @@ pub fn push_dir(
                         file.display()
                     )
                     .ok();
-                    sleep_scaled(nominal);
+                    sleep_scaled(nominal, wall_scale());
                 }
                 Ok(resp) => {
                     return Err(PushError(format!(
@@ -193,7 +178,7 @@ pub fn push_dir(
                         file.display()
                     )
                     .ok();
-                    sleep_scaled(nominal);
+                    sleep_scaled(nominal, wall_scale());
                 }
             }
         }

@@ -208,23 +208,33 @@ pub fn backoff_s(retry: u32) -> f64 {
 /// reports byte-identical across machines and scales.
 pub const BACKOFF_SCALE_ENV: &str = "BENCHKIT_ENGINE_BACKOFF_SCALE";
 
-/// Wall-clock backoff for the external-engine path: really sleeps (the
-/// subprocess is a real process, not a simulated job), on the same
-/// jitter-free 30·2ⁿ ≤ 480 s schedule as [`backoff_s`]. Returns the
-/// *nominal* seconds to charge to time-lost accounting — never the
-/// measured elapsed time, so reports stay deterministic.
-pub fn backoff_sleep(retry: u32) -> f64 {
-    let nominal = backoff_s(retry);
-    let scale = std::env::var(BACKOFF_SCALE_ENV)
+/// The wall-clock scale from [`BACKOFF_SCALE_ENV`]: any finite value
+/// ≥ 0, otherwise 1.
+pub fn wall_scale() -> f64 {
+    std::env::var(BACKOFF_SCALE_ENV)
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .filter(|s| s.is_finite() && *s >= 0.0)
-        .unwrap_or(1.0);
-    let actual = (nominal * scale).min(480.0);
+        .unwrap_or(1.0)
+}
+
+/// Really sleep `nominal_s × scale` seconds, capped at 480 s, and return
+/// `nominal_s` — the seconds to charge to time-lost accounting, never the
+/// measured elapsed time, so reports stay deterministic.
+pub fn sleep_scaled(nominal_s: f64, scale: f64) -> f64 {
+    let actual = (nominal_s * scale).min(480.0);
     if actual > 0.0 {
         std::thread::sleep(std::time::Duration::from_secs_f64(actual));
     }
-    nominal
+    nominal_s
+}
+
+/// Wall-clock backoff for the external-engine path: really sleeps (the
+/// subprocess is a real process, not a simulated job), on the same
+/// jitter-free 30·2ⁿ ≤ 480 s schedule as [`backoff_s`], scaled by
+/// [`wall_scale`]. Returns the nominal seconds (see [`sleep_scaled`]).
+pub fn backoff_sleep(retry: u32) -> f64 {
+    sleep_scaled(backoff_s(retry), wall_scale())
 }
 
 #[cfg(test)]
@@ -342,12 +352,12 @@ mod tests {
     fn backoff_sleep_charges_nominal_seconds_regardless_of_scale() {
         // Scale 0 ⇒ no wall-clock sleep, but the charged (returned) time
         // is still the nominal schedule so accounting is deterministic.
-        std::env::set_var(BACKOFF_SCALE_ENV, "0");
         let started = std::time::Instant::now();
-        assert_eq!(backoff_sleep(1), 30.0);
-        assert_eq!(backoff_sleep(3), 120.0);
-        assert_eq!(backoff_sleep(40), 480.0);
+        assert_eq!(sleep_scaled(backoff_s(1), 0.0), 30.0);
+        assert_eq!(sleep_scaled(backoff_s(3), 0.0), 120.0);
+        assert_eq!(sleep_scaled(backoff_s(40), 0.0), 480.0);
+        // A tiny scale really sleeps, yet still charges the nominal time.
+        assert_eq!(sleep_scaled(backoff_s(1), 1e-4), 30.0);
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
-        std::env::remove_var(BACKOFF_SCALE_ENV);
     }
 }

@@ -17,9 +17,7 @@ fn main() {
     // 2. Run it on two simulated systems from the catalog. Each run goes
     //    through the full pipeline: spec → concretize → build → submit →
     //    run → sanity → FOM extraction → perflog.
-    let study = Study::new("quickstart")
-        .with_case(case)
-        .on_systems(&["archer2", "csd3"]);
+    let study = Study::new("quickstart", SuiteRunner::new(&["archer2", "csd3"])).with_case(case);
     let results = study.run();
     println!(
         "ran {} combinations ({} skipped, {} failed)\n",

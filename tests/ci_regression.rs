@@ -76,10 +76,11 @@ fn cross_system_portability_tracked_over_time() {
     // The paper's stated goal: track performance portability over time.
     // Two "weeks" of sweeps; PP stays stable because the platforms do.
     let pp_for_week = |week: u64| {
-        let study = Study::new("weekly")
-            .with_case(cases::babelstream(parkern::Model::Omp, 1 << 27))
-            .on_systems(&["archer2", "csd3", "noctua2"])
-            .with_seed(500 + week);
+        let study = Study::new(
+            "weekly",
+            SuiteRunner::new(&["archer2", "csd3", "noctua2"]).with_seed(500 + week),
+        )
+        .with_case(cases::babelstream(parkern::Model::Omp, 1 << 27));
         let results = study.run();
         results
             .efficiency_set(

@@ -8,10 +8,9 @@ use dframe::Cell;
 #[test]
 fn full_workflow_produces_consistent_artifacts() {
     // 1. A small survey: two benchmarks on two systems.
-    let study = Study::new("e2e")
+    let study = Study::new("e2e", SuiteRunner::new(&["archer2", "csd3"]))
         .with_case(cases::babelstream(parkern::Model::Omp, 1 << 27))
-        .with_case(cases::hpgmg())
-        .on_systems(&["archer2", "csd3"]);
+        .with_case(cases::hpgmg());
     let results = study.run();
     assert_eq!(results.report.n_ran(), 4);
     assert_eq!(results.report.n_failed(), 0);
@@ -87,10 +86,8 @@ fn perflog_files_roundtrip_through_assimilation() {
 #[test]
 fn same_seed_reproduces_the_whole_study() {
     let run = |seed| {
-        Study::new("repro")
+        Study::new("repro", SuiteRunner::new(&["noctua2"]).with_seed(seed))
             .with_case(cases::babelstream(parkern::Model::Omp, 1 << 25))
-            .on_systems(&["noctua2"])
-            .with_seed(seed)
             .run()
             .mean_fom("babelstream_omp", "noctua2", "Triad")
             .expect("ran")

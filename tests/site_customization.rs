@@ -61,10 +61,9 @@ fn spack_yaml_environment_locks_per_system() {
 
 #[test]
 fn markdown_report_for_a_sweep() {
-    let study = Study::new("weekly-sweep")
+    let study = Study::new("weekly-sweep", SuiteRunner::new(&["archer2", "csd3"]))
         .with_case(cases::babelstream(parkern::Model::Omp, 1 << 25))
-        .with_case(cases::hpgmg())
-        .on_systems(&["archer2", "csd3"]);
+        .with_case(cases::hpgmg());
     let results = study.run();
     let md = benchkit::markdown_report(&results);
     // Every combination appears in the outcome matrix.
