@@ -18,8 +18,10 @@
 #   6. nightly   — persistent-store smoke: a cold survey populates
 #                  --store, a warm rerun reuses it with identical FOM
 #                  tables, a corrupted entry is quarantined (not fatal),
-#                  and both gc subcommands run without deleting
-#                  quarantine memory; then the criterion bench logs join
+#                  both gc subcommands run without deleting quarantine
+#                  memory, and `store gc --keep 1` after two surveys keeps
+#                  the newer one (its rerun misses nothing); then the
+#                  criterion bench logs join
 #                  a history digest (postproc::criterion_history) with
 #                  --min-speedup floors pinning the roofline relations
 #                  (triad bandwidth within 1.5x of copy, SELL-C-sigma
@@ -191,7 +193,26 @@ fi
     echo "nightly smoke FAILED: checkpoint gc deleted quarantine memory" >&2
     exit 1
 }
-echo "nightly smoke OK (cold, warm reuse, corruption quarantined, gc ran)"
+# `store gc --keep 1` must keep the most recent study. Every survey
+# writes as its own writer (`w<pid>-<seq>`), so recency has to come from
+# the records' append times, never from writer ids (`w10-0` < `w9-0`).
+recency_survey() {
+    ./target/release/benchkit survey -c "$1" --system archer2 \
+        --seed 7 --jobs 2 --store "$nightly_dir/recency"
+}
+recency_survey hpgmg >/dev/null
+recency_survey babelstream_omp >/dev/null
+./target/release/benchkit store gc "$nightly_dir/recency" --keep 1
+rerun="$(recency_survey babelstream_omp)"
+case "$rerun" in
+*"store: "*" 0 misses,"*) ;;
+*)
+    echo "nightly smoke FAILED: store gc --keep 1 evicted the newest study" >&2
+    printf '%s\n' "$rerun" >&2
+    exit 1
+    ;;
+esac
+echo "nightly smoke OK (cold, warm reuse, corruption quarantined, gc ran, gc kept the newest study)"
 
 echo "== ci: bench history digest (criterion regression loop) =="
 # Each CI run contributes one criterion log; digest the accumulated

@@ -26,9 +26,9 @@
 //! reached its `--quarantine` threshold in canary mode (see
 //! `SuiteRunner`).
 
-use crate::walog::AppendLog;
 use crate::{CaseReport, HarnessError, SuiteOutcome, SuiteRunner, TestCase};
 use perflogs::PerflogRecord;
+use spackle::walog::{valid_prefix, AppendLog};
 use spackle::IoShim;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -176,7 +176,7 @@ pub struct ReplayedCell {
 /// The append side of a checkpoint journal. Records are written one JSON
 /// line at a time and fsync'd before the cell is reported upstream, so a
 /// crash at any instant leaves at worst one torn trailing record. The
-/// durability mechanics live in [`crate::walog::AppendLog`]; all writes
+/// durability mechanics live in [`spackle::walog::AppendLog`]; all writes
 /// and fsyncs go through a [`spackle::IoShim`], so the torture suite (and
 /// `BENCHKIT_IOFAULTS`) can inject torn appends and fsync failures here
 /// and prove the resume path recovers the valid prefix.
@@ -226,27 +226,15 @@ impl Journal {
                 found: header.to_string(),
             });
         }
-        let mut valid_len = header_end + 1;
-        let mut cells = Vec::new();
-        let mut rest = &text[valid_len..];
         // A record is trusted only if its line is complete (newline-
         // terminated) *and* parses as the next grid cell. The first record
         // that fails either test is where the crash landed: discard it and
-        // anything after — those cells simply re-run.
-        while let Some(line_end) = rest.find('\n') {
-            match parse_cell(&rest[..line_end], cells.len()) {
-                Ok(cell) => {
-                    cells.push(cell);
-                    valid_len += line_end + 1;
-                    rest = &rest[line_end + 1..];
-                }
-                Err(_) => break,
-            }
-        }
-        // The header check above must fail as ConfigMismatch, never as a
-        // truncate-to-empty recovery, so the parse happens here and the
-        // log is opened at the already-validated prefix length.
-        let log = AppendLog::open_at(&path, IoShim::from_env(), valid_len as u64)?;
+        // anything after — those cells simply re-run. The header check
+        // above must fail as ConfigMismatch, never as a truncate-to-empty
+        // recovery, so the log is opened at the validated prefix length.
+        let (cells, len) =
+            valid_prefix(&text[header_end + 1..], |line, i| parse_cell(line, i).ok());
+        let log = AppendLog::open_at(&path, IoShim::from_env(), (header_end + 1 + len) as u64)?;
         Ok((Journal { log }, cells))
     }
 
@@ -581,14 +569,8 @@ pub fn gc(dir: &Path, force: bool) -> Result<GcOutcome, CheckpointError> {
                 .ok_or_else(|| CheckpointError::Corrupt(format!("header missing `{key}`")))
         };
         let want = len_of("systems")? * len_of("cases")?;
-        let mut have = 0;
-        for line in text[header_end + 1..].lines() {
-            if parse_cell(line, have).is_err() {
-                break;
-            }
-            have += 1;
-        }
-        Ok((have, want))
+        let (cells, _) = valid_prefix(&text[header_end + 1..], |line, i| parse_cell(line, i).ok());
+        Ok((cells.len(), want))
     })();
     let (cells, forced) = match verdict {
         Ok((have, want)) if have >= want => (have, false),

@@ -28,10 +28,10 @@
 pub mod checkpoint;
 mod pipeline;
 mod suite;
-pub mod walog;
 
 pub use engine::{EngineSpec, DEFAULT_TIMEOUT_S};
 pub use pipeline::{CaseReport, Harness, HarnessError, PreparedBuild, RunOptions};
+pub use spackle::walog;
 pub use suite::{StoreStats, SuiteOutcome, SuiteProgress, SuiteReport, SuiteRunner};
 
 use benchapps::babelstream::BabelStreamConfig;

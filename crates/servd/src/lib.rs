@@ -18,12 +18,14 @@
 //!   mistaking a torn response for an acknowledgment.
 //! * [`netfault`] — deterministic network fault injection
 //!   (`BENCHKIT_NETFAULTS`): torn reads, short writes, resets, and
-//!   stalls keyed SplitMix64-per-(op, connection, counter), so fault
+//!   stalls keyed SplitMix64-per-(op, connection, counter) through the
+//!   `simhpc::faults` kernel it shares with `spackle::iofault`, so fault
 //!   schedules and transcripts are independent of thread interleaving.
 //! * [`http`] — the minimal HTTP/1.1 subset both sides speak, with
 //!   header/body bounds enforced before bytes are swallowed.
-//! * [`wal`] — the append-only ingest log in the `harness::checkpoint`
-//!   idiom, recovered to its longest valid prefix on restart.
+//! * [`wal`] — the append-only ingest log on `spackle::walog`, the
+//!   checkpoint journal's durable line log, recovered to its longest
+//!   valid prefix on restart.
 
 pub mod client;
 pub mod http;

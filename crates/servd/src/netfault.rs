@@ -10,22 +10,23 @@
 //! error, short writes that land only a prefix of a response, injected
 //! connection resets, and stalls that eat a connection's deadline.
 //!
-//! Determinism follows `simhpc::faults` and `spackle::iofault`: it comes
-//! from draw *keying*, not draw order. Every fault is drawn from a fresh
-//! `SplitMix64` stream seeded by the `(seed, op, connection id,
-//! per-(op, connection) counter)` tuple via `fnv1a`, so the n-th read on
-//! connection k faults identically whatever order worker threads reach it
-//! in — the same seed reproduces the same schedule at any worker count.
-//! The fired faults are recorded in a sorted [transcript](NetShim::transcript)
-//! whose rendering is interleaving-independent for the same reason.
+//! Determinism follows `simhpc::faults`, whose `FaultKernel` this shim
+//! shares with `spackle::iofault`: it comes from draw *keying*, not draw
+//! order. Every fault is drawn from a fresh `SplitMix64` stream seeded by
+//! the `(seed, op, kind, connection id, per-(op, kind, connection)
+//! counter)` tuple, so the n-th read on connection k faults identically
+//! whatever order worker threads reach it in — the same seed reproduces
+//! the same schedule at any worker count. The fired faults are recorded in
+//! a sorted [transcript](NetShim::transcript) whose rendering is
+//! interleaving-independent for the same reason.
 //!
 //! CI arms the shim without recompiling through `BENCHKIT_NETFAULTS`,
 //! e.g. `BENCHKIT_NETFAULTS="seed=7,torn=0.2,short=0.2,reset=0.1"`.
 
-use simhpc::noise::{fnv1a, SplitMix64};
-use std::collections::{BTreeMap, BTreeSet};
+use simhpc::faults::{parse_spec, spec_from_env, FaultKernel, SpecField};
+use simhpc::noise::SplitMix64;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment variable holding a [`NetFaultSpec`] for CLI/CI injection.
 pub const NETFAULTS_ENV: &str = "BENCHKIT_NETFAULTS";
@@ -65,68 +66,19 @@ impl NetFaultSpec {
     /// Unknown keys and malformed values are hard errors — a typo in a
     /// torture schedule must not silently test nothing.
     pub fn parse(text: &str) -> Result<NetFaultSpec, String> {
-        let mut spec = NetFaultSpec::quiet(0);
-        for part in text.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let prob = |field: &mut f64| -> Result<(), String> {
-                let p: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad probability for {key}: {value:?}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability for {key} out of [0,1]: {value}"));
-                }
-                *field = p;
-                Ok(())
-            };
-            match key {
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| format!("bad seed: {value:?}"))?;
-                }
-                "torn" => prob(&mut spec.torn)?,
-                "short" => prob(&mut spec.short)?,
-                "reset" => prob(&mut spec.reset)?,
-                "stall" => prob(&mut spec.stall)?,
-                "stallms" => {
-                    spec.stall_ms = value
-                        .parse()
-                        .map_err(|_| format!("bad stallms: {value:?}"))?;
-                }
-                other => return Err(format!("unknown fault key {other:?}")),
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            text,
+            NetFaultSpec::quiet(0),
+            |s| &mut s.seed,
+            &[
+                ("torn", SpecField::Prob(|s| &mut s.torn)),
+                ("short", SpecField::Prob(|s| &mut s.short)),
+                ("reset", SpecField::Prob(|s| &mut s.reset)),
+                ("stall", SpecField::Prob(|s| &mut s.stall)),
+                ("stallms", SpecField::Int(|s| &mut s.stall_ms)),
+            ],
+        )
     }
-}
-
-/// One faulted operation class; the name keys the draw stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Op {
-    Read,
-    Write,
-}
-
-impl Op {
-    fn name(self) -> &'static str {
-        match self {
-            Op::Read => "read",
-            Op::Write => "write",
-        }
-    }
-}
-
-/// The deterministic schedule (and transcript) shared by every clone.
-#[derive(Debug)]
-pub struct NetPlan {
-    spec: NetFaultSpec,
-    /// Per-`(op, connection)` call counters: the n-th read on a
-    /// connection draws from the same stream regardless of interleaving.
-    counters: Mutex<BTreeMap<(String, u64), u64>>,
-    /// Every fired fault, in sorted order — two same-seed runs of the
-    /// same request script dump identical transcripts at any worker count.
-    transcript: Mutex<BTreeSet<String>>,
 }
 
 /// The network seam: `Real` passes through, `Faulty` injects scheduled
@@ -135,7 +87,7 @@ pub struct NetPlan {
 pub enum NetShim {
     #[default]
     Real,
-    Faulty(Arc<NetPlan>),
+    Faulty(Arc<FaultKernel<NetFaultSpec>>),
 }
 
 fn injected(what: &str, conn: u64) -> io::Error {
@@ -148,27 +100,14 @@ fn injected(what: &str, conn: u64) -> io::Error {
 impl NetShim {
     /// A shim injecting faults per `spec`.
     pub fn faulty(spec: NetFaultSpec) -> NetShim {
-        NetShim::Faulty(Arc::new(NetPlan {
-            spec,
-            counters: Mutex::new(BTreeMap::new()),
-            transcript: Mutex::new(BTreeSet::new()),
-        }))
+        NetShim::Faulty(Arc::new(FaultKernel::new(spec.seed, spec)))
     }
 
     /// Build a shim from `BENCHKIT_NETFAULTS` if set; parse errors are
     /// reported (never silently ignored) and fall back to `Real` so a bad
     /// spec cannot brick a daemon.
     pub fn from_env() -> NetShim {
-        match std::env::var(NETFAULTS_ENV) {
-            Ok(text) if !text.trim().is_empty() => match NetFaultSpec::parse(&text) {
-                Ok(spec) => NetShim::faulty(spec),
-                Err(e) => {
-                    eprintln!("warning: ignoring bad {NETFAULTS_ENV}: {e}");
-                    NetShim::Real
-                }
-            },
-            _ => NetShim::Real,
-        }
+        spec_from_env(NETFAULTS_ENV, NetFaultSpec::parse).map_or(NetShim::Real, NetShim::faulty)
     }
 
     /// True when this shim can inject faults (used only for logging).
@@ -189,57 +128,7 @@ impl NetShim {
     pub fn transcript(&self) -> Vec<String> {
         match self {
             NetShim::Real => Vec::new(),
-            NetShim::Faulty(plan) => plan
-                .transcript
-                .lock()
-                .expect("netfault transcript lock")
-                .iter()
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Draw the fault decision for the next `op` on `conn`. Returns the
-    /// draw stream when a fault fires, so the torn/short prefix length
-    /// comes from the same stream.
-    fn draw(
-        &self,
-        op: Op,
-        conn: u64,
-        kind: &str,
-        p_of: impl Fn(&NetFaultSpec) -> f64,
-    ) -> Option<SplitMix64> {
-        let NetShim::Faulty(plan) = self else {
-            return None;
-        };
-        let p = p_of(&plan.spec);
-        if p <= 0.0 {
-            return None;
-        }
-        let n = {
-            let mut counters = plan.counters.lock().expect("netfault counter lock");
-            let slot = counters
-                .entry((format!("{}:{kind}", op.name()), conn))
-                .or_insert(0);
-            let n = *slot;
-            *slot += 1;
-            n
-        };
-        let mut stream = SplitMix64::new(fnv1a(&[
-            &plan.spec.seed.to_le_bytes(),
-            op.name().as_bytes(),
-            kind.as_bytes(),
-            &conn.to_le_bytes(),
-            &n.to_le_bytes(),
-        ]));
-        if stream.next_f64() < p {
-            plan.transcript
-                .lock()
-                .expect("netfault transcript lock")
-                .insert(format!("conn={conn:06} {}:{kind} n={n:06}", op.name()));
-            Some(stream)
-        } else {
-            None
+            NetShim::Faulty(plan) => plan.transcript(),
         }
     }
 }
@@ -257,28 +146,42 @@ impl ConnShim {
         self.conn
     }
 
+    /// Draw the fault decision for the next `op:kind` on this connection
+    /// and transcribe it when it fires. Returns the draw stream, so the
+    /// torn/short prefix length comes from the same stream.
+    fn draw(&self, op: &str, kind: &str, p_of: fn(&NetFaultSpec) -> f64) -> Option<SplitMix64> {
+        let NetShim::Faulty(plan) = &self.shim else {
+            return None;
+        };
+        let key: [&[u8]; 3] = [op.as_bytes(), kind.as_bytes(), &self.conn.to_le_bytes()];
+        let (n, stream) = plan.draw(p_of(plan.spec()), &key)?;
+        plan.record(format!("conn={:06} {op}:{kind} n={n:06}", self.conn));
+        Some(stream)
+    }
+
+    /// A stall sleeps (spending the caller's deadline); a reset errors
+    /// before the socket is touched.
+    fn stall_or_reset(&self, op: &str) -> io::Result<()> {
+        if self.draw(op, "stall", |s| s.stall).is_some() {
+            if let NetShim::Faulty(plan) = &self.shim {
+                std::thread::sleep(std::time::Duration::from_millis(plan.spec().stall_ms));
+            }
+        }
+        if self.draw(op, "reset", |s| s.reset).is_some() {
+            return Err(injected(&format!("connection reset on {op}"), self.conn));
+        }
+        Ok(())
+    }
+
     /// Read into `buf`. A stall sleeps first (spending the caller's
     /// deadline); a reset errors before touching the socket; a torn read
     /// consumes bytes from the socket but delivers only a prefix, then
     /// errors — the rest of the request is gone for good, exactly like a
     /// peer dying mid-send.
     pub fn read(&self, src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-        if self
-            .shim
-            .draw(Op::Read, self.conn, "stall", |s| s.stall)
-            .is_some()
-        {
-            self.sleep_stall();
-        }
-        if self
-            .shim
-            .draw(Op::Read, self.conn, "reset", |s| s.reset)
-            .is_some()
-        {
-            return Err(injected("connection reset on read", self.conn));
-        }
+        self.stall_or_reset("read")?;
         let n = src.read(buf)?;
-        if let Some(mut stream) = self.shim.draw(Op::Read, self.conn, "torn", |s| s.torn) {
+        if let Some(mut stream) = self.draw("read", "torn", |s| s.torn) {
             if n > 0 {
                 let cut = (stream.next_u64() % n as u64) as usize;
                 return Err(injected(
@@ -294,21 +197,8 @@ impl ConnShim {
     /// socket, then errors — the peer sees a truncated response and must
     /// treat the request as unacknowledged.
     pub fn write_all(&self, dst: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
-        if self
-            .shim
-            .draw(Op::Write, self.conn, "stall", |s| s.stall)
-            .is_some()
-        {
-            self.sleep_stall();
-        }
-        if self
-            .shim
-            .draw(Op::Write, self.conn, "reset", |s| s.reset)
-            .is_some()
-        {
-            return Err(injected("connection reset on write", self.conn));
-        }
-        if let Some(mut stream) = self.shim.draw(Op::Write, self.conn, "short", |s| s.short) {
+        self.stall_or_reset("write")?;
+        if let Some(mut stream) = self.draw("write", "short", |s| s.short) {
             let cut = if bytes.is_empty() {
                 0
             } else {
@@ -322,12 +212,6 @@ impl ConnShim {
             ));
         }
         dst.write_all(bytes)
-    }
-
-    fn sleep_stall(&self) {
-        if let NetShim::Faulty(plan) = &self.shim {
-            std::thread::sleep(std::time::Duration::from_millis(plan.spec.stall_ms));
-        }
     }
 }
 

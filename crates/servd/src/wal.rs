@@ -7,7 +7,7 @@
 //! {"seq": 17, "record": {…canonical perflog record…}}
 //! ```
 //!
-//! built on [`harness::walog::AppendLog`], so each ingest batch lands with
+//! built on [`spackle::walog::AppendLog`], so each ingest batch lands with
 //! one write and one fsync through `spackle::IoShim` *before* the ingest
 //! handler acknowledges, and recovery trusts the longest valid prefix — a
 //! torn tail from a SIGKILL mid-append is truncated, never replayed into
@@ -21,8 +21,8 @@
 //! never saw its ack (short-written response) can re-push the same batch
 //! and the record lands once.
 
-use harness::walog::AppendLog;
 use perflogs::PerflogRecord;
+use spackle::walog::AppendLog;
 use spackle::IoShim;
 use std::io;
 use std::path::Path;

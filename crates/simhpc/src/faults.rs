@@ -14,8 +14,15 @@
 //! [`fnv1a`]. Two workers racing over a suite grid therefore see exactly
 //! the faults a serial sweep would have seen, whatever order the jobs run
 //! in.
+//!
+//! The same keying drives the I/O and network fault shims of the store
+//! and the results daemon: [`FaultKernel`] holds their seed, per-key
+//! operation counters and sorted transcript, [`parse_spec`] reads their
+//! `key=value,…` environment specs, and [`spec_from_env`] arms them.
 
 use crate::noise::{fnv1a, SplitMix64};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 /// A named fault-rate profile: per-attempt probabilities of each injected
 /// fault class. Profiles are identified by name so that the name can key
@@ -237,6 +244,140 @@ pub fn backoff_sleep(retry: u32) -> f64 {
     sleep_scaled(backoff_s(retry), wall_scale())
 }
 
+/// The keyed-draw core of a stateful fault shim: a spec, the seed keying
+/// its schedule, a call counter per operation key, and a sorted
+/// transcript of the faults the shim chose to record.
+///
+/// The n-th operation on a key draws from a fresh [`SplitMix64`] stream
+/// seeded by `fnv1a(seed, key parts…, n)`, so it faults identically
+/// whatever order threads reach it in, and the sorted transcript renders
+/// identically too: the same seed reproduces the same schedule at any
+/// worker count.
+#[derive(Debug)]
+pub struct FaultKernel<S> {
+    spec: S,
+    seed: u64,
+    counters: Mutex<BTreeMap<Vec<Vec<u8>>, u64>>,
+    transcript: Mutex<BTreeSet<String>>,
+}
+
+impl<S> FaultKernel<S> {
+    pub fn new(seed: u64, spec: S) -> FaultKernel<S> {
+        FaultKernel {
+            spec,
+            seed,
+            counters: Mutex::new(BTreeMap::new()),
+            transcript: Mutex::new(BTreeSet::new()),
+        }
+    }
+
+    pub fn spec(&self) -> &S {
+        &self.spec
+    }
+
+    /// Draw whether the next operation on `key` faults, with probability
+    /// `p`. A zero probability draws nothing and counts nothing, so a
+    /// fault class that is off never shifts another's schedule. When the
+    /// fault fires, returns the operation's index on its key and the draw
+    /// stream, from which the caller takes any further randomness (a
+    /// torn prefix length, say).
+    pub fn draw(&self, p: f64, key: &[&[u8]]) -> Option<(u64, SplitMix64)> {
+        if p <= 0.0 {
+            return None;
+        }
+        let n = {
+            let mut counters = self.counters.lock().expect("fault counter lock");
+            let slot = counters
+                .entry(key.iter().map(|part| part.to_vec()).collect())
+                .or_insert(0);
+            *slot += 1;
+            *slot - 1
+        };
+        let (seed, index) = (self.seed.to_le_bytes(), n.to_le_bytes());
+        let mut parts: Vec<&[u8]> = Vec::with_capacity(key.len() + 2);
+        parts.push(&seed);
+        parts.extend_from_slice(key);
+        parts.push(&index);
+        let mut stream = SplitMix64::new(fnv1a(&parts));
+        (stream.next_f64() < p).then_some((n, stream))
+    }
+
+    /// Add one fired fault to the transcript.
+    pub fn record(&self, line: String) {
+        self.transcript
+            .lock()
+            .expect("fault transcript lock")
+            .insert(line);
+    }
+
+    /// Every recorded fault, sorted — the reproducibility artifact.
+    pub fn transcript(&self) -> Vec<String> {
+        let transcript = self.transcript.lock().expect("fault transcript lock");
+        transcript.iter().cloned().collect()
+    }
+}
+
+/// How [`parse_spec`] reads and stores the value of one spec key.
+pub enum SpecField<S> {
+    /// A probability in `[0, 1]`.
+    Prob(fn(&mut S) -> &mut f64),
+    /// A non-negative integer.
+    Int(fn(&mut S) -> &mut u64),
+    /// Text, checked and stored by the field's own setter.
+    Text(fn(&mut S, &str) -> Result<(), String>),
+}
+
+/// Parse a comma-separated `key=value` fault spec onto `spec`. `seed` is
+/// always accepted and stored through `seed`; every other key must name
+/// one of `fields`. Unknown keys and malformed values are hard errors — a
+/// typo in a torture schedule must not silently test nothing.
+pub fn parse_spec<S>(
+    text: &str,
+    mut spec: S,
+    seed: fn(&mut S) -> &mut u64,
+    fields: &[(&str, SpecField<S>)],
+) -> Result<S, String> {
+    let seed = SpecField::Int(seed);
+    for part in text.split(',').filter(|p| !p.trim().is_empty()) {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
+        let (key, value) = (key.trim(), value.trim());
+        let field = match fields.iter().find(|(name, _)| *name == key) {
+            Some((_, field)) => field,
+            None if key == "seed" => &seed,
+            None => return Err(format!("unknown fault key {key:?}")),
+        };
+        match field {
+            SpecField::Prob(slot) => {
+                let p: f64 = value
+                    .parse()
+                    .map_err(|_| format!("bad probability for {key}: {value:?}"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("probability for {key} out of [0,1]: {value}"));
+                }
+                *slot(&mut spec) = p;
+            }
+            SpecField::Int(slot) => {
+                *slot(&mut spec) = value.parse().map_err(|_| format!("bad {key}: {value:?}"))?;
+            }
+            SpecField::Text(set) => set(&mut spec, value)?,
+        }
+    }
+    Ok(spec)
+}
+
+/// The fault spec in environment variable `var`, parsed by `parse`. Unset
+/// or blank means no faults; a malformed spec is reported on stderr (never
+/// silently ignored) and also yields `None`, so a bad spec falls back to
+/// real I/O instead of bricking a run.
+pub fn spec_from_env<S>(var: &str, parse: fn(&str) -> Result<S, String>) -> Option<S> {
+    let text = std::env::var(var).ok().filter(|t| !t.trim().is_empty())?;
+    parse(&text)
+        .map_err(|e| eprintln!("warning: ignoring bad {var}: {e}"))
+        .ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,6 +478,27 @@ mod tests {
         );
         let none = FaultInjector::new(FaultProfile::none(), 9);
         assert_eq!(none.repair_window_s("archer2"), 0.0);
+    }
+
+    /// A fault class that is off must not shift another's schedule: a
+    /// zero-probability draw neither fires nor advances its key's counter.
+    #[test]
+    fn zero_probability_draws_count_nothing() {
+        let key: [&[u8]; 2] = [b"write", b"e0.json"];
+        let fresh = FaultKernel::new(7, ());
+        let after_quiet = FaultKernel::new(7, ());
+        for _ in 0..3 {
+            assert!(after_quiet.draw(0.0, &key).is_none());
+        }
+        let fired = |k: &FaultKernel<()>| -> Vec<Option<u64>> {
+            (0..20).map(|_| k.draw(0.5, &key).map(|(n, _)| n)).collect()
+        };
+        let schedule = fired(&fresh);
+        assert_eq!(schedule, fired(&after_quiet));
+        assert!(
+            schedule.iter().any(Option::is_some) && schedule.contains(&None),
+            "{schedule:?}"
+        );
     }
 
     #[test]

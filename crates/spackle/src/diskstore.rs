@@ -43,6 +43,7 @@
 
 use crate::build::{BuildAction, BuildRecord, Store};
 use crate::iofault::{write_atomic_with, IoShim};
+use crate::walog::{valid_prefix, AppendLog};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{self, OpenOptions};
@@ -419,9 +420,12 @@ pub struct RefRecord {
 }
 
 /// Read and deterministically merge every per-writer reference segment:
-/// each `DIR/refs/<writer>.jsonl` is recovered to its longest valid
-/// prefix, then all records are ordered by (study number, writer id) — a
-/// total order independent of segment file mtimes or scan order.
+/// each `DIR/refs/<writer>.jsonl` is read up to its longest valid prefix
+/// (never truncated: the segment belongs to its writer), then all records
+/// are ordered by (append time, writer id, study number) — a total order
+/// independent of segment file mtimes or scan order. Records without an
+/// append time (written before records carried one) sort first, by
+/// (study number, writer id).
 pub fn merged_ref_log(dir: &Path) -> Result<Vec<RefRecord>, DiskStoreError> {
     let refs_dir = dir.join(REFS_DIR);
     let mut files: Vec<PathBuf> = match fs::read_dir(&refs_dir) {
@@ -440,16 +444,22 @@ pub fn merged_ref_log(dir: &Path) -> Result<Vec<RefRecord>, DiskStoreError> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
         let text = fs::read_to_string(&path).map_err(|e| io_err("reading reference segment", e))?;
-        for (i, refs) in parse_ref_log(&text).into_iter().enumerate() {
-            records.push(RefRecord {
-                study: i + 1,
+        let (prefix, _) = valid_prefix(&text, |line, i| parse_ref_line(line, i + 1));
+        for (i, (refs, unix_ns)) in prefix.into_iter().enumerate() {
+            let study = i + 1;
+            let untimed_study = if unix_ns.is_none() { study } else { 0 };
+            let record = RefRecord {
+                study,
                 writer: writer.clone(),
                 refs,
-            });
+            };
+            records.push(((unix_ns, untimed_study), record));
         }
     }
-    records.sort_by(|a, b| (a.study, &a.writer).cmp(&(b.study, &b.writer)));
-    Ok(records)
+    records.sort_by(|(a_key, a), (b_key, b)| {
+        (a_key, &a.writer, a.study).cmp(&(b_key, &b.writer, b.study))
+    });
+    Ok(records.into_iter().map(|(_, record)| record).collect())
 }
 
 /// Holds the legacy `DIR/.lock` during v1 migration; removed on drop.
@@ -813,13 +823,12 @@ impl DiskStore {
         m.insert("reason", tinycfg::Value::Str(reason.clone()));
         m.insert("quarantined_unix", tinycfg::Value::Int(unix_now()));
         m.insert("moved", tinycfg::Value::Bool(moved));
-        let line = format!("{}\n", tinycfg::Value::Map(m).to_json());
-        if let Ok(mut f) = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(CORRUPT_DIR).join(QUARANTINE_LOG))
-        {
-            let _ = f.write_all(line.as_bytes()).and_then(|_| f.sync_data());
+        // `AppendLog` recovery assumes one writer at a time: two handles
+        // quarantining in the same instant can lose one of the two notes,
+        // never a quarantined file.
+        let path = self.dir.join(CORRUPT_DIR).join(QUARANTINE_LOG);
+        if let Ok((log, _)) = AppendLog::recover(&path, self.io.clone(), |_, _| true) {
+            let _ = log.append(&tinycfg::Value::Map(m).to_json());
         }
         eprintln!("warning: store quarantined {name}: {reason}");
         self.quarantined.push(QuarantineNote { file: name, reason });
@@ -896,22 +905,24 @@ impl DiskStore {
 
     /// Append one study's reference record to this writer's own segment
     /// `refs/<writer>.jsonl` (fsync'd). Segments are single-writer, so no
-    /// lease is needed; the study number is one past the longest valid
-    /// prefix of the segment, and a torn tail from a crash is simply
-    /// overwritten by growth.
+    /// lease is needed: the segment is recovered to its longest valid
+    /// prefix (truncating a torn tail left by a crash), the study number
+    /// is one past that prefix, and the record carries its append time,
+    /// which orders it in the [merged log](merged_ref_log).
     pub fn append_refs(&self, hashes: &BTreeSet<String>) -> Result<(), DiskStoreError> {
         let path = self
             .dir
             .join(REFS_DIR)
             .join(format!("{}.jsonl", self.writer));
-        let old = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(io_err("reading reference segment", e)),
-        };
-        let prior = parse_ref_log(&old).len();
+        let (log, studies) = AppendLog::recover(&path, self.io.clone(), |line, i| {
+            parse_ref_line(line, i + 1).is_some()
+        })
+        .map_err(|e| io_err("recovering reference segment", e))?;
+        let unix_ns = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as i64);
         let mut m = tinycfg::Map::new();
-        m.insert("study", tinycfg::Value::Int(prior as i64 + 1));
+        m.insert("study", tinycfg::Value::Int(studies.len() as i64 + 1));
         m.insert(
             "refs",
             tinycfg::Value::List(
@@ -921,12 +932,8 @@ impl DiskStore {
                     .collect(),
             ),
         );
-        let line = format!("{}\n", tinycfg::Value::Map(m).to_json());
-        // Rewrite the valid prefix + the new record atomically, dropping
-        // any torn tail left by a previous crash.
-        let mut text = parse_ref_log_lines(&old).join("");
-        text.push_str(&line);
-        write_atomic_with(&self.io, &path, &text)
+        m.insert("unix_ns", tinycfg::Value::Int(unix_ns));
+        log.append(&tinycfg::Value::Map(m).to_json())
             .map_err(|e| io_err("appending reference segment", e))
     }
 
@@ -1340,42 +1347,25 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, DiskStoreError> {
 /// ends the prefix — everything before it is trusted, everything after
 /// discarded.
 pub fn parse_ref_log(text: &str) -> Vec<Vec<String>> {
-    let mut studies = Vec::new();
-    for line in text.split_inclusive('\n') {
-        match parse_ref_line(line, studies.len() + 1) {
-            Some(refs) => studies.push(refs),
-            None => break,
-        }
-    }
-    studies
+    let (records, _) = valid_prefix(text, |line, i| parse_ref_line(line, i + 1));
+    records.into_iter().map(|(refs, _)| refs).collect()
 }
 
-/// The raw lines of the longest valid prefix (each including its `\n`).
-fn parse_ref_log_lines(text: &str) -> Vec<&str> {
-    let mut lines = Vec::new();
-    for line in text.split_inclusive('\n') {
-        if parse_ref_line(line, lines.len() + 1).is_some() {
-            lines.push(line);
-        } else {
-            break;
-        }
-    }
-    lines
-}
-
-fn parse_ref_line(line: &str, expect_study: usize) -> Option<Vec<String>> {
-    // A record is only valid if its newline made it to disk.
-    let body = line.strip_suffix('\n')?;
-    let v = tinycfg::parse(body).ok()?;
+/// One reference record: its refs and its append time (`unix_ns`, absent
+/// from records written before records carried one).
+fn parse_ref_line(line: &str, expect_study: usize) -> Option<(Vec<String>, Option<i64>)> {
+    let v = tinycfg::parse(line).ok()?;
     let study = v.get_path("study")?.as_int()?;
     if study != expect_study as i64 {
         return None;
     }
-    v.get_path("refs")?
+    let refs = v
+        .get_path("refs")?
         .as_list()?
         .iter()
         .map(|r| r.as_str().map(str::to_string))
-        .collect()
+        .collect::<Option<_>>()?;
+    Some((refs, v.get_path("unix_ns").and_then(tinycfg::Value::as_int)))
 }
 
 #[cfg(test)]
@@ -1905,6 +1895,36 @@ mod tests {
             dir.join("corrupt/dead.json").exists(),
             "gc must never delete quarantine memory"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `store gc --keep K` keeps the K most recently appended studies.
+    /// Every CLI survey writes as its own writer, so each of its records
+    /// is study 1; ordering by writer id would rank `w10-0` before `w9-0`
+    /// and evict the newer study. Records from before append times were
+    /// recorded sort first.
+    #[test]
+    fn gc_keeps_the_most_recently_appended_studies() {
+        let dir = tmpdir("gc-recency");
+        fs::create_dir_all(dir.join("refs")).unwrap();
+        fs::write(
+            dir.join("refs/legacy.jsonl"),
+            "{\"refs\":[\"legacy\"],\"study\":1}\n",
+        )
+        .unwrap();
+        for writer in ["w9-0", "w10-0"] {
+            let mut store = open_as(&dir, writer);
+            store.persist(&entry(writer)).unwrap();
+            store.append_refs(&[writer.to_string()].into()).unwrap();
+        }
+        let merged = merged_ref_log(&dir).unwrap();
+        let writers: Vec<&str> = merged.iter().map(|r| r.writer.as_str()).collect();
+        assert_eq!(writers, ["legacy", "w9-0", "w10-0"]);
+        let mut sweeper = open_as(&dir, "sweeper");
+        let report = sweeper.gc(1).unwrap();
+        assert_eq!(report.evicted, 1);
+        assert!(sweeper.resident("w10-0"), "gc evicted the newest study");
+        assert!(!sweeper.resident("w9-0"));
         let _ = fs::remove_dir_all(&dir);
     }
 

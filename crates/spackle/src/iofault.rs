@@ -8,12 +8,13 @@
 //! deterministic schedule ([`IoShim::faulty`]): torn writes that land only
 //! a prefix, ENOSPC, fsync failures, rename failures.
 //!
-//! Determinism follows `simhpc::faults`: it comes from the draw keying,
-//! not from draw order. Every fault is drawn from a fresh [`SplitMix64`]
-//! stream seeded by the `(seed, op, file name, per-file op counter)` tuple
-//! via [`fnv1a`], so two writers racing over a store see exactly the fault
-//! schedule a serial run would have seen for the same files — the same
-//! seed reproduces the same schedule at any `--jobs`.
+//! Determinism follows `simhpc::faults`, whose [`FaultKernel`] this shim
+//! shares with the daemon's network shim: it comes from the draw keying,
+//! not from draw order. Every fault is drawn from a fresh `SplitMix64`
+//! stream seeded by the `(seed, op, file name, per-file op counter)` tuple,
+//! so two writers racing over a store see exactly the fault schedule a
+//! serial run would have seen for the same files — the same seed
+//! reproduces the same schedule at any `--jobs`.
 //!
 //! CI injects faults without recompiling through the `BENCHKIT_IOFAULTS`
 //! environment variable, e.g.
@@ -22,12 +23,12 @@
 //! a smoke run can fault store shards while leaving checkpoint journals
 //! untouched.
 
-use simhpc::noise::{fnv1a, SplitMix64};
-use std::collections::BTreeMap;
+use simhpc::faults::{parse_spec, spec_from_env, FaultKernel, SpecField};
+use simhpc::noise::SplitMix64;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment variable holding a [`FaultSpec`] for CLI/CI injection.
 pub const IOFAULTS_ENV: &str = "BENCHKIT_IOFAULTS";
@@ -68,39 +69,33 @@ impl FaultSpec {
 
     /// Parse the `BENCHKIT_IOFAULTS` format: comma-separated `key=value`
     /// pairs from `seed`, `torn`, `enospc`, `fsync`, `rename`, `dirfsync`,
-    /// `match`. Unknown keys and malformed values are hard errors — a typo
-    /// in a torture schedule must not silently test nothing.
+    /// `match`. Unknown keys and malformed values are hard errors, and so
+    /// is a `match` with no non-empty alternative — it would match no
+    /// path, and a typo in a torture schedule must not silently test
+    /// nothing.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
-        let mut spec = FaultSpec::quiet(0);
-        for part in text.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let prob = |field: &mut f64| -> Result<(), String> {
-                let p: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad probability for {key}: {value:?}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("probability for {key} out of [0,1]: {value}"));
-                }
-                *field = p;
-                Ok(())
-            };
-            match key {
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| format!("bad seed: {value:?}"))?;
-                }
-                "torn" => prob(&mut spec.torn)?,
-                "enospc" => prob(&mut spec.enospc)?,
-                "fsync" => prob(&mut spec.fsync)?,
-                "rename" => prob(&mut spec.rename)?,
-                "dirfsync" => prob(&mut spec.dir_fsync)?,
-                "match" => spec.only_matching = Some(value.to_string()),
-                other => return Err(format!("unknown fault key {other:?}")),
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            text,
+            FaultSpec::quiet(0),
+            |s| &mut s.seed,
+            &[
+                ("torn", SpecField::Prob(|s| &mut s.torn)),
+                ("enospc", SpecField::Prob(|s| &mut s.enospc)),
+                ("fsync", SpecField::Prob(|s| &mut s.fsync)),
+                ("rename", SpecField::Prob(|s| &mut s.rename)),
+                ("dirfsync", SpecField::Prob(|s| &mut s.dir_fsync)),
+                (
+                    "match",
+                    SpecField::Text(|s, value| {
+                        if value.split('|').all(str::is_empty) {
+                            return Err(format!("match names no path substring: {value:?}"));
+                        }
+                        s.only_matching = Some(value.to_string());
+                        Ok(())
+                    }),
+                ),
+            ],
+        )
     }
 }
 
@@ -124,22 +119,13 @@ impl Op {
     }
 }
 
-/// The deterministic schedule shared by every clone of a faulty shim.
-#[derive(Debug)]
-pub struct FaultPlan {
-    spec: FaultSpec,
-    /// Per-`(op, file name)` call counters: the n-th write to a given file
-    /// draws from the same stream regardless of thread interleaving.
-    counters: Mutex<BTreeMap<String, u64>>,
-}
-
 /// The I/O seam: `Real` passes through to the filesystem, `Faulty` injects
 /// scheduled failures. Cloning a faulty shim shares the schedule state.
 #[derive(Debug, Clone, Default)]
 pub enum IoShim {
     #[default]
     Real,
-    Faulty(Arc<FaultPlan>),
+    Faulty(Arc<FaultKernel<FaultSpec>>),
 }
 
 fn injected(what: &str, path: &Path) -> io::Error {
@@ -149,26 +135,14 @@ fn injected(what: &str, path: &Path) -> io::Error {
 impl IoShim {
     /// A shim injecting faults per `spec`.
     pub fn faulty(spec: FaultSpec) -> IoShim {
-        IoShim::Faulty(Arc::new(FaultPlan {
-            spec,
-            counters: Mutex::new(BTreeMap::new()),
-        }))
+        IoShim::Faulty(Arc::new(FaultKernel::new(spec.seed, spec)))
     }
 
     /// Build a shim from `BENCHKIT_IOFAULTS` if set; parse errors are
     /// reported (never silently ignored) and fall back to `Real` so a bad
     /// spec cannot brick production runs.
     pub fn from_env() -> IoShim {
-        match std::env::var(IOFAULTS_ENV) {
-            Ok(text) if !text.trim().is_empty() => match FaultSpec::parse(&text) {
-                Ok(spec) => IoShim::faulty(spec),
-                Err(e) => {
-                    eprintln!("warning: ignoring bad {IOFAULTS_ENV}: {e}");
-                    IoShim::Real
-                }
-            },
-            _ => IoShim::Real,
-        }
+        spec_from_env(IOFAULTS_ENV, FaultSpec::parse).map_or(IoShim::Real, IoShim::faulty)
     }
 
     /// True when this shim can inject faults (used only for logging).
@@ -176,47 +150,22 @@ impl IoShim {
         matches!(self, IoShim::Faulty(_))
     }
 
-    /// Draw the fault decision for the next `op` on `path`. The stream is
-    /// keyed by `(seed, op, file name, per-(op,file) counter)` so the n-th
-    /// operation on a file draws identically whatever order threads reach
-    /// it in. Returns the draw stream when a fault fires (so the torn-write
-    /// prefix length comes from the same stream).
+    /// Draw the fault decision for the next `op` on `path`, keyed by
+    /// `(op, file name)`. Returns the draw stream when a fault fires (so
+    /// the torn-write prefix length comes from the same stream).
     fn draw(&self, op: Op, path: &Path, p_of: impl Fn(&FaultSpec) -> f64) -> Option<SplitMix64> {
         let IoShim::Faulty(plan) = self else {
             return None;
         };
-        let p = p_of(&plan.spec);
-        if p <= 0.0 {
-            return None;
-        }
-        if let Some(pat) = &plan.spec.only_matching {
+        if let Some(pat) = &plan.spec().only_matching {
             let lossy = path.to_string_lossy();
             if !pat.split('|').any(|p| !p.is_empty() && lossy.contains(p)) {
                 return None;
             }
         }
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let n = {
-            let mut counters = plan.counters.lock().unwrap();
-            let slot = counters.entry(format!("{}:{name}", op.name())).or_insert(0);
-            let n = *slot;
-            *slot += 1;
-            n
-        };
-        let mut stream = SplitMix64::new(fnv1a(&[
-            &plan.spec.seed.to_le_bytes(),
-            op.name().as_bytes(),
-            name.as_bytes(),
-            &n.to_le_bytes(),
-        ]));
-        if stream.next_f64() < p {
-            Some(stream)
-        } else {
-            None
-        }
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        plan.draw(p_of(plan.spec()), &[op.name().as_bytes(), name.as_bytes()])
+            .map(|(_, stream)| stream)
     }
 
     /// Write all of `bytes` to an open file. A torn fault lands only a
@@ -430,6 +379,21 @@ mod tests {
             forward.iter().any(|&(_, t, e, f)| t || e || f),
             "schedule drew no faults at these rates; keying is broken"
         );
+    }
+
+    /// `match=` with no non-empty alternative would match no path and
+    /// silently disarm every fault; it must be a parse error.
+    #[test]
+    fn empty_match_is_rejected() {
+        for text in ["torn=1,match=", "torn=1,match=|", "match= | "] {
+            let err = FaultSpec::parse(text).unwrap_err();
+            assert!(
+                err.starts_with("match names no path substring"),
+                "{text:?}: {err}"
+            );
+        }
+        let spec = FaultSpec::parse("torn=1,match=|refs/").unwrap();
+        assert_eq!(spec.only_matching.as_deref(), Some("|refs/"));
     }
 
     #[test]

@@ -44,6 +44,7 @@ mod recipe;
 mod repo;
 mod spec;
 mod version;
+pub mod walog;
 mod yaml_repo;
 
 pub use build::{

@@ -1,18 +1,21 @@
 //! Append-only, fsync'd, crash-recoverable line logs — the write-ahead
-//! discipline shared by the checkpoint journal and the results daemon.
+//! discipline shared by the checkpoint journal, the results daemon's
+//! ingest WAL, and the disk store's reference segments and quarantine log.
 //!
 //! Three pieces of machinery recur wherever this repo promises "an
 //! acknowledged record is never lost":
 //!
 //! 1. **Durable appends.** A record is one newline-terminated line,
-//!    written and fsync'd through a [`spackle::IoShim`] *before* the
-//!    caller acknowledges it upstream. The shim seam means the torture
-//!    suites (and `BENCHKIT_IOFAULTS`) can tear these writes.
+//!    written and fsync'd through an [`IoShim`] *before* the caller
+//!    acknowledges it upstream. The shim seam means the torture suites
+//!    (and `BENCHKIT_IOFAULTS`) can tear these writes. Creating a log also
+//!    fsyncs its parent directory, so the first acknowledged line cannot
+//!    vanish with a lost directory entry.
 //! 2. **Longest-valid-prefix recovery.** A crash can land mid-append; on
 //!    reopen, the file is trusted only up to the last line that is both
-//!    newline-terminated and valid per the caller's judgment, and the
-//!    file is truncated back to that prefix so new appends continue
-//!    cleanly.
+//!    newline-terminated and valid per the caller's judgment
+//!    ([`valid_prefix`]), and the file is truncated back to that prefix
+//!    so new appends continue cleanly.
 //! 3. **Failed-append rollback.** A *live* writer that survives a failed
 //!    append (injected ENOSPC, torn write) must not keep appending after
 //!    the torn fragment: the file is rolled back to the last durable
@@ -20,14 +23,37 @@
 //!    and every later append refuses loudly rather than corrupting the
 //!    prefix.
 //!
-//! [`crate::checkpoint::Journal`] and `servd`'s ingest WAL are both built
-//! on [`AppendLog`]; they differ only in what "valid line" means.
+//! Recovery assumes one writer per log at a time; the callers differ only
+//! in what "valid line" means.
 
-use spackle::IoShim;
+use crate::iofault::IoShim;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+
+/// The longest valid prefix of `text`: its complete (newline-terminated)
+/// lines, in order, while `parse` accepts each one (line body, zero-based
+/// index). The first incomplete or rejected line ends the prefix. Returns
+/// the parsed lines and the prefix's length in bytes.
+pub fn valid_prefix<T>(
+    text: &str,
+    mut parse: impl FnMut(&str, usize) -> Option<T>,
+) -> (Vec<T>, usize) {
+    let mut items = Vec::new();
+    let mut len = 0;
+    for line in text.split_inclusive('\n') {
+        let Some(item) = line
+            .strip_suffix('\n')
+            .and_then(|body| parse(body, items.len()))
+        else {
+            break;
+        };
+        items.push(item);
+        len += line.len();
+    }
+    (items, len)
+}
 
 /// An append-only log of newline-terminated lines with durable appends
 /// and crash recovery. Shared freely across threads: appends serialize on
@@ -51,9 +77,11 @@ struct LogState {
 }
 
 impl AppendLog {
-    /// Create (truncating any previous file) an empty log at `path`.
+    /// Create (truncating any previous file) an empty log at `path`, and
+    /// fsync its parent directory so the new file's entry is durable.
     pub fn create(path: &Path, io: IoShim) -> io::Result<AppendLog> {
         let file = File::create(path)?;
+        io.fsync_dir(path.parent().unwrap_or_else(|| Path::new(".")))?;
         Ok(AppendLog {
             state: Mutex::new(LogState {
                 file,
@@ -70,7 +98,9 @@ impl AppendLog {
     /// header check that must fail differently from a torn tail). The
     /// file is truncated to that length so appends continue cleanly.
     pub fn open_at(path: &Path, io: IoShim, durable_len: u64) -> io::Result<AppendLog> {
-        let mut file = OpenOptions::new().write(true).open(path)?;
+        // Append mode: a second handle on the same file (the store's shared
+        // quarantine log) adds its lines after ours instead of over them.
+        let mut file = OpenOptions::new().append(true).open(path)?;
         file.set_len(durable_len)?;
         file.seek(SeekFrom::End(0))?;
         Ok(AppendLog {
@@ -89,35 +119,23 @@ impl AppendLog {
     /// in order (line body, zero-based index); the first incomplete
     /// (unterminated) or invalid line ends the prefix, and the file is
     /// truncated back to just before it. A missing file recovers to an
-    /// empty log.
+    /// empty log, created as by [`AppendLog::create`].
     pub fn recover(
         path: &Path,
         io: IoShim,
         mut valid: impl FnMut(&str, usize) -> bool,
     ) -> io::Result<(AppendLog, Vec<String>)> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut lines = Vec::new();
-        let mut valid_len = 0usize;
-        let mut rest = text.as_str();
-        while let Some(line_end) = rest.find('\n') {
-            let body = &rest[..line_end];
-            if !valid(body, lines.len()) {
-                break;
+        match std::fs::read_to_string(path) {
+            Ok(text) => {
+                let (lines, len) =
+                    valid_prefix(&text, |line, i| valid(line, i).then(|| line.to_string()));
+                Ok((AppendLog::open_at(path, io, len as u64)?, lines))
             }
-            lines.push(body.to_string());
-            valid_len += line_end + 1;
-            rest = &rest[line_end + 1..];
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                Ok((AppendLog::create(path, io)?, Vec::new()))
+            }
+            Err(e) => Err(e),
         }
-        let log = if text.is_empty() && !path.exists() {
-            AppendLog::create(path, io)?
-        } else {
-            AppendLog::open_at(path, io, valid_len as u64)?
-        };
-        Ok((log, lines))
     }
 
     /// Append one line (the trailing newline is added here) and fsync it.
@@ -196,13 +214,13 @@ impl AppendLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spackle::FaultSpec;
+    use crate::iofault::FaultSpec;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmpfile(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
         std::env::temp_dir().join(format!(
-            "harness-walog-{tag}-{}-{}.jsonl",
+            "spackle-walog-{tag}-{}-{}.jsonl",
             std::process::id(),
             N.fetch_add(1, Ordering::SeqCst)
         ))
@@ -248,6 +266,29 @@ mod tests {
         assert!(lines.is_empty());
         log.append("first").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "first\n");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Creating a log (directly, or by recovering a missing file) must
+    /// fsync the parent directory and surface its failure: otherwise the
+    /// first acknowledged line is durable only if the new directory entry
+    /// happens to survive a crash.
+    #[test]
+    fn creation_fsyncs_the_parent_directory() {
+        let mut spec = FaultSpec::quiet(1);
+        spec.dir_fsync = 1.0;
+        let path = tmpfile("dirfsync");
+        let _ = std::fs::remove_file(&path);
+        let err = AppendLog::create(&path, IoShim::faulty(spec.clone())).unwrap_err();
+        assert!(err.to_string().contains("directory fsync"), "{err}");
+        let _ = std::fs::remove_file(&path);
+        let err = AppendLog::recover(&path, IoShim::faulty(spec.clone()), |_, _| true)
+            .expect_err("recovering a missing log must create it durably");
+        assert!(err.to_string().contains("directory fsync"), "{err}");
+        // An existing log is reopened, not created: no directory fsync.
+        std::fs::write(&path, "kept\n").unwrap();
+        let (_, lines) = AppendLog::recover(&path, IoShim::faulty(spec), |_, _| true).unwrap();
+        assert_eq!(lines, vec!["kept".to_string()]);
         let _ = std::fs::remove_file(&path);
     }
 
