@@ -48,7 +48,9 @@
 #                  and `store gc` leaves every referenced entry in place
 #  10. serve     — results-daemon smoke: `benchkit serve` ingests two
 #                  concurrent pushes, its /v1/verdict is byte-identical
-#                  to the offline `rank` over the same perflogs, a
+#                  to the offline `rank` over the same perflogs (text,
+#                  and lower-is-better Markdown before the SIGKILL and
+#                  again after the restart), a
 #                  SIGKILLed daemon restarted over the same directory
 #                  replays every acknowledged record from its WAL, a
 #                  saturated daemon (1 worker, no queue) answers 503 +
@@ -553,6 +555,22 @@ start_daemon() {
     fi
 }
 
+# The lower-is-better Markdown verdict against the offline rank with the
+# same flags over the same studies. Checked before the SIGKILL and again
+# after the restart, so the rank aggregate rebuilt from the WAL is diffed
+# too.
+check_md_verdict() {
+    local when="$1"
+    ./target/release/benchkit query "$addr" "/v1/verdict?lower_is_better=1&markdown=1" \
+        >"$nightly_dir/verdict-md-served-$when.txt"
+    ./target/release/benchkit rank "$study_a" "$study_b" --lower-is-better --markdown \
+        >"$nightly_dir/verdict-md-offline.txt"
+    if ! diff "$nightly_dir/verdict-md-served-$when.txt" "$nightly_dir/verdict-md-offline.txt"; then
+        echo "serve smoke FAILED: served lower-is-better Markdown verdict diverged from offline rank ($when)" >&2
+        exit 1
+    fi
+}
+
 start_daemon "$serve_log"
 # Two concurrent pushes (stage 7's perflog studies) race the worker pool.
 ./target/release/benchkit push "$study_a" --to "$addr" >/dev/null &
@@ -570,6 +588,7 @@ if ! diff "$nightly_dir/verdict-served.txt" "$nightly_dir/verdict-offline.txt"; 
     echo "serve smoke FAILED: served verdict diverged from offline rank" >&2
     exit 1
 fi
+check_md_verdict before-kill
 # History answers for a (benchmark, system, FOM) triple taken from the
 # pushed perflogs themselves.
 hist_bench="$(sed -n 's/.*"benchmark":"\([^"]*\)".*/\1/p' "$study_a"/*.jsonl | head -1)"
@@ -606,6 +625,7 @@ if [ "$recovered_records" != "$total_records" ]; then
     echo "serve smoke FAILED: $recovered_records records after SIGKILL, want $total_records" >&2
     exit 1
 fi
+check_md_verdict after-restart
 # Saturate the single rendezvous worker with a connection that sends
 # nothing; the push client must see 503 + Retry-After and retry through
 # to success once the stalled connection times out. Re-pushing study-a
@@ -671,6 +691,6 @@ if [ -e "$serve_dir/servd/.lease" ]; then
     echo "serve smoke FAILED: drain left the daemon lease behind" >&2
     exit 1
 fi
-echo "serve smoke OK (concurrent pushes, verdict==rank byte-for-byte, WAL survives SIGKILL, 503+retry, group commit, clean drain)"
+echo "serve smoke OK (concurrent pushes, verdict==rank byte-for-byte before and after SIGKILL, WAL survives SIGKILL, 503+retry, group commit, clean drain)"
 
 echo "ci OK"

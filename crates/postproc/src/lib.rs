@@ -49,7 +49,8 @@ pub mod scaling;
 pub use chart::{BarChart, Heatmap};
 pub use config::{ConfigError, PlotConfig};
 pub use rank::{
-    cmp_frames, rank_frame, CmpPolicy, Comparison, Delta, RankEntry, RankPolicy, Ranking, Skip,
+    cmp_frames, rank_frame, CmpPolicy, Comparison, Delta, RankAggregate, RankEntry, RankPolicy,
+    Ranking, Skip,
 };
 pub use regression::{
     criterion_history, parse_criterion_log, CriterionPoint, Direction, History, HistoryError,

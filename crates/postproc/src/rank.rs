@@ -10,23 +10,35 @@
 //! configurable noise threshold, so CI flags real movement instead of
 //! every wobble.
 //!
+//! Both reduce a frame through one fold, [`RankAggregate`]: per cell label
+//! (`benchmark/fom`) and entity label (`system` or `system:partition`) it
+//! keeps the running sum and count of the finite samples and the canonical
+//! poison of the non-finite ones. Samples merge by label, so row order
+//! cannot decide which key wins — keys that render alike (benchmark `a/b`
+//! with fom `c`, benchmark `a` with fom `b/c`) share one aggregate — and
+//! moves a mean only by the float rounding of summing its repeats in
+//! arrival order. The fold is incremental: the results daemon
+//! pushes each acknowledged record into one and ranks it on every verdict
+//! read, the same path [`rank_frame`] takes over a whole frame.
+//!
 //! Numeric policy, stated once and enforced everywhere:
 //!
 //! * **Missing cells are reported, never silently dropped.** A system
 //!   absent from a cell gets an explicit skip entry; a cell with no usable
 //!   value on *any* system is listed as degenerate.
-//! * **Non-finite FOMs never enter an aggregate.** The per-cell reduction
-//!   propagates NaN/±inf loudly into a skip entry instead of letting
-//!   `f64::min`-style reductions discard them, and rank partitions those
-//!   values out *before* sorting — `total_cmp` would otherwise float a
-//!   single NaN to the top of a descending sort.
+//! * **Non-finite FOMs never enter a mean.** The fold keeps NaN/±inf as the
+//!   aggregate's poison, which surfaces loudly as a skip entry instead of
+//!   being discarded the way `f64::min`-style reductions would, and never
+//!   reaches a best-value reduction or a sort — `total_cmp` would
+//!   otherwise float a single NaN to the top of a descending sort.
 //! * **Zero and negative FOMs are skips, not zeros.** A geometric mean
 //!   over a non-positive factor is undefined; the cell is excluded from
 //!   the mean and reported.
 
 use crate::regression::Direction;
 use dframe::{Cell, DataFrame, FrameError};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How to rank: which direction is good, and how many worker threads to
 /// use for the per-system reduction (0 = one per available core). The
@@ -193,76 +205,217 @@ fn direction_label(d: Direction) -> &'static str {
     }
 }
 
-/// Aggregate a FOM frame to `cell label → entity → value`, where a cell is
-/// one (benchmark, fom) pair and an entity is `system[:partition]`.
-///
-/// Repeats reduce to their mean — but *only* over finite samples, and any
-/// non-finite sample poisons the aggregate (it comes back verbatim) rather
-/// than being filtered away like `GroupBy::mean` would. `None` means every
-/// sample was null.
-fn aggregate_cells(
-    df: &DataFrame,
-) -> Result<BTreeMap<String, BTreeMap<String, Option<f64>>>, FrameError> {
-    for required in ["benchmark", "fom", "system", "value"] {
-        if df.column(required).is_none() {
-            return Err(FrameError::NoSuchColumn(required.to_string()));
-        }
-    }
-    let agg = df
-        .group_by(&["benchmark", "fom", "system", "partition"])
-        .aggregate("value", Some("value"), |members, frame| {
-            let col = frame.column("value").expect("checked above");
-            let mut sum = 0.0;
-            let mut n = 0usize;
+/// The running aggregate of one (cell, entity) pair: the sum and count of
+/// its finite samples, and the canonical poison of its non-finite ones.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sample {
+    sum: f64,
+    n: usize,
+    poison: Option<f64>,
+}
+
+impl Sample {
+    fn push(&mut self, value: Option<f64>) {
+        match value {
+            Some(v) if v.is_finite() => {
+                self.sum += v;
+                self.n += 1;
+            }
             // A non-finite sample must not vanish into the mean; it
             // poisons the aggregate. Chosen canonically (NaN dominates,
-            // then `total_cmp`-least) so the result cannot depend on row
-            // order.
-            let mut poison: Option<f64> = None;
-            for &i in members {
-                match col.get(i).as_float() {
-                    Some(v) if v.is_finite() => {
-                        sum += v;
-                        n += 1;
-                    }
-                    Some(v) => {
-                        poison = Some(match poison {
-                            None => v,
-                            Some(p) if p.is_nan() || v.is_nan() => f64::NAN,
-                            Some(p) if v.total_cmp(&p).is_lt() => v,
-                            Some(p) => p,
-                        });
-                    }
-                    None => {}
-                }
+            // then `total_cmp`-least) so the result cannot depend on the
+            // order samples arrive in.
+            Some(v) => {
+                self.poison = Some(match self.poison {
+                    None => v,
+                    Some(p) if p.is_nan() || v.is_nan() => f64::NAN,
+                    Some(p) if v.total_cmp(&p).is_lt() => v,
+                    Some(p) => p,
+                });
             }
-            match poison {
-                Some(p) => Cell::Float(p),
-                None if n == 0 => Cell::Null,
-                None => Cell::Float(sum / n as f64),
-            }
-        })?;
-    let mut cells: BTreeMap<String, BTreeMap<String, Option<f64>>> = BTreeMap::new();
-    for row in agg.rows() {
-        let text = |col: &str| row.get(col).map(|c| c.to_string()).unwrap_or_default();
-        let (benchmark, fom, system, partition) = (
-            text("benchmark"),
-            text("fom"),
-            text("system"),
-            text("partition"),
-        );
-        let entity = if partition.is_empty() {
-            system
-        } else {
-            format!("{system}:{partition}")
-        };
-        let value = row.get("value").and_then(Cell::as_float);
-        cells
-            .entry(format!("{benchmark}/{fom}"))
-            .or_default()
-            .insert(entity, value);
+            None => {}
+        }
     }
-    Ok(cells)
+
+    /// The poison if any, else the mean; `None` when every sample was null.
+    fn value(&self) -> Option<f64> {
+        match self.poison {
+            Some(p) => Some(p),
+            None if self.n == 0 => None,
+            None => Some(self.sum / self.n as f64),
+        }
+    }
+}
+
+/// A study's FOM samples folded to one aggregate per (cell, entity) label
+/// pair — the one input of [`rank`](RankAggregate::rank) and
+/// [`cmp_frames`]. A cell is labelled `benchmark/fom`, an entity `system`
+/// or `system:partition`, and samples whose labels render the same merge,
+/// whatever order they arrive in. Repeats reduce to the mean of their
+/// finite samples in arrival order; any non-finite sample poisons the
+/// aggregate instead (see [`Skip::NonFinite`]); all-null is missing.
+///
+/// The fold is incremental: pushing the rows of a frame one by one, in
+/// row order, gives the aggregate [`from_frame`](RankAggregate::from_frame)
+/// builds, so a daemon can keep it up to date record by record.
+#[derive(Debug, Clone, Default)]
+pub struct RankAggregate {
+    cells: BTreeMap<String, BTreeMap<String, Sample>>,
+}
+
+/// `head`, `sep`, `tail` as one label. Built without `format!`, which
+/// would cost about twice as much again per folded sample.
+fn join(head: &str, sep: char, tail: &str) -> String {
+    let mut label = String::with_capacity(head.len() + 1 + tail.len());
+    label.push_str(head);
+    label.push(sep);
+    label.push_str(tail);
+    label
+}
+
+/// A key cell as label text; strings are borrowed, not re-rendered.
+fn label_text(cell: &Cell) -> Cow<'_, str> {
+    match cell {
+        Cell::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()),
+    }
+}
+
+impl RankAggregate {
+    /// Fold one sample; `None` is a null measurement (the entity still
+    /// appears, as missing this cell).
+    pub fn push(
+        &mut self,
+        benchmark: &str,
+        fom: &str,
+        system: &str,
+        partition: &str,
+        value: Option<f64>,
+    ) {
+        let entity = if partition.is_empty() {
+            system.to_string()
+        } else {
+            join(system, ':', partition)
+        };
+        self.cells
+            .entry(join(benchmark, '/', fom))
+            .or_default()
+            .entry(entity)
+            .or_default()
+            .push(value);
+    }
+
+    /// Fold every row of an assimilated FOM frame, in row order. The
+    /// `benchmark`, `fom`, `system` and `value` columns are required; a
+    /// missing `partition` column means every partition is empty.
+    pub fn from_frame(df: &DataFrame) -> Result<RankAggregate, FrameError> {
+        let column = |name: &str| {
+            df.column(name)
+                .ok_or_else(|| FrameError::NoSuchColumn(name.to_string()))
+        };
+        let (benchmark, fom, system, value) = (
+            column("benchmark")?,
+            column("fom")?,
+            column("system")?,
+            column("value")?,
+        );
+        let partition = df.column("partition");
+        let mut agg = RankAggregate::default();
+        for i in 0..df.n_rows() {
+            let partition = partition.map_or(Cow::Borrowed(""), |c| label_text(c.get(i)));
+            agg.push(
+                &label_text(benchmark.get(i)),
+                &label_text(fom.get(i)),
+                &label_text(system.get(i)),
+                &partition,
+                value.get(i).as_float(),
+            );
+        }
+        Ok(agg)
+    }
+
+    /// The aggregate of `entity` in `cell`; `None` when the entity has no
+    /// sample there or only null ones.
+    fn get(&self, cell: &str, entity: &str) -> Option<f64> {
+        self.cells.get(cell)?.get(entity)?.value()
+    }
+
+    /// Rank the folded systems (see module docs for the skip policy).
+    pub fn rank(&self, policy: &RankPolicy) -> Ranking {
+        let entities: Vec<&String> = self
+            .cells
+            .values()
+            .flat_map(BTreeMap::keys)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+
+        // Per cell: the best usable value, or None for a degenerate cell.
+        let mut usable_cells: Vec<(&String, f64)> = Vec::new();
+        let mut degenerate_cells: Vec<String> = Vec::new();
+        for (cell, by_entity) in &self.cells {
+            let best = by_entity
+                .values()
+                .filter_map(|s| usable(s.value()))
+                .reduce(|a, b| match policy.direction {
+                    Direction::HigherIsBetter => a.max(b),
+                    Direction::LowerIsBetter => a.min(b),
+                });
+            match best {
+                Some(best) => usable_cells.push((cell, best)),
+                None => degenerate_cells.push(cell.clone()),
+            }
+        }
+
+        let score = |entity: &&String| -> RankEntry {
+            let mut log_sum = 0.0;
+            let mut used = 0usize;
+            let mut skipped = Vec::new();
+            for &(cell, best) in &usable_cells {
+                let reason = match self.get(cell, entity) {
+                    None => Skip::Missing,
+                    Some(v) if !v.is_finite() => Skip::NonFinite(v),
+                    Some(v) if v <= 0.0 => Skip::NonPositive(v),
+                    Some(v) => {
+                        let speedup = match policy.direction {
+                            Direction::HigherIsBetter => v / best,
+                            Direction::LowerIsBetter => best / v,
+                        };
+                        log_sum += speedup.ln();
+                        used += 1;
+                        continue;
+                    }
+                };
+                skipped.push((cell.clone(), reason));
+            }
+            RankEntry {
+                entity: entity.to_string(),
+                geomean: (used > 0).then(|| (log_sum / used as f64).exp()),
+                cells_used: used,
+                skipped,
+            }
+        };
+        let mut entries = par_map(&entities, policy.jobs, score);
+
+        // All geomeans are finite and positive by construction (the fold
+        // keeps non-finite samples out of every mean), so this sort cannot
+        // meet a NaN; no-data systems go last, ties break by name.
+        entries.sort_by(|a, b| match (a.geomean, b.geomean) {
+            (Some(x), Some(y)) => y
+                .partial_cmp(&x)
+                .expect("geomeans are finite")
+                .then_with(|| a.entity.cmp(&b.entity)),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => a.entity.cmp(&b.entity),
+        });
+        Ranking {
+            entries,
+            cells: usable_cells.into_iter().map(|(c, _)| c.clone()).collect(),
+            degenerate_cells,
+            direction: policy.direction,
+        }
+    }
 }
 
 fn usable(v: Option<f64>) -> Option<f64> {
@@ -298,103 +451,7 @@ fn par_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(items: &[T], jobs: usize, f:
 /// Rank the systems of an assimilated FOM frame (see module docs for the
 /// aggregation rule and the skip policy).
 pub fn rank_frame(df: &DataFrame, policy: &RankPolicy) -> Result<Ranking, FrameError> {
-    // Quarantine rows whose value is present but non-finite *before* any
-    // sorting or reduction touches them; they re-enter only as explicit
-    // skip reports. (`sort_by` would otherwise rank NaN above everything.)
-    let (clean, poisoned) = df.partition(|row| {
-        row.get("value")
-            .and_then(Cell::as_float)
-            .is_none_or(f64::is_finite)
-    });
-    let mut cells = aggregate_cells(&clean)?;
-    // Re-attach the poisoned rows as non-finite aggregates so every skip
-    // is attributed to the system that produced it.
-    for (cell, by_entity) in aggregate_cells(&poisoned)? {
-        for (entity, value) in by_entity {
-            cells.entry(cell.clone()).or_default().insert(entity, value);
-        }
-    }
-
-    let mut entities: Vec<String> = Vec::new();
-    for by_entity in cells.values() {
-        for entity in by_entity.keys() {
-            if !entities.contains(entity) {
-                entities.push(entity.clone());
-            }
-        }
-    }
-    entities.sort();
-
-    // Per cell: the best usable value, or None for a degenerate cell.
-    let mut usable_cells: Vec<(String, f64)> = Vec::new();
-    let mut degenerate_cells: Vec<String> = Vec::new();
-    for (cell, by_entity) in &cells {
-        let best = by_entity
-            .values()
-            .filter_map(|v| usable(*v))
-            .reduce(|a, b| match policy.direction {
-                Direction::HigherIsBetter => a.max(b),
-                Direction::LowerIsBetter => a.min(b),
-            });
-        match best {
-            Some(best) => usable_cells.push((cell.clone(), best)),
-            None => degenerate_cells.push(cell.clone()),
-        }
-    }
-
-    let score = |entity: &String| -> RankEntry {
-        let mut log_sum = 0.0;
-        let mut used = 0usize;
-        let mut skipped = Vec::new();
-        for (cell, best) in &usable_cells {
-            match cells[cell].get(entity) {
-                Some(&v) => match usable(v) {
-                    Some(v) => {
-                        let speedup = match policy.direction {
-                            Direction::HigherIsBetter => v / best,
-                            Direction::LowerIsBetter => best / v,
-                        };
-                        log_sum += speedup.ln();
-                        used += 1;
-                    }
-                    None => {
-                        let reason = match v {
-                            None => Skip::Missing,
-                            Some(v) if !v.is_finite() => Skip::NonFinite(v),
-                            Some(v) => Skip::NonPositive(v),
-                        };
-                        skipped.push((cell.clone(), reason));
-                    }
-                },
-                None => skipped.push((cell.clone(), Skip::Missing)),
-            }
-        }
-        RankEntry {
-            entity: entity.clone(),
-            geomean: (used > 0).then(|| (log_sum / used as f64).exp()),
-            cells_used: used,
-            skipped,
-        }
-    };
-    let mut entries = par_map(&entities, policy.jobs, score);
-
-    // All geomeans are finite and positive by construction, so this sort
-    // cannot meet a NaN; no-data systems go last, ties break by name.
-    entries.sort_by(|a, b| match (a.geomean, b.geomean) {
-        (Some(x), Some(y)) => y
-            .partial_cmp(&x)
-            .expect("geomeans are finite")
-            .then_with(|| a.entity.cmp(&b.entity)),
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (None, None) => a.entity.cmp(&b.entity),
-    });
-    Ok(Ranking {
-        entries,
-        cells: usable_cells.into_iter().map(|(c, _)| c).collect(),
-        degenerate_cells,
-        direction: policy.direction,
-    })
+    Ok(RankAggregate::from_frame(df)?.rank(policy))
 }
 
 /// How to compare two studies: the noise threshold (percent change below
@@ -621,30 +678,20 @@ pub fn cmp_frames(
         policy.threshold_pct >= 0.0 && policy.threshold_pct.is_finite(),
         "threshold must be a finite non-negative percentage"
     );
-    let cells_a = aggregate_cells(a)?;
-    let cells_b = aggregate_cells(b)?;
-    let mut keys: Vec<(String, String)> = Vec::new();
-    for cells in [&cells_a, &cells_b] {
-        for (cell, by_entity) in cells {
-            for entity in by_entity.keys() {
-                let key = (cell.clone(), entity.clone());
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            }
-        }
-    }
-    keys.sort();
+    let (agg_a, agg_b) = (RankAggregate::from_frame(a)?, RankAggregate::from_frame(b)?);
+    let keys: Vec<(&String, &String)> = [&agg_a, &agg_b]
+        .into_iter()
+        .flat_map(|agg| {
+            agg.cells
+                .iter()
+                .flat_map(|(cell, by_entity)| by_entity.keys().map(move |entity| (cell, entity)))
+        })
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
 
-    let classify = |(cell, entity): &(String, String)| -> CmpCell {
-        let side = |cells: &BTreeMap<String, BTreeMap<String, Option<f64>>>| {
-            cells
-                .get(cell)
-                .and_then(|m| m.get(entity))
-                .copied()
-                .flatten()
-        };
-        let (va, vb) = (side(&cells_a), side(&cells_b));
+    let classify = |&(cell, entity): &(&String, &String)| -> CmpCell {
+        let (va, vb) = (agg_a.get(cell, entity), agg_b.get(cell, entity));
         let delta = match (va, vb) {
             (None, None) => Delta::Incomparable { a: None, b: None },
             (None, Some(b)) => Delta::MissingInA { b },
@@ -1043,6 +1090,95 @@ mod tests {
             let c = cmp_frames(&a, &b, &policy).unwrap();
             assert_eq!(serial, c, "jobs={jobs}");
             assert_eq!(serial.render_text(), c.render_text(), "jobs={jobs}");
+        }
+    }
+
+    /// Keys that differ but render the same labels — benchmark `a/b` with
+    /// fom `c` and benchmark `a` with fom `b/c` are both cell `a/b/c`;
+    /// system `x:y` with no partition and system `x` on partition `y` are
+    /// both entity `x:y` — merge their samples, so rank and cmp cannot
+    /// depend on which key's rows come first.
+    #[test]
+    fn colliding_labels_merge_in_any_row_order() {
+        let rows: [(&str, &str, &str, &str, f64); 5] = [
+            ("a/b", "c", "x:y", "", 100.0),
+            ("a", "b/c", "x", "y", 300.0),
+            ("a/b", "c", "z", "", 100.0),
+            ("a", "b/c", "z", "", 300.0),
+            ("a/b", "c", "x", "y", 200.0),
+        ];
+        let frame_in = |order: &[usize]| {
+            let mut df = DataFrame::new(vec!["benchmark", "fom", "system", "partition", "value"]);
+            for &i in order {
+                let (b, f, s, p, v) = rows[i];
+                df.push_row(vec![
+                    Cell::from(b),
+                    Cell::from(f),
+                    Cell::from(s),
+                    Cell::from(p),
+                    Cell::from(v),
+                ])
+                .unwrap();
+            }
+            df
+        };
+        let base = frame_in(&[0, 1, 2, 3, 4]);
+        let ranked = rank_frame(&base, &RankPolicy::default()).unwrap();
+        // x:y averages 100, 300 and 200; z averages 100 and 300: a tie.
+        assert_eq!(ranked.cells, vec!["a/b/c"]);
+        assert_eq!(ranked.order(), vec!["x:y", "z"]);
+        assert_eq!(ranked.entries[0].geomean, Some(1.0));
+        assert_eq!(ranked.entries[1].geomean, Some(1.0));
+        let compared = cmp_frames(&base, &base, &CmpPolicy::default()).unwrap();
+        assert_eq!(compared.cells.len(), 2);
+        for order in [[4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 1, 3, 0]] {
+            let shuffled = frame_in(&order);
+            let r = rank_frame(&shuffled, &RankPolicy::default()).unwrap();
+            assert_eq!(ranked.render_text(), r.render_text(), "{order:?}");
+            let c = cmp_frames(&base, &shuffled, &CmpPolicy::default()).unwrap();
+            assert_eq!(c.n_unchanged(), 2, "{order:?}: {c:?}");
+            assert_eq!(
+                c.cells[0].delta,
+                Delta::Unchanged {
+                    a: 200.0,
+                    b: 200.0,
+                    pct: 0.0
+                }
+            );
+        }
+    }
+
+    /// Pushing rows one by one gives the aggregate `from_frame` builds.
+    #[test]
+    fn pushes_fold_like_the_frame() {
+        let df = frame(&[
+            ("s1", "Triad", "a", 100.0),
+            ("s1", "Triad", "b", 0.0),
+            ("s2", "Triad", "a", f64::NAN),
+            ("s1", "Triad", "a", 300.0),
+        ]);
+        let mut agg = RankAggregate::default();
+        for (b, f, s, v) in [
+            ("s1", "Triad", "a", 100.0),
+            ("s1", "Triad", "b", 0.0),
+            ("s2", "Triad", "a", f64::NAN),
+            ("s1", "Triad", "a", 300.0),
+        ] {
+            agg.push(b, f, s, "", Some(v));
+        }
+        agg.push("s3", "Triad", "b", "", None);
+        let mut df = df;
+        df.push_row(vec![
+            Cell::from("s3"),
+            Cell::from("Triad"),
+            Cell::from("b"),
+            Cell::Null,
+            Cell::Null,
+        ])
+        .unwrap();
+        for direction in [Direction::HigherIsBetter, Direction::LowerIsBetter] {
+            let policy = RankPolicy { direction, jobs: 1 };
+            assert_eq!(agg.rank(&policy), rank_frame(&df, &policy).unwrap());
         }
     }
 

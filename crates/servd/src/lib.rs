@@ -12,7 +12,8 @@
 //!   (`503` + `Retry-After`, never an unbounded queue), per-connection
 //!   deadlines and body bounds, an fsync'd ingest
 //!   [WAL](wal::IngestWal) so acknowledged records survive SIGKILL, and
-//!   SIGTERM graceful drain that releases its store lease.
+//!   SIGTERM graceful drain that releases its store lease; verdicts rank
+//!   a fold kept up to date at ack time, not the re-parsed history.
 //! * [`client`] — `benchkit push`/`query`: uploads survey perflogs with
 //!   the repo's 30·2ⁿ ≤ 480 s backoff, honoring `Retry-After`, and never
 //!   mistaking a torn response for an acknowledgment.

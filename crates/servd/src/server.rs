@@ -6,10 +6,13 @@
 //! Every robustness mechanism has a narrow blast radius by construction:
 //!
 //! * **Admission control.** A bounded worker pool behind a bounded queue;
-//!   a connection that finds both full is answered `503` +
-//!   `Retry-After` immediately by the acceptor. The daemon never queues
-//!   unboundedly — overload degrades to fast rejections, not to a
-//!   lengthening tail of half-served clients.
+//!   a connection that finds every worker busy and the queue full is
+//!   answered `503` + `Retry-After` immediately by the acceptor. A worker
+//!   counts as free from the moment it starts writing its response, so a
+//!   client that reconnects at once waits for it instead of drawing a
+//!   spurious `503`. The daemon never queues unboundedly — overload
+//!   degrades to fast rejections, not to a lengthening tail of
+//!   half-served clients.
 //! * **Deadlines and bounds.** Per-connection read/write timeouts (the
 //!   slowloris answer) and bounded header/body sizes (the oversized-body
 //!   answer) hold per connection: the offender loses its connection, the
@@ -17,16 +20,24 @@
 //! * **Durability before acknowledgment.** An ingest batch's new records
 //!   go into the [WAL](crate::wal) as one group commit, one write and one
 //!   fsync, before the `200` is written; restart replays the WAL,
-//!   truncating torn tails, so an acknowledged record survives SIGKILL. Retried batches deduplicate on canonical record
-//!   content, so a client that never saw its ack can safely re-push.
+//!   truncating torn tails, so an acknowledged record survives SIGKILL.
+//!   Retried batches deduplicate on canonical record content, so a client
+//!   that never saw its ack can safely re-push.
+//! * **Incremental verdicts.** Each acknowledged record's FOMs are folded
+//!   into one `postproc::RankAggregate` once its WAL commit succeeds (and
+//!   again from the WAL on restart), so `/v1/verdict` ranks the folded
+//!   cells — the same fold offline `benchkit rank` builds from a frame —
+//!   instead of re-parsing and regrouping the whole history under the
+//!   ingest lock.
 //! * **Graceful drain.** SIGTERM (or the in-process drain flag) stops the
 //!   acceptor, lets in-flight requests finish, releases the daemon lease,
 //!   and returns — the engine crate's TERM→grace discipline, serverside.
 
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::netfault::NetShim;
+use crate::netfault::{ConnShim, NetShim};
 use crate::wal::IngestWal;
 use perflogs::PerflogRecord;
+use postproc::RankAggregate;
 use spackle::{read_lease_info, write_lease, DiskStore, IoShim, StoreOptions};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -35,7 +46,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
@@ -161,18 +172,49 @@ fn wait_for_connection(listener: &TcpListener, timeout_ms: i32) {
 /// the dedup check.
 struct Ingest {
     wal: IngestWal,
-    /// Dedup index over `records`.
+    /// Dedup index over `lines`.
     seen: Dedup,
-    /// Acknowledged records in WAL order.
-    records: Vec<PerflogRecord>,
+    /// The canonical line of every acknowledged record, in WAL order.
+    lines: Vec<String>,
+    /// Every acknowledged FOM folded into the rank aggregate
+    /// `/v1/verdict` ranks.
+    verdict: RankAggregate,
     /// Successful group commits since bind.
     commits: u64,
 }
 
+impl Ingest {
+    /// Count `record`, whose canonical line is `canonical` (hashing to
+    /// `hash`), as acknowledged: index it, keep its line, fold its FOMs.
+    fn ack(&mut self, hash: u64, canonical: String, record: &PerflogRecord) {
+        self.seen.insert(hash, self.lines.len());
+        self.lines.push(canonical);
+        for fom in &record.foms {
+            self.verdict.push(
+                &record.benchmark,
+                &fom.name,
+                &record.system,
+                &record.partition,
+                Some(fom.value),
+            );
+        }
+    }
+
+    /// Every acknowledged record as perflog JSONL.
+    fn jsonl(&self) -> String {
+        let mut body = String::with_capacity(self.lines.iter().map(|l| l.len() + 1).sum());
+        for line in &self.lines {
+            body.push_str(line);
+            body.push('\n');
+        }
+        body
+    }
+}
+
 /// The dedup key space without a second copy of any record: a 64-bit hash
 /// of each acknowledged record's canonical line maps to the indices (into
-/// [`Ingest::records`]) of the records with that hash. A hash hit is only
-/// a duplicate once the canonical lines compare equal, so a collision can
+/// [`Ingest::lines`]) of the lines with that hash. A hash hit is only a
+/// duplicate once the canonical lines compare equal, so a collision can
 /// never drop a record. The hash is keyed per process, so bucket collisions
 /// cannot be crafted from outside.
 #[derive(Default)]
@@ -186,17 +228,14 @@ impl Dedup {
         self.hasher.hash_one(canonical)
     }
 
-    /// Whether a record whose canonical line is `canonical` (hashing to
-    /// `hash`) is already in `records`.
-    fn contains(&self, records: &[PerflogRecord], hash: u64, canonical: &str) -> bool {
-        self.buckets.get(&hash).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|&i| records[i].to_json_line() == canonical)
-        })
+    /// Whether `canonical` (hashing to `hash`) is already in `lines`.
+    fn contains(&self, lines: &[String], hash: u64, canonical: &str) -> bool {
+        self.buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|&i| lines[i] == canonical))
     }
 
-    /// Index `records[index]`, whose canonical line hashes to `hash`.
+    /// Index `lines[index]`, which hashes to `hash`.
     fn insert(&mut self, hash: u64, index: usize) {
         self.buckets.entry(hash).or_default().push(index);
     }
@@ -281,20 +320,22 @@ impl Server {
             }
         }
         let (wal, records) = IngestWal::open(&state_dir, io.clone())?;
-        let mut seen = Dedup::default();
-        for (i, record) in records.iter().enumerate() {
-            seen.insert(seen.hash(&record.to_json_line()), i);
+        let mut ingest = Ingest {
+            wal,
+            seen: Dedup::default(),
+            lines: Vec::with_capacity(records.len()),
+            verdict: RankAggregate::default(),
+            commits: 0,
+        };
+        for record in &records {
+            let canonical = record.to_json_line();
+            ingest.ack(ingest.seen.hash(&canonical), canonical, record);
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             dir: cfg.dir.clone(),
-            ingest: Mutex::new(Ingest {
-                wal,
-                seen,
-                records,
-                commits: 0,
-            }),
+            ingest: Mutex::new(ingest),
             max_body: cfg.max_body,
             read_timeout: Duration::from_millis(cfg.read_timeout_ms),
             served: AtomicU64::new(0),
@@ -338,12 +379,22 @@ impl Server {
     pub fn run(self) -> io::Result<ServeSummary> {
         let (tx, rx) = sync_channel::<(TcpStream, u64)>(self.cfg.queue);
         let rx = Arc::new(Mutex::new(rx));
+        let n_workers = self.cfg.workers.max(1);
+        // Connections handed to the pool and not yet answered: queued ones
+        // plus those a worker is serving. Fewer than `n_workers + queue`
+        // while the channel is full means a worker has answered and is on
+        // its way back to `recv`, so the acceptor waits for it instead of
+        // answering 503.
+        let unanswered = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::new();
-        for _ in 0..self.cfg.workers.max(1) {
+        for _ in 0..n_workers {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&self.shared);
             let net = self.net.clone();
-            workers.push(std::thread::spawn(move || worker_loop(&rx, &shared, &net)));
+            let unanswered = Arc::clone(&unanswered);
+            workers.push(std::thread::spawn(move || {
+                worker_loop(&rx, &shared, &net, &unanswered)
+            }));
         }
         let mut rejected = 0u64;
         let mut conn_ids = 0u64;
@@ -363,9 +414,18 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     conn_ids += 1;
+                    // Counted before the hand-off, so the worker's decrement
+                    // can never run first.
+                    let others = unanswered.fetch_add(1, Ordering::SeqCst);
                     match tx.try_send((stream, conn_ids)) {
                         Ok(()) => {}
+                        Err(TrySendError::Full(msg)) if others < n_workers + self.cfg.queue => {
+                            if tx.send(msg).is_err() {
+                                break;
+                            }
+                        }
                         Err(TrySendError::Full((stream, conn))) => {
+                            unanswered.fetch_sub(1, Ordering::SeqCst);
                             rejected += 1;
                             self.reject_saturated(stream, conn);
                         }
@@ -413,24 +473,36 @@ impl Server {
     }
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<(TcpStream, u64)>>>, shared: &Shared, net: &NetShim) {
+fn worker_loop(
+    rx: &Arc<Mutex<Receiver<(TcpStream, u64)>>>,
+    shared: &Shared,
+    net: &NetShim,
+    unanswered: &AtomicUsize,
+) {
     loop {
         let msg = rx.lock().expect("worker receiver lock").recv();
-        let Ok((stream, conn)) = msg else { break };
+        let Ok((mut stream, conn)) = msg else { break };
         shared.served.fetch_add(1, Ordering::SeqCst);
-        handle_connection(stream, conn, shared, net);
+        let shim = net.conn(conn);
+        let response = handle_connection(&mut stream, &shim, shared);
+        // Free before the write: the peer may run the moment its response
+        // lands, well before this thread is scheduled back to `recv`, and
+        // its next connection must find this worker counted as free.
+        unanswered.fetch_sub(1, Ordering::SeqCst);
+        if let Some(response) = response {
+            let _ = response.write_to(&mut stream, &shim);
+        }
     }
 }
 
-/// Serve one connection end to end. Every failure path here degrades
-/// exactly this connection: an error response when the socket still
-/// works, a silent close when it does not.
-fn handle_connection(mut stream: TcpStream, conn: u64, shared: &Shared, net: &NetShim) {
-    let shim = net.conn(conn);
+/// Read one connection's request and decide its answer. Every failure
+/// path here degrades exactly this connection: an error response when
+/// the socket still works, `None` (a silent close) when it does not.
+fn handle_connection(stream: &mut TcpStream, shim: &ConnShim, shared: &Shared) -> Option<Response> {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.read_timeout));
-    let request = read_request(&mut stream, &shim, shared.max_body);
-    let response = match request {
+    let request = read_request(stream, shim, shared.max_body);
+    Some(match request {
         Ok(req) => dispatch(&req, shared),
         Err(HttpError::BodyTooLarge { declared, max }) => Response::new(
             413,
@@ -439,9 +511,8 @@ fn handle_connection(mut stream: TcpStream, conn: u64, shared: &Shared, net: &Ne
         Err(HttpError::HeadersTooLarge) => Response::new(431, "header block too large\n"),
         Err(HttpError::Malformed(why)) => Response::new(400, format!("{why}\n")),
         // Timeout, reset, torn read: the socket is not worth answering on.
-        Err(HttpError::Io(_)) => return,
-    };
-    let _ = response.write_to(&mut stream, &shim);
+        Err(HttpError::Io(_)) => return None,
+    })
 }
 
 fn dispatch(req: &Request, shared: &Shared) -> Response {
@@ -486,11 +557,12 @@ fn handle_ingest(req: &Request, shared: &Shared) -> Response {
     let mut guard = shared.ingest.lock().expect("ingest lock");
     let ingest = &mut *guard;
     let mut in_batch = HashSet::new();
+    // (hash, index into `parsed`) of each record new to the daemon.
     let mut fresh = Vec::new();
-    for (canonical, record) in parsed {
-        let hash = ingest.seen.hash(&canonical);
-        if !ingest.seen.contains(&ingest.records, hash, &canonical) && in_batch.insert(canonical) {
-            fresh.push((hash, record));
+    for (i, (canonical, _)) in parsed.iter().enumerate() {
+        let hash = ingest.seen.hash(canonical);
+        if !ingest.seen.contains(&ingest.lines, hash, canonical) && in_batch.insert(canonical) {
+            fresh.push((hash, i));
         }
     }
     let acked = fresh.len();
@@ -498,14 +570,14 @@ fn handle_ingest(req: &Request, shared: &Shared) -> Response {
         // Durable append *before* any record counts as acknowledged; a
         // failed append rolls back the whole batch and the client retries
         // it, so the retry is still exactly-once.
-        let batch: Vec<&PerflogRecord> = fresh.iter().map(|(_, r)| r).collect();
+        let batch: Vec<&PerflogRecord> = fresh.iter().map(|&(_, i)| &parsed[i].1).collect();
         if let Err(e) = ingest.wal.append_batch(&batch) {
             return Response::new(500, format!("WAL append failed: {e}\n"));
         }
         ingest.commits += 1;
-        for (hash, record) in fresh {
-            ingest.seen.insert(hash, ingest.records.len());
-            ingest.records.push(record);
+        for (hash, i) in fresh {
+            let (canonical, record) = &mut parsed[i];
+            ingest.ack(hash, std::mem::take(canonical), record);
         }
     }
     let mut m = tinycfg::Map::new();
@@ -522,50 +594,38 @@ fn handle_ingest(req: &Request, shared: &Shared) -> Response {
 /// `GET /v1/fom`: the full acknowledged record set as perflog JSONL —
 /// pipe it straight back into `benchkit rank`.
 fn handle_fom(shared: &Shared) -> Response {
-    let ingest = shared.ingest.lock().expect("ingest lock");
-    let mut body = String::new();
-    for r in &ingest.records {
-        body.push_str(&r.to_json_line());
-        body.push('\n');
-    }
+    let body = shared.ingest.lock().expect("ingest lock").jsonl();
     Response::new(200, body)
-}
-
-fn frame_of(records: &[PerflogRecord]) -> Result<dframe::DataFrame, String> {
-    let jsonl: String = records.iter().map(|r| r.to_json_line() + "\n").collect();
-    postproc::assimilate(&[jsonl]).map_err(|e| e.to_string())
 }
 
 /// `GET /v1/verdict[?lower_is_better=1][&markdown=1]`: the exact
 /// `benchkit rank` rendering of everything ingested — byte-identical to
-/// the offline command over the same records (ranking is proven
-/// row-permutation-invariant, so ingest order does not matter).
+/// the offline command over the same records, because both rank the same
+/// fold (`postproc::RankAggregate`), which merges samples by label in any
+/// order. Under the lock only the rank over the folded cells runs; the
+/// rendering runs after it is released.
 fn handle_verdict(req: &Request, shared: &Shared) -> Response {
-    let ingest = shared.ingest.lock().expect("ingest lock");
-    if ingest.records.is_empty() {
-        return Response::new(400, "no records ingested yet\n");
-    }
-    let frame = match frame_of(&ingest.records) {
-        Ok(f) => f,
-        Err(e) => return Response::new(500, format!("assimilation failed: {e}\n")),
-    };
     let direction = if req.query_param("lower_is_better").is_some() {
         postproc::Direction::LowerIsBetter
     } else {
         postproc::Direction::HigherIsBetter
     };
     let policy = postproc::RankPolicy { direction, jobs: 1 };
-    match postproc::rank_frame(&frame, &policy) {
-        Ok(ranking) => Response::new(
-            200,
-            if req.query_param("markdown").is_some() {
-                ranking.render_markdown()
-            } else {
-                ranking.render_text()
-            },
-        ),
-        Err(e) => Response::new(500, format!("rank failed: {e}\n")),
-    }
+    let ranking = {
+        let ingest = shared.ingest.lock().expect("ingest lock");
+        if ingest.lines.is_empty() {
+            return Response::new(400, "no records ingested yet\n");
+        }
+        ingest.verdict.rank(&policy)
+    };
+    Response::new(
+        200,
+        if req.query_param("markdown").is_some() {
+            ranking.render_markdown()
+        } else {
+            ranking.render_text()
+        },
+    )
 }
 
 /// `GET /v1/history?benchmark=B&system=S&fom=F`: the (sequence, value)
@@ -581,11 +641,15 @@ fn handle_history(req: &Request, shared: &Shared) -> Response {
             "history needs ?benchmark=B&system=S&fom=F query parameters\n",
         );
     };
-    let ingest = shared.ingest.lock().expect("ingest lock");
-    if ingest.records.is_empty() {
-        return Response::new(400, "no records ingested yet\n");
-    }
-    let frame = match frame_of(&ingest.records) {
+    // Copy the lines under the lock; parse and filter after releasing it.
+    let jsonl = {
+        let ingest = shared.ingest.lock().expect("ingest lock");
+        if ingest.lines.is_empty() {
+            return Response::new(400, "no records ingested yet\n");
+        }
+        ingest.jsonl()
+    };
+    let frame = match postproc::assimilate(&[jsonl]) {
         Ok(f) => f,
         Err(e) => return Response::new(500, format!("assimilation failed: {e}\n")),
     };
@@ -641,15 +705,18 @@ mod tests {
     /// found, and neither is ever taken for the other.
     #[test]
     fn hash_collision_is_never_a_duplicate() {
-        let records = vec![record("stream"), record("hpgmg")];
-        let (first, second) = (records[0].to_json_line(), records[1].to_json_line());
+        let lines = vec![
+            record("stream").to_json_line(),
+            record("hpgmg").to_json_line(),
+        ];
+        let (first, second) = (&lines[0], &lines[1]);
         let mut seen = Dedup::default();
         seen.insert(7, 0);
-        assert!(seen.contains(&records, 7, &first));
-        assert!(!seen.contains(&records, 7, &second));
+        assert!(seen.contains(&lines, 7, first));
+        assert!(!seen.contains(&lines, 7, second));
         seen.insert(7, 1);
-        assert!(seen.contains(&records, 7, &first));
-        assert!(seen.contains(&records, 7, &second));
-        assert!(!seen.contains(&records, 7, &record("hpcg").to_json_line()));
+        assert!(seen.contains(&lines, 7, first));
+        assert!(seen.contains(&lines, 7, second));
+        assert!(!seen.contains(&lines, 7, &record("hpcg").to_json_line()));
     }
 }

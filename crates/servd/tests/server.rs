@@ -204,6 +204,32 @@ fn admission_control_rejects_then_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Back-to-back requests under `--workers 1 --queue 0` are all admitted:
+/// a worker that has answered but not yet parked in `recv` is waited for,
+/// not taken for a busy one.
+#[test]
+fn rendezvous_admits_back_to_back_requests() {
+    let dir = tmpdir("rendezvous");
+    let mut cfg = quick_cfg(&dir);
+    cfg.workers = 1;
+    cfg.queue = 0;
+    let (addr, drain, join) = start(cfg);
+    let statuses: Vec<u16> = (0..20u64)
+        .map(|i| {
+            let body = record_line("stream", "sysa", i + 1, 100.0 + i as f64) + "\n";
+            http_post(&addr, "/v1/ingest", body.as_bytes())
+                .expect("ingest answered")
+                .status
+        })
+        .collect();
+    assert!(statuses.iter().all(|&s| s == 200), "{statuses:?}");
+    drain.store(true, Ordering::SeqCst);
+    let summary = join.join().unwrap().unwrap();
+    assert_eq!(summary.rejected, 0, "summary: {summary:?}");
+    assert_eq!(summary.wal_records, 20);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn slowloris_degrades_only_its_own_connection() {
     let dir = tmpdir("slowloris");
