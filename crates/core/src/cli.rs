@@ -9,6 +9,17 @@
 //! Argument parsing and command execution live here (testable); the
 //! `benchkit` binary is a thin wrapper. No external CLI dependency: the
 //! grammar is small and fixed.
+//!
+//! Each subcommand declares one flag table: rows of spellings (the first
+//! names the flag in messages), an arity (switch, value, or value also
+//! accepted inline as `--system=X`) and a setter. `scan` is the only
+//! argument loop. It feeds each value to its row's setter in argv order,
+//! so a bad value fails at its flag; a missing value is `{flag} needs a
+//! value`; any other word is a positional up to the subcommand's limit,
+//! else `{sub}: unexpected argument`. `run` and `survey` share one table
+//! whose rows may be scoped to one of them; a scoped row used by the
+//! other is rejected after the scan, in table order. The argv golden in
+//! `tests/cli_golden.txt` pins every accepted command and error message.
 
 use crate::study::Study;
 use harness::checkpoint::CheckpointMode;
@@ -16,6 +27,7 @@ use harness::{cases, Harness, RunOptions, SuiteRunner, TestCase};
 use simhpc::faults::FaultProfile;
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// A parsed CLI invocation.
 // One `Command` exists per process; `Survey` carrying its full survey
@@ -142,7 +154,7 @@ USAGE:
     benchkit survey -c <benchmark>... --system <system>... [--seed N] [--jobs N] [--warm-store]
                     [--fault-profile [SYS=]NAME]... [--max-retries N] [--fail-fast]
                     [--quarantine K] [--heal] [--checkpoint DIR | --resume DIR]
-                    [--interrupt-after N] [--store DIR]
+                    [--interrupt-after N] [--store DIR] [--perflog DIR]
                     [--engine [CASE=]SPEC]... [--engine-timeout S]
         --jobs N runs N (benchmark, system) combinations concurrently
         (0 = one per available core); the report is identical to --jobs 1.
@@ -278,135 +290,35 @@ EXAMPLES:
 
 /// Parse an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let sub = match it.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+    parse_with(args, &mut scan)
+}
+
+/// What each subcommand runs its flag table through: [`scan`], or a
+/// test's recorder that reads the table instead.
+type Scanner<'s> =
+    dyn FnMut(&str, &[String], usize, &mut [Flag<'_>]) -> Result<Vec<String>, CliError> + 's;
+
+fn parse_with(args: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliError> {
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    let rest: Vec<String> = it.cloned().collect();
-    match sub {
+    match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list-systems" => Ok(Command::ListSystems),
         "list-benchmarks" => Ok(Command::ListBenchmarks),
-        "run" => {
-            let opts = parse_options(&rest)?;
-            for (set, flag) in [
-                (opts.warm_store, "--warm-store"),
-                (!opts.fault_profiles.is_empty(), "--fault-profile"),
-                (opts.max_retries.is_some(), "--max-retries"),
-                (opts.fail_fast, "--fail-fast"),
-                (opts.quarantine.is_some(), "--quarantine"),
-                (opts.heal, "--heal"),
-                (opts.checkpoint.is_some(), "--checkpoint"),
-                (opts.resume.is_some(), "--resume"),
-                (opts.interrupt_after.is_some(), "--interrupt-after"),
-                (opts.store.is_some(), "--store"),
-                (opts.perflog.is_some(), "--perflog"),
-                (!opts.engines.is_empty(), "--engine"),
-                (opts.engine_timeout.is_some(), "--engine-timeout"),
-            ] {
-                if set {
-                    return Err(CliError(format!("run: `{flag}` only applies to `survey`")));
-                }
-            }
-            let benchmark = opts
-                .cases
-                .first()
-                .cloned()
-                .ok_or_else(|| CliError("run: missing `-c <benchmark>`".into()))?;
-            let system = opts
-                .systems
-                .first()
-                .cloned()
-                .ok_or_else(|| CliError("run: missing `--system`".into()))?;
-            Ok(Command::Run {
-                benchmark,
-                system,
-                seed: opts.seed,
-                repeats: opts.repeats,
-            })
-        }
-        "survey" => {
-            let opts = parse_options(&rest)?;
-            if opts.cases.is_empty() {
-                return Err(CliError("survey: at least one `-c <benchmark>`".into()));
-            }
-            if opts.systems.is_empty() {
-                return Err(CliError("survey: at least one `--system`".into()));
-            }
-            if opts.checkpoint.is_some() && opts.resume.is_some() {
-                return Err(CliError(
-                    "survey: `--checkpoint` and `--resume` are mutually exclusive \
-                     (--resume continues an existing checkpoint directory)"
-                        .into(),
-                ));
-            }
-            let (fault_profile, fault_overrides) =
-                FAULT_PROFILE.split(&opts.fault_profiles, &opts.systems, fault_profile_named)?;
-            let default_timeout = opts.engine_timeout.unwrap_or(engine::DEFAULT_TIMEOUT_S);
-            let (engine, engine_overrides) = ENGINE.split(&opts.engines, &opts.cases, |raw| {
-                engine::EngineSpec::parse(raw, default_timeout)
-                    .map_err(|e| CliError(format!("survey: bad `--engine` spec `{raw}`: {e}")))
-            })?;
-            if opts.engine_timeout.is_some() && opts.engines.is_empty() {
-                return Err(CliError(
-                    "survey: `--engine-timeout` requires `--engine`".into(),
-                ));
-            }
-            let checkpoint = match (opts.checkpoint, opts.resume) {
-                (Some(dir), _) => Some(CheckpointMode::Fresh(dir.into())),
-                (_, Some(dir)) => Some(CheckpointMode::Resume(dir.into())),
-                (None, None) => None,
-            };
-            Ok(Command::Survey {
-                benchmarks: opts.cases,
-                suite: SuiteRunner {
-                    systems: opts.systems,
-                    seed: opts.seed,
-                    jobs: opts.jobs,
-                    warm_store: opts.warm_store,
-                    fault_profile: fault_profile.unwrap_or_default(),
-                    max_retries: opts.max_retries.unwrap_or(2),
-                    fail_fast: opts.fail_fast,
-                    quarantine: opts.quarantine.unwrap_or(0),
-                    fault_overrides,
-                    heal: opts.heal,
-                    checkpoint,
-                    store: opts.store.map(PathBuf::from),
-                    engine,
-                    engine_overrides,
-                },
-                interrupt_after: opts.interrupt_after,
-                perflog: opts.perflog,
-            })
-        }
+        "run" | "survey" => parse_study(sub, rest, scan),
         "rank" => {
-            let mut inputs = Vec::new();
-            let mut lower_is_better = false;
-            let mut markdown = false;
-            let mut jobs = 1usize;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--lower-is-better" => {
-                        lower_is_better = true;
-                        i += 1;
-                    }
-                    "--markdown" => {
-                        markdown = true;
-                        i += 1;
-                    }
-                    "--jobs" | "-j" => {
-                        let v = take_value(&rest, &mut i, "--jobs")?;
-                        jobs = v.parse().map_err(|_| CliError(format!("bad jobs `{v}`")))?;
-                    }
-                    other if !other.starts_with('-') => {
-                        inputs.push(other.to_string());
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("rank: unexpected argument `{other}`"))),
-                }
-            }
+            let (mut lower_is_better, mut markdown, mut jobs) = (false, false, 1usize);
+            let inputs = scan(
+                "rank",
+                rest,
+                usize::MAX,
+                &mut [
+                    switch("--lower-is-better", &mut lower_is_better),
+                    switch("--markdown", &mut markdown),
+                    number("--jobs|-j", &mut jobs),
+                ],
+            )?;
             if inputs.is_empty() {
                 return Err(CliError(
                     "rank: at least one perflog file or directory".into(),
@@ -420,45 +332,24 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "cmp" => {
-            let mut studies = Vec::new();
-            let mut threshold_pct = 2.0f64;
-            let mut lower_is_better = false;
-            let mut markdown = false;
-            let mut jobs = 1usize;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--threshold" => {
-                        let v = take_value(&rest, &mut i, "--threshold")?;
-                        threshold_pct = v
-                            .parse()
-                            .ok()
-                            .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                            .ok_or_else(|| {
-                                CliError(format!(
-                                    "bad threshold `{v}` (want a finite percentage ≥ 0)"
-                                ))
-                            })?;
-                    }
-                    "--lower-is-better" => {
-                        lower_is_better = true;
-                        i += 1;
-                    }
-                    "--markdown" => {
-                        markdown = true;
-                        i += 1;
-                    }
-                    "--jobs" | "-j" => {
-                        let v = take_value(&rest, &mut i, "--jobs")?;
-                        jobs = v.parse().map_err(|_| CliError(format!("bad jobs `{v}`")))?;
-                    }
-                    other if !other.starts_with('-') => {
-                        studies.push(other.to_string());
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("cmp: unexpected argument `{other}`"))),
-                }
-            }
+            let (mut threshold_pct, mut jobs) = (2.0f64, 1usize);
+            let (mut lower_is_better, mut markdown) = (false, false);
+            let studies = scan(
+                "cmp",
+                rest,
+                usize::MAX,
+                &mut [
+                    bounded(
+                        "--threshold",
+                        &mut threshold_pct,
+                        |t| t.is_finite() && *t >= 0.0,
+                        "want a finite percentage ≥ 0",
+                    ),
+                    switch("--lower-is-better", &mut lower_is_better),
+                    switch("--markdown", &mut markdown),
+                    number("--jobs|-j", &mut jobs),
+                ],
+            )?;
             let [study_a, study_b]: [String; 2] = studies.try_into().map_err(|_| {
                 CliError("cmp: exactly two studies (perflog files or directories)".into())
             })?;
@@ -473,49 +364,30 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "store" => match rest.first().map(String::as_str) {
             Some("gc") => {
-                let mut dir = None;
                 let mut keep = 5usize;
-                let mut i = 1;
-                while i < rest.len() {
-                    match rest[i].as_str() {
-                        "--keep" => {
-                            let v = take_value(&rest, &mut i, "--keep")?;
-                            keep = v.parse().map_err(|_| CliError(format!("bad keep `{v}`")))?;
-                        }
-                        other if !other.starts_with('-') && dir.is_none() => {
-                            dir = Some(other.to_string());
-                            i += 1;
-                        }
-                        other => {
-                            return Err(CliError(format!(
-                                "store gc: unexpected argument `{other}`"
-                            )))
-                        }
-                    }
-                }
+                let dir = scan(
+                    "store gc",
+                    &rest[1..],
+                    1,
+                    &mut [number("--keep", &mut keep)],
+                )?
+                .pop();
                 Ok(Command::StoreGc {
-                    dir: dir.ok_or_else(|| CliError("store gc: missing <dir>".into()))?,
+                    dir: need(dir, "store gc: missing <dir>")?,
                     keep,
                 })
             }
             Some("fsck") => {
-                let mut dir = None;
                 let mut json = false;
-                for arg in &rest[1..] {
-                    match arg.as_str() {
-                        "--json" => json = true,
-                        other if !other.starts_with('-') && dir.is_none() => {
-                            dir = Some(other.to_string());
-                        }
-                        other => {
-                            return Err(CliError(format!(
-                                "store fsck: unexpected argument `{other}`"
-                            )))
-                        }
-                    }
-                }
+                let dir = scan(
+                    "store fsck",
+                    &rest[1..],
+                    1,
+                    &mut [switch("--json", &mut json)],
+                )?
+                .pop();
                 Ok(Command::StoreFsck {
-                    dir: dir.ok_or_else(|| CliError("store fsck: missing <dir>".into()))?,
+                    dir: need(dir, "store fsck: missing <dir>")?,
                     json,
                 })
             }
@@ -526,53 +398,34 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )),
         },
         "serve" => {
-            let mut dir = None;
-            let mut addr = None;
-            let mut workers = 4usize;
-            let mut queue = 16usize;
-            let mut read_timeout_ms = 5_000u64;
-            let mut max_body = 4 * 1024 * 1024usize;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = Some(take_value(&rest, &mut i, "--addr")?);
-                    }
-                    "--workers" => {
-                        let v = take_value(&rest, &mut i, "--workers")?;
-                        workers = v.parse().ok().filter(|w: &usize| *w >= 1).ok_or_else(|| {
-                            CliError(format!("bad workers `{v}` (want an integer ≥ 1)"))
-                        })?;
-                    }
-                    "--queue" => {
-                        let v = take_value(&rest, &mut i, "--queue")?;
-                        queue = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad queue `{v}`")))?;
-                    }
-                    "--read-timeout-ms" => {
-                        let v = take_value(&rest, &mut i, "--read-timeout-ms")?;
-                        read_timeout_ms =
-                            v.parse().ok().filter(|t: &u64| *t >= 1).ok_or_else(|| {
-                                CliError(format!("bad read-timeout-ms `{v}` (want ≥ 1)"))
-                            })?;
-                    }
-                    "--max-body" => {
-                        let v = take_value(&rest, &mut i, "--max-body")?;
-                        max_body = v.parse().ok().filter(|b: &usize| *b >= 1).ok_or_else(|| {
-                            CliError(format!("bad max-body `{v}` (want bytes ≥ 1)"))
-                        })?;
-                    }
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("serve: unexpected argument `{other}`"))),
-                }
-            }
+            let (mut addr, mut workers, mut queue) = (None, 4usize, 16usize);
+            let (mut read_timeout_ms, mut max_body) = (5_000u64, 4 * 1024 * 1024usize);
+            let dir = scan(
+                "serve",
+                rest,
+                1,
+                &mut [
+                    text("--addr", &mut addr),
+                    bounded(
+                        "--workers",
+                        &mut workers,
+                        |w| *w >= 1,
+                        "want an integer ≥ 1",
+                    ),
+                    number("--queue", &mut queue),
+                    bounded(
+                        "--read-timeout-ms",
+                        &mut read_timeout_ms,
+                        |t| *t >= 1,
+                        "want ≥ 1",
+                    ),
+                    bounded("--max-body", &mut max_body, |b| *b >= 1, "want bytes ≥ 1"),
+                ],
+            )?
+            .pop();
             Ok(Command::Serve {
-                dir: dir.ok_or_else(|| CliError("serve: missing <dir>".into()))?,
-                addr: addr.ok_or_else(|| CliError("serve: missing `--addr HOST:PORT`".into()))?,
+                dir: need(dir, "serve: missing <dir>")?,
+                addr: need(addr, "serve: missing `--addr HOST:PORT`")?,
                 workers,
                 queue,
                 read_timeout_ms,
@@ -580,43 +433,31 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "push" => {
-            let mut dir = None;
-            let mut to = None;
-            let mut max_retries = 5u32;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--to" => {
-                        to = Some(take_value(&rest, &mut i, "--to")?);
-                    }
-                    "--max-retries" => {
-                        let v = take_value(&rest, &mut i, "--max-retries")?;
-                        max_retries = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad max-retries `{v}`")))?;
-                    }
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("push: unexpected argument `{other}`"))),
-                }
-            }
+            let (mut to, mut max_retries) = (None, 5u32);
+            let dir = scan(
+                "push",
+                rest,
+                1,
+                &mut [
+                    text("--to", &mut to),
+                    number("--max-retries", &mut max_retries),
+                ],
+            )?
+            .pop();
             Ok(Command::Push {
-                dir: dir.ok_or_else(|| CliError("push: missing <dir-or-file>".into()))?,
-                to: to.ok_or_else(|| CliError("push: missing `--to HOST:PORT`".into()))?,
+                dir: need(dir, "push: missing <dir-or-file>")?,
+                to: need(to, "push: missing `--to HOST:PORT`")?,
                 max_retries,
             })
         }
         "query" => {
-            let mut positionals = Vec::new();
-            for arg in &rest {
-                if arg.starts_with("--") {
-                    return Err(CliError(format!("query: unexpected argument `{arg}`")));
-                }
-                positionals.push(arg.clone());
+            // `query` declares no flags, so it does not scan: only a `--`
+            // word is rejected, and any other word is an operand.
+            if let Some(arg) = rest.iter().find(|arg| arg.starts_with("--")) {
+                return Err(CliError(format!("query: unexpected argument `{arg}`")));
             }
-            let [addr, path]: [String; 2] = positionals
+            let [addr, path]: [String; 2] = rest
+                .to_vec()
                 .try_into()
                 .map_err(|_| CliError("query: expected HOST:PORT and an endpoint path".into()))?;
             if !path.starts_with('/') {
@@ -628,23 +469,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "checkpoint" => match rest.first().map(String::as_str) {
             Some("gc") => {
-                let mut dir = None;
                 let mut force = false;
-                for arg in &rest[1..] {
-                    match arg.as_str() {
-                        "--force" => force = true,
-                        other if !other.starts_with('-') && dir.is_none() => {
-                            dir = Some(other.to_string());
-                        }
-                        other => {
-                            return Err(CliError(format!(
-                                "checkpoint gc: unexpected argument `{other}`"
-                            )))
-                        }
-                    }
-                }
+                let dir = scan(
+                    "checkpoint gc",
+                    &rest[1..],
+                    1,
+                    &mut [switch("--force", &mut force)],
+                )?
+                .pop();
                 Ok(Command::CheckpointGc {
-                    dir: dir.ok_or_else(|| CliError("checkpoint gc: missing <dir>".into()))?,
+                    dir: need(dir, "checkpoint gc: missing <dir>")?,
                     force,
                 })
             }
@@ -653,29 +487,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )),
         },
         "bench-digest" => {
-            let mut logs = Vec::new();
-            let mut min_speedups = Vec::new();
-            let mut rank_groups = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--min-speedup" => {
-                        min_speedups.push(take_value(&rest, &mut i, "--min-speedup")?);
-                    }
-                    "--rank" => {
-                        rank_groups.push(take_value(&rest, &mut i, "--rank")?);
-                    }
-                    other if !other.starts_with('-') => {
-                        logs.push(other.to_string());
-                        i += 1;
-                    }
-                    other => {
-                        return Err(CliError(format!(
-                            "bench-digest: unexpected argument `{other}`"
-                        )))
-                    }
-                }
-            }
+            let (mut min_speedups, mut rank_groups) = (Vec::new(), Vec::new());
+            let logs = scan(
+                "bench-digest",
+                rest,
+                usize::MAX,
+                &mut [
+                    list("--min-speedup", &mut min_speedups),
+                    list("--rank", &mut rank_groups),
+                ],
+            )?;
             if logs.is_empty() {
                 return Err(CliError("bench-digest: at least one <log> file".into()));
             }
@@ -691,30 +512,142 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "spec" => {
-            let mut positional = None;
-            let mut i = 0;
             let mut system = None;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--system" => {
-                        system = Some(take_value(&rest, &mut i, "--system")?);
-                    }
-                    other if !other.starts_with('-') && positional.is_none() => {
-                        positional = Some(other.to_string());
-                        i += 1;
-                    }
-                    other => return Err(CliError(format!("spec: unexpected argument `{other}`"))),
-                }
-            }
+            let spec = scan("spec", rest, 1, &mut [text("--system", &mut system)])?.pop();
             Ok(Command::Spec {
-                spec: positional.ok_or_else(|| CliError("spec: missing <spack-spec>".into()))?,
-                system: system.ok_or_else(|| CliError("spec: missing `--system`".into()))?,
+                spec: need(spec, "spec: missing <spack-spec>")?,
+                system: need(system, "spec: missing `--system`")?,
             })
         }
         other => Err(CliError(format!(
             "unknown command `{other}` (try `benchkit help`)"
         ))),
     }
+}
+
+/// `run` and `survey`: one shared table whose survey-only and run-only
+/// rows are rejected for the other subcommand after the scan, in table
+/// order.
+fn parse_study(sub: &str, rest: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliError> {
+    let (mut cases, mut systems) = (Vec::new(), Vec::new());
+    let (mut seed, mut repeats, mut jobs) = (42u64, 1u32, 1usize);
+    let (mut warm_store, mut fail_fast, mut heal) = (false, false, false);
+    let (mut fault_profiles, mut max_retries, mut quarantine) = (Vec::new(), 2u32, 0u32);
+    let (mut checkpoint, mut resume, mut interrupt_after) = (None, None, None);
+    let (mut store, mut perflog) = (None, None);
+    let (mut engines, mut engine_timeout) = (Vec::new(), None);
+    let mut table = [
+        list("-c|--case", &mut cases),
+        list("--system", &mut systems).inline(),
+        number("--seed", &mut seed),
+        number("--repeats", &mut repeats).only("run"),
+        number("--jobs|-j", &mut jobs).only("survey"),
+        switch("--warm-store", &mut warm_store).only("survey"),
+        value("--fault-profile", |v| {
+            // Unknown names fail at the flag, before any survey-level
+            // check; `SYS=NAME` overrides one system.
+            fault_profile_named(v.split_once('=').map_or(v, |(_, n)| n))?;
+            fault_profiles.push(v.to_string());
+            Ok(())
+        })
+        .only("survey"),
+        number("--max-retries", &mut max_retries).only("survey"),
+        switch("--fail-fast", &mut fail_fast).only("survey"),
+        number("--quarantine", &mut quarantine).only("survey"),
+        switch("--heal", &mut heal).only("survey"),
+        text("--checkpoint", &mut checkpoint).only("survey"),
+        text("--resume", &mut resume).only("survey"),
+        value("--interrupt-after", |v| {
+            let budget = v.parse().map_err(|_| bad("--interrupt-after", v, ""))?;
+            interrupt_after = Some(budget);
+            Ok(())
+        })
+        .only("survey"),
+        text("--store", &mut store).only("survey"),
+        text("--perflog", &mut perflog).only("survey"),
+        list("--engine", &mut engines).only("survey"),
+        value("--engine-timeout", |v| {
+            let timeout: f64 = v.parse().map_err(|_| bad("--engine-timeout", v, ""))?;
+            // Zero, negative and non-finite deadlines are rejected here,
+            // not at the first engine launch hours into a sweep.
+            engine::validate_timeout(timeout)
+                .map_err(|e| CliError(format!("bad engine-timeout `{v}`: {e}")))?;
+            engine_timeout = Some(timeout);
+            Ok(())
+        })
+        .only("survey"),
+    ];
+    scan("", rest, 0, &mut table)?;
+    let misplaced = table.iter().find_map(|f| {
+        f.only
+            .filter(|only| f.seen && *only != sub)
+            .map(|only| (f.name(), only))
+    });
+    if let Some((flag, only)) = misplaced {
+        return Err(CliError(format!(
+            "{sub}: `{flag}` only applies to `{only}`"
+        )));
+    }
+    drop(table);
+    if sub == "run" {
+        return Ok(Command::Run {
+            benchmark: need(cases.first().cloned(), "run: missing `-c <benchmark>`")?,
+            system: need(systems.first().cloned(), "run: missing `--system`")?,
+            seed,
+            repeats,
+        });
+    }
+    if cases.is_empty() {
+        return Err(CliError("survey: at least one `-c <benchmark>`".into()));
+    }
+    if systems.is_empty() {
+        return Err(CliError("survey: at least one `--system`".into()));
+    }
+    if checkpoint.is_some() && resume.is_some() {
+        return Err(CliError(
+            "survey: `--checkpoint` and `--resume` are mutually exclusive \
+             (--resume continues an existing checkpoint directory)"
+                .into(),
+        ));
+    }
+    let (fault_profile, fault_overrides) =
+        FAULT_PROFILE.split(&fault_profiles, &systems, fault_profile_named)?;
+    let default_timeout = engine_timeout.unwrap_or(engine::DEFAULT_TIMEOUT_S);
+    let (engine, engine_overrides) = ENGINE.split(&engines, &cases, |raw| {
+        engine::EngineSpec::parse(raw, default_timeout)
+            .map_err(|e| CliError(format!("survey: bad `--engine` spec `{raw}`: {e}")))
+    })?;
+    if engine_timeout.is_some() && engines.is_empty() {
+        return Err(CliError(
+            "survey: `--engine-timeout` requires `--engine`".into(),
+        ));
+    }
+    let checkpoint = match (checkpoint, resume) {
+        (Some(dir), _) => Some(CheckpointMode::Fresh(dir.into())),
+        (_, Some(dir)) => Some(CheckpointMode::Resume(dir.into())),
+        (None, None) => None,
+    };
+    Ok(Command::Survey {
+        benchmarks: cases,
+        suite: SuiteRunner {
+            systems,
+            seed,
+            jobs,
+            warm_store,
+            fault_profile: fault_profile.unwrap_or_default(),
+            max_retries,
+            fail_fast,
+            quarantine,
+            fault_overrides,
+            heal,
+            checkpoint,
+            store: store.map(PathBuf::from),
+            engine,
+            engine_overrides,
+        },
+        interrupt_after,
+        perflog,
+    })
 }
 
 /// Resolve a `--fault-profile` name (`off` is an alias of `none`).
@@ -818,161 +751,173 @@ impl OverrideFlag {
     }
 }
 
-struct Options {
-    cases: Vec<String>,
-    systems: Vec<String>,
-    seed: u64,
-    repeats: u32,
-    jobs: usize,
-    warm_store: bool,
-    /// Repeated `--fault-profile` values (`NAME` or `SYS=NAME`, names
-    /// already known good); split and resolved by [`FAULT_PROFILE`] in
-    /// the survey arm.
-    fault_profiles: Vec<String>,
-    max_retries: Option<u32>,
-    fail_fast: bool,
-    quarantine: Option<u32>,
-    heal: bool,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    interrupt_after: Option<usize>,
-    store: Option<String>,
-    perflog: Option<String>,
-    /// Raw repeated `--engine` values (`SPEC` or `CASE=SPEC`); split and
-    /// parsed by [`ENGINE`] in the survey arm.
-    engines: Vec<String>,
-    /// `--engine-timeout S`: default deadline for engine specs that do
-    /// not set their own. Validated (finite, positive) at parse time.
-    engine_timeout: Option<f64>,
+/// How a flag row takes its value.
+#[derive(Clone, Copy, PartialEq)]
+enum Arity {
+    /// No value; the setter is fed `""`.
+    Switch,
+    /// The next argument, whatever it looks like.
+    Value,
+    /// The next argument, or inline as `FLAG=VALUE` (`--system=X`).
+    Inline,
 }
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, CliError> {
-    let value = args
-        .get(*i + 1)
-        .cloned()
-        .ok_or_else(|| CliError(format!("{flag} needs a value")))?;
-    *i += 2;
-    Ok(value)
+type Setter<'a> = Box<dyn FnMut(&str) -> Result<(), CliError> + 'a>;
+
+/// One row of a subcommand's flag table.
+struct Flag<'a> {
+    /// `|`-separated spellings; the first names the flag in messages.
+    names: &'static str,
+    arity: Arity,
+    /// `Some(sub)`: only `sub` of the `run`/`survey` pair takes the flag.
+    only: Option<&'static str>,
+    /// Fed each of the flag's values in argv order, so a bad value fails
+    /// at its flag.
+    set: Setter<'a>,
+    seen: bool,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, CliError> {
-    let mut opts = Options {
-        cases: Vec::new(),
-        systems: Vec::new(),
-        seed: 42,
-        repeats: 1,
-        jobs: 1,
-        warm_store: false,
-        fault_profiles: Vec::new(),
-        max_retries: None,
-        fail_fast: false,
-        quarantine: None,
-        heal: false,
-        checkpoint: None,
-        resume: None,
-        interrupt_after: None,
-        store: None,
-        perflog: None,
-        engines: Vec::new(),
-        engine_timeout: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-c" | "--case" => opts.cases.push(take_value(args, &mut i, "-c")?),
-            "--system" => {
-                let v = take_value(args, &mut i, "--system")?;
-                // `--system=a` form also accepted.
-                opts.systems.push(v);
-            }
-            "--seed" => {
-                let v = take_value(args, &mut i, "--seed")?;
-                opts.seed = v.parse().map_err(|_| CliError(format!("bad seed `{v}`")))?;
-            }
-            "--repeats" => {
-                let v = take_value(args, &mut i, "--repeats")?;
-                opts.repeats = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad repeats `{v}`")))?;
-            }
-            "--jobs" | "-j" => {
-                let v = take_value(args, &mut i, "--jobs")?;
-                opts.jobs = v.parse().map_err(|_| CliError(format!("bad jobs `{v}`")))?;
-            }
-            "--warm-store" => {
-                opts.warm_store = true;
-                i += 1;
-            }
-            "--fault-profile" => {
-                let v = take_value(args, &mut i, "--fault-profile")?;
-                // Unknown names fail at the flag, before any survey-level
-                // check; `SYS=NAME` overrides one system.
-                fault_profile_named(v.split_once('=').map_or(v.as_str(), |(_, n)| n))?;
-                opts.fault_profiles.push(v);
-            }
-            "--max-retries" => {
-                let v = take_value(args, &mut i, "--max-retries")?;
-                opts.max_retries = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad max-retries `{v}`")))?,
-                );
-            }
-            "--fail-fast" => {
-                opts.fail_fast = true;
-                i += 1;
-            }
-            "--quarantine" => {
-                let v = take_value(args, &mut i, "--quarantine")?;
-                opts.quarantine = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad quarantine `{v}`")))?,
-                );
-            }
-            "--heal" => {
-                opts.heal = true;
-                i += 1;
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(take_value(args, &mut i, "--checkpoint")?);
-            }
-            "--resume" => {
-                opts.resume = Some(take_value(args, &mut i, "--resume")?);
-            }
-            "--interrupt-after" => {
-                let v = take_value(args, &mut i, "--interrupt-after")?;
-                opts.interrupt_after = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad interrupt-after `{v}`")))?,
-                );
-            }
-            "--store" => {
-                opts.store = Some(take_value(args, &mut i, "--store")?);
-            }
-            "--perflog" => {
-                opts.perflog = Some(take_value(args, &mut i, "--perflog")?);
-            }
-            "--engine" => {
-                opts.engines.push(take_value(args, &mut i, "--engine")?);
-            }
-            "--engine-timeout" => {
-                let v = take_value(args, &mut i, "--engine-timeout")?;
-                let timeout: f64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad engine-timeout `{v}`")))?;
-                // Zero, negative and non-finite deadlines are rejected
-                // here, not at the first engine launch hours into a sweep.
-                engine::validate_timeout(timeout)
-                    .map_err(|e| CliError(format!("bad engine-timeout `{v}`: {e}")))?;
-                opts.engine_timeout = Some(timeout);
-            }
-            other if other.starts_with("--system=") => {
-                opts.systems.push(other["--system=".len()..].to_string());
-                i += 1;
-            }
-            other => return Err(CliError(format!("unexpected argument `{other}`"))),
+impl Flag<'_> {
+    fn name(&self) -> &'static str {
+        canonical(self.names)
+    }
+
+    fn only(self, sub: &'static str) -> Self {
+        Flag {
+            only: Some(sub),
+            ..self
         }
     }
-    Ok(opts)
+
+    fn inline(self) -> Self {
+        Flag {
+            arity: Arity::Inline,
+            ..self
+        }
+    }
+}
+
+/// A flag taking a value, handed to `set`.
+fn value<'a>(names: &'static str, set: impl FnMut(&str) -> Result<(), CliError> + 'a) -> Flag<'a> {
+    Flag {
+        names,
+        arity: Arity::Value,
+        only: None,
+        set: Box::new(set),
+        seen: false,
+    }
+}
+
+fn switch<'a>(names: &'static str, on: &'a mut bool) -> Flag<'a> {
+    Flag {
+        arity: Arity::Switch,
+        ..value(names, move |_| {
+            *on = true;
+            Ok(())
+        })
+    }
+}
+
+/// A text value; the last one wins.
+fn text<'a>(names: &'static str, slot: &'a mut Option<String>) -> Flag<'a> {
+    value(names, move |v| {
+        *slot = Some(v.to_string());
+        Ok(())
+    })
+}
+
+/// A repeatable text value, collected in argv order.
+fn list<'a>(names: &'static str, slot: &'a mut Vec<String>) -> Flag<'a> {
+    value(names, move |v| {
+        slot.push(v.to_string());
+        Ok(())
+    })
+}
+
+/// A parsed value; the last one wins.
+fn number<'a, T: FromStr + 'a>(names: &'static str, slot: &'a mut T) -> Flag<'a> {
+    bounded(names, slot, |_| true, "")
+}
+
+/// A parsed value that must also pass `ok`; `want` says what passes.
+fn bounded<'a, T: FromStr + 'a>(
+    names: &'static str,
+    slot: &'a mut T,
+    ok: fn(&T) -> bool,
+    want: &'static str,
+) -> Flag<'a> {
+    value(names, move |v| {
+        *slot = v
+            .parse()
+            .ok()
+            .filter(ok)
+            .ok_or_else(|| bad(names, v, want))?;
+        Ok(())
+    })
+}
+
+/// The spelling that names a flag in messages: the first of `names`.
+fn canonical(names: &'static str) -> &'static str {
+    names.split_once('|').map_or(names, |(name, _)| name)
+}
+
+/// `bad <flag without dashes> `<value>``, then ` (<want>)` if given.
+fn bad(names: &'static str, value: &str, want: &str) -> CliError {
+    let flag = canonical(names).trim_start_matches('-');
+    CliError(if want.is_empty() {
+        format!("bad {flag} `{value}`")
+    } else {
+        format!("bad {flag} `{value}` ({want})")
+    })
+}
+
+/// A required argument, or the error naming what is missing.
+fn need(arg: Option<String>, missing: &str) -> Result<String, CliError> {
+    arg.ok_or_else(|| CliError(missing.to_string()))
+}
+
+/// The one argument loop. Each word of `args` is a flag of `table` (by
+/// any spelling, or inline for an [`Arity::Inline`] row), else a
+/// positional if it does not start with `-` and fewer than
+/// `max_positionals` came before it, else `{ctx}: unexpected argument`
+/// (no prefix when `ctx` is empty). Values are fed to their row's setter
+/// in argv order; returns the positionals.
+fn scan(
+    ctx: &str,
+    args: &[String],
+    max_positionals: usize,
+    table: &mut [Flag<'_>],
+) -> Result<Vec<String>, CliError> {
+    let mut positionals = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let spelled = table
+            .iter()
+            .position(|f| f.names.split('|').any(|name| name == arg));
+        let (row, value) = if let Some(row) = spelled {
+            let value = match table[row].arity {
+                Arity::Switch => "",
+                Arity::Value | Arity::Inline => args
+                    .next()
+                    .ok_or_else(|| CliError(format!("{} needs a value", table[row].name())))?,
+            };
+            (row, value)
+        } else if let Some(inline) = table.iter().enumerate().find_map(|(row, f)| {
+            let value = arg.strip_prefix(f.name())?.strip_prefix('=')?;
+            (f.arity == Arity::Inline).then_some((row, value))
+        }) {
+            inline
+        } else if !arg.starts_with('-') && positionals.len() < max_positionals {
+            positionals.push(arg.clone());
+            continue;
+        } else {
+            let sep = if ctx.is_empty() { "" } else { ": " };
+            return Err(CliError(format!("{ctx}{sep}unexpected argument `{arg}`")));
+        };
+        table[row].seen = true;
+        (table[row].set)(value)?;
+    }
+    Ok(positionals)
 }
 
 /// All named benchmarks the CLI can run.
@@ -1019,25 +964,12 @@ pub fn case_by_name(name: &str) -> Result<TestCase, CliError> {
 fn load_fom_frame(inputs: &[String]) -> Result<dframe::DataFrame, CliError> {
     let mut texts = Vec::new();
     for input in inputs {
-        let path = std::path::Path::new(input);
-        let mut files = Vec::new();
-        if path.is_dir() {
-            let entries = std::fs::read_dir(path)
-                .map_err(|e| CliError(format!("cannot read directory `{input}`: {e}")))?;
-            let mut logs: Vec<std::path::PathBuf> = entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-                .collect();
-            logs.sort();
-            if logs.is_empty() {
-                return Err(CliError(format!(
-                    "`{input}`: no .jsonl perflogs in directory"
-                )));
-            }
-            files.extend(logs);
-        } else {
-            files.push(path.to_path_buf());
+        let files = perflogs::input_files(std::path::Path::new(input))
+            .map_err(|e| CliError(format!("cannot read directory `{input}`: {e}")))?;
+        if files.is_empty() {
+            return Err(CliError(format!(
+                "`{input}`: no .jsonl perflogs in directory"
+            )));
         }
         for f in files {
             texts.push(
@@ -1610,26 +1542,13 @@ pub fn execute(
             // than CSR" instead of absolute times.
             let mut rank_flips = 0usize;
             for group in &rank_groups {
-                let frame_for = |run: &String| -> Result<dframe::DataFrame, CliError> {
-                    let mut df = dframe::DataFrame::new(vec![
-                        "benchmark",
-                        "fom",
-                        "system",
-                        "partition",
-                        "value",
-                    ]);
+                let ranking = |run: &String| -> Result<postproc::Ranking, CliError> {
+                    let mut agg = postproc::RankAggregate::default();
                     let mut any = false;
                     for p in postproc::parse_criterion_log(run) {
                         if p.group == *group {
                             any = true;
-                            df.push_row(vec![
-                                dframe::Cell::from(group.as_str()),
-                                dframe::Cell::from("speed"),
-                                dframe::Cell::from(p.id.as_str()),
-                                dframe::Cell::Null,
-                                dframe::Cell::from(p.speed()),
-                            ])
-                            .expect("fixed schema");
+                            agg.push(group, "speed", &p.id, "", Some(p.speed()));
                         }
                     }
                     if !any {
@@ -1638,14 +1557,10 @@ pub fn execute(
                              for that group in one of the two newest logs"
                         )));
                     }
-                    Ok(df)
+                    Ok(agg.rank(&postproc::RankPolicy::default()))
                 };
-                let policy = postproc::RankPolicy::default();
-                let previous = postproc::rank_frame(&frame_for(&runs[runs.len() - 2])?, &policy)
-                    .map_err(|e| CliError(format!("bench-digest: --rank `{group}`: {e}")))?;
-                let newest =
-                    postproc::rank_frame(&frame_for(runs.last().expect("nonempty"))?, &policy)
-                        .map_err(|e| CliError(format!("bench-digest: --rank `{group}`: {e}")))?;
+                let previous = ranking(&runs[runs.len() - 2])?;
+                let newest = ranking(runs.last().expect("nonempty"))?;
                 let render = |r: &postproc::Ranking| r.order().join(" > ");
                 if previous.order() == newest.order() {
                     writeln!(out, "rank {group}: stable ({})", render(&newest))?;
@@ -1981,6 +1896,7 @@ mod tests {
     #[test]
     fn run_rejects_every_survey_only_flag() {
         for (flag, value) in [
+            ("--jobs", Some("4")),
             ("--warm-store", None),
             ("--fault-profile", Some("flaky")),
             ("--max-retries", Some("1")),
@@ -1998,6 +1914,60 @@ mod tests {
             let args = format!("run -c hpgmg --system csd3 {flag} {}", value.unwrap_or(""));
             let err = parse(&argv(&args)).unwrap_err().to_string();
             assert_eq!(err, format!("run: `{flag}` only applies to `survey`"));
+        }
+    }
+
+    #[test]
+    fn survey_rejects_the_run_only_repeats_flag() {
+        let err = parse(&argv("survey -c hpgmg --system csd3 --repeats 3")).unwrap_err();
+        assert_eq!(err.0, "survey: `--repeats` only applies to `run`");
+    }
+
+    /// The canonical flags of the table `words` scans, as `words[0]` sees
+    /// them: a recorder stands in for the scanner and aborts the parse.
+    fn table_flags(words: &[&str]) -> std::collections::BTreeSet<&'static str> {
+        let mut flags = std::collections::BTreeSet::new();
+        let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        let _ = parse_with(&args, &mut |_, _, _, table| {
+            let scoped = |f: &&Flag<'_>| f.only.is_none_or(|only| only == words[0]);
+            flags.extend(table.iter().filter(scoped).map(Flag::name));
+            Err(CliError(String::new()))
+        });
+        flags
+    }
+
+    #[test]
+    fn usage_synopses_list_exactly_each_tables_flags() {
+        // (subcommand words, flags named on its synopsis lines); prose and
+        // the EXAMPLES section are not synopses.
+        let mut synopses: Vec<(Vec<&str>, std::collections::BTreeSet<&str>)> = Vec::new();
+        for line in USAGE.lines().take_while(|l| *l != "EXAMPLES:") {
+            let words = if let Some(tail) = line.strip_prefix("    benchkit ") {
+                let sub = tail
+                    .split(' ')
+                    .take_while(|w| {
+                        !w.is_empty()
+                            && !w.starts_with('-')
+                            && w.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
+                    })
+                    .collect();
+                synopses.push((sub, Default::default()));
+                tail
+            } else if line.trim_start().starts_with('[') && !synopses.is_empty() {
+                line
+            } else {
+                continue;
+            };
+            let (_, flags) = synopses.last_mut().expect("a synopsis line came first");
+            flags.extend(
+                words
+                    .split([' ', '[', ']'])
+                    .filter(|w| w.len() > 1 && w.starts_with('-')),
+            );
+        }
+        assert_eq!(synopses.len(), 15, "{synopses:?}");
+        for (sub, flags) in &synopses {
+            assert_eq!(&table_flags(sub), flags, "`benchkit {}`", sub.join(" "));
         }
     }
 

@@ -8,6 +8,7 @@
 //! value model (no external serialization dependency).
 
 use dframe::{Cell, DataFrame};
+use std::path::{Path, PathBuf};
 use tinycfg::{Map, Value};
 
 /// One Figure of Merit extracted from a run.
@@ -333,6 +334,23 @@ impl Perflog {
     }
 }
 
+/// The perflog files an input path names: the path itself when it is not
+/// a directory, else the directory's `*.jsonl` entries sorted by name
+/// (possibly none). `rank` folds and `push` ingests in this one order, so
+/// a served verdict equals the offline one over the same directory.
+pub fn input_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
+    if !path.is_dir() {
+        return Ok(vec![path.to_path_buf()]);
+    }
+    let mut files: Vec<PathBuf> = std::fs::read_dir(path)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,5 +531,22 @@ mod tests {
         let r = record(0, "x", 42.0);
         assert_eq!(r.fom("Triad").unwrap().value, 42.0);
         assert!(r.fom("Nope").is_none());
+    }
+
+    #[test]
+    fn input_files_expands_a_directory_to_its_sorted_jsonl_entries() {
+        let dir = std::env::temp_dir().join(format!("perflogs-inputs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(input_files(&dir).unwrap().is_empty(), "empty directory");
+        for name in ["b.jsonl", "a.jsonl", "notes.txt"] {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        assert_eq!(
+            input_files(&dir).unwrap(),
+            [dir.join("a.jsonl"), dir.join("b.jsonl")]
+        );
+        let file = dir.join("notes.txt");
+        assert_eq!(input_files(&file).unwrap(), vec![file]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

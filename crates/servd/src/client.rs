@@ -83,25 +83,13 @@ pub fn push_dir(
     max_retries: u32,
     out: &mut dyn Write,
 ) -> Result<PushReport, PushError> {
-    let mut files = Vec::new();
-    if dir.is_dir() {
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| PushError(format!("cannot read `{}`: {e}", dir.display())))?;
-        files.extend(
-            entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "jsonl")),
-        );
-        files.sort();
-        if files.is_empty() {
-            return Err(PushError(format!(
-                "`{}`: no .jsonl perflogs to push",
-                dir.display()
-            )));
-        }
-    } else {
-        files.push(dir.to_path_buf());
+    let files = perflogs::input_files(dir)
+        .map_err(|e| PushError(format!("cannot read `{}`: {e}", dir.display())))?;
+    if files.is_empty() {
+        return Err(PushError(format!(
+            "`{}`: no .jsonl perflogs to push",
+            dir.display()
+        )));
     }
     let mut report = PushReport {
         files: files.len(),
