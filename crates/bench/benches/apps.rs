@@ -1,6 +1,7 @@
 //! Criterion benches for the benchmark applications themselves: one bench
 //! per paper artefact, timing the full regeneration path (table2 / table4 /
-//! figure2 data collection) plus the native numerical solvers.
+//! figure2 data collection) plus the native HPCG solver. The native
+//! multigrid solve is timed in `kernels.rs`, whose logs CI digests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -66,26 +67,12 @@ fn bench_hpcg_native(c: &mut Criterion) {
     g.finish();
 }
 
-/// The native multigrid: one full solve at 32^3.
-fn bench_hpgmg_native(c: &mut Criterion) {
-    let mut g = quick(c, "hpgmg_native");
-    g.bench_function("solve_32cubed", |b| {
-        b.iter(|| {
-            let mut mg = benchapps::hpgmg::Multigrid::new(32).expect("valid grid");
-            mg.set_rhs_sine();
-            mg.solve(20, 1e-8)
-        });
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_figure2,
     bench_table2,
     bench_table4,
     bench_static_tables,
-    bench_hpcg_native,
-    bench_hpgmg_native
+    bench_hpcg_native
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Criterion benches for the kernel layer: the real memory-bandwidth
-//! kernels across the programming-model backends. This is the native
-//! (host-hardware) counterpart of Figure 2's measurements.
+//! kernels across the programming-model backends (the native, host-hardware
+//! counterpart of Figure 2's measurements), the sparse operators, and the
+//! 32³ HPGMG solve that simulated surveys run for real.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parkern::backend::{Backend, CrossbeamBackend, SerialBackend, ThreadsBackend};
@@ -215,6 +216,23 @@ fn bench_spmv_layout(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hpgmg(c: &mut Criterion) {
+    // The hottest kernel of a simulated survey: every HPGMG cell solves
+    // this 32³ multigrid problem for real, with exactly these arguments.
+    let mut group = c.benchmark_group("hpgmg_native");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_millis(1500));
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.bench_function("solve_32cubed", |bench| {
+        bench.iter(|| {
+            let mut mg = benchapps::hpgmg::Multigrid::new(32).expect("valid grid");
+            mg.set_rhs_sine();
+            mg.solve(30, 1e-7)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_triad,
@@ -222,6 +240,7 @@ criterion_group!(
     bench_spmv,
     bench_symgs,
     bench_stream_gbs,
-    bench_spmv_layout
+    bench_spmv_layout,
+    bench_hpgmg
 );
 criterion_main!(benches);

@@ -149,6 +149,18 @@ pub fn run_with(
             "local dimension must be at least 4".into(),
         ));
     }
+    // A variant the simulated platform cannot run is a skip: decide it
+    // before paying for the solve.
+    if let ExecutionMode::Simulated { partition, .. } = mode {
+        let proc = partition.processor();
+        if !config.variant.available_on(proc) {
+            return Err(BenchError::Unsupported(format!(
+                "{} is not available on {}",
+                config.variant.label(),
+                proc.model()
+            )));
+        }
+    }
     // Execute the real solver at a capped size: the numerics are genuine.
     let exec_dim = match mode {
         ExecutionMode::Native => config.local_dim,
@@ -195,14 +207,6 @@ pub fn run_with(
             system,
             seed,
         } => {
-            let proc = partition.processor();
-            if !config.variant.available_on(proc) {
-                return Err(BenchError::Unsupported(format!(
-                    "{} is not available on {}",
-                    config.variant.label(),
-                    proc.model()
-                )));
-            }
             let mut noise = NoiseModel::for_run(
                 system,
                 &format!("hpcg-{}", config.variant.spec_name()),
@@ -379,6 +383,22 @@ mod tests {
         assert_eq!(s1.iterations, s2.iterations);
         for (a, b) in s1.residuals.iter().zip(&s2.residuals) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn gpu_partition_rejected_before_the_solve() {
+        let mode = ExecutionMode::simulated("isambard-macs:volta", 1).unwrap();
+        for variant in HpcgVariant::all() {
+            let cfg = HpcgConfig {
+                variant: *variant,
+                ..Default::default()
+            };
+            let mut arena = crate::scratch::Arena::new();
+            let err = run_with(&cfg, &mode, &mut arena).unwrap_err();
+            assert!(matches!(err, BenchError::Unsupported(_)), "{err}");
+            // CG returns its vectors to the arena; none were taken.
+            assert_eq!(arena.pooled(), 0, "{}", variant.spec_name());
         }
     }
 

@@ -74,6 +74,10 @@ pub fn run_with(
             system,
             seed,
         } => {
+            let proc = partition.processor();
+            if proc.is_gpu() {
+                return Err(BenchError::Unsupported("STREAM is a CPU benchmark".into()));
+            }
             let exec_n = config.array_size.min(SIM_EXECUTION_CAP);
             execute(
                 exec_n,
@@ -81,10 +85,6 @@ pub fn run_with(
                 parkern::default_workers().min(4),
                 arena,
             )?;
-            let proc = partition.processor();
-            if proc.is_gpu() {
-                return Err(BenchError::Unsupported("STREAM is a CPU benchmark".into()));
-            }
             let threads = config.threads.unwrap_or(proc.total_cores());
             let ws = 3 * config.array_size as u64 * 8;
             let mut noise = NoiseModel::for_run(system, "stream", *seed);
@@ -206,6 +206,13 @@ mod tests {
     #[test]
     fn gpu_partition_rejected() {
         let mode = ExecutionMode::simulated("isambard-macs:volta", 1).unwrap();
-        assert!(run(&StreamConfig::default(), &mode).is_err());
+        let mut arena = Arena::new();
+        let err = run_with(&StreamConfig::default(), &mode, &mut arena).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported configuration: STREAM is a CPU benchmark"
+        );
+        // The kernels return their arrays to the arena; none were taken.
+        assert_eq!(arena.pooled(), 0);
     }
 }
