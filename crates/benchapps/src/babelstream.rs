@@ -157,17 +157,17 @@ fn execute_and_validate(
 fn run_native(config: &BabelStreamConfig, arena: &mut Arena) -> Result<RunOutput, BenchError> {
     let host = simhpc::catalog::system("native").expect("native system always present");
     let cores = host.default_partition().processor().total_cores();
-    let threads = config.threads.unwrap_or(
-        config
-            .model
-            .threads_on(host.default_partition().processor())
-            .min(cores),
-    );
-    // Implicit counts respect the harness's oversubscription cap.
-    let threads = (threads as usize).min(match config.threads {
-        Some(_) => usize::MAX,
-        None => parkern::default_workers(),
-    });
+    // An implicit count is also held to this thread's kernel count (a
+    // survey cell's share of the machine under `--jobs N`).
+    let threads = match config.threads {
+        Some(t) => t as usize,
+        None => {
+            let model = config
+                .model
+                .threads_on(host.default_partition().processor());
+            (model.min(cores) as usize).min(parkern::default_workers())
+        }
+    };
     let start = Instant::now();
     let times = execute_and_validate(config, config.array_size, config.reps, threads, arena)?;
     let rates = rates_from_times(config.array_size, &times);

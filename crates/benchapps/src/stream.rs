@@ -58,8 +58,8 @@ pub fn run_with(
     }
     let (times, n) = match mode {
         ExecutionMode::Native => {
-            // Implicit thread counts go through `default_workers`, so the
-            // harness's oversubscription cap applies under `--jobs N`.
+            // Implicit thread counts go through `default_workers`: this
+            // thread's kernel count, a cell's share under `--jobs N`.
             let threads = config
                 .threads
                 .map(|t| t as usize)

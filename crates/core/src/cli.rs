@@ -20,11 +20,18 @@
 //! whose rows may be scoped to one of them; a scoped row used by the
 //! other is rejected after the scan, in table order. The argv golden in
 //! `tests/cli_golden.txt` pins every accepted command and error message.
+//!
+//! The process environment is read once, by the binary's `main`, into an
+//! [`Env`]; `parse` and `execute` take their environment inputs from that
+//! value only, so tests build one directly.
 
 use crate::study::Study;
 use harness::checkpoint::CheckpointMode;
 use harness::{cases, Harness, RunOptions, SuiteRunner, TestCase};
-use simhpc::faults::FaultProfile;
+use servd::{NetFaultSpec, NetShim, NETFAULTS_ENV};
+use simhpc::faults::{FaultProfile, BACKOFF_SCALE_ENV};
+use spackle::{FaultSpec, IoShim, IOFAULTS_ENV};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -144,6 +151,59 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+/// The run inputs `benchkit` takes from its environment, one field per
+/// variable (DESIGN.md, "Environment inputs"): `io` from
+/// `BENCHKIT_IOFAULTS` (the survey's journal and store, the daemon), `net`
+/// from `BENCHKIT_NETFAULTS` (every daemon connection), `backoff_scale`
+/// from `BENCHKIT_ENGINE_BACKOFF_SCALE` (engine-retry and push sleeps) and
+/// `threads` from `BENCHKIT_THREADS` (kernel threads of `run` and of every
+/// survey cell). [`Default`] is the empty environment: real I/O and
+/// network, unscaled sleeps, machine-sized thread counts.
+///
+/// [`Env::from_vars`] ignores every other variable. A blank fault spec
+/// arms nothing; a malformed one warns on stderr and falls back to real
+/// I/O, so a bad spec cannot brick a run. A scale must be a finite number
+/// ≥ 0 (else 1) and a thread count a positive integer, surrounding spaces
+/// allowed (else unset).
+#[derive(Debug, Clone)]
+pub struct Env {
+    pub io: IoShim,
+    pub net: NetShim,
+    pub backoff_scale: f64,
+    pub threads: Option<usize>,
+}
+
+impl Default for Env {
+    fn default() -> Env {
+        Env::from_vars([])
+    }
+}
+
+impl Env {
+    /// Read the run inputs from `vars` (see [`Env`] for their formats).
+    pub fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Env {
+        let vars: BTreeMap<String, String> = vars.into_iter().collect();
+        let var = |name: &str| vars.get(name).map_or("", String::as_str);
+        let scale: Option<f64> = var(BACKOFF_SCALE_ENV).parse().ok();
+        let threads: Option<usize> = var("BENCHKIT_THREADS").trim().parse().ok();
+        Env {
+            io: fault_spec(IOFAULTS_ENV, var(IOFAULTS_ENV), FaultSpec::parse)
+                .map_or(IoShim::Real, IoShim::faulty),
+            net: fault_spec(NETFAULTS_ENV, var(NETFAULTS_ENV), NetFaultSpec::parse)
+                .map_or(NetShim::Real, NetShim::faulty),
+            backoff_scale: scale.filter(|s| s.is_finite() && *s >= 0.0).unwrap_or(1.0),
+            threads: threads.filter(|&n| n > 0),
+        }
+    }
+}
+
+/// The fault spec `text` of variable `var`, or `None` when blank or
+/// malformed (warned about, never silently ignored).
+fn fault_spec<S>(var: &str, text: &str, parse: fn(&str) -> Result<S, String>) -> Option<S> {
+    let spec = parse(text).map_err(|e| eprintln!("warning: ignoring bad {var}: {e}"));
+    spec.ok().filter(|_| !text.trim().is_empty())
+}
 
 pub const USAGE: &str = "benchkit — automated and reproducible benchmarking
 
@@ -288,9 +348,10 @@ EXAMPLES:
     benchkit spec 'hpgmg%gcc' --system archer2
 ";
 
-/// Parse an argument vector (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    parse_with(args, &mut scan)
+/// Parse an argument vector (without the program name); a survey takes
+/// its I/O shim, backoff scale and thread count from `env`.
+pub fn parse(args: &[String], env: &Env) -> Result<Command, CliError> {
+    parse_with(args, env, &mut scan)
 }
 
 /// What each subcommand runs its flag table through: [`scan`], or a
@@ -298,7 +359,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 type Scanner<'s> =
     dyn FnMut(&str, &[String], usize, &mut [Flag<'_>]) -> Result<Vec<String>, CliError> + 's;
 
-fn parse_with(args: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliError> {
+fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Command, CliError> {
     let Some((sub, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
@@ -306,7 +367,7 @@ fn parse_with(args: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliErr
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list-systems" => Ok(Command::ListSystems),
         "list-benchmarks" => Ok(Command::ListBenchmarks),
-        "run" | "survey" => parse_study(sub, rest, scan),
+        "run" | "survey" => parse_study(args, env, scan),
         "rank" => {
             let (mut lower_is_better, mut markdown, mut jobs) = (false, false, 1usize);
             let inputs = scan(
@@ -528,7 +589,8 @@ fn parse_with(args: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliErr
 /// `run` and `survey`: one shared table whose survey-only and run-only
 /// rows are rejected for the other subcommand after the scan, in table
 /// order.
-fn parse_study(sub: &str, rest: &[String], scan: &mut Scanner<'_>) -> Result<Command, CliError> {
+fn parse_study(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Command, CliError> {
+    let (sub, rest) = (args[0].as_str(), &args[1..]);
     let (mut cases, mut systems) = (Vec::new(), Vec::new());
     let (mut seed, mut repeats, mut jobs) = (42u64, 1u32, 1usize);
     let (mut warm_store, mut fail_fast, mut heal) = (false, false, false);
@@ -644,6 +706,9 @@ fn parse_study(sub: &str, rest: &[String], scan: &mut Scanner<'_>) -> Result<Com
             store: store.map(PathBuf::from),
             engine,
             engine_overrides,
+            io: env.io.clone(),
+            backoff_scale: env.backoff_scale,
+            threads: env.threads,
         },
         interrupt_after,
         perflog,
@@ -989,11 +1054,13 @@ fn rank_direction(lower_is_better: bool) -> postproc::Direction {
     }
 }
 
-/// Execute a parsed command, writing human-readable output. The writer is
+/// Execute a parsed command, writing human-readable output; `run`, `serve`
+/// and `push` take their environment inputs from `env`. The writer is
 /// `Send` because `survey` streams outcome lines from worker threads as
 /// grid cells complete (the ordered flush).
 pub fn execute(
     cmd: Command,
+    env: &Env,
     out: &mut (dyn std::io::Write + Send),
 ) -> Result<(), Box<dyn std::error::Error>> {
     match cmd {
@@ -1027,6 +1094,7 @@ pub fn execute(
             repeats,
         } => {
             let case = case_by_name(&benchmark)?;
+            parkern::set_worker_cap(env.threads.unwrap_or(0));
             let mut harness = Harness::new(RunOptions::on_system(&system).with_seed(seed));
             for rep in 0..repeats.max(1) {
                 let report = harness.run_case(&case)?;
@@ -1379,6 +1447,8 @@ pub fn execute(
             cfg.queue = queue;
             cfg.read_timeout_ms = read_timeout_ms;
             cfg.max_body = max_body;
+            cfg.io = env.io.clone();
+            cfg.net = env.net.clone();
             let server = servd::Server::bind(cfg).map_err(|e| CliError(format!("serve: {e}")))?;
             let bound = server
                 .local_addr()
@@ -1411,7 +1481,7 @@ pub fn execute(
             to,
             max_retries,
         } => {
-            let report = servd::push_dir(std::path::Path::new(&dir), &to, max_retries, &mut *out)
+            let report = servd::push_dir(dir.as_ref(), &to, max_retries, env.backoff_scale, out)
                 .map_err(|e| CliError(format!("push: {e}")))?;
             writeln!(
                 out,
@@ -1614,6 +1684,19 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::parse`] with the default environment.
+    fn parse(args: &[String]) -> Result<Command, CliError> {
+        super::parse(args, &Env::default())
+    }
+
+    /// [`super::execute`] with the default environment.
+    fn execute(
+        cmd: Command,
+        out: &mut (dyn std::io::Write + Send),
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        super::execute(cmd, &Env::default(), out)
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1928,7 +2011,7 @@ mod tests {
     fn table_flags(words: &[&str]) -> std::collections::BTreeSet<&'static str> {
         let mut flags = std::collections::BTreeSet::new();
         let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
-        let _ = parse_with(&args, &mut |_, _, _, table| {
+        let _ = parse_with(&args, &Env::default(), &mut |_, _, _, table| {
             let scoped = |f: &&Flag<'_>| f.only.is_none_or(|only| only == words[0]);
             flags.extend(table.iter().filter(scoped).map(Flag::name));
             Err(CliError(String::new()))
@@ -1969,6 +2052,58 @@ mod tests {
         for (sub, flags) in &synopses {
             assert_eq!(&table_flags(sub), flags, "`benchkit {}`", sub.join(" "));
         }
+    }
+
+    #[test]
+    fn env_reads_each_input_and_falls_back_on_junk() {
+        let env = |pairs: &[(&str, &str)]| {
+            Env::from_vars(pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())))
+        };
+        let unset = env(&[("PATH", "/bin"), ("BENCHKIT_OTHER", "1")]);
+        assert_eq!(unset.io, IoShim::Real);
+        assert!(matches!(unset.net, NetShim::Real));
+        assert_eq!((unset.backoff_scale, unset.threads), (1.0, None));
+        // A thread count is a positive integer, surrounding spaces allowed;
+        // zero, blank and junk read as unset.
+        let threads = |v| env(&[("BENCHKIT_THREADS", v)]).threads;
+        assert_eq!(threads("3"), Some(3));
+        assert_eq!(threads(" 12 "), Some(12));
+        for junk in ["0", "", "lots", "-1", "2.5"] {
+            assert_eq!(threads(junk), None, "{junk:?}");
+        }
+        // A scale is a finite number >= 0; anything else is 1.
+        let scale = |v| env(&[(BACKOFF_SCALE_ENV, v)]).backoff_scale;
+        assert_eq!((scale("0"), scale("0.25")), (0.0, 0.25));
+        for junk in ["-1", "inf", "NaN", "x", ""] {
+            assert_eq!(scale(junk), 1.0, "{junk:?}");
+        }
+        // Fault specs arm their shim; blank or malformed specs stay real.
+        let io = |v| env(&[(IOFAULTS_ENV, v)]).io;
+        let mut spec = FaultSpec::quiet(7);
+        spec.torn = 0.5;
+        assert_eq!(io("seed=7,torn=0.5"), IoShim::faulty(spec));
+        assert_eq!(io(" "), IoShim::Real);
+        assert_eq!(io("bogus=1"), IoShim::Real);
+        let net = |v| matches!(env(&[(NETFAULTS_ENV, v)]).net, NetShim::Faulty(_));
+        assert!(net("seed=3,reset=0.1"));
+        assert!(!net("bogus=1"));
+    }
+
+    #[test]
+    fn a_survey_takes_its_environment_inputs_from_env() {
+        let env = Env {
+            io: IoShim::faulty(FaultSpec::quiet(1)),
+            net: NetShim::Real,
+            backoff_scale: 0.0,
+            threads: Some(3),
+        };
+        let Command::Survey { suite, .. } =
+            super::parse(&argv("survey -c hpgmg --system csd3"), &env).unwrap()
+        else {
+            panic!("survey parses to a survey");
+        };
+        assert_eq!(suite.io, env.io);
+        assert_eq!((suite.backoff_scale, suite.threads), (0.0, Some(3)));
     }
 
     #[test]
@@ -2212,9 +2347,6 @@ mod tests {
 
     #[test]
     fn execute_survey_with_engine_prints_config_and_replays() {
-        // Scale retry backoff to zero so the crashing override retries
-        // instantly; the nominal schedule is still charged to time-lost.
-        std::env::set_var(simhpc::faults::BACKOFF_SCALE_ENV, "0");
         let sh = |script: &str| engine::EngineSpec {
             cmd: vec!["/bin/sh".into(), "-c".into(), script.into()],
             timeout_s: 10.0,
@@ -2237,8 +2369,11 @@ printf 'done:0:\n'
             let result = execute(
                 survey(
                     &["babelstream_omp", "babelstream_tbb"],
+                    // Zero backoff scale: the crashing override retries at
+                    // once; the nominal schedule is still charged.
                     SuiteRunner::new(&["csd3"])
                         .with_jobs(jobs)
+                        .with_backoff_scale(0.0)
                         .with_max_retries(1)
                         .with_engine(Some(ok.clone()))
                         .with_engine_override("babelstream_tbb", crashing.clone()),

@@ -3,7 +3,7 @@
 //! beside it, so a change to the argument parser cannot move a single
 //! byte of any accepted command or error without touching this file.
 
-use benchkit::cli::parse;
+use benchkit::cli::{parse, Env};
 
 /// Split a golden argv on spaces; `'...'` quotes one word (which may be
 /// empty or hold spaces).
@@ -36,7 +36,7 @@ fn regenerate(golden: &str) -> String {
         out.push_str(line);
         out.push('\n');
         if let Some(argv) = line.strip_prefix('$') {
-            match parse(&words(argv)) {
+            match parse(&words(argv), &Env::default()) {
                 Ok(cmd) => out.push_str(&format!("= {cmd:?}\n")),
                 Err(e) => out.push_str(&format!("! {e}\n")),
             }

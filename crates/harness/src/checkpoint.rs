@@ -177,9 +177,10 @@ pub struct ReplayedCell {
 /// line at a time and fsync'd before the cell is reported upstream, so a
 /// crash at any instant leaves at worst one torn trailing record. The
 /// durability mechanics live in [`spackle::walog::AppendLog`]; all writes
-/// and fsyncs go through a [`spackle::IoShim`], so the torture suite (and
-/// `BENCHKIT_IOFAULTS`) can inject torn appends and fsync failures here
-/// and prove the resume path recovers the valid prefix.
+/// and fsyncs go through the [`spackle::IoShim`] the caller passes in, so
+/// the torture suite (and `BENCHKIT_IOFAULTS`, which `benchkit` arms into
+/// the survey's shim) can inject torn appends and fsync failures here and
+/// prove the resume path recovers the valid prefix.
 #[derive(Debug)]
 pub struct Journal {
     log: AppendLog,
@@ -187,14 +188,8 @@ pub struct Journal {
 
 impl Journal {
     /// Start a fresh journal in `dir` (creating the directory), write the
-    /// [`header_line`], and fsync it. Honours `BENCHKIT_IOFAULTS`.
-    pub fn create(dir: &Path, header: &str) -> Result<Journal, CheckpointError> {
-        Journal::create_with(dir, header, IoShim::from_env())
-    }
-
-    /// [`Journal::create`] with an explicit I/O shim (tests inject faults
-    /// without touching the process environment).
-    pub fn create_with(dir: &Path, header: &str, io: IoShim) -> Result<Journal, CheckpointError> {
+    /// [`header_line`], and fsync it, every write through `io`.
+    pub fn create(dir: &Path, header: &str, io: IoShim) -> Result<Journal, CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let log = AppendLog::create(&path, io)?;
@@ -206,10 +201,11 @@ impl Journal {
     /// against `expected` (a [`header_line`]), parse the contiguous prefix of completed cells,
     /// discard a torn/truncated trailing record (and truncate the file
     /// back to the valid prefix so appends continue cleanly), and return
-    /// the replayable cells in grid order.
+    /// the replayable cells in grid order. Later appends go through `io`.
     pub fn resume(
         dir: &Path,
         expected: &str,
+        io: IoShim,
     ) -> Result<(Journal, Vec<ReplayedCell>), CheckpointError> {
         let path = dir.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&path)
@@ -234,7 +230,7 @@ impl Journal {
         // recovery, so the log is opened at the validated prefix length.
         let (cells, len) =
             valid_prefix(&text[header_end + 1..], |line, i| parse_cell(line, i).ok());
-        let log = AppendLog::open_at(&path, IoShim::from_env(), (header_end + 1 + len) as u64)?;
+        let log = AppendLog::open_at(&path, io, (header_end + 1 + len) as u64)?;
         Ok((Journal { log }, cells))
     }
 
@@ -712,7 +708,7 @@ mod tests {
     fn journal_round_trips_and_discards_torn_tail() {
         let dir = tmpdir("torn");
         let b = header();
-        let journal = Journal::create(&dir, &b).unwrap();
+        let journal = Journal::create(&dir, &b, IoShim::Real).unwrap();
         journal
             .append(
                 0,
@@ -738,7 +734,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "{{\"cell\":2,\"case\":\"trunc").unwrap();
         drop(f);
-        let (journal, cells) = Journal::resume(&dir, &b).unwrap();
+        let (journal, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
         assert_eq!(cells.len(), 2, "torn record discarded");
         assert_eq!(cells[0].case, "babelstream_omp");
         assert!(cells[0].outcome.skipped());
@@ -754,7 +750,7 @@ mod tests {
             .append(2, "x", "archer2", &SuiteOutcome::Skipped("later".into()))
             .unwrap();
         drop(journal);
-        let (_, cells) = Journal::resume(&dir, &b).unwrap();
+        let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
         assert_eq!(cells.len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -774,7 +770,7 @@ mod tests {
             let mut spec = spackle::FaultSpec::quiet(seed);
             spec.torn = 0.35;
             spec.only_matching = Some(JOURNAL_FILE.to_string());
-            let journal = match Journal::create_with(&dir, &b, spackle::IoShim::faulty(spec)) {
+            let journal = match Journal::create(&dir, &b, IoShim::faulty(spec)) {
                 Ok(j) => j,
                 Err(_) => continue, // header write faulted; try the next seed
             };
@@ -794,7 +790,7 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
                 continue;
             }
-            let (_, cells) = Journal::resume(&dir, &b).unwrap();
+            let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
             assert_eq!(
                 cells.len(),
                 committed,
@@ -811,14 +807,18 @@ mod tests {
     #[test]
     fn mismatched_binding_is_a_hard_error() {
         let dir = tmpdir("mismatch");
-        drop(Journal::create(&dir, &header()).unwrap());
-        match Journal::resume(&dir, &header_with(8, &[("csd3".to_string(), 3)])) {
+        drop(Journal::create(&dir, &header(), IoShim::Real).unwrap());
+        match Journal::resume(
+            &dir,
+            &header_with(8, &[("csd3".to_string(), 3)]),
+            IoShim::Real,
+        ) {
             Err(CheckpointError::ConfigMismatch { .. }) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
         // Every bound knob participates, including the memory snapshot.
         assert!(matches!(
-            Journal::resume(&dir, &header_with(7, &[])),
+            Journal::resume(&dir, &header_with(7, &[]), IoShim::Real),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -828,7 +828,7 @@ mod tests {
     fn out_of_order_records_are_discarded_from_first_deviation() {
         let dir = tmpdir("order");
         let b = header();
-        let journal = Journal::create(&dir, &b).unwrap();
+        let journal = Journal::create(&dir, &b, IoShim::Real).unwrap();
         journal
             .append(0, "a", "csd3", &SuiteOutcome::Skipped("s".into()))
             .unwrap();
@@ -841,7 +841,7 @@ mod tests {
             .append(2, "c", "csd3", &SuiteOutcome::Skipped("s".into()))
             .unwrap();
         drop(journal);
-        let (_, cells) = Journal::resume(&dir, &b).unwrap();
+        let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
         assert_eq!(cells.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -903,7 +903,7 @@ mod tests {
 
     /// A journal for `header()`'s 2×2 grid with `n` completed cells.
     fn journal_with_cells(dir: &Path, n: usize) {
-        let journal = Journal::create(dir, &header()).unwrap();
+        let journal = Journal::create(dir, &header(), IoShim::Real).unwrap();
         for i in 0..n {
             journal
                 .append(i, "case", "sys", &SuiteOutcome::Skipped("s".into()))

@@ -41,6 +41,8 @@ pub struct RunOptions {
     /// `None` falls back to the in-process path, byte-identical to before
     /// engines existed.
     pub engine: Option<engine::EngineSpec>,
+    /// Wall-clock scale of engine-retry sleeps (0 = none); time-lost is nominal.
+    pub backoff_scale: f64,
 }
 
 impl RunOptions {
@@ -55,6 +57,7 @@ impl RunOptions {
             max_retries: 2,
             heal: false,
             engine: None,
+            backoff_scale: 1.0,
         }
     }
 
@@ -80,6 +83,11 @@ impl RunOptions {
 
     pub fn with_engine(mut self, engine: Option<engine::EngineSpec>) -> RunOptions {
         self.engine = engine;
+        self
+    }
+
+    pub fn with_backoff_scale(mut self, scale: f64) -> RunOptions {
+        self.backoff_scale = scale;
         self
     }
 }
@@ -471,8 +479,8 @@ impl Harness {
     /// frames — is contained as a structured per-attempt error that feeds
     /// the same retry/accounting machinery as injected faults: each failed
     /// attempt counts one fault, charges the nominal backoff schedule to
-    /// `time_lost` (wall-clock sleeps scale via
-    /// `BENCHKIT_ENGINE_BACKOFF_SCALE`), and once the `--max-retries`
+    /// `time_lost` (wall-clock sleeps scale by
+    /// [`RunOptions::backoff_scale`]), and once the `--max-retries`
     /// budget is exhausted the case is recorded as `result=fail` with the
     /// subprocess facts in its extras. The engine never aborts the survey.
     ///
@@ -525,7 +533,8 @@ impl Harness {
                     // The charged cost is the nominal deterministic backoff
                     // schedule; the real sleep is scaled (zero in tests/CI)
                     // so accounting never depends on wall-clock jitter.
-                    *time_lost += faults::backoff_sleep(attempt);
+                    let nominal = faults::backoff_s(attempt);
+                    *time_lost += faults::sleep_scaled(nominal, self.options.backoff_scale);
                     *retries += 1;
                     attempt += 1;
                 }
@@ -1225,10 +1234,8 @@ mod tests {
     }
 
     /// A shell engine whose body is `script`. Tests never sleep for real:
-    /// backoff wall-clock is scaled to zero (the var is only ever set to
-    /// "0" here, so concurrent tests cannot race to different values).
+    /// their options scale backoff wall-clock to zero.
     fn sh_engine(script: &str) -> engine::EngineSpec {
-        std::env::set_var(faults::BACKOFF_SCALE_ENV, "0");
         engine::EngineSpec {
             cmd: vec!["/bin/sh".to_string(), "-c".to_string(), script.to_string()],
             timeout_s: 10.0,
@@ -1253,7 +1260,9 @@ printf 'done:0:\n'
     #[test]
     fn engine_path_runs_a_case_end_to_end() {
         let script = format!("cat >/dev/null\n{SH_BABELSTREAM_REPORT}");
-        let opts = RunOptions::on_system("csd3").with_engine(Some(sh_engine(&script)));
+        let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
+            .with_engine(Some(sh_engine(&script)));
         let mut h = Harness::new(opts);
         let case = cases::babelstream(Model::Omp, 1 << 22);
         let report = h.run_case(&case).unwrap();
@@ -1274,7 +1283,9 @@ printf 'done:0:\n'
             "req=$(cat)\ncase \"$req\" in *babelstream_omp*csd3*) ;; *) exit 9;; esac\n\
              {SH_BABELSTREAM_REPORT}"
         );
-        let opts = RunOptions::on_system("csd3").with_engine(Some(sh_engine(&script)));
+        let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
+            .with_engine(Some(sh_engine(&script)));
         let mut h = Harness::new(opts);
         let case = cases::babelstream(Model::Omp, 1 << 22);
         assert!(h.run_case(&case).is_ok());
@@ -1283,6 +1294,7 @@ printf 'done:0:\n'
     #[test]
     fn crashing_engine_is_contained_with_subprocess_facts() {
         let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
             .with_engine(Some(sh_engine("echo boom >&2; exit 7")))
             .with_max_retries(1);
         let mut h = Harness::new(opts);
@@ -1313,6 +1325,7 @@ printf 'done:0:\n'
     #[test]
     fn garbage_engine_output_is_a_contained_protocol_failure() {
         let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
             .with_engine(Some(sh_engine("cat >/dev/null; echo 'NOT KLV AT ALL!'")))
             .with_max_retries(0);
         let mut h = Harness::new(opts);
@@ -1327,6 +1340,7 @@ printf 'done:0:\n'
         let mut spec = sh_engine("cat >/dev/null; exec sleep 30");
         spec.timeout_s = 0.3;
         let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
             .with_engine(Some(spec))
             .with_max_retries(0);
         let mut h = Harness::new(opts);
@@ -1352,6 +1366,7 @@ printf 'done:0:\n'
              {SH_BABELSTREAM_REPORT}"
         );
         let opts = RunOptions::on_system("csd3")
+            .with_backoff_scale(0.0)
             .with_engine(Some(sh_engine(&script)))
             .with_max_retries(2);
         let mut h = Harness::new(opts);

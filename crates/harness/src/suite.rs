@@ -7,7 +7,7 @@ use crate::checkpoint::{self, CheckpointError, CheckpointMode, Journal};
 use crate::{CaseReport, Harness, HarnessError, PreparedBuild, RunOptions, TestCase};
 use perflogs::Perflog;
 use simhpc::faults::FaultProfile;
-use spackle::{BuildAction, DiskStore, Persist, StoreEntry};
+use spackle::{BuildAction, DiskStore, IoShim, Persist, StoreEntry, StoreOptions};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -293,8 +293,8 @@ struct SweepState {
 pub struct SuiteRunner {
     pub systems: Vec<String>,
     pub seed: u64,
-    /// Concurrent jobs; 1 runs inline on the caller, 0 means auto
-    /// ([`parkern::default_workers`]).
+    /// Concurrent jobs; 0 means auto (`threads`, else the machine's
+    /// parallelism).
     pub jobs: usize,
     /// Share one package store per system across its cases.
     pub warm_store: bool,
@@ -331,6 +331,12 @@ pub struct SuiteRunner {
     /// runs under its own engine instead of the base one (or instead of
     /// the in-process path when no base engine is set).
     pub engine_overrides: Vec<(String, engine::EngineSpec)>,
+    /// I/O seam of the checkpoint journal and the store (`BENCHKIT_IOFAULTS`).
+    pub io: IoShim,
+    /// [`RunOptions::backoff_scale`] of every cell.
+    pub backoff_scale: f64,
+    /// Kernel threads per cell; `None` shares the machine among the jobs.
+    pub threads: Option<usize>,
 }
 
 impl SuiteRunner {
@@ -350,6 +356,9 @@ impl SuiteRunner {
             store: None,
             engine: None,
             engine_overrides: Vec::new(),
+            io: IoShim::Real,
+            backoff_scale: 1.0,
+            threads: None,
         }
     }
 
@@ -445,6 +454,12 @@ impl SuiteRunner {
         self
     }
 
+    /// Scale engine-retry sleeps by `scale` (0 retries at once).
+    pub fn with_backoff_scale(mut self, scale: f64) -> SuiteRunner {
+        self.backoff_scale = scale;
+        self
+    }
+
     /// The engine a given case runs under (override, then base), `None`
     /// for the in-process path.
     pub fn engine_for(&self, case: &str) -> Option<&engine::EngineSpec> {
@@ -470,6 +485,7 @@ impl SuiteRunner {
             .with_fault_profile(self.profile_for(system).clone())
             .with_max_retries(self.max_retries)
             .with_heal(self.heal)
+            .with_backoff_scale(self.backoff_scale)
     }
 
     /// Warm-store prepass: per system, run the build stage serially in
@@ -715,39 +731,28 @@ impl SuiteRunner {
         on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
     ) -> Result<SuiteReport, CheckpointError> {
         let n_jobs = self.systems.len() * cases.len();
-        let jobs = if self.jobs == 0 {
-            parkern::default_workers()
-        } else {
-            self.jobs
+        let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let jobs = match self.jobs {
+            0 => self.threads.unwrap_or(machine),
+            n => n,
         };
         let workers = jobs.min(n_jobs).max(1);
 
-        // Oversubscription guard: with `workers` cells running concurrently,
-        // clamp each cell's *implicit* kernel-thread count so that
-        // jobs × threads ≤ the machine's parallelism. An explicit
-        // BENCHKIT_THREADS (or per-case `threads` setting) always wins.
-        // The guard restores the previous cap on every exit path.
-        struct CapGuard(usize);
-        impl Drop for CapGuard {
-            fn drop(&mut self) {
-                parkern::set_worker_cap(self.0);
+        // Kernel threads per cell, which each worker thread sets on itself:
+        // an explicit count always wins; otherwise `workers` concurrent
+        // cells split the machine so jobs × threads ≤ its parallelism.
+        let per_cell = match self.threads {
+            Some(n) => n,
+            None if workers > 1 => {
+                let cap = (machine / workers).max(1);
+                eprintln!(
+                    "note: clamping per-cell kernel threads to {cap} \
+                     ({machine} cores / {workers} concurrent jobs); \
+                     set BENCHKIT_THREADS to override"
+                );
+                cap
             }
-        }
-        let _cap_guard = if workers > 1 && std::env::var("BENCHKIT_THREADS").is_err() {
-            let machine = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            let cap = (machine / workers).max(1);
-            let prev = parkern::worker_cap();
-            parkern::set_worker_cap(cap);
-            eprintln!(
-                "note: clamping per-cell kernel threads to {cap} \
-                 ({machine} cores / {workers} concurrent jobs); \
-                 set BENCHKIT_THREADS to override"
-            );
-            Some(CapGuard(prev))
-        } else {
-            None
+            None => 0, // one cell at a time: the whole machine
         };
 
         // Quarantine memory: systems whose trailing streak in an earlier
@@ -772,11 +777,12 @@ impl SuiteRunner {
 
         let header = || checkpoint::header_line(self, cases, &streaks);
         let (journal, replayed) = match &self.checkpoint {
-            Some(CheckpointMode::Fresh(dir)) => {
-                (Some(Journal::create(dir, &header())?), Vec::new())
-            }
+            Some(CheckpointMode::Fresh(dir)) => (
+                Some(Journal::create(dir, &header(), self.io.clone())?),
+                Vec::new(),
+            ),
             Some(CheckpointMode::Resume(dir)) => {
-                let (j, cells) = Journal::resume(dir, &header())?;
+                let (j, cells) = Journal::resume(dir, &header(), self.io.clone())?;
                 (Some(j), cells)
             }
             None => (None, Vec::new()),
@@ -790,7 +796,11 @@ impl SuiteRunner {
         let mut disk = None;
         if let Some(dir) = &self.store {
             let stats = store_stats.as_mut().expect("stats allocated with --store");
-            match DiskStore::open(dir) {
+            let opts = StoreOptions {
+                io: self.io.clone(),
+                ..StoreOptions::default()
+            };
+            match DiskStore::open_with(dir, opts) {
                 Ok(d) => {
                     stats.quarantined = d.quarantined().len();
                     stats.shards_contended = d.contended().len();
@@ -854,17 +864,14 @@ impl SuiteRunner {
         if replay_count > 0 {
             self.flush_ready(cases, &state, on_flush);
         }
-        if workers <= 1 {
-            self.work(cases, prepared, &state, on_flush);
-        } else {
-            std::thread::scope(|s| {
-                // The caller is a worker too; spawn only workers - 1.
-                for _ in 1..workers {
-                    s.spawn(|| self.work(cases, prepared, &state, on_flush));
-                }
-                self.work(cases, prepared, &state, on_flush);
-            });
-        }
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    parkern::set_worker_cap(per_cell);
+                    self.work(cases, prepared, &state, on_flush);
+                });
+            }
+        });
         if let Some(e) = state
             .journal_error
             .lock()
@@ -1918,9 +1925,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&store);
     }
 
-    /// A shell engine for suite tests; backoff wall-clock scaled to zero.
+    /// A shell engine for suite tests; their runners scale backoff
+    /// wall-clock to zero.
     fn sh_engine(script: &str) -> crate::EngineSpec {
-        std::env::set_var(simhpc::faults::BACKOFF_SCALE_ENV, "0");
         crate::EngineSpec {
             cmd: vec!["/bin/sh".to_string(), "-c".to_string(), script.to_string()],
             timeout_s: 10.0,
@@ -1958,6 +1965,7 @@ printf 'done:0:\n'
         ];
         let run = |jobs| {
             SuiteRunner::new(&["csd3", "archer2"])
+                .with_backoff_scale(0.0)
                 .with_engine(Some(ok_engine()))
                 .with_engine_override("babelstream_tbb", sh_engine("echo kaput >&2; exit 11"))
                 .with_max_retries(1)
@@ -1989,7 +1997,11 @@ printf 'done:0:\n'
             cases::babelstream(Model::Omp, 1 << 22),
             cases::babelstream(Model::Tbb, 1 << 22),
         ];
-        let engined = || SuiteRunner::new(&["csd3"]).with_engine(Some(ok_engine()));
+        let engined = || {
+            SuiteRunner::new(&["csd3"])
+                .with_backoff_scale(0.0)
+                .with_engine(Some(ok_engine()))
+        };
         let full = engined().with_checkpoint(&dir).try_run(&cases).unwrap();
         assert_eq!(full.n_ran(), 2);
         // Same engine resumes cleanly (replaying the completed cells).
@@ -1998,6 +2010,7 @@ printf 'done:0:\n'
         // Dropping --engine switches modes: hard error.
         assert!(matches!(
             SuiteRunner::new(&["csd3"])
+                .with_backoff_scale(0.0)
                 .with_resume(&dir)
                 .try_run(&cases),
             Err(CheckpointError::ConfigMismatch { .. })
@@ -2005,6 +2018,7 @@ printf 'done:0:\n'
         // A different engine command is a different experiment too.
         assert!(matches!(
             SuiteRunner::new(&["csd3"])
+                .with_backoff_scale(0.0)
                 .with_engine(Some(sh_engine("exit 0")))
                 .with_resume(&dir)
                 .try_run(&cases),
@@ -2013,6 +2027,7 @@ printf 'done:0:\n'
         // And so is moving the engine to a per-case override.
         assert!(matches!(
             SuiteRunner::new(&["csd3"])
+                .with_backoff_scale(0.0)
                 .with_engine_override("babelstream_omp", ok_engine())
                 .with_resume(&dir)
                 .try_run(&cases),
@@ -2032,6 +2047,7 @@ printf 'done:0:\n'
         ];
         let make = || {
             SuiteRunner::new(&["csd3", "archer2"])
+                .with_backoff_scale(0.0)
                 .with_engine(Some(ok_engine()))
                 .with_engine_override("babelstream_tbb", sh_engine("exit 5"))
                 .with_max_retries(0)
@@ -2073,6 +2089,7 @@ printf 'done:0:\n'
             cases::babelstream(Model::Serial, 1 << 22),
         ];
         let report = SuiteRunner::new(&["csd3"])
+            .with_backoff_scale(0.0)
             .with_engine(Some(sh_engine("exit 13")))
             .with_max_retries(0)
             .with_quarantine(2)
@@ -2085,5 +2102,127 @@ printf 'done:0:\n'
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn each_worker_runs_its_cells_on_its_own_thread_count() {
+        // The progress callback runs on the worker that flushes the cell,
+        // so it sees that worker's kernel thread count.
+        let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cases = vec![cases::babelstream(Model::Omp, 1 << 22)];
+        let counts = |runner: SuiteRunner| {
+            let seen = Mutex::new(BTreeSet::new());
+            runner.run_with_progress(&cases, &|_| {
+                seen.lock().unwrap().insert(parkern::default_workers());
+            });
+            seen.into_inner().unwrap()
+        };
+        let two = SuiteRunner::new(&["csd3", "archer2"]).with_jobs(2);
+        // No explicit count (what a zero or junk BENCHKIT_THREADS reads
+        // as): two concurrent cells split the machine.
+        assert_eq!(counts(two.clone()), BTreeSet::from([(machine / 2).max(1)]));
+        // An explicit count wins, exactly, even above the machine.
+        let explicit = SuiteRunner {
+            threads: Some(machine + 3),
+            ..two.clone()
+        };
+        assert_eq!(counts(explicit), BTreeSet::from([machine + 3]));
+        // One cell at a time has the whole machine.
+        assert_eq!(counts(two.with_jobs(1)), BTreeSet::from([machine]));
+    }
+
+    #[test]
+    fn overlapping_suites_leave_no_thread_count_behind() {
+        // Force the interleaving A-start, B-start, A-end, B-end. A count
+        // that each run saved and restored process-wide would end with B
+        // restoring A's clamp, stuck for every later thread.
+        let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cases = vec![cases::babelstream(Model::Omp, 1 << 22)];
+        let runner = SuiteRunner::new(&["csd3", "archer2"]).with_jobs(2);
+        let (a_started, b_started, a_ended) = (
+            std::sync::Barrier::new(2),
+            std::sync::Barrier::new(2),
+            std::sync::Barrier::new(2),
+        );
+        let (a_first, b_first) = (AtomicBool::new(true), AtomicBool::new(true));
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                runner.run_with_progress(&cases, &|_| {
+                    if a_first.swap(false, Ordering::SeqCst) {
+                        a_started.wait();
+                        b_started.wait();
+                    }
+                })
+            });
+            let b = s.spawn(|| {
+                a_started.wait();
+                runner.run_with_progress(&cases, &|_| {
+                    if b_first.swap(false, Ordering::SeqCst) {
+                        b_started.wait();
+                        a_ended.wait();
+                    }
+                })
+            });
+            a.join().unwrap();
+            a_ended.wait();
+            b.join().unwrap();
+        });
+        let fresh = std::thread::spawn(parkern::default_workers).join().unwrap();
+        assert_eq!(fresh, machine);
+    }
+
+    #[test]
+    fn faulty_and_clean_suites_run_side_by_side() {
+        // One suite's journal tears appends while a clean suite runs in the
+        // same process: each run has its own shim, so the clean report is
+        // the serial one, and the torn journal resumes to it as well.
+        let cases = vec![
+            cases::babelstream(Model::Omp, 1 << 22),
+            cases::babelstream(Model::Tbb, 1 << 22),
+        ];
+        let clean = SuiteRunner::new(&["csd3", "archer2"]).with_jobs(2);
+        let serial = rendered(&clean.clone().with_jobs(1).run(&cases));
+        let mut exercised = false;
+        for seed in 0..200u64 {
+            let dir = tmpdir(&format!("side-by-side-{seed}"));
+            let mut spec = spackle::FaultSpec::quiet(seed);
+            spec.torn = 0.35;
+            spec.only_matching = Some(checkpoint::JOURNAL_FILE.to_string());
+            let faulty = SuiteRunner {
+                io: IoShim::faulty(spec.clone()),
+                ..clean.clone().with_checkpoint(&dir)
+            };
+            // Shims compare by spec, and an armed one shows in Debug.
+            let armed_alike = SuiteRunner {
+                io: IoShim::faulty(spec),
+                ..faulty.clone()
+            };
+            assert_eq!(faulty, armed_alike);
+            assert_ne!(
+                faulty.clone().with_checkpoint(&dir),
+                clean.clone().with_checkpoint(&dir)
+            );
+            assert!(format!("{faulty:?}").contains("io: Faulty("));
+            assert!(format!("{clean:?}").contains("io: Real"));
+            let (torn, side) = std::thread::scope(|s| {
+                let torn = s.spawn(|| faulty.try_run(&cases));
+                let side = clean.run(&cases);
+                (torn.join().unwrap(), side)
+            });
+            assert_eq!(rendered(&side), serial, "seed {seed}");
+            let header = checkpoint::header_line(&faulty, &cases, &[]);
+            let recovered = Journal::resume(&dir, &header, IoShim::Real).map(|(_, c)| c.len());
+            // Wanted: the header commits, some cells commit, then a tear.
+            if !(torn.is_err() && recovered.is_ok_and(|n| n >= 1)) {
+                let _ = std::fs::remove_dir_all(&dir);
+                continue;
+            }
+            let resumed = clean.clone().with_resume(&dir).try_run(&cases).unwrap();
+            assert_eq!(rendered(&resumed), serial, "seed {seed}");
+            std::fs::remove_dir_all(&dir).unwrap();
+            exercised = true;
+            break;
+        }
+        assert!(exercised, "no seed in 0..200 produced commits-then-tear");
     }
 }

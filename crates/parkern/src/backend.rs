@@ -1,8 +1,8 @@
 //! The execution backend abstraction and its simpler implementations.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on reduction pieces in the default [`Backend::par_reduce_sum`]:
 /// partials live in a fixed stack array so reductions never allocate, at any
@@ -24,21 +24,17 @@ impl PartialsPtr {
     }
 }
 
-/// Process-wide cap on implicit worker counts (0 = uncapped), applied by
-/// [`default_workers`] when `BENCHKIT_THREADS` is not set explicitly. The
-/// harness uses this to stop `--jobs N` cells from oversubscribing the
-/// machine with `N × available_parallelism` kernel threads.
-static WORKER_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Cap implicit worker counts at `cap` (0 clears the cap). An explicit
-/// `BENCHKIT_THREADS` setting always wins over the cap.
-pub fn set_worker_cap(cap: usize) {
-    WORKER_CAP.store(cap, Ordering::Release);
+thread_local! {
+    /// This thread's worker count for [`default_workers`] (0 = unset).
+    static WORKERS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The current implicit-worker cap (0 = uncapped).
-pub fn worker_cap() -> usize {
-    WORKER_CAP.load(Ordering::Acquire)
+/// Set this thread's worker count: [`default_workers`] on this thread then
+/// returns exactly `n` (0 unsets it). The count is per thread, so suite
+/// workers size their own cells and concurrent sweeps cannot clobber each
+/// other's counts.
+pub fn set_worker_cap(n: usize) {
+    WORKERS.with(|w| w.set(n));
 }
 
 /// A data-parallel execution backend.
@@ -130,34 +126,13 @@ pub(crate) fn grained_pieces(n: usize, grain: usize, workers: usize) -> usize {
     n.div_ceil(grain).clamp(1, workers.max(1))
 }
 
-/// Worker count to use when none is specified: `BENCHKIT_THREADS` if set to
-/// a positive integer, otherwise [`std::thread::available_parallelism`]
-/// clamped by [`worker_cap`] (an explicit `BENCHKIT_THREADS` ignores the
-/// cap — the user asked for that count).
+/// Worker count to use when none is specified: this thread's count from
+/// [`set_worker_cap`] if set, otherwise
+/// [`std::thread::available_parallelism`].
 pub fn default_workers() -> usize {
-    capped_workers(
-        std::env::var("BENCHKIT_THREADS").ok().as_deref(),
-        worker_cap(),
-    )
-}
-
-/// Testable core of [`default_workers`]: an explicit positive override wins
-/// outright; otherwise the machine's available parallelism, clamped to
-/// `cap` when `cap > 0` (never below one worker).
-pub(crate) fn capped_workers(var: Option<&str>, cap: usize) -> usize {
-    if let Some(n) = var
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    let machine = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    if cap == 0 {
-        machine
-    } else {
-        machine.min(cap).max(1)
+    match WORKERS.with(Cell::get) {
+        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        n => n,
     }
 }
 
@@ -207,11 +182,6 @@ impl ThreadsBackend {
             workers: workers.max(1),
         }
     }
-
-    /// A backend sized by [`default_workers`].
-    pub fn auto() -> ThreadsBackend {
-        ThreadsBackend::new(default_workers())
-    }
 }
 
 impl Backend for ThreadsBackend {
@@ -259,11 +229,6 @@ impl CrossbeamBackend {
         CrossbeamBackend {
             workers: workers.max(1),
         }
-    }
-
-    /// A backend sized by [`default_workers`].
-    pub fn auto() -> CrossbeamBackend {
-        CrossbeamBackend::new(default_workers())
     }
 }
 
@@ -367,39 +332,32 @@ mod tests {
     }
 
     #[test]
-    fn workers_from_env_override() {
-        assert_eq!(capped_workers(Some("3"), 0), 3);
-        assert_eq!(capped_workers(Some(" 12 "), 0), 12);
-        let fallback = capped_workers(None, 0);
-        assert!(fallback >= 1);
-        // Junk and zero fall back to machine parallelism.
-        assert_eq!(capped_workers(Some("0"), 0), fallback);
-        assert_eq!(capped_workers(Some("lots"), 0), fallback);
-    }
-
-    #[test]
-    fn capped_workers_clamps_only_implicit_counts() {
-        let machine = capped_workers(None, 0);
-        // Explicit BENCHKIT_THREADS beats the cap in both directions.
-        assert_eq!(capped_workers(Some("12"), 2), 12);
-        assert_eq!(capped_workers(Some("1"), 8), 1);
-        // Implicit counts clamp to the cap, never below one worker.
-        assert_eq!(capped_workers(None, 1), 1);
-        assert_eq!(capped_workers(None, machine + 10), machine);
-        assert_eq!(capped_workers(None, 0), machine);
-        // Junk overrides fall through to the capped machine count.
-        assert_eq!(capped_workers(Some("lots"), 1), 1);
+    fn worker_count_is_exact_and_per_thread() {
+        let machine = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        // Unset means the machine's parallelism.
+        assert_eq!(default_workers(), machine);
+        // A set count is exact in both directions: above the machine and
+        // below it, never clamped.
+        for n in [1, 3, 12, machine + 10] {
+            set_worker_cap(n);
+            assert_eq!(default_workers(), n);
+        }
+        // Another thread never sees this thread's count.
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(default_workers(), machine));
+        });
+        set_worker_cap(0);
+        assert_eq!(default_workers(), machine);
     }
 
     #[test]
     fn worker_cap_round_trips() {
-        // Other tests may run concurrently in this process, but none touch
-        // the cap, so a set/read/clear sequence is safe.
-        assert_eq!(worker_cap(), 0);
+        // The count is per thread, so concurrent tests cannot see it.
+        let machine = default_workers();
         set_worker_cap(3);
-        assert_eq!(worker_cap(), 3);
+        assert_eq!(default_workers(), 3);
         set_worker_cap(0);
-        assert_eq!(worker_cap(), 0);
+        assert_eq!(default_workers(), machine);
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod kernels;
 pub mod pool;
 
 pub use backend::{
-    chunk_range, chunks, default_workers, set_worker_cap, worker_cap, Backend, CrossbeamBackend,
-    SerialBackend, ThreadsBackend,
+    chunk_range, chunks, default_workers, set_worker_cap, Backend, CrossbeamBackend, SerialBackend,
+    ThreadsBackend,
 };
 pub use pool::{PoolBackend, SpinBarrier};
 

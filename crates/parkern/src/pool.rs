@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::backend::{chunk_range, default_workers, grained_pieces, Backend};
+use crate::backend::{chunk_range, grained_pieces, Backend};
 
 /// A reusable spin barrier: `total` participants rendezvous; the last one
 /// to arrive flips the generation and releases the rest.
@@ -122,11 +122,6 @@ impl PoolBackend {
             workers,
             partials,
         }
-    }
-
-    /// A pool sized by [`default_workers`].
-    pub fn auto() -> PoolBackend {
-        PoolBackend::new(default_workers())
     }
 
     /// Broadcast `f` to all workers and wait for completion.

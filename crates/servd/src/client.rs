@@ -2,15 +2,15 @@
 //! helper CI uses instead of curl.
 //!
 //! Retries follow the repo's one backoff policy — `simhpc::faults`'
-//! jitter-free 30·2ⁿ ≤ 480 s schedule, wall-clock scaled by
-//! `BENCHKIT_ENGINE_BACKOFF_SCALE` — except when the daemon names its own
+//! jitter-free 30·2ⁿ ≤ 480 s schedule, wall-clock scaled by the caller's
+//! backoff scale — except when the daemon names its own
 //! price: a `503` carries `Retry-After`, and the client honors it (scaled
 //! the same way) instead of guessing. A response that arrives truncated
 //! (torn by a daemon-side fault) is *not* an acknowledgment; the batch is
 //! retried whole, and the daemon's content dedup makes that safe.
 
 use crate::http::{read_response, ClientResponse};
-use simhpc::faults::{sleep_scaled, wall_scale};
+use simhpc::faults::sleep_scaled;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -76,11 +76,13 @@ impl std::error::Error for PushError {}
 /// to `addr`'s `/v1/ingest`, one batch per file in name order. Each batch
 /// is retried up to `max_retries` times on transport failure or a `5xx`
 /// answer; an unparseable batch (`400`) fails immediately — retrying a
-/// malformed file cannot fix it.
+/// malformed file cannot fix it. Retry sleeps last the nominal wait times
+/// `backoff_scale` (0 retries at once).
 pub fn push_dir(
     dir: &Path,
     addr: &str,
     max_retries: u32,
+    backoff_scale: f64,
     out: &mut dyn Write,
 ) -> Result<PushReport, PushError> {
     let files = perflogs::input_files(dir)
@@ -140,7 +142,7 @@ pub fn push_dir(
                         file.display()
                     )
                     .ok();
-                    sleep_scaled(nominal, wall_scale());
+                    sleep_scaled(nominal, backoff_scale);
                 }
                 Ok(resp) => {
                     return Err(PushError(format!(
@@ -166,7 +168,7 @@ pub fn push_dir(
                         file.display()
                     )
                     .ok();
-                    sleep_scaled(nominal, wall_scale());
+                    sleep_scaled(nominal, backoff_scale);
                 }
             }
         }

@@ -20,15 +20,17 @@
 //! a sorted [transcript](NetShim::transcript) whose rendering is
 //! interleaving-independent for the same reason.
 //!
-//! CI arms the shim without recompiling through `BENCHKIT_NETFAULTS`,
-//! e.g. `BENCHKIT_NETFAULTS="seed=7,torn=0.2,short=0.2,reset=0.1"`.
+//! The daemon takes the shim from its configuration. The `benchkit`
+//! binary arms one from `BENCHKIT_NETFAULTS` at start-up, so CI injects
+//! faults without recompiling, e.g.
+//! `BENCHKIT_NETFAULTS="seed=7,torn=0.2,short=0.2,reset=0.1"`.
 
-use simhpc::faults::{parse_spec, spec_from_env, FaultKernel, SpecField};
+use simhpc::faults::{parse_spec, FaultKernel, SpecField};
 use simhpc::noise::SplitMix64;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// Environment variable holding a [`NetFaultSpec`] for CLI/CI injection.
+/// Environment variable the `benchkit` binary reads a [`NetFaultSpec`] from.
 pub const NETFAULTS_ENV: &str = "BENCHKIT_NETFAULTS";
 
 /// Per-operation fault probabilities plus the seed keying the schedule.
@@ -101,18 +103,6 @@ impl NetShim {
     /// A shim injecting faults per `spec`.
     pub fn faulty(spec: NetFaultSpec) -> NetShim {
         NetShim::Faulty(Arc::new(FaultKernel::new(spec.seed, spec)))
-    }
-
-    /// Build a shim from `BENCHKIT_NETFAULTS` if set; parse errors are
-    /// reported (never silently ignored) and fall back to `Real` so a bad
-    /// spec cannot brick a daemon.
-    pub fn from_env() -> NetShim {
-        spec_from_env(NETFAULTS_ENV, NetFaultSpec::parse).map_or(NetShim::Real, NetShim::faulty)
-    }
-
-    /// True when this shim can inject faults (used only for logging).
-    pub fn is_faulty(&self) -> bool {
-        matches!(self, NetShim::Faulty(_))
     }
 
     /// Bind the shim to one connection's draw streams. Connection ids are

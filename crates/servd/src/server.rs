@@ -78,6 +78,10 @@ pub struct ServeConfig {
     pub retry_after_s: u64,
     /// Daemon-lease lifetime without renewal.
     pub lease_ttl_s: i64,
+    /// I/O seam for the store, the daemon lease and the WAL.
+    pub io: IoShim,
+    /// Network seam for every accepted connection.
+    pub net: NetShim,
 }
 
 impl ServeConfig {
@@ -91,6 +95,8 @@ impl ServeConfig {
             max_body: 4 * 1024 * 1024,
             retry_after_s: 1,
             lease_ttl_s: 60,
+            io: IoShim::Real,
+            net: NetShim::Real,
         }
     }
 }
@@ -254,8 +260,6 @@ pub struct Server {
     listener: TcpListener,
     cfg: ServeConfig,
     shared: Arc<Shared>,
-    net: NetShim,
-    io: IoShim,
     drain: Arc<AtomicBool>,
     writer: String,
     lease_path: PathBuf,
@@ -270,8 +274,6 @@ impl Server {
     /// bind the listener. Fails loudly when another live daemon holds the
     /// lease — two daemons over one directory would double-ack.
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
-        let io = IoShim::from_env();
-        let net = NetShim::from_env();
         // PID alone is not unique enough: tests (and embedders) bind
         // several daemons in one process, and each needs its own lease
         // identity or exclusivity could not tell them apart.
@@ -287,7 +289,7 @@ impl Server {
             StoreOptions {
                 writer: Some(writer.clone()),
                 lease_ttl_s: cfg.lease_ttl_s,
-                io: io.clone(),
+                io: cfg.io.clone(),
             },
         )
         .map_err(|e| io::Error::other(format!("opening store: {e}")))?;
@@ -310,7 +312,7 @@ impl Server {
                 )));
             }
         }
-        write_lease(&io, &lease_path, &writer, cfg.lease_ttl_s)?;
+        write_lease(&cfg.io, &lease_path, &writer, cfg.lease_ttl_s)?;
         match read_lease_info(&lease_path) {
             Some(info) if info.writer == writer => {}
             _ => {
@@ -319,7 +321,7 @@ impl Server {
                 ))
             }
         }
-        let (wal, records) = IngestWal::open(&state_dir, io.clone())?;
+        let (wal, records) = IngestWal::open(&state_dir, cfg.io.clone())?;
         let mut ingest = Ingest {
             wal,
             seen: Dedup::default(),
@@ -344,8 +346,6 @@ impl Server {
             listener,
             cfg,
             shared,
-            net,
-            io,
             drain: Arc::new(AtomicBool::new(false)),
             writer,
             lease_path,
@@ -371,7 +371,7 @@ impl Server {
 
     /// The fault transcript accumulated by this daemon's network shim.
     pub fn net_transcript(&self) -> Vec<String> {
-        self.net.transcript()
+        self.cfg.net.transcript()
     }
 
     /// Serve until drained (in-process flag or SIGTERM), then finish
@@ -390,7 +390,7 @@ impl Server {
         for _ in 0..n_workers {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&self.shared);
-            let net = self.net.clone();
+            let net = self.cfg.net.clone();
             let unanswered = Arc::clone(&unanswered);
             workers.push(std::thread::spawn(move || {
                 worker_loop(&rx, &shared, &net, &unanswered)
@@ -404,7 +404,7 @@ impl Server {
             if last_renew.elapsed() >= renew_every {
                 // Renewal failure is survivable until expiry; keep serving.
                 let _ = write_lease(
-                    &self.io,
+                    &self.cfg.io,
                     &self.lease_path,
                     &self.writer,
                     self.cfg.lease_ttl_s,
@@ -466,7 +466,7 @@ impl Server {
     /// by a short write timeout so a dead peer cannot stall admission.
     fn reject_saturated(&self, mut stream: TcpStream, conn: u64) {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-        let shim = self.net.conn(conn);
+        let shim = self.cfg.net.conn(conn);
         let resp = Response::new(503, "daemon saturated; retry after the advertised delay\n")
             .with_header("Retry-After", &self.cfg.retry_after_s.to_string());
         let _ = resp.write_to(&mut stream, &shim);

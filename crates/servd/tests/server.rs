@@ -305,14 +305,14 @@ fn push_client_round_trips_and_deduplicates() {
     let (addr, drain, join) = start(quick_cfg(&dir));
 
     let mut out = Vec::new();
-    let report = servd::push_dir(&logs, &addr, 3, &mut out).expect("push succeeds");
+    let report = servd::push_dir(&logs, &addr, 3, 0.0, &mut out).expect("push succeeds");
     assert_eq!(report.files, 2);
     assert_eq!(report.acked, 2);
     assert_eq!(report.duplicates, 0);
 
     // Pushing the same directory again is all duplicates — the content
     // dedup that makes retry-after-lost-ack safe.
-    let report = servd::push_dir(&logs, &addr, 3, &mut out).expect("re-push succeeds");
+    let report = servd::push_dir(&logs, &addr, 3, 0.0, &mut out).expect("re-push succeeds");
     assert_eq!(report.acked, 0);
     assert_eq!(report.duplicates, 2);
 

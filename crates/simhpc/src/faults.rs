@@ -17,8 +17,8 @@
 //!
 //! The same keying drives the I/O and network fault shims of the store
 //! and the results daemon: [`FaultKernel`] holds their seed, per-key
-//! operation counters and sorted transcript, [`parse_spec`] reads their
-//! `key=value,…` environment specs, and [`spec_from_env`] arms them.
+//! operation counters and sorted transcript, and [`parse_spec`] reads
+//! their `key=value,…` specs.
 
 use crate::noise::{fnv1a, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
@@ -209,21 +209,12 @@ pub fn backoff_s(retry: u32) -> f64 {
     (30.0 * f64::from(1u32 << exp)).min(480.0)
 }
 
-/// Scales the *wall-clock* sleep of [`backoff_sleep`] without touching its
-/// accounting. Tests and CI set it to `0` so engine retries are instant;
-/// the charged time-lost stays the nominal schedule either way, keeping
-/// reports byte-identical across machines and scales.
+/// The environment variable the `benchkit` binary reads the wall-clock
+/// backoff scale from: any finite value ≥ 0, otherwise 1. Tests and CI
+/// set it to `0` so engine and push retries are instant; the charged
+/// time-lost stays the nominal schedule at any scale (see
+/// [`sleep_scaled`]), keeping reports byte-identical across machines.
 pub const BACKOFF_SCALE_ENV: &str = "BENCHKIT_ENGINE_BACKOFF_SCALE";
-
-/// The wall-clock scale from [`BACKOFF_SCALE_ENV`]: any finite value
-/// ≥ 0, otherwise 1.
-pub fn wall_scale() -> f64 {
-    std::env::var(BACKOFF_SCALE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| s.is_finite() && *s >= 0.0)
-        .unwrap_or(1.0)
-}
 
 /// Really sleep `nominal_s × scale` seconds, capped at 480 s, and return
 /// `nominal_s` — the seconds to charge to time-lost accounting, never the
@@ -234,14 +225,6 @@ pub fn sleep_scaled(nominal_s: f64, scale: f64) -> f64 {
         std::thread::sleep(std::time::Duration::from_secs_f64(actual));
     }
     nominal_s
-}
-
-/// Wall-clock backoff for the external-engine path: really sleeps (the
-/// subprocess is a real process, not a simulated job), on the same
-/// jitter-free 30·2ⁿ ≤ 480 s schedule as [`backoff_s`], scaled by
-/// [`wall_scale`]. Returns the nominal seconds (see [`sleep_scaled`]).
-pub fn backoff_sleep(retry: u32) -> f64 {
-    sleep_scaled(backoff_s(retry), wall_scale())
 }
 
 /// The keyed-draw core of a stateful fault shim: a spec, the seed keying
@@ -317,6 +300,14 @@ impl<S> FaultKernel<S> {
     }
 }
 
+/// Kernels compare by what they inject: equal seeds and specs are equal,
+/// whatever the schedule state.
+impl<S: PartialEq> PartialEq for FaultKernel<S> {
+    fn eq(&self, other: &FaultKernel<S>) -> bool {
+        self.seed == other.seed && self.spec == other.spec
+    }
+}
+
 /// How [`parse_spec`] reads and stores the value of one spec key.
 pub enum SpecField<S> {
     /// A probability in `[0, 1]`.
@@ -365,17 +356,6 @@ pub fn parse_spec<S>(
         }
     }
     Ok(spec)
-}
-
-/// The fault spec in environment variable `var`, parsed by `parse`. Unset
-/// or blank means no faults; a malformed spec is reported on stderr (never
-/// silently ignored) and also yields `None`, so a bad spec falls back to
-/// real I/O instead of bricking a run.
-pub fn spec_from_env<S>(var: &str, parse: fn(&str) -> Result<S, String>) -> Option<S> {
-    let text = std::env::var(var).ok().filter(|t| !t.trim().is_empty())?;
-    parse(&text)
-        .map_err(|e| eprintln!("warning: ignoring bad {var}: {e}"))
-        .ok()
 }
 
 #[cfg(test)]

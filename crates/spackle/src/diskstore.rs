@@ -371,7 +371,8 @@ fn read_lease(path: &Path) -> Option<LeaseInfo> {
 /// This machine's hostname, for lease-liveness scoping. `/proc` is the
 /// dependency-free answer on Linux; elsewhere fall back to `$HOSTNAME`,
 /// then a fixed name (every process on the box agrees, which is all the
-/// comparison needs).
+/// comparison needs). A machine-identity probe cached once per process,
+/// not a run input: the one environment read outside `benchkit`'s `main`.
 pub fn local_hostname() -> &'static str {
     static HOSTNAME: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     HOSTNAME.get_or_init(|| {
@@ -554,7 +555,7 @@ impl Default for StoreOptions {
         StoreOptions {
             writer: None,
             lease_ttl_s: DEFAULT_LEASE_TTL_S,
-            io: IoShim::from_env(),
+            io: IoShim::Real,
         }
     }
 }

@@ -16,21 +16,21 @@
 //! serial run would have seen for the same files — the same seed
 //! reproduces the same schedule at any `--jobs`.
 //!
-//! CI injects faults without recompiling through the `BENCHKIT_IOFAULTS`
-//! environment variable, e.g.
-//! `BENCHKIT_IOFAULTS="seed=7,torn=0.3,enospc=0.2,match=shard-"` — the
-//! optional `match=` substring scopes injection to paths containing it, so
-//! a smoke run can fault store shards while leaving checkpoint journals
-//! untouched.
+//! Callers pass the shim in as a value. The `benchkit` binary arms one
+//! from the `BENCHKIT_IOFAULTS` environment variable at start-up, e.g.
+//! `BENCHKIT_IOFAULTS="seed=7,torn=0.3,enospc=0.2,match=shard-"`, so CI
+//! injects faults without recompiling — the optional `match=` substring
+//! scopes injection to paths containing it, so a smoke run can fault store
+//! shards while leaving checkpoint journals untouched.
 
-use simhpc::faults::{parse_spec, spec_from_env, FaultKernel, SpecField};
+use simhpc::faults::{parse_spec, FaultKernel, SpecField};
 use simhpc::noise::SplitMix64;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Environment variable holding a [`FaultSpec`] for CLI/CI injection.
+/// Environment variable the `benchkit` binary reads a [`FaultSpec`] from.
 pub const IOFAULTS_ENV: &str = "BENCHKIT_IOFAULTS";
 
 /// Per-operation fault probabilities plus the seed keying the schedule.
@@ -120,8 +120,9 @@ impl Op {
 }
 
 /// The I/O seam: `Real` passes through to the filesystem, `Faulty` injects
-/// scheduled failures. Cloning a faulty shim shares the schedule state.
-#[derive(Debug, Clone, Default)]
+/// scheduled failures. Cloning a faulty shim shares the schedule state;
+/// shims compare by spec, whatever that state.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum IoShim {
     #[default]
     Real,
@@ -136,18 +137,6 @@ impl IoShim {
     /// A shim injecting faults per `spec`.
     pub fn faulty(spec: FaultSpec) -> IoShim {
         IoShim::Faulty(Arc::new(FaultKernel::new(spec.seed, spec)))
-    }
-
-    /// Build a shim from `BENCHKIT_IOFAULTS` if set; parse errors are
-    /// reported (never silently ignored) and fall back to `Real` so a bad
-    /// spec cannot brick production runs.
-    pub fn from_env() -> IoShim {
-        spec_from_env(IOFAULTS_ENV, FaultSpec::parse).map_or(IoShim::Real, IoShim::faulty)
-    }
-
-    /// True when this shim can inject faults (used only for logging).
-    pub fn is_faulty(&self) -> bool {
-        matches!(self, IoShim::Faulty(_))
     }
 
     /// Draw the fault decision for the next `op` on `path`, keyed by

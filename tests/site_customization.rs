@@ -84,17 +84,22 @@ fn markdown_report_for_a_sweep() {
 fn cli_survey_matches_library_study() {
     // The CLI and the library API drive the same pipeline: identical FOMs.
     let mut buf = Vec::new();
+    let env = benchkit::cli::Env::default();
     benchkit::cli::execute(
-        benchkit::cli::parse(&[
-            "run".into(),
-            "-c".into(),
-            "babelstream_omp".into(),
-            "--system".into(),
-            "noctua2".into(),
-            "--seed".into(),
-            "42".into(),
-        ])
+        benchkit::cli::parse(
+            &[
+                "run".into(),
+                "-c".into(),
+                "babelstream_omp".into(),
+                "--system".into(),
+                "noctua2".into(),
+                "--seed".into(),
+                "42".into(),
+            ],
+            &env,
+        )
         .expect("parses"),
+        &env,
         &mut buf,
     )
     .expect("executes");

@@ -42,9 +42,10 @@ fn survey_stdout() -> String {
     }
     args.extend(["--seed".to_string(), SEED.to_string()]);
     args.extend(["--jobs".to_string(), "2".to_string()]);
-    let cmd = benchkit::cli::parse(&args).expect("survey argv parses");
+    let env = benchkit::cli::Env::default();
+    let cmd = benchkit::cli::parse(&args, &env).expect("survey argv parses");
     let mut out = Vec::new();
-    benchkit::cli::execute(cmd, &mut out).expect("survey runs");
+    benchkit::cli::execute(cmd, &env, &mut out).expect("survey runs");
     String::from_utf8(out).expect("utf-8 report")
 }
 
