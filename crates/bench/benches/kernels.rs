@@ -1,26 +1,31 @@
 //! Criterion benches for the kernel layer: the real memory-bandwidth
-//! kernels across the programming-model backends (the native, host-hardware
-//! counterpart of Figure 2's measurements), the sparse operators, and the
-//! 32³ HPGMG solve that simulated surveys run for real.
+//! kernels on the serial reference and the worker pool (the native,
+//! host-hardware counterpart of Figure 2's measurements), the sparse
+//! operators, and the 32³ HPGMG solve that simulated surveys run for real.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parkern::backend::{Backend, CrossbeamBackend, SerialBackend, ThreadsBackend};
+use parkern::backend::{Backend, SerialBackend};
 use parkern::kernels;
 use parkern::PoolBackend;
 
 const N: usize = 1 << 20;
 
-fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8);
-    vec![
-        ("serial", Box::new(SerialBackend) as Box<dyn Backend>),
-        ("threads", Box::new(ThreadsBackend::new(threads))),
-        ("crossbeam", Box::new(CrossbeamBackend::new(threads))),
-        ("pool", Box::new(PoolBackend::new(threads))),
-    ]
+/// Worker counts the pool is benched at.
+const POOL_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// The serial reference, then the pool at each of [`POOL_WORKERS`].
+fn backends() -> Vec<(BenchmarkId, Box<dyn Backend>)> {
+    let mut all = vec![(
+        BenchmarkId::from_parameter("serial"),
+        Box::new(SerialBackend) as Box<dyn Backend>,
+    )];
+    for workers in POOL_WORKERS {
+        all.push((
+            BenchmarkId::new("pool", workers),
+            Box::new(PoolBackend::new(workers)),
+        ));
+    }
+    all
 }
 
 fn bench_triad(c: &mut Criterion) {
@@ -31,15 +36,11 @@ fn bench_triad(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((3 * N * 8) as u64));
     let b_arr: Vec<f64> = (0..N).map(|i| i as f64).collect();
     let c_arr = vec![1.5f64; N];
-    for (name, backend) in backends() {
+    for (id, backend) in backends() {
         let mut a = vec![0.0f64; N];
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &backend,
-            |bench, backend| {
-                bench.iter(|| kernels::triad(backend.as_ref(), 0.4, &b_arr, &c_arr, &mut a));
-            },
-        );
+        group.bench_with_input(id, &backend, |bench, backend| {
+            bench.iter(|| kernels::triad(backend.as_ref(), 0.4, &b_arr, &c_arr, &mut a));
+        });
     }
     group.finish();
 }
@@ -52,14 +53,10 @@ fn bench_dot(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((2 * N * 8) as u64));
     let a: Vec<f64> = (0..N).map(|i| (i as f64).sin()).collect();
     let b: Vec<f64> = (0..N).map(|i| (i as f64).cos()).collect();
-    for (name, backend) in backends() {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &backend,
-            |bench, backend| {
-                bench.iter(|| kernels::dot(backend.as_ref(), &a, &b));
-            },
-        );
+    for (id, backend) in backends() {
+        group.bench_with_input(id, &backend, |bench, backend| {
+            bench.iter(|| kernels::dot(backend.as_ref(), &a, &b));
+        });
     }
     group.finish();
 }
@@ -88,8 +85,8 @@ fn bench_spmv(c: &mut Criterion) {
 }
 
 fn bench_symgs(c: &mut Criterion) {
-    // Serial lexicographic sweep vs the 8-color parallel sweep, across
-    // backends and worker counts, on the HPCG 64³ local problem. On a
+    // Serial lexicographic sweep vs the 8-color parallel sweep on the pool
+    // at several worker counts, on the HPCG 64³ local problem. On a
     // multicore host the colored sweep should beat the serial one well
     // before 4 workers; at 1 worker it must not regress (the operators
     // dispatch back to the lexicographic sweep there).
@@ -118,23 +115,17 @@ fn bench_symgs(c: &mut Criterion) {
         });
     });
 
-    for workers in [1usize, 2, 4] {
-        let backends: Vec<(&str, Box<dyn Backend>)> = vec![
-            ("threads", Box::new(ThreadsBackend::new(workers))),
-            ("pool", Box::new(PoolBackend::new(workers))),
-        ];
-        for (label, backend) in backends {
-            let op = benchapps::hpcg::MatrixFreeOperator::with_backend(&problem, backend);
-            group.bench_function(
-                BenchmarkId::new(format!("matfree/colored_{label}"), workers),
-                |bench| {
-                    bench.iter(|| {
-                        z.fill(0.0);
-                        op.symgs_colored(&r, &mut z);
-                    });
-                },
-            );
-        }
+    for workers in POOL_WORKERS {
+        let op = benchapps::hpcg::MatrixFreeOperator::with_backend(
+            &problem,
+            Box::new(PoolBackend::new(workers)),
+        );
+        group.bench_function(BenchmarkId::new("matfree/colored_pool", workers), |bench| {
+            bench.iter(|| {
+                z.fill(0.0);
+                op.symgs_colored(&r, &mut z);
+            });
+        });
         let op = benchapps::hpcg::CsrOperator::poisson27_with_backend(
             &problem,
             Box::new(PoolBackend::new(workers)),

@@ -625,29 +625,23 @@ mod tests {
     use super::*;
     use crate::hpcg::cg::pcg;
     use crate::hpcg::HpcgVariant;
-    use parkern::{CrossbeamBackend, PoolBackend, ThreadsBackend};
+    use parkern::PoolBackend;
 
     #[test]
     fn parallel_apply_matches_serial_bitwise_on_all_backends() {
         // `apply` computes each row independently, so chunking must not
-        // change a single bit of the output on any backend.
+        // change a single bit of the output at any pool size.
         let p = Problem::cube(7);
         let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.37).sin()).collect();
         for variant in HpcgVariant::all() {
             let serial = build(*variant, &p);
             let mut want = vec![0.0; p.n()];
             serial.apply(&x, &mut want);
-            let backends: Vec<Box<dyn Backend>> = vec![
-                Box::new(ThreadsBackend::new(4)),
-                Box::new(CrossbeamBackend::new(4)),
-                Box::new(PoolBackend::new(3)),
-            ];
-            for backend in backends {
-                let label = backend.label();
-                let op = build_with_backend(*variant, &p, backend);
+            for workers in [1usize, 2, 3, 4] {
+                let op = build_with_backend(*variant, &p, Box::new(PoolBackend::new(workers)));
                 let mut got = vec![0.0; p.n()];
                 op.apply(&x, &mut got);
-                assert_eq!(want, got, "{variant:?} apply diverged on {label}");
+                assert_eq!(want, got, "{variant:?} apply diverged at {workers} workers");
             }
         }
     }
@@ -745,28 +739,23 @@ mod tests {
         let p = Problem::cube(12);
         let reference = pcg(&Colored(CsrOperator::poisson27(&p)), &p.rhs, 25, 1e-10);
         assert!(reference.iterations > 0);
-        for workers in [1usize, 2, 8] {
-            let backends: Vec<Box<dyn Backend>> = vec![
-                Box::new(ThreadsBackend::new(workers)),
-                Box::new(CrossbeamBackend::new(workers)),
-                Box::new(PoolBackend::new(workers)),
-            ];
-            for backend in backends {
-                let label = backend.label();
-                let stats = pcg(
-                    &Colored(CsrOperator::poisson27_with_backend(&p, backend)),
-                    &p.rhs,
-                    25,
-                    1e-10,
+        for workers in [1usize, 2, 3, 8] {
+            let stats = pcg(
+                &Colored(CsrOperator::poisson27_with_backend(
+                    &p,
+                    Box::new(PoolBackend::new(workers)),
+                )),
+                &p.rhs,
+                25,
+                1e-10,
+            );
+            assert_eq!(stats.iterations, reference.iterations, "{workers} workers");
+            for (i, (a, b)) in stats.residuals.iter().zip(&reference.residuals).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "residual {i} diverged at {workers} workers"
                 );
-                assert_eq!(stats.iterations, reference.iterations, "{label}");
-                for (i, (a, b)) in stats.residuals.iter().zip(&reference.residuals).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "residual {i} diverged on {label} at {workers} workers"
-                    );
-                }
             }
             // SELL follows the same trajectory bit-for-bit: same matrix
             // arrays, same per-row summation order, same sweeps.
@@ -826,23 +815,19 @@ mod tests {
     fn colored_symgs_deterministic_across_worker_counts() {
         let p = Problem::cube(8);
         let reference = {
-            let op = CsrOperator::poisson27_with_backend(&p, Box::new(ThreadsBackend::new(2)));
+            let op = CsrOperator::poisson27(&p);
             let mut z = vec![0.0; p.n()];
             op.symgs_colored(&p.rhs, &mut z);
             z
         };
-        for workers in [1usize, 3, 4, 8] {
-            for op in [
-                CsrOperator::poisson27_with_backend(&p, Box::new(ThreadsBackend::new(workers))),
-                CsrOperator::poisson27_with_backend(&p, Box::new(PoolBackend::new(workers))),
-            ] {
-                let mut z = vec![0.0; p.n()];
-                op.symgs_colored(&p.rhs, &mut z);
-                assert_eq!(z, reference, "workers={workers}");
-            }
+        for workers in [1usize, 2, 3, 4, 8] {
+            let op = CsrOperator::poisson27_with_backend(&p, Box::new(PoolBackend::new(workers)));
+            let mut z = vec![0.0; p.n()];
+            op.symgs_colored(&p.rhs, &mut z);
+            assert_eq!(z, reference, "workers={workers}");
         }
         // Matrix-free colored agrees with CSR colored to rounding.
-        let mf = MatrixFreeOperator::with_backend(&p, Box::new(ThreadsBackend::new(4)));
+        let mf = MatrixFreeOperator::with_backend(&p, Box::new(PoolBackend::new(4)));
         let mut z = vec![0.0; p.n()];
         mf.symgs_colored(&p.rhs, &mut z);
         for (a, b) in z.iter().zip(&reference) {
@@ -853,7 +838,7 @@ mod tests {
     #[test]
     fn colored_symgs_reduces_residual() {
         let p = Problem::cube(8);
-        let op = CsrOperator::poisson27_with_backend(&p, Box::new(ThreadsBackend::new(4)));
+        let op = CsrOperator::poisson27_with_backend(&p, Box::new(PoolBackend::new(4)));
         let b = p.rhs.clone();
         let mut z = vec![0.0; p.n()];
         let res = |z: &[f64]| {

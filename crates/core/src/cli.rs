@@ -1354,6 +1354,7 @@ pub fn execute(
         }
         Command::StoreGc { dir, keep } => {
             let path = std::path::Path::new(&dir);
+            spackle::require_store(path).map_err(|e| CliError(format!("store gc: {e}")))?;
             let mut disk = spackle::DiskStore::open(path).map_err(|e| {
                 CliError(match e {
                     spackle::DiskStoreError::Busy { pid, .. } => format!(

@@ -2,6 +2,8 @@
 //! a malformed fault spec warns exactly once however many durable writers
 //! the command opens, and a thread count that is not a positive integer
 //! reads as unset, so the `--jobs` oversubscription clamp still applies.
+//! A fault schedule replays the same faults, reported in the same words,
+//! in every process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -82,4 +84,22 @@ fn a_zero_or_junk_thread_count_keeps_the_oversubscription_clamp() {
     // An explicit count is the user's choice: no clamp, no note.
     assert_eq!(notes(&[("BENCHKIT_THREADS", "3")]), 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_fault_schedule_on_reference_segments_replays_in_every_process() {
+    // Reference segment files are named after the process id; the faults
+    // drawn on them and the text reporting those faults must not be.
+    let faults = [("BENCHKIT_IOFAULTS", "seed=3,fsync=1,match=refs/")];
+    let args = [
+        "survey", "-c", "stream", "--system", "csd3", "--store", "st",
+    ];
+    let first = benchkit(&scratch("refs-a"), &args, &faults);
+    let second = benchkit(&scratch("refs-b"), &args, &faults);
+    assert!(
+        first.0.contains("reference log append failed"),
+        "{}",
+        first.0
+    );
+    assert_eq!(first, second);
 }

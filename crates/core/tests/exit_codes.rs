@@ -40,6 +40,26 @@ fn execute_error_exits_1() {
 }
 
 #[test]
+fn store_gc_and_fsck_refuse_a_missing_store_and_create_nothing() {
+    let dir = std::env::temp_dir().join(format!("benchkit-no-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let arg = dir.to_str().expect("utf-8 temp path");
+    for (args, sub) in [
+        (vec!["store", "gc", arg, "--keep", "0"], "gc"),
+        (vec!["store", "fsck", arg], "fsck"),
+    ] {
+        let (code, stdout, stderr) = benchkit(&args);
+        assert_eq!(code, Some(1), "{sub}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: store {sub}: store I/O: no store at {arg}\n")
+        );
+        assert_eq!(stdout, "");
+        assert!(!dir.exists(), "store {sub} created {arg}");
+    }
+}
+
+#[test]
 fn help_exits_0_with_usage_on_stdout() {
     let (code, stdout, stderr) = benchkit(&["help"]);
     assert_eq!(code, Some(0));

@@ -1,28 +1,8 @@
-//! The execution backend abstraction and its simpler implementations.
+//! The execution backend abstraction and its sequential reference.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-
-/// Upper bound on reduction pieces in the default [`Backend::par_reduce_sum`]:
-/// partials live in a fixed stack array so reductions never allocate, at any
-/// worker count.
-const MAX_REDUCE_PIECES: usize = 128;
-
-/// Raw-pointer wrapper for the default reduction's stack partials. Safety:
-/// each piece index is written by exactly one `par_for` chunk.
-#[derive(Clone, Copy)]
-struct PartialsPtr(*mut f64);
-unsafe impl Send for PartialsPtr {}
-unsafe impl Sync for PartialsPtr {}
-
-impl PartialsPtr {
-    /// # Safety
-    /// `i` must be in bounds and written by exactly one worker.
-    unsafe fn write(&self, i: usize, v: f64) {
-        *self.0.add(i) = v;
-    }
-}
 
 thread_local! {
     /// This thread's worker count for [`default_workers`] (0 = unset).
@@ -41,8 +21,9 @@ pub fn set_worker_cap(n: usize) {
 ///
 /// Kernels are expressed as chunked loops: the backend splits `0..n` into
 /// contiguous chunks and runs the closure on each, possibly concurrently.
-/// Closures borrow kernel data, so implementations must use scoped
-/// concurrency (or equivalent guarantees).
+/// Closures borrow kernel data, so implementations must not let a chunk
+/// outlive the call that dispatched it. [`SerialBackend`] is the reference;
+/// [`crate::PoolBackend`] is the one threaded implementation.
 pub trait Backend: Send + Sync {
     /// Number of workers this backend will use.
     fn workers(&self) -> usize;
@@ -54,41 +35,11 @@ pub trait Backend: Send + Sync {
     /// `grain` indices per chunk. Small iteration spaces therefore use
     /// fewer workers (possibly one), so per-chunk dispatch overhead never
     /// dominates tiny loops. `grain <= 1` behaves like [`Backend::par_for`].
-    ///
-    /// The default delegates to `par_for`, so existing implementations keep
-    /// working; the in-tree backends all override it with genuinely grained
-    /// scheduling.
-    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        let _ = grain;
-        self.par_for(n, body);
-    }
+    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync));
 
-    /// Sum the per-chunk partial results of `body` over `0..n`.
-    ///
-    /// The default is allocation-free at any worker count: partials land in
-    /// a fixed stack array (at most [`MAX_REDUCE_PIECES`] pieces) written
-    /// through disjoint `par_for` chunks, then summed in piece order on the
-    /// calling thread.
-    fn par_reduce_sum(&self, n: usize, body: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let pieces = self.workers().min(n).min(MAX_REDUCE_PIECES);
-        if pieces <= 1 {
-            return body(0..n);
-        }
-        let mut partials = [0.0f64; MAX_REDUCE_PIECES];
-        let slots = PartialsPtr(partials.as_mut_ptr());
-        self.par_for(pieces, &|pr: Range<usize>| {
-            for p in pr {
-                let r = chunk_range(n, pieces, p).expect("in-range piece");
-                // SAFETY: piece indices are disjoint across par_for chunks,
-                // so each slot is written by exactly one worker.
-                unsafe { slots.write(p, body(r)) };
-            }
-        });
-        partials[..pieces].iter().sum()
-    }
+    /// Sum the per-chunk partial results of `body` over `0..n`, adding the
+    /// partials in chunk order.
+    fn par_reduce_sum(&self, n: usize, body: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f64;
 
     /// Backend label for logs.
     fn label(&self) -> &'static str;
@@ -110,13 +61,6 @@ pub fn chunk_range(n: usize, pieces: usize, index: usize) -> Option<Range<usize>
     let start = index * base + index.min(extra);
     let len = base + usize::from(index < extra);
     Some(start..start + len)
-}
-
-/// Split `0..n` into at most `pieces` contiguous, balanced chunks.
-pub fn chunks(n: usize, pieces: usize) -> Vec<Range<usize>> {
-    (0..pieces.max(1))
-        .map_while(|i| chunk_range(n, pieces, i))
-        .collect()
 }
 
 /// How many chunks a grained loop over `0..n` should use: enough to give
@@ -168,122 +112,28 @@ impl Backend for SerialBackend {
     }
 }
 
-/// Fork-join backend: spawns scoped `std::thread`s per region (the
-/// "std-data"/"std-indices" execution style). The calling thread executes
-/// the final chunk itself instead of idling at the join.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadsBackend {
-    workers: usize,
-}
-
-impl ThreadsBackend {
-    pub fn new(workers: usize) -> ThreadsBackend {
-        ThreadsBackend {
-            workers: workers.max(1),
-        }
-    }
-}
-
-impl Backend for ThreadsBackend {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn par_for(&self, n: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.par_for_grained(n, 1, body);
-    }
-
-    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        let pieces = grained_pieces(n, grain, self.workers);
-        if n == 0 {
-            return;
-        }
-        if pieces <= 1 {
-            body(0..n);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for i in 0..pieces - 1 {
-                let r = chunk_range(n, pieces, i).expect("in-range chunk");
-                scope.spawn(move || body(r));
-            }
-            // The caller works the last chunk rather than idling until join.
-            body(chunk_range(n, pieces, pieces - 1).expect("in-range chunk"));
-        });
-    }
-
-    fn label(&self) -> &'static str {
-        "threads"
-    }
-}
-
-/// Crossbeam scoped-thread backend (the "TBB" execution style). Like
-/// [`ThreadsBackend`] the caller participates by running the last chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossbeamBackend {
-    workers: usize,
-}
-
-impl CrossbeamBackend {
-    pub fn new(workers: usize) -> CrossbeamBackend {
-        CrossbeamBackend {
-            workers: workers.max(1),
-        }
-    }
-}
-
-impl Backend for CrossbeamBackend {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn par_for(&self, n: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.par_for_grained(n, 1, body);
-    }
-
-    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        let pieces = grained_pieces(n, grain, self.workers);
-        if n == 0 {
-            return;
-        }
-        if pieces <= 1 {
-            body(0..n);
-            return;
-        }
-        crossbeam::scope(|scope| {
-            for i in 0..pieces - 1 {
-                let r = chunk_range(n, pieces, i).expect("in-range chunk");
-                scope.spawn(move |_| body(r));
-            }
-            body(chunk_range(n, pieces, pieces - 1).expect("in-range chunk"));
-        })
-        .expect("kernel worker panicked");
-    }
-
-    fn label(&self) -> &'static str {
-        "crossbeam"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PoolBackend;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The serial reference plus the pool at 1, 2, 3 and 8 workers.
     fn backends() -> Vec<Box<dyn Backend>> {
-        vec![
-            Box::new(SerialBackend),
-            Box::new(ThreadsBackend::new(4)),
-            Box::new(CrossbeamBackend::new(4)),
-            Box::new(crate::PoolBackend::new(4)),
-        ]
+        let mut all: Vec<Box<dyn Backend>> = vec![Box::new(SerialBackend)];
+        for workers in [1, 2, 3, 8] {
+            all.push(Box::new(PoolBackend::new(workers)));
+        }
+        all
     }
 
     #[test]
     fn chunks_cover_exactly() {
         for n in [0usize, 1, 7, 8, 100, 1023] {
             for p in [1usize, 2, 3, 8, 200] {
-                let parts = chunks(n, p);
+                let parts: Vec<_> = (0..p).map_while(|i| chunk_range(n, p, i)).collect();
+                assert!(parts.len() <= p.min(n), "n={n} p={p}");
+                assert_eq!(chunk_range(n, p, p), None);
                 let total: usize = parts.iter().map(|r| r.len()).sum();
                 assert_eq!(total, n, "n={n} p={p}");
                 // Contiguous and ordered.
@@ -298,18 +148,6 @@ mod tests {
                     let max = parts.iter().map(|r| r.len()).max().unwrap();
                     assert!(max - min <= 1);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_range_agrees_with_chunks() {
-        for n in [0usize, 1, 5, 64, 1000] {
-            for p in [1usize, 2, 7, 64, 2000] {
-                let eager = chunks(n, p);
-                let lazy: Vec<_> = (0..p).map_while(|i| chunk_range(n, p, i)).collect();
-                assert_eq!(eager, lazy, "n={n} p={p}");
-                assert_eq!(chunk_range(n, p, p), None);
             }
         }
     }
@@ -358,16 +196,6 @@ mod tests {
         assert_eq!(default_workers(), 3);
         set_worker_cap(0);
         assert_eq!(default_workers(), machine);
-    }
-
-    #[test]
-    fn default_reduce_uses_stack_partials_for_many_workers() {
-        // More workers than MAX_REDUCE_PIECES must still sum correctly
-        // (pieces saturate at the stack-array bound).
-        let b = ThreadsBackend::new(MAX_REDUCE_PIECES + 9);
-        let n = 10 * MAX_REDUCE_PIECES;
-        let got = b.par_reduce_sum(n, &|r| r.map(|i| i as f64).sum());
-        assert_eq!(got, (n * (n - 1)) as f64 / 2.0);
     }
 
     #[test]
@@ -442,10 +270,7 @@ mod tests {
         // The dispatching thread must run a chunk itself instead of idling:
         // with as many workers as chunks, one chunk lands on the caller.
         let caller = std::thread::current().id();
-        for b in [
-            Box::new(ThreadsBackend::new(4)) as Box<dyn Backend>,
-            Box::new(CrossbeamBackend::new(4)),
-        ] {
+        for b in [PoolBackend::new(2), PoolBackend::new(4)] {
             let caller_chunks = AtomicUsize::new(0);
             b.par_for(4096, &|_| {
                 if std::thread::current().id() == caller {

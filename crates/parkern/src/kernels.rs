@@ -538,41 +538,48 @@ pub fn stencil27(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CrossbeamBackend, SerialBackend, ThreadsBackend};
+    use crate::backend::SerialBackend;
     use crate::pool::PoolBackend;
 
+    /// The pool worker counts every kernel is checked at.
+    const POOL_WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+    /// The serial reference plus the pool at each of [`POOL_WORKERS`].
     fn backends() -> Vec<Box<dyn Backend>> {
-        vec![
-            Box::new(SerialBackend),
-            Box::new(ThreadsBackend::new(4)),
-            Box::new(PoolBackend::new(4)),
-        ]
+        let mut all: Vec<Box<dyn Backend>> = vec![Box::new(SerialBackend)];
+        for workers in POOL_WORKERS {
+            all.push(Box::new(PoolBackend::new(workers)));
+        }
+        all
     }
 
     #[test]
     fn stream_kernels_compute_correctly() {
-        for b in backends() {
-            let n = 10_001; // odd size exercises uneven chunking
-            let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let n = 10_001; // odd size exercises uneven chunking
+        let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let run = |b: &dyn Backend| {
             let mut c = vec![0.0; n];
-            copy(b.as_ref(), &a, &mut c);
-            assert_eq!(c[5000], 5000.0);
-
+            copy(b, &a, &mut c);
             let mut bb = vec![0.0; n];
-            mul(b.as_ref(), 0.4, &c, &mut bb);
-            assert!((bb[10] - 4.0).abs() < 1e-12);
-
+            mul(b, 0.4, &c, &mut bb);
             let mut sum = vec![0.0; n];
-            add(b.as_ref(), &a, &bb, &mut sum);
-            assert!((sum[10] - 14.0).abs() < 1e-12);
-
+            add(b, &a, &bb, &mut sum);
             let mut t = vec![0.0; n];
-            triad(b.as_ref(), 3.0, &a, &bb, &mut t);
-            assert!((t[10] - 22.0).abs() < 1e-12);
-
-            let d = dot(b.as_ref(), &a, &a);
-            let expect: f64 = a.iter().map(|v| v * v).sum();
-            assert!((d - expect).abs() < 1e-6 * expect);
+            triad(b, 3.0, &a, &bb, &mut t);
+            let d = dot(b, &a, &a);
+            (c, bb, sum, t, d.to_bits())
+        };
+        let serial = run(&SerialBackend);
+        let (c, bb, sum, t, d) = &serial;
+        assert_eq!(c[5000], 5000.0);
+        assert!((bb[10] - 4.0).abs() < 1e-12);
+        assert!((sum[10] - 14.0).abs() < 1e-12);
+        assert!((t[10] - 22.0).abs() < 1e-12);
+        let expect: f64 = a.iter().map(|v| v * v).sum();
+        assert!((f64::from_bits(*d) - expect).abs() < 1e-6 * expect);
+        // Every backend computes the serial bits exactly.
+        for b in backends() {
+            assert!(run(b.as_ref()) == serial, "backend {}", b.label());
         }
     }
 
@@ -597,37 +604,34 @@ mod tests {
     #[test]
     fn dot_is_bitwise_identical_across_backends_and_worker_counts() {
         // The fixed-shape decomposition makes dot a pure function of the
-        // inputs: same bits on every backend at 1, 2 and 8 workers.
+        // inputs: same bits on every backend at every worker count.
         for n in [0usize, 1, 7, DOT_GRAIN - 1, DOT_GRAIN + 1, 100_003] {
             let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos()).collect();
             let reference = dot(&SerialBackend, &a, &b).to_bits();
-            for workers in [1usize, 2, 8] {
-                let candidates: Vec<Box<dyn Backend>> = vec![
-                    Box::new(ThreadsBackend::new(workers)),
-                    Box::new(CrossbeamBackend::new(workers)),
-                    Box::new(PoolBackend::new(workers)),
-                ];
-                for be in candidates {
-                    assert_eq!(
-                        dot(be.as_ref(), &a, &b).to_bits(),
-                        reference,
-                        "n={n} backend={} workers={workers}",
-                        be.label()
-                    );
-                }
+            for be in backends() {
+                assert_eq!(
+                    dot(be.as_ref(), &a, &b).to_bits(),
+                    reference,
+                    "n={n} backend={} workers={}",
+                    be.label(),
+                    be.workers()
+                );
             }
         }
     }
 
     #[test]
     fn waxpby_matches_reference() {
+        let x: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.3).sin()).collect();
+        let z: Vec<f64> = (0..1000).map(|i| i as f64).collect();
+        let mut want = vec![0.0; 1000];
+        waxpby(&SerialBackend, 2.0, &x, -1.0, &z, &mut want);
+        assert_eq!(want[10], 2.0 * x[10] - 10.0);
         for b in backends() {
-            let x = vec![1.0; 100];
-            let z: Vec<f64> = (0..100).map(|i| i as f64).collect();
-            let mut y = vec![0.0; 100];
+            let mut y = vec![0.0; 1000];
             waxpby(b.as_ref(), 2.0, &x, -1.0, &z, &mut y);
-            assert_eq!(y[10], 2.0 - 10.0);
+            assert!(y.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
         }
     }
 

@@ -8,9 +8,11 @@
 //!   OpenCL, std-data, std-indices, std-ranges, TBB, serial) with their
 //!   device targets, availability rules, and abstraction-overhead factors;
 //! * [`Backend`] is the execution abstraction the kernels are written
-//!   against, with real host implementations: sequential, fork-join
-//!   `std::thread::scope`, crossbeam scoped threads, and a persistent
-//!   worker pool built on atomics and a hand-rolled spin barrier;
+//!   against, with two host implementations: [`SerialBackend`], the
+//!   sequential reference, and [`PoolBackend`], a persistent worker pool.
+//!   [`Model::host_backend`] runs the single-threaded models (serial,
+//!   std-ranges) on the first and every threaded model on the second, as
+//!   their real runtimes all keep a persistent pool;
 //! * [`kernels`] holds the shared array kernels (copy/mul/add/triad/dot,
 //!   SpMV and stencils) used by the benchmark applications.
 //!
@@ -23,11 +25,8 @@ pub mod backend;
 pub mod kernels;
 pub mod pool;
 
-pub use backend::{
-    chunk_range, chunks, default_workers, set_worker_cap, Backend, CrossbeamBackend, SerialBackend,
-    ThreadsBackend,
-};
-pub use pool::{PoolBackend, SpinBarrier};
+pub use backend::{chunk_range, default_workers, set_worker_cap, Backend, SerialBackend};
+pub use pool::PoolBackend;
 
 use simhpc::Processor;
 
@@ -166,13 +165,13 @@ impl Model {
         }
     }
 
-    /// The host execution backend used when kernels really run.
+    /// The host execution backend used when kernels really run: the
+    /// serial reference for the single-threaded models, the persistent
+    /// pool for every other one.
     pub fn host_backend(&self, max_threads: usize) -> Box<dyn Backend> {
         match self {
             Model::Serial | Model::StdRanges => Box::new(SerialBackend),
-            Model::Tbb => Box::new(CrossbeamBackend::new(max_threads)),
-            Model::Omp | Model::Kokkos => Box::new(PoolBackend::new(max_threads)),
-            _ => Box::new(ThreadsBackend::new(max_threads)),
+            _ => Box::new(PoolBackend::new(max_threads)),
         }
     }
 }
@@ -227,6 +226,18 @@ mod tests {
         let milan = proc("noctua2", "milan");
         assert_eq!(Model::StdRanges.threads_on(&milan), 1);
         assert_eq!(Model::Omp.threads_on(&milan), 128);
+    }
+
+    #[test]
+    fn single_threaded_models_run_serial_and_the_rest_on_the_pool() {
+        for m in Model::all() {
+            let want = match m {
+                Model::Serial | Model::StdRanges => "serial",
+                _ => "pool",
+            };
+            let backend = m.host_backend(2);
+            assert_eq!(backend.label(), want, "{}", m.name());
+        }
     }
 
     #[test]

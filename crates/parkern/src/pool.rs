@@ -1,12 +1,11 @@
-//! A persistent worker pool with a hand-built spin barrier — the
-//! "OpenMP-style" backend: workers are created once and reused for every
-//! parallel region, which is what makes OpenMP's region overhead low and is
-//! the behaviour the platform cost model assumes for the `omp` rows of
-//! Figure 2.
+//! The persistent worker pool: the one threaded backend. Workers are
+//! created once and reused for every parallel region, as in the runtimes
+//! behind the threaded models of Figure 2 (OpenMP, Kokkos over OpenMP, TBB
+//! and std::par over TBB), none of which spawns threads per region.
 //!
-//! The synchronization primitives follow the patterns from *Rust Atomics
-//! and Locks* (Bos, 2023): a generation-counted spin barrier on atomics,
-//! and a Mutex/Condvar handshake for task dispatch and sleep.
+//! Dispatch and sleep follow the Mutex/Condvar handshake from *Rust Atomics
+//! and Locks* (Bos, 2023). The calling thread works the first chunk itself,
+//! so a one-worker pool spawns no thread and runs every chunk inline.
 //!
 //! Parallel regions are allocation-free: chunk boundaries come from
 //! [`chunk_range`] arithmetic instead of a materialized `Vec<Range>`, and
@@ -15,45 +14,12 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::backend::{chunk_range, grained_pieces, Backend};
-
-/// A reusable spin barrier: `total` participants rendezvous; the last one
-/// to arrive flips the generation and releases the rest.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    pub fn new(total: usize) -> SpinBarrier {
-        assert!(total > 0, "a barrier needs at least one participant");
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// Block (spinning) until all participants have arrived.
-    pub fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arrival: reset and release this generation.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            while self.generation.load(Ordering::Acquire) == gen {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
 
 /// One cache line per slot so workers publishing partial sums never bounce
 /// a shared line between cores.
@@ -78,10 +44,11 @@ struct Shared {
     dispatch_cv: Condvar,
     /// Workers still running the current task.
     remaining: AtomicUsize,
+    /// Set when a worker's chunk of the current task panicked.
+    panicked: AtomicBool,
     done_lock: Mutex<()>,
     done_cv: Condvar,
     shutdown: AtomicBool,
-    epoch: AtomicU64,
 }
 
 /// Persistent worker-pool backend.
@@ -90,6 +57,9 @@ pub struct PoolBackend {
     handles: Vec<JoinHandle<()>>,
     /// Total workers including the calling thread.
     workers: usize,
+    /// Held across a region (and a reduction's read-back), so callers
+    /// sharing one pool take turns. Regions do not nest.
+    turn: Mutex<()>,
     /// Reduction scratch, one padded slot per worker, allocated once.
     partials: Box<[PaddedSlot]>,
 }
@@ -103,10 +73,10 @@ impl PoolBackend {
             slot: Mutex::new((0, None)),
             dispatch_cv: Condvar::new(),
             remaining: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
         });
         let mut handles = Vec::new();
         for worker_id in 1..workers {
@@ -120,16 +90,14 @@ impl PoolBackend {
             shared,
             handles,
             workers,
+            turn: Mutex::new(()),
             partials,
         }
     }
 
-    /// Broadcast `f` to all workers and wait for completion.
+    /// Broadcast `f` to all workers and wait for completion. Callers run
+    /// one-chunk regions inline, so this only runs with spawned workers.
     fn run(&self, f: &(dyn Fn(usize, usize) + Sync)) {
-        if self.workers == 1 {
-            f(0, 1);
-            return;
-        }
         // SAFETY: we erase the borrow's lifetime, but do not return until
         // `remaining` hits zero, i.e. no worker holds the pointer anymore.
         let erased = ErasedTask(unsafe {
@@ -138,22 +106,30 @@ impl PoolBackend {
                 &'static (dyn Fn(usize, usize) + Sync),
             >(f) as TaskRef
         });
+        self.shared.panicked.store(false, Ordering::Relaxed);
         self.shared
             .remaining
             .store(self.workers - 1, Ordering::Release);
         {
             let mut slot = self.shared.slot.lock();
-            let epoch = self.shared.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            *slot = (epoch, Some(erased));
+            *slot = (slot.0 + 1, Some(erased));
             self.shared.dispatch_cv.notify_all();
         }
-        // The calling thread is worker 0.
-        f(0, self.workers);
-        // Wait for the others.
+        // The calling thread is worker 0. A panic in its chunk waits for
+        // the others, which still borrow `f`.
+        let mine = catch_unwind(AssertUnwindSafe(|| f(0, self.workers)));
         let mut guard = self.shared.done_lock.lock();
         while self.shared.remaining.load(Ordering::Acquire) != 0 {
             self.shared.done_cv.wait(&mut guard);
         }
+        drop(guard);
+        if let Err(payload) = mine {
+            resume_unwind(payload);
+        }
+        assert!(
+            !self.shared.panicked.load(Ordering::Acquire),
+            "kernel worker panicked"
+        );
     }
 }
 
@@ -176,7 +152,13 @@ fn worker_loop(shared: Arc<Shared>, worker_id: usize, workers: usize) {
         };
         // SAFETY: the dispatcher blocks in `run` until we decrement
         // `remaining`, so the closure is alive for this call.
-        unsafe { (*task.0)(worker_id, workers) };
+        if catch_unwind(AssertUnwindSafe(|| unsafe {
+            (*task.0)(worker_id, workers)
+        }))
+        .is_err()
+        {
+            shared.panicked.store(true, Ordering::Release);
+        }
         if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _guard = shared.done_lock.lock();
             shared.done_cv.notify_one();
@@ -215,6 +197,7 @@ impl Backend for PoolBackend {
             body(0..n);
             return;
         }
+        let _turn = self.turn.lock();
         self.run(&|worker, _| {
             if let Some(r) = chunk_range(n, pieces, worker) {
                 body(r);
@@ -232,6 +215,7 @@ impl Backend for PoolBackend {
         }
         // Every worker < pieces overwrites its slot, and only those slots
         // are read back, so no reset pass is needed between calls.
+        let _turn = self.turn.lock();
         self.run(&|worker, _| {
             if let Some(r) = chunk_range(n, pieces, worker) {
                 let v = body(r);
@@ -255,43 +239,6 @@ impl Backend for PoolBackend {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn barrier_synchronizes_phases() {
-        let n = 4;
-        let barrier = SpinBarrier::new(n);
-        let phase = AtomicUsize::new(0);
-        let errors = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..n {
-                s.spawn(|| {
-                    for p in 0..50 {
-                        // Everyone must observe the same phase before the
-                        // barrier releases anyone into the next one.
-                        if phase.load(Ordering::SeqCst) > p {
-                            errors.fetch_add(1, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        // One designated incrementer per phase (whichever
-                        // thread wins the exchange).
-                        let _ =
-                            phase.compare_exchange(p, p + 1, Ordering::SeqCst, Ordering::SeqCst);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(errors.load(Ordering::SeqCst), 0);
-        assert_eq!(phase.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn barrier_single_participant_never_blocks() {
-        let b = SpinBarrier::new(1);
-        for _ in 0..10 {
-            b.wait();
-        }
-    }
 
     #[test]
     fn pool_reuses_workers_across_regions() {
@@ -342,13 +289,61 @@ mod tests {
 
     #[test]
     fn single_worker_pool_is_serial() {
+        // The path of every survey cell that `--jobs` leaves one kernel
+        // thread: no thread is spawned and every region runs on the caller.
         let pool = PoolBackend::new(1);
-        let mut seen = Vec::new();
-        let seen_ptr = std::sync::Mutex::new(&mut seen);
-        pool.par_for(10, &|r| {
-            seen_ptr.lock().unwrap().push(r);
+        assert!(
+            pool.handles.is_empty(),
+            "a one-worker pool spawned a thread"
+        );
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let on_caller = |r: Range<usize>| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push(r);
+        };
+        pool.par_for(10, &on_caller);
+        pool.par_for_grained(10, 2, &on_caller);
+        let sum = pool.par_reduce_sum(10, &|r| {
+            on_caller(r.clone());
+            r.len() as f64
         });
-        assert_eq!(seen, vec![0..10]);
+        assert_eq!(sum, 10.0);
+        assert_eq!(seen.into_inner().unwrap(), vec![0..10, 0..10, 0..10]);
+    }
+
+    #[test]
+    fn a_panicking_chunk_reaches_the_caller_and_the_pool_survives() {
+        let pool = PoolBackend::new(3);
+        // Chunk 0 runs on the caller, chunk 2 on a spawned worker.
+        for bad in [0..1, 2..3] {
+            let hit = catch_unwind(AssertUnwindSafe(|| {
+                pool.par_for(3, &|r| assert!(r != bad, "chunk {r:?} fails"));
+            }));
+            assert!(hit.is_err(), "the panic in chunk {bad:?} was lost");
+            let total = AtomicUsize::new(0);
+            pool.par_for(300, &|r| {
+                total.fetch_add(r.len(), Ordering::Relaxed);
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 300);
+        }
+    }
+
+    #[test]
+    fn callers_sharing_a_pool_take_turns() {
+        let pool = PoolBackend::new(2);
+        let data: Vec<f64> = (0..4_000).map(f64::from).collect();
+        let expect: f64 = data.iter().sum();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let got = pool.par_reduce_sum(data.len(), &|r| data[r].iter().sum());
+                        assert_eq!(got, expect);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -507,15 +507,16 @@ fn pid_alive(pid: u32) -> bool {
     }
 }
 
-/// A process-unique default writer id: PID plus a per-process sequence so
-/// two stores opened by one process never share a lease identity.
-fn default_writer() -> String {
+/// A process-unique default writer id, with its fault key. The id is the
+/// PID plus a per-process sequence, so two stores opened by one process
+/// never share a lease identity. The key (`w+<sequence>`) leaves the PID
+/// out, so a fault schedule draws the same faults on the writer's
+/// reference segment in every run; `+` is outside the [`sanitize_writer`]
+/// alphabet, so no named writer's key can equal it.
+fn default_writer() -> (String, String) {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    format!(
-        "w{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    )
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    (format!("w{}-{seq}", std::process::id()), format!("w+{seq}"))
 }
 
 /// Writer ids become file names (`refs/<writer>.jsonl`), so restrict them
@@ -566,6 +567,9 @@ impl Default for StoreOptions {
 pub struct DiskStore {
     dir: PathBuf,
     writer: String,
+    /// The writer's name in fault draws on its reference segment: the
+    /// writer id itself when named, a PID-free key when defaulted.
+    fault_key: String,
     lease_ttl_s: i64,
     io: IoShim,
     entries: BTreeSet<String>,
@@ -599,14 +603,14 @@ impl DiskStore {
             fs::create_dir_all(dir.join(shard_dir_name(shard)))
                 .map_err(|e| io_err("creating shard dir", e))?;
         }
-        let writer = opts
-            .writer
-            .as_deref()
-            .and_then(sanitize_writer)
-            .unwrap_or_else(default_writer);
+        let (writer, fault_key) = match opts.writer.as_deref().and_then(sanitize_writer) {
+            Some(named) => (named.clone(), named),
+            None => default_writer(),
+        };
         let mut store = DiskStore {
             dir: dir.to_path_buf(),
             writer,
+            fault_key,
             lease_ttl_s: opts.lease_ttl_s,
             io: opts.io,
             entries: BTreeSet::new(),
@@ -909,16 +913,16 @@ impl DiskStore {
     /// lease is needed: the segment is recovered to its longest valid
     /// prefix (truncating a torn tail left by a crash), the study number
     /// is one past that prefix, and the record carries its append time,
-    /// which orders it in the [merged log](merged_ref_log).
+    /// which orders it in the [merged log](merged_ref_log). Injected faults
+    /// on the append are drawn on, and name, the writer's fault key.
     pub fn append_refs(&self, hashes: &BTreeSet<String>) -> Result<(), DiskStoreError> {
-        let path = self
-            .dir
-            .join(REFS_DIR)
-            .join(format!("{}.jsonl", self.writer));
+        let refs = self.dir.join(REFS_DIR);
+        let path = refs.join(format!("{}.jsonl", self.writer));
         let (log, studies) = AppendLog::recover(&path, self.io.clone(), |line, i| {
             parse_ref_line(line, i + 1).is_some()
         })
         .map_err(|e| io_err("recovering reference segment", e))?;
+        let log = log.with_fault_path(refs.join(format!("{}.jsonl", self.fault_key)));
         let unix_ns = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_nanos() as i64);
@@ -1214,15 +1218,23 @@ fn scan_temps(dir: &Path, rel: &str, out: &mut Vec<String>) {
     }
 }
 
+/// Refuse a path that holds no store, for the commands that inspect or
+/// prune one and so must not create it (opening a store creates it).
+pub fn require_store(dir: &Path) -> Result<(), DiskStoreError> {
+    if dir.is_dir() {
+        Ok(())
+    } else {
+        Err(DiskStoreError::Io(format!("no store at {}", dir.display())))
+    }
+}
+
 /// Read-only integrity scan of a store directory: verifies every
 /// committed entry (checksum, canonical form, file name, shard
 /// placement), and reports orphaned temp files, lease states, reference
 /// segments, and quarantine counts. Takes no lease and moves nothing —
 /// safe to run against a store other writers are using.
 pub fn fsck(dir: &Path) -> Result<FsckReport, DiskStoreError> {
-    if !dir.is_dir() {
-        return Err(DiskStoreError::Io(format!("no store at {}", dir.display())));
-    }
+    require_store(dir)?;
     let mut report = FsckReport::default();
     let now = unix_now();
     scan_temps(dir, "", &mut report.orphan_temps);
@@ -1774,6 +1786,42 @@ mod tests {
             "an unleasable shard skips, never errors"
         );
         assert_eq!(s.held_count(), 0, "every lease write was torn");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn default_writers_draw_ref_faults_on_distinct_pid_free_keys() {
+        // A segment's name carries the PID, so keying its faults on that
+        // name would make one schedule fault differently in every process.
+        let dir = tmpdir("refkey");
+        let mut spec = FaultSpec::quiet(5);
+        spec.fsync = 1.0;
+        spec.only_matching = Some("refs/".to_string());
+        let io = IoShim::faulty(spec);
+        let open = || {
+            let opts = StoreOptions {
+                io: io.clone(),
+                ..StoreOptions::default()
+            };
+            DiskStore::open_with(&dir, opts).unwrap()
+        };
+        let (a, b) = (open(), open());
+        let refs: BTreeSet<String> = ["x".to_string()].into();
+        let key_of = |store: &DiskStore| {
+            let err = store.append_refs(&refs).unwrap_err().to_string();
+            let (_, name) = err.rsplit_once("/refs/").expect("error names the segment");
+            name.trim_end_matches(".jsonl)").to_string()
+        };
+        let (ka, kb) = (key_of(&a), key_of(&b));
+        assert_ne!(ka, kb, "two writers in one process share a fault key");
+        for (key, store) in [(ka, &a), (kb, &b)] {
+            let seq = key.strip_prefix("w+").expect("a PID-free key");
+            assert_eq!(store.writer(), format!("w{}-{seq}", std::process::id()));
+            assert!(dir
+                .join(REFS_DIR)
+                .join(format!("{}.jsonl", store.writer()))
+                .exists());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

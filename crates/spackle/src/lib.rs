@@ -54,9 +54,9 @@ pub use concretize::{
     concretize, ConcretePackage, ConcreteSpec, ConcretizeError, SystemContext, Target,
 };
 pub use diskstore::{
-    fnv1a64, fsck, local_hostname, merged_ref_log, parse_ref_log, read_lease_info, shard_name,
-    write_atomic, write_lease, DiskStore, DiskStoreError, FsckReport, GcReport, LeaseInfo, Persist,
-    QuarantineNote, RefRecord, StoreEntry, StoreOptions, SHARD_COUNT,
+    fnv1a64, fsck, local_hostname, merged_ref_log, parse_ref_log, read_lease_info, require_store,
+    shard_name, write_atomic, write_lease, DiskStore, DiskStoreError, FsckReport, GcReport,
+    LeaseInfo, Persist, QuarantineNote, RefRecord, StoreEntry, StoreOptions, SHARD_COUNT,
 };
 pub use environment::Environment;
 pub use iofault::{write_atomic_with, FaultSpec, IoShim, IOFAULTS_ENV};

@@ -62,6 +62,9 @@ pub fn valid_prefix<T>(
 pub struct AppendLog {
     state: Mutex<LogState>,
     path: PathBuf,
+    /// The path the I/O shim sees for appends: it keys fault draws on this
+    /// file name and names it in injected errors. Defaults to `path`.
+    fault_path: PathBuf,
     io: IoShim,
 }
 
@@ -89,6 +92,7 @@ impl AppendLog {
                 poisoned: false,
             }),
             path: path.to_path_buf(),
+            fault_path: path.to_path_buf(),
             io,
         })
     }
@@ -110,6 +114,7 @@ impl AppendLog {
                 poisoned: false,
             }),
             path: path.to_path_buf(),
+            fault_path: path.to_path_buf(),
             io,
         })
     }
@@ -136,6 +141,13 @@ impl AppendLog {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Key this log's append faults on `fault_path` instead of its real
+    /// path, for a file whose name varies between runs of one schedule
+    /// (a name carrying the process id would make the faults differ too).
+    pub fn with_fault_path(self, fault_path: PathBuf) -> AppendLog {
+        AppendLog { fault_path, ..self }
     }
 
     /// Append one line (the trailing newline is added here) and fsync it.
@@ -177,8 +189,8 @@ impl AppendLog {
         } = *state;
         let wrote = self
             .io
-            .write_all(file, &self.path, bytes.as_bytes())
-            .and_then(|()| self.io.fsync(file, &self.path));
+            .write_all(file, &self.fault_path, bytes.as_bytes())
+            .and_then(|()| self.io.fsync(file, &self.fault_path));
         match wrote {
             Ok(()) => {
                 *durable_len += bytes.len() as u64;

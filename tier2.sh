@@ -4,9 +4,13 @@
 #
 #   ./tier2.sh
 #
-# Both gates are hard: formatting must be rustfmt-clean and the whole
+# Every gate is hard: formatting must be rustfmt-clean, the whole
 # workspace (all targets, vendored stubs included) must be clippy-clean
-# with warnings promoted to errors.
+# with warnings promoted to errors, and hostbench (its own workspace over
+# the library crates) must build and pass its tests against its
+# checked-in lock file, so a library API break or a dependency edit that
+# would rewrite hostbench/Cargo.lock fails here rather than in a
+# benchmark run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -15,5 +19,9 @@ cargo fmt --check
 
 echo "== tier2: cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tier2: hostbench build and test (--locked) =="
+cargo build --release --locked --manifest-path hostbench/Cargo.toml
+cargo test --locked -q --manifest-path hostbench/Cargo.toml
 
 echo "tier2 OK"
