@@ -11,7 +11,11 @@
 #                  kernel roofline suite (STREAM GB/s, CSR-vs-SELL SpMV)
 #                  whose machine-readable logs feed the stage-6 digest
 #   4. faults    — fault-injection smoke: the same seeded faulty survey
-#                  run twice must produce byte-identical reports
+#                  run twice must produce byte-identical reports; the
+#                  full 112-cell grid under flaky faults with retries
+#                  must report the same bytes at --jobs 1 and --jobs 4,
+#                  so the study's shared host solves (one per distinct
+#                  problem) cannot depend on interleaving or retries
 #   5. resume    — crash-recovery smoke: a checkpointed survey killed
 #                  mid-run (--interrupt-after, exit 3) and resumed must
 #                  reproduce the uninterrupted output byte for byte
@@ -95,6 +99,35 @@ if [ "$first" != "$second" ]; then
     exit 1
 fi
 echo "fault smoke OK (replay byte-identical, $(printf '%s\n' "$first" | tail -1))"
+
+echo "== ci: full-grid solve-sharing smoke (--jobs 1 vs 4 under faults) =="
+full_grid_survey() {
+    local args=()
+    for case in $(./target/release/benchkit list-benchmarks | tail -n +2); do
+        args+=(-c "$case")
+    done
+    for partition in archer2:rome cosma8:rome csd3:cascadelake isambard:xci \
+        isambard-macs:cascadelake isambard-macs:volta noctua2:milan; do
+        args+=(--system "$partition")
+    done
+    ./target/release/benchkit survey "${args[@]}" \
+        --fault-profile flaky --max-retries 2 --seed 7 --jobs "$1" 2>/dev/null \
+        && status=0 || status=$?
+    echo "exit:$status"
+}
+grid_serial="$(full_grid_survey 1)"
+grid_parallel="$(full_grid_survey 4)"
+if [ "$grid_serial" != "$grid_parallel" ]; then
+    echo "full-grid smoke FAILED: --jobs 4 diverged from --jobs 1" >&2
+    diff <(printf '%s\n' "$grid_serial") <(printf '%s\n' "$grid_parallel") >&2 || true
+    exit 1
+fi
+grid_cells="$(printf '%s\n' "$grid_serial" | grep -c '^\[[0-9]*/112\]')"
+if [ "$grid_cells" -ne 112 ]; then
+    echo "full-grid smoke FAILED: $grid_cells of 112 cells reported" >&2
+    exit 1
+fi
+echo "full-grid smoke OK (112 cells byte-identical at --jobs 1 and 4, $(printf '%s\n' "$grid_serial" | tail -1))"
 
 echo "== ci: kill-and-resume smoke (checkpointed survey) =="
 ckpt_dir="$(mktemp -d)"

@@ -5,6 +5,7 @@
 //! Triad bandwidth in MBytes/sec, extracted by the harness from the output
 //! table exactly as ReFrame does from the real BabelStream.
 
+use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::scratch::Arena;
 use crate::{BenchError, ExecutionMode, RunOutput, SIM_EXECUTION_CAP};
 use parkern::{kernels, Model};
@@ -80,6 +81,17 @@ pub fn run_with(
     mode: &ExecutionMode,
     arena: &mut Arena,
 ) -> Result<RunOutput, BenchError> {
+    run_memo(config, mode, arena, None)
+}
+
+/// [`run_with`] taking a simulated run's validation from `memo` when one
+/// is given (see [`crate::memo`]); native runs always execute.
+pub fn run_memo(
+    config: &BabelStreamConfig,
+    mode: &ExecutionMode,
+    arena: &mut Arena,
+    memo: Option<&SolveMemo>,
+) -> Result<RunOutput, BenchError> {
     if config.array_size == 0 || config.reps == 0 {
         return Err(BenchError::BadConfig(
             "array size and reps must be positive".into(),
@@ -91,7 +103,7 @@ pub fn run_with(
             partition,
             system,
             seed,
-        } => run_simulated(config, partition, system, *seed, arena),
+        } => run_simulated(config, partition, system, *seed, arena, memo),
     }
 }
 
@@ -184,6 +196,7 @@ fn run_simulated(
     system: &str,
     seed: u64,
     arena: &mut Arena,
+    memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
     let proc = partition.processor();
     if !config.model.available_on(proc) {
@@ -193,10 +206,20 @@ fn run_simulated(
             proc.model()
         )));
     }
-    // Run the real numerics at a capped size for validation.
-    let exec_n = config.array_size.min(SIM_EXECUTION_CAP);
+    // Run the real numerics at a capped size for validation, once per
+    // distinct capped problem when a memo is given.
+    let n = config.array_size.min(SIM_EXECUTION_CAP);
+    let reps = 3.min(config.reps);
     let host_threads = parkern::default_workers().min(8);
-    execute_and_validate(config, exec_n, 3.min(config.reps), host_threads, arena)?;
+    let key = SolveKey::BabelStream {
+        model: config.model,
+        n,
+        reps,
+        threads: host_threads,
+    };
+    memo::solve_with(memo, key, || {
+        execute_and_validate(config, n, reps, host_threads, arena).map(|_| Solution::Validated)
+    })?;
 
     // Model the timing at the full requested size.
     let threads = config.threads.unwrap_or(config.model.threads_on(proc));

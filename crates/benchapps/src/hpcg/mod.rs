@@ -33,6 +33,7 @@ pub use ops::{
 };
 pub use problem::Problem;
 
+use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::{BenchError, ExecutionMode, RunOutput};
 use simhpc::noise::NoiseModel;
 use std::time::Instant;
@@ -144,60 +145,32 @@ pub fn run_with(
     mode: &ExecutionMode,
     arena: &mut crate::scratch::Arena,
 ) -> Result<RunOutput, BenchError> {
+    run_memo(config, mode, arena, None)
+}
+
+/// [`run_with`] taking a simulated run's solve from `memo` when one is
+/// given (see [`crate::memo`]); native runs always solve.
+pub fn run_memo(
+    config: &HpcgConfig,
+    mode: &ExecutionMode,
+    arena: &mut crate::scratch::Arena,
+    memo: Option<&SolveMemo>,
+) -> Result<RunOutput, BenchError> {
     if config.local_dim < 4 {
         return Err(BenchError::BadConfig(
             "local dimension must be at least 4".into(),
         ));
     }
-    // A variant the simulated platform cannot run is a skip: decide it
-    // before paying for the solve.
-    if let ExecutionMode::Simulated { partition, .. } = mode {
-        let proc = partition.processor();
-        if !config.variant.available_on(proc) {
-            return Err(BenchError::Unsupported(format!(
-                "{} is not available on {}",
-                config.variant.label(),
-                proc.model()
-            )));
-        }
-    }
-    // Execute the real solver at a capped size: the numerics are genuine.
-    let exec_dim = match mode {
-        ExecutionMode::Native => config.local_dim,
-        ExecutionMode::Simulated { .. } => config.local_dim.min(16),
-    };
-    let start = Instant::now();
-    let problem = Problem::cube(exec_dim);
-    let op = match config.threads {
-        Some(t) if t > 1 => ops::build_with_backend(
-            config.variant,
-            &problem,
-            Box::new(parkern::PoolBackend::new(t)),
-        ),
-        _ => ops::build(config.variant, &problem),
-    };
-    let stats = pcg_with(
-        op.as_ref(),
-        &problem.rhs,
-        config.iterations.min(60),
-        1e-10,
-        arena,
-    );
-    let native_elapsed = start.elapsed().as_secs_f64();
-    if !stats.converging() {
-        return Err(BenchError::ValidationFailed(format!(
-            "CG residual did not decrease: first {:.3e}, last {:.3e}",
-            stats.residuals.first().copied().unwrap_or(0.0),
-            stats.residuals.last().copied().unwrap_or(0.0),
-        )));
-    }
-
-    let (gflops, valid_label, system, wall) = match mode {
+    let (iterations, residual, gflops, system, wall) = match mode {
         ExecutionMode::Native => {
-            let flops = cost::flops_for(config.variant, problem.n(), stats.iterations);
+            let start = Instant::now();
+            let (iterations, residual) = solve(config, config.local_dim, arena)?;
+            let native_elapsed = start.elapsed().as_secs_f64();
+            let flops = cost::flops_for(config.variant, config.local_dim.pow(3), iterations);
             (
+                iterations,
+                residual,
                 flops / native_elapsed / 1e9,
-                "VALID",
                 "native".to_string(),
                 native_elapsed,
             )
@@ -207,6 +180,40 @@ pub fn run_with(
             system,
             seed,
         } => {
+            // A variant the simulated platform cannot run is a skip:
+            // decide it before paying for the solve.
+            let proc = partition.processor();
+            if !config.variant.available_on(proc) {
+                return Err(BenchError::Unsupported(format!(
+                    "{} is not available on {}",
+                    config.variant.label(),
+                    proc.model()
+                )));
+            }
+            // Execute the real solver at a capped size: the numerics are
+            // genuine, and every cell posing the same capped problem
+            // shares one solve.
+            let dim = config.local_dim.min(16);
+            let key = SolveKey::Hpcg {
+                variant: config.variant,
+                dim,
+                iterations: config.iterations.min(60),
+                threads: config.threads,
+            };
+            let solved = memo::solve_with(memo, key, || {
+                let (iterations, residual) = solve(config, dim, arena)?;
+                Ok(Solution::Hpcg {
+                    iterations,
+                    residual,
+                })
+            })?;
+            let Solution::Hpcg {
+                iterations,
+                residual,
+            } = solved
+            else {
+                unreachable!("an HPCG key holds an HPCG solution")
+            };
             let mut noise = NoiseModel::for_run(
                 system,
                 &format!("hpcg-{}", config.variant.spec_name()),
@@ -218,8 +225,14 @@ pub fn run_with(
             // never the host's measured time, so simulated runs (and the
             // telemetry derived from them) are deterministic per seed.
             let n_global = config.local_dim.pow(3) * config.ranks as usize;
-            let flops = cost::flops_for(config.variant, n_global, stats.iterations);
-            (rating, "VALID", system.clone(), flops / (rating * 1e9))
+            let flops = cost::flops_for(config.variant, n_global, iterations);
+            (
+                iterations,
+                residual,
+                rating,
+                system.clone(),
+                flops / (rating * 1e9),
+            )
         }
     };
 
@@ -240,20 +253,52 @@ pub fn run_with(
     out.push_str(&format!("Variant::{}\n", config.variant.label()));
     out.push_str(&format!("System::{system}\n"));
     out.push_str(&format!(
-        "Iteration Count Information::Total number of optimized iterations={}\n",
-        stats.iterations
+        "Iteration Count Information::Total number of optimized iterations={iterations}\n"
     ));
     out.push_str(&format!(
-        "Reproducibility Information::Scaled residual mean={:.4e}\n",
-        stats.final_relative_residual()
+        "Reproducibility Information::Scaled residual mean={residual:.4e}\n"
     ));
     out.push_str(&format!(
-        "Final Summary::HPCG result is {valid_label} with a GFLOP/s rating of={gflops:.4}\n"
+        "Final Summary::HPCG result is VALID with a GFLOP/s rating of={gflops:.4}\n"
     ));
     Ok(RunOutput {
         stdout: out,
         wall_time_s: wall,
     })
+}
+
+/// The host solve: CG on a `dim`³ cube with `config`'s variant, iteration
+/// cap and threads. Returns the iterations run and the final relative
+/// residual, or a validation failure when the residual did not decrease.
+fn solve(
+    config: &HpcgConfig,
+    dim: usize,
+    arena: &mut crate::scratch::Arena,
+) -> Result<(usize, f64), BenchError> {
+    let problem = Problem::cube(dim);
+    let op = match config.threads {
+        Some(t) if t > 1 => ops::build_with_backend(
+            config.variant,
+            &problem,
+            Box::new(parkern::PoolBackend::new(t)),
+        ),
+        _ => ops::build(config.variant, &problem),
+    };
+    let stats = pcg_with(
+        op.as_ref(),
+        &problem.rhs,
+        config.iterations.min(60),
+        1e-10,
+        arena,
+    );
+    if !stats.converging() {
+        return Err(BenchError::ValidationFailed(format!(
+            "CG residual did not decrease: first {:.3e}, last {:.3e}",
+            stats.residuals.first().copied().unwrap_or(0.0),
+            stats.residuals.last().copied().unwrap_or(0.0),
+        )));
+    }
+    Ok((stats.iterations, stats.final_relative_residual()))
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 //! residual norm summed lexicographically), so results are bit-identical
 //! to it — the `differential` test below holds a copy and compares bits.
 
+use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::{BenchError, ExecutionMode, RunOutput};
 use simhpc::noise::NoiseModel;
 use simhpc::Partition;
@@ -497,38 +498,53 @@ fn simulated_time(config: &HpgmgConfig, level: u32, partition: &Partition) -> f6
 
 /// Run HPGMG-FV.
 pub fn run(config: &HpgmgConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
+    run_memo(config, mode, None)
+}
+
+/// [`run`] taking a simulated run's solve from `memo` when one is given
+/// (see [`crate::memo`]); native runs always solve.
+pub fn run_memo(
+    config: &HpgmgConfig,
+    mode: &ExecutionMode,
+    memo: Option<&SolveMemo>,
+) -> Result<RunOutput, BenchError> {
     if config.log2_box_dim < 2 || config.boxes_per_rank == 0 || config.ranks == 0 {
         return Err(BenchError::BadConfig(
             "box dim ≥ 4 and nonzero boxes/ranks required".into(),
         ));
     }
-    // A simulated platform that cannot host the run is a skip: decide it
-    // before paying for the solve.
-    if let ExecutionMode::Simulated { partition, .. } = mode {
-        if partition.processor().is_gpu() {
-            return Err(BenchError::Unsupported("HPGMG-FV here targets CPUs".into()));
-        }
-        if config.nodes() > partition.nodes() {
-            return Err(BenchError::Unsupported(format!(
-                "{} nodes requested but partition has {}",
-                config.nodes(),
-                partition.nodes()
-            )));
-        }
-    }
     // Always run the real solver (capped size in simulated mode) and check
     // that multigrid actually converges — the sanity step of the pipeline.
     let exec_n: usize = 1usize << config.log2_box_dim.min(5);
-    let start = Instant::now();
-    let mut mg = Multigrid::new(exec_n)?;
-    mg.set_rhs_sine();
-    let (r0, r, cycles) = mg.solve(30, 1e-7);
-    let native_elapsed = start.elapsed().as_secs_f64();
-    if r >= r0 * 1e-6 || !r.is_finite() {
-        return Err(BenchError::ValidationFailed(format!(
-            "multigrid did not converge: {r0:.3e} -> {r:.3e} in {cycles} cycles"
-        )));
-    }
+    let (r0, r, cycles, native_elapsed) = match mode {
+        ExecutionMode::Native => {
+            let start = Instant::now();
+            let (r0, r, cycles) = solve(exec_n)?;
+            (r0, r, cycles, start.elapsed().as_secs_f64())
+        }
+        ExecutionMode::Simulated { partition, .. } => {
+            // A simulated platform that cannot host the run is a skip:
+            // decide it before paying for the solve.
+            if partition.processor().is_gpu() {
+                return Err(BenchError::Unsupported("HPGMG-FV here targets CPUs".into()));
+            }
+            if config.nodes() > partition.nodes() {
+                return Err(BenchError::Unsupported(format!(
+                    "{} nodes requested but partition has {}",
+                    config.nodes(),
+                    partition.nodes()
+                )));
+            }
+            let solved = memo::solve_with(memo, SolveKey::Hpgmg { n: exec_n }, || {
+                let (r0, r, cycles) = solve(exec_n)?;
+                Ok(Solution::Hpgmg { r0, r, cycles })
+            })?;
+            let Solution::Hpgmg { r0, r, cycles } = solved else {
+                unreachable!("an HPGMG key holds an HPGMG solution")
+            };
+            (r0, r, cycles, 0.0)
+        }
+    };
 
     let mut out = String::new();
     out.push_str("HPGMG-FV benchmark (reproduction)\n");
@@ -547,10 +563,7 @@ pub fn run(config: &HpgmgConfig, mode: &ExecutionMode) -> Result<RunOutput, Benc
     // Native mode reports the measured solve; simulated mode builds the
     // wall time purely from the cost model so it is deterministic per seed
     // (the host's measured time must never leak into simulated telemetry).
-    let mut wall = match mode {
-        ExecutionMode::Native => native_elapsed,
-        ExecutionMode::Simulated { .. } => 0.0,
-    };
+    let mut wall = native_elapsed;
     match mode {
         ExecutionMode::Native => {
             // Rate the real solve: DOF of the executed grid over the time.
@@ -584,6 +597,21 @@ pub fn run(config: &HpgmgConfig, mode: &ExecutionMode) -> Result<RunOutput, Benc
         stdout: out,
         wall_time_s: wall,
     })
+}
+
+/// The host solve: up to 30 V-cycles on an `n`³ grid towards 1e-7.
+/// Returns `(r0, r, cycles)`, or a validation failure when multigrid did
+/// not cut the residual by six orders of magnitude.
+fn solve(n: usize) -> Result<(f64, f64, usize), BenchError> {
+    let mut mg = Multigrid::new(n)?;
+    mg.set_rhs_sine();
+    let (r0, r, cycles) = mg.solve(30, 1e-7);
+    if r >= r0 * 1e-6 || !r.is_finite() {
+        return Err(BenchError::ValidationFailed(format!(
+            "multigrid did not converge: {r0:.3e} -> {r:.3e} in {cycles} cycles"
+        )));
+    }
+    Ok((r0, r, cycles))
 }
 
 /// Differential test: the production solver against a verbatim copy of

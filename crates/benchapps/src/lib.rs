@@ -20,6 +20,17 @@
 //!   the `simhpc` platform cost model for a named system/partition, with
 //!   deterministic noise. This regenerates the paper's tables and figure.
 //!
+//! A simulated run takes three steps: a **support check** (is the
+//! model/variant available on the partition, does it have the nodes?), a
+//! **host solve** at the capped size whose inputs never depend on the
+//! partition, and a partition-dependent **render** of the modeled times.
+//! The solve's inputs form a [`memo::SolveKey`]; each app's `run_memo`
+//! takes an optional [`memo::SolveMemo`] through which every cell of a
+//! study that poses the same problem shares one solve (its outcome, a
+//! failed validation included). `run` and `run_with` pass no memo and
+//! solve every call. Native runs never go through the memo: their solve
+//! *is* the measurement.
+//!
 //! Each run returns a [`RunOutput`]: the benchmark's textual stdout —
 //! formatted like the real tools so the harness's regex-based FOM
 //! extraction is honest — plus its wall time.
@@ -27,6 +38,7 @@
 pub mod babelstream;
 pub mod hpcg;
 pub mod hpgmg;
+pub mod memo;
 pub mod scratch;
 pub mod stream;
 

@@ -4,6 +4,7 @@
 //! uses STREAM's counting convention (write-allocate traffic is *not*
 //! counted) as the example of a FOM that measures useful data movement.
 
+use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::scratch::Arena;
 use crate::{BenchError, ExecutionMode, RunOutput, SIM_EXECUTION_CAP};
 use parkern::{kernels, Model};
@@ -51,6 +52,17 @@ pub fn run_with(
     mode: &ExecutionMode,
     arena: &mut Arena,
 ) -> Result<RunOutput, BenchError> {
+    run_memo(config, mode, arena, None)
+}
+
+/// [`run_with`] taking a simulated run's validation from `memo` when one
+/// is given (see [`crate::memo`]); native runs always execute.
+pub fn run_memo(
+    config: &StreamConfig,
+    mode: &ExecutionMode,
+    arena: &mut Arena,
+    memo: Option<&SolveMemo>,
+) -> Result<RunOutput, BenchError> {
     if config.array_size == 0 || config.reps == 0 {
         return Err(BenchError::BadConfig(
             "array size and reps must be positive".into(),
@@ -78,13 +90,17 @@ pub fn run_with(
             if proc.is_gpu() {
                 return Err(BenchError::Unsupported("STREAM is a CPU benchmark".into()));
             }
-            let exec_n = config.array_size.min(SIM_EXECUTION_CAP);
-            execute(
-                exec_n,
-                2.min(config.reps),
-                parkern::default_workers().min(4),
-                arena,
-            )?;
+            let n = config.array_size.min(SIM_EXECUTION_CAP);
+            let reps = 2.min(config.reps);
+            let host_threads = parkern::default_workers().min(4);
+            let key = SolveKey::Stream {
+                n,
+                reps,
+                threads: host_threads,
+            };
+            memo::solve_with(memo, key, || {
+                execute(n, reps, host_threads, arena).map(|_| Solution::Validated)
+            })?;
             let threads = config.threads.unwrap_or(proc.total_cores());
             let ws = 3 * config.array_size as u64 * 8;
             let mut noise = NoiseModel::for_run(system, "stream", *seed);

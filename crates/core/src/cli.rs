@@ -3011,6 +3011,88 @@ printf 'done:0:\n'
     }
 
     #[test]
+    fn survey_perflog_records_failed_cells_and_resumes_them() {
+        // A cell that fails for good writes its `result=fail` record, and a
+        // study resumed past that cell writes the same perflog files.
+        let make = |seed: u64, dir: &std::path::Path, resume: bool, out: &std::path::Path| {
+            let suite = SuiteRunner::new(&["csd3", "archer2"])
+                .with_seed(seed)
+                .with_jobs(2)
+                .with_fault_profile(FaultProfile::flaky())
+                .with_max_retries(0);
+            let suite = if resume {
+                suite.with_resume(dir)
+            } else {
+                suite.with_checkpoint(dir)
+            };
+            let mut cmd = survey(&["babelstream_omp", "hpgmg", "stream"], suite);
+            if let Command::Survey { perflog, .. } = &mut cmd {
+                *perflog = Some(out.to_string_lossy().into_owned());
+            }
+            cmd
+        };
+        let files = |dir: &std::path::Path| -> Vec<(String, String)> {
+            let mut all: Vec<(String, String)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read_to_string(&path).unwrap())
+                })
+                .collect();
+            all.sort();
+            all
+        };
+        let seed = (0..20)
+            .find(|&seed| {
+                let (ck, out) = (tmpdir("failrec-probe"), tmpdir("failrec-probe-out"));
+                let (_, err) = run_cmd(make(seed, &ck, false, &out));
+                let _ = std::fs::remove_dir_all(&ck);
+                let _ = std::fs::remove_dir_all(&out);
+                err.is_some()
+            })
+            .expect("some seed in 0..20 fails a cell under flaky without retries");
+        let (ck, full) = (tmpdir("failrec-ck"), tmpdir("failrec-full"));
+        let (full_text, full_err) = run_cmd(make(seed, &ck, false, &full));
+        assert!(full_err.is_some(), "{full_text}");
+        let full_files = files(&full);
+        let fail_lines: Vec<&str> = full_files
+            .iter()
+            .flat_map(|(_, text)| text.lines())
+            .filter(|l| l.contains(r#""result":"fail""#))
+            .collect();
+        assert!(
+            !fail_lines.is_empty(),
+            "no result=fail record: {full_files:?}"
+        );
+        // Resume from a journal cut just after the first failed cell, so
+        // the failure is replayed rather than re-run.
+        let journal = std::fs::read_to_string(ck.join(harness::checkpoint::JOURNAL_FILE)).unwrap();
+        let lines: Vec<&str> = journal.lines().collect();
+        let first_failed = lines
+            .iter()
+            .position(|l| l.contains(r#""failed":"#))
+            .expect("the journal holds the failed cell");
+        let (ck2, resumed) = (tmpdir("failrec-ck2"), tmpdir("failrec-resumed"));
+        std::fs::create_dir_all(&ck2).unwrap();
+        std::fs::write(
+            ck2.join(harness::checkpoint::JOURNAL_FILE),
+            lines[..=first_failed].join("\n") + "\n",
+        )
+        .unwrap();
+        let (text, err) = run_cmd(make(seed, &ck2, true, &resumed));
+        assert_eq!(err, full_err);
+        assert_eq!(
+            text.replace(resumed.to_str().unwrap(), "OUT"),
+            full_text.replace(full.to_str().unwrap(), "OUT")
+        );
+        assert_eq!(files(&resumed), full_files);
+        for dir in [ck, full, ck2, resumed] {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    #[test]
     fn survey_perflog_export_then_rank_end_to_end() {
         // The tentpole, end to end: survey two systems into a perflog
         // directory, then rank them — byte-identically at any --jobs.

@@ -60,6 +60,31 @@ fn store_gc_and_fsck_refuse_a_missing_store_and_create_nothing() {
 }
 
 #[test]
+fn store_gc_and_fsck_refuse_a_directory_that_is_not_a_store() {
+    let dir = std::env::temp_dir().join(format!("benchkit-not-a-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the empty directory");
+    let arg = dir.to_str().expect("utf-8 temp path");
+    for (args, sub) in [
+        (vec!["store", "gc", arg, "--keep", "0"], "gc"),
+        (vec!["store", "fsck", arg], "fsck"),
+    ] {
+        let (code, stdout, stderr) = benchkit(&args);
+        assert_eq!(code, Some(1), "{sub}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: store {sub}: store I/O: no store at {arg}\n")
+        );
+        assert_eq!(stdout, "");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("the directory survives")
+            .collect();
+        assert!(left.is_empty(), "store {sub} wrote into {arg}: {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the empty directory");
+}
+
+#[test]
 fn help_exits_0_with_usage_on_stdout() {
     let (code, stdout, stderr) = benchkit(&["help"]);
     assert_eq!(code, Some(0));

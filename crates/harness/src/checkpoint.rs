@@ -171,6 +171,9 @@ pub struct ReplayedCell {
     pub case: String,
     pub system: String,
     pub outcome: SuiteOutcome,
+    /// The `result=fail` perflog record of a failed cell, when the
+    /// harness wrote one.
+    pub failure: Option<PerflogRecord>,
 }
 
 /// The append side of a checkpoint journal. Records are written one JSON
@@ -235,19 +238,22 @@ impl Journal {
     }
 
     /// Append one flushed cell and fsync it. Called by the ordered flush
-    /// (already serialized), so records land strictly in grid order.
+    /// (already serialized), so records land strictly in grid order. A
+    /// failed cell's `result=fail` perflog record, if any, is journaled
+    /// with it so a resumed study writes the same perflogs.
     pub fn append(
         &self,
         index: usize,
         case: &str,
         system: &str,
         outcome: &SuiteOutcome,
+        failure: Option<&PerflogRecord>,
     ) -> Result<(), CheckpointError> {
         let mut m = Map::new();
         m.insert("cell", Value::Int(index as i64));
         m.insert("case", Value::from(case));
         m.insert("system", Value::from(system));
-        m.insert("outcome", outcome_to_value(outcome));
+        m.insert("outcome", outcome_to_value(outcome, failure));
         self.log.append(&Value::Map(m).to_json())?;
         Ok(())
     }
@@ -271,17 +277,25 @@ fn parse_cell(line: &str, expected_index: usize) -> Result<ReplayedCell, Checkpo
             .map(str::to_string)
             .ok_or_else(|| CheckpointError::Corrupt(format!("record missing `{key}`")))
     };
+    let outcome = doc
+        .get_path("outcome")
+        .ok_or_else(|| CheckpointError::Corrupt("record missing `outcome`".to_string()))?;
+    let failure = match outcome.get("failed").and_then(|f| f.get("record")) {
+        Some(record) => Some(
+            PerflogRecord::from_value(record)
+                .map_err(|e| CheckpointError::Corrupt(format!("failed cell record: {e}")))?,
+        ),
+        None => None,
+    };
     Ok(ReplayedCell {
         case: str_at("case")?,
         system: str_at("system")?,
-        outcome: outcome_from_value(
-            doc.get_path("outcome")
-                .ok_or_else(|| CheckpointError::Corrupt("record missing `outcome`".to_string()))?,
-        )?,
+        outcome: outcome_from_value(outcome)?,
+        failure,
     })
 }
 
-fn outcome_to_value(outcome: &SuiteOutcome) -> Value {
+fn outcome_to_value(outcome: &SuiteOutcome, failure: Option<&PerflogRecord>) -> Value {
     let mut m = Map::new();
     match outcome {
         SuiteOutcome::Ran(report) => m.insert("ran", report_to_value(report)),
@@ -304,6 +318,9 @@ fn outcome_to_value(outcome: &SuiteOutcome) -> Value {
                     None => Value::Null,
                 },
             );
+            if let Some(record) = failure {
+                fm.insert("record", record.to_value());
+            }
             m.insert("failed", Value::Map(fm))
         }
     }
@@ -686,7 +703,7 @@ mod tests {
             cause: Box::new(HarnessError::NodeFailed("lost a node".to_string())),
         });
         for outcome in [&skipped, &failed] {
-            let v = outcome_to_value(outcome);
+            let v = outcome_to_value(outcome, None);
             let line = v.to_json();
             let back =
                 outcome_from_value(&tinycfg::parse(&line).expect("journal lines parse")).unwrap();
@@ -715,8 +732,27 @@ mod tests {
                 "babelstream_omp",
                 "csd3",
                 &SuiteOutcome::Skipped("no".into()),
+                None,
             )
             .unwrap();
+        let fail_record = PerflogRecord {
+            sequence: 0,
+            benchmark: "hpgmg_fv".to_string(),
+            system: "csd3".to_string(),
+            partition: "cascadelake".to_string(),
+            environ: String::new(),
+            spec: "hpgmg%gcc +fv".to_string(),
+            build_hash: String::new(),
+            job_id: None,
+            num_tasks: 8,
+            num_tasks_per_node: 2,
+            num_cpus_per_task: 8,
+            foms: Vec::new(),
+            extras: vec![
+                ("result".to_string(), "fail".to_string()),
+                ("error".to_string(), "boom".to_string()),
+            ],
+        };
         journal
             .append(
                 1,
@@ -726,6 +762,7 @@ mod tests {
                     message: "boom".to_string(),
                     stats: Some((3, 2, 99.5)),
                 }),
+                Some(&fail_record),
             )
             .unwrap();
         drop(journal);
@@ -745,9 +782,17 @@ mod tests {
             }
             other => panic!("expected replayed failure, got {other:?}"),
         }
+        assert_eq!(cells[0].failure, None);
+        assert_eq!(cells[1].failure.as_ref(), Some(&fail_record));
         // The torn bytes are gone: the next append lands on a clean line.
         journal
-            .append(2, "x", "archer2", &SuiteOutcome::Skipped("later".into()))
+            .append(
+                2,
+                "x",
+                "archer2",
+                &SuiteOutcome::Skipped("later".into()),
+                None,
+            )
             .unwrap();
         drop(journal);
         let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
@@ -777,7 +822,7 @@ mod tests {
             let mut committed = 0usize;
             let mut tore = false;
             for i in 0..10 {
-                match journal.append(i, "case", "sys", &SuiteOutcome::Skipped("s".into())) {
+                match journal.append(i, "case", "sys", &SuiteOutcome::Skipped("s".into()), None) {
                     Ok(()) => committed += 1,
                     Err(_) => {
                         tore = true;
@@ -830,15 +875,15 @@ mod tests {
         let b = header();
         let journal = Journal::create(&dir, &b, IoShim::Real).unwrap();
         journal
-            .append(0, "a", "csd3", &SuiteOutcome::Skipped("s".into()))
+            .append(0, "a", "csd3", &SuiteOutcome::Skipped("s".into()), None)
             .unwrap();
         // A record claiming the wrong cell index (disk corruption): the
         // prefix before it survives, it and later records do not.
         journal
-            .append(5, "b", "csd3", &SuiteOutcome::Skipped("s".into()))
+            .append(5, "b", "csd3", &SuiteOutcome::Skipped("s".into()), None)
             .unwrap();
         journal
-            .append(2, "c", "csd3", &SuiteOutcome::Skipped("s".into()))
+            .append(2, "c", "csd3", &SuiteOutcome::Skipped("s".into()), None)
             .unwrap();
         drop(journal);
         let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
@@ -906,7 +951,7 @@ mod tests {
         let journal = Journal::create(dir, &header(), IoShim::Real).unwrap();
         for i in 0..n {
             journal
-                .append(i, "case", "sys", &SuiteOutcome::Skipped("s".into()))
+                .append(i, "case", "sys", &SuiteOutcome::Skipped("s".into()), None)
                 .unwrap();
         }
     }

@@ -37,6 +37,7 @@ pub use suite::{StoreStats, SuiteOutcome, SuiteProgress, SuiteReport, SuiteRunne
 use benchapps::babelstream::BabelStreamConfig;
 use benchapps::hpcg::HpcgConfig;
 use benchapps::hpgmg::HpgmgConfig;
+use benchapps::memo::SolveMemo;
 use benchapps::stream::StreamConfig;
 use benchapps::{BenchError, ExecutionMode, RunOutput};
 
@@ -64,11 +65,23 @@ impl App {
         mode: &ExecutionMode,
         arena: &mut benchapps::scratch::Arena,
     ) -> Result<RunOutput, BenchError> {
+        self.run_memo(mode, arena, None)
+    }
+
+    /// [`App::run_with`] sharing simulated host solves through `memo`
+    /// (see [`benchapps::memo`]). Output is byte-identical to a memo-free
+    /// run with the same inputs.
+    pub fn run_memo(
+        &self,
+        mode: &ExecutionMode,
+        arena: &mut benchapps::scratch::Arena,
+        memo: Option<&SolveMemo>,
+    ) -> Result<RunOutput, BenchError> {
         match self {
-            App::BabelStream(cfg) => benchapps::babelstream::run_with(cfg, mode, arena),
-            App::Hpcg(cfg) => benchapps::hpcg::run_with(cfg, mode, arena),
-            App::Hpgmg(cfg) => benchapps::hpgmg::run(cfg, mode),
-            App::Stream(cfg) => benchapps::stream::run_with(cfg, mode, arena),
+            App::BabelStream(cfg) => benchapps::babelstream::run_memo(cfg, mode, arena, memo),
+            App::Hpcg(cfg) => benchapps::hpcg::run_memo(cfg, mode, arena, memo),
+            App::Hpgmg(cfg) => benchapps::hpgmg::run_memo(cfg, mode, memo),
+            App::Stream(cfg) => benchapps::stream::run_memo(cfg, mode, arena, memo),
         }
     }
 

@@ -2,12 +2,14 @@
 
 use crate::TestCase;
 use batchsim::{JobRequest, Policy, Scheduler};
+use benchapps::memo::SolveMemo;
 use benchapps::{BenchError, ExecutionMode};
 use perflogs::{Fom, Perflog, PerflogRecord};
 use simhpc::faults::{self, Fault, FaultInjector, FaultProfile};
 use simhpc::platform::SchedulerKind;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Options for a harness session (the command-line of the paper's appendix).
 #[derive(Debug, Clone)]
@@ -294,6 +296,12 @@ pub struct Harness {
     /// Scratch buffers reused across every case this harness runs, so
     /// steady-state repetitions allocate no working vectors.
     arena: benchapps::scratch::Arena,
+    /// Host solves shared with the other sessions of a study (simulated
+    /// mode only); `None` solves every run.
+    solve_memo: Option<Arc<SolveMemo>>,
+    /// The `result=fail` record of the latest failed case, until the suite
+    /// runner takes it into its own perflogs.
+    failure: Option<PerflogRecord>,
 }
 
 impl Harness {
@@ -306,6 +314,8 @@ impl Harness {
             sequence: 0,
             perflogs: BTreeMap::new(),
             arena: benchapps::scratch::Arena::new(),
+            solve_memo: None,
+            failure: None,
         }
     }
 
@@ -321,6 +331,14 @@ impl Harness {
     /// `prepare_build` calls canonically (see `SuiteRunner`).
     pub fn with_shared_store(mut self, store: spackle::SharedStore) -> Harness {
         self.shared_store = Some(store);
+        self
+    }
+
+    /// Share simulated host solves through `memo`, which the study owns:
+    /// cells posing the same capped problem solve it once. Reports are
+    /// byte-identical to a memo-free session's.
+    pub fn with_solve_memo(mut self, memo: Arc<SolveMemo>) -> Harness {
+        self.solve_memo = Some(memo);
         self
     }
 
@@ -466,11 +484,17 @@ impl Harness {
             foms: Vec::new(),
             extras,
         };
+        self.failure = Some(record.clone());
         self.perflogs
             .entry((system.to_string(), case.app.name().to_string()))
             .or_default()
             .append(record);
         err
+    }
+
+    /// Take the `result=fail` record written by the latest failed case.
+    pub(crate) fn take_failure(&mut self) -> Option<PerflogRecord> {
+        self.failure.take()
     }
 
     /// Execute the run stage in an external engine subprocess under the
@@ -598,7 +622,8 @@ impl Harness {
                 &mut time_lost,
             )?,
             None => {
-                let output = match case.app.run_with(&mode, &mut self.arena) {
+                let memo = self.solve_memo.as_deref();
+                let output = match case.app.run_memo(&mode, &mut self.arena, memo) {
                     Ok(o) => o,
                     Err(BenchError::Unsupported(m)) => return Err(HarnessError::Unsupported(m)),
                     Err(other) => {

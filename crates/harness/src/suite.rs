@@ -5,13 +5,14 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMode, Journal};
 use crate::{CaseReport, Harness, HarnessError, PreparedBuild, RunOptions, TestCase};
-use perflogs::Perflog;
+use benchapps::memo::SolveMemo;
+use perflogs::{Perflog, PerflogRecord};
 use simhpc::faults::FaultProfile;
 use spackle::{BuildAction, DiskStore, IoShim, Persist, StoreEntry, StoreOptions};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What happened to one (case, system) combination.
 #[derive(Debug)]
@@ -209,9 +210,14 @@ pub struct SuiteProgress<'a> {
 /// What one hermetic (system, case) job hands back for reassembly.
 struct JobResult {
     outcome: SuiteOutcome,
-    /// Perflog key `(system name, benchmark family)` when the job ran.
-    key: Option<(String, String)>,
+    /// A failed cell's `result=fail` perflog record (sequence 0: sequence
+    /// numbers count successful runs), when the harness wrote one.
+    failure: Option<PerflogRecord>,
 }
+
+/// The warm prepass's build for one cell: the prepared build, or the
+/// build-stage error with the `result=fail` record the harness wrote.
+type Prepared = Result<PreparedBuild, (HarnessError, Option<PerflogRecord>)>;
 
 /// The ordered-flush cursor: protects the canonical emission point of the
 /// stream and the per-system run counter used to renumber sequences.
@@ -261,6 +267,8 @@ struct SweepState {
     journal_from: usize,
     /// First journal append failure (surfaced after the sweep).
     journal_error: Mutex<Option<CheckpointError>>,
+    /// The study's host solves, shared by every cell it runs.
+    memo: Arc<SolveMemo>,
 }
 
 /// Sweeps cases across systems with a bounded worker pool.
@@ -495,11 +503,7 @@ impl SuiteRunner {
     /// persistent store open, each system's store starts seeded with the
     /// verified on-disk entries, so cross-study reuse shows up as cached
     /// dependency installs.
-    fn prepare_warm(
-        &self,
-        cases: &[TestCase],
-        disk: Option<&DiskStore>,
-    ) -> Vec<Result<PreparedBuild, HarnessError>> {
+    fn prepare_warm(&self, cases: &[TestCase], disk: Option<&DiskStore>) -> Vec<Prepared> {
         let mut prepared = Vec::with_capacity(self.systems.len() * cases.len());
         for system in &self.systems {
             let store = spackle::SharedStore::new();
@@ -509,35 +513,45 @@ impl SuiteRunner {
             let mut harness =
                 Harness::new(self.job_options(system)).with_shared_store(store.clone());
             for case in cases {
-                prepared.push(harness.prepare_build(case));
+                let build = harness.prepare_build(case);
+                prepared.push(build.map_err(|e| (e, harness.take_failure())));
             }
         }
         prepared
     }
 
-    /// Classify a pipeline result into a suite outcome.
-    fn classify(case: &TestCase, result: Result<CaseReport, HarnessError>) -> JobResult {
+    /// Classify a pipeline result into a suite outcome, keeping a failed
+    /// cell's `result=fail` record.
+    fn classify(
+        result: Result<CaseReport, HarnessError>,
+        failure: Option<PerflogRecord>,
+    ) -> JobResult {
         match result {
             Ok(report) => JobResult {
-                key: Some((report.record.system.clone(), case.app.name().to_string())),
                 outcome: SuiteOutcome::Ran(Box::new(report)),
+                failure: None,
             },
             Err(HarnessError::Unsupported(reason)) => JobResult {
                 outcome: SuiteOutcome::Skipped(reason),
-                key: None,
+                failure: None,
             },
             Err(other) => JobResult {
                 outcome: SuiteOutcome::Failed(other),
-                key: None,
+                failure: failure.map(|record| PerflogRecord {
+                    sequence: 0,
+                    ..record
+                }),
             },
         }
     }
 
-    /// Run one (system, case) combination in a fresh harness session.
+    /// Run one (system, case) combination in a fresh harness session that
+    /// shares the study's solve memo.
     fn run_job(
         &self,
         cases: &[TestCase],
-        prepared: Option<&[Result<PreparedBuild, HarnessError>]>,
+        prepared: Option<&[Prepared]>,
+        memo: &Arc<SolveMemo>,
         job: usize,
     ) -> JobResult {
         let system = &self.systems[job / cases.len()];
@@ -545,15 +559,14 @@ impl SuiteRunner {
         let options = self
             .job_options(system)
             .with_engine(self.engine_for(&case.name).cloned());
-        let mut harness = Harness::new(options);
-        let result = match prepared {
+        let mut harness = Harness::new(options).with_solve_memo(Arc::clone(memo));
+        let result = match prepared.map(|builds| &builds[job]) {
             // Warm mode: the build already ran in the canonical prepass.
-            Some(builds) => builds[job]
-                .clone()
-                .and_then(|build| harness.run_prepared(case, build)),
+            Some(Ok(build)) => harness.run_prepared(case, build.clone()),
+            Some(Err((err, failure))) => return Self::classify(Err(err.clone()), failure.clone()),
             None => harness.run_case(case),
         };
-        Self::classify(case, result)
+        Self::classify(result, harness.take_failure())
     }
 
     /// Pull jobs off the shared index until none remain, flushing the
@@ -563,7 +576,7 @@ impl SuiteRunner {
     fn work(
         &self,
         cases: &[TestCase],
-        prepared: Option<&[Result<PreparedBuild, HarnessError>]>,
+        prepared: Option<&[Prepared]>,
         state: &SweepState,
         on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
     ) {
@@ -580,10 +593,10 @@ impl SuiteRunner {
                 // Never executed; the flush pass stamps the real reason.
                 JobResult {
                     outcome: SuiteOutcome::Skipped("not run".to_string()),
-                    key: None,
+                    failure: None,
                 }
             } else {
-                let result = self.run_job(cases, prepared, job);
+                let result = self.run_job(cases, prepared, &state.memo, job);
                 if matches!(result.outcome, SuiteOutcome::Failed(_)) {
                     state.first_failure.fetch_min(job, Ordering::Relaxed);
                 }
@@ -625,7 +638,7 @@ impl SuiteRunner {
             if self.fail_fast && cursor.failed_any {
                 result.outcome =
                     SuiteOutcome::Skipped("not run: --fail-fast after earlier failure".to_string());
-                result.key = None;
+                result.failure = None;
             } else if cursor.canary_failed {
                 // The system entered this study on probation and its canary
                 // cell just failed: everything else on it is skipped.
@@ -634,13 +647,13 @@ impl SuiteRunner {
                     self.systems[si],
                     state.canary[si].unwrap_or(0)
                 ));
-                result.key = None;
+                result.failure = None;
             } else if self.quarantine > 0 && cursor.consecutive >= self.quarantine {
                 result.outcome = SuiteOutcome::Skipped(format!(
                     "quarantined: {} consecutive failures on {}",
                     self.quarantine, self.systems[si]
                 ));
-                result.key = None;
+                result.failure = None;
             }
             match &mut result.outcome {
                 SuiteOutcome::Ran(report) => {
@@ -680,6 +693,7 @@ impl SuiteRunner {
                         &cases[ci].name,
                         &self.systems[si],
                         &result.outcome,
+                        result.failure.as_ref(),
                     ) {
                         let mut slot = state.journal_error.lock().expect("journal error poisoned");
                         slot.get_or_insert(e);
@@ -725,10 +739,22 @@ impl SuiteRunner {
     /// journaled durably before it is streamed, completed cells of a
     /// resumed sweep are replayed instead of re-run, and quarantine
     /// memory from earlier studies puts flaky systems on canary probation.
+    /// The study owns one [`SolveMemo`]: every cell posing the same capped
+    /// simulated problem shares one host solve.
     pub fn try_run_with_progress(
         &self,
         cases: &[TestCase],
         on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
+    ) -> Result<SuiteReport, CheckpointError> {
+        self.sweep(cases, on_flush, Arc::new(SolveMemo::new()))
+    }
+
+    /// [`SuiteRunner::try_run_with_progress`] with the study's memo given.
+    fn sweep(
+        &self,
+        cases: &[TestCase],
+        on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
+        memo: Arc<SolveMemo>,
     ) -> Result<SuiteReport, CheckpointError> {
         let n_jobs = self.systems.len() * cases.len();
         let machine = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -840,25 +866,19 @@ impl SuiteRunner {
             journal,
             journal_from: replay_count,
             journal_error: Mutex::new(None),
+            memo,
         };
         // Prefill replayed cells. The ordered flush re-walks them exactly
         // as the interrupted run did — every demotion and sequence number
         // is recomputed deterministically — so the stream and the report
         // come out byte-identical to an uninterrupted sweep.
         for (i, cell) in replayed.into_iter().enumerate().take(n_jobs) {
-            let key = match &cell.outcome {
-                SuiteOutcome::Ran(r) => Some((
-                    r.record.system.clone(),
-                    cases[i % cases.len()].app.name().to_string(),
-                )),
-                _ => None,
-            };
             if matches!(cell.outcome, SuiteOutcome::Failed(_)) {
                 state.first_failure.fetch_min(i, Ordering::Relaxed);
             }
             *state.slots[i].lock().expect("job slot poisoned") = Some(JobResult {
                 outcome: cell.outcome,
-                key,
+                failure: cell.failure,
             });
         }
         if replay_count > 0 {
@@ -960,19 +980,24 @@ impl SuiteRunner {
             .map(|slot| slot.into_inner().expect("job slot poisoned"))
             .collect();
 
-        // Deterministic reassembly in (system, case) order. Sequence
-        // numbers were already renumbered by the ordered flush.
+        // Deterministic reassembly in (system, case) order: ran records
+        // (already renumbered by the ordered flush) and failed cells'
+        // `result=fail` records, in grid order.
         let mut outcomes = Vec::with_capacity(n_jobs);
         let mut perflogs = Vec::new();
         for (si, system) in self.systems.iter().enumerate() {
             let mut merged: BTreeMap<(String, String), Perflog> = BTreeMap::new();
             for (ci, case) in cases.iter().enumerate() {
-                let JobResult { outcome, key } = results[si * cases.len() + ci]
+                let JobResult { outcome, failure } = results[si * cases.len() + ci]
                     .take()
                     .expect("every job slot filled");
-                if let SuiteOutcome::Ran(report) = &outcome {
-                    let key = key.expect("ran jobs carry a perflog key");
-                    merged.entry(key).or_default().append(report.record.clone());
+                let record = match &outcome {
+                    SuiteOutcome::Ran(report) => Some(report.record.clone()),
+                    _ => failure,
+                };
+                if let Some(record) = record {
+                    let key = (record.system.clone(), case.app.name().to_string());
+                    merged.entry(key).or_default().append(record);
                 }
                 outcomes.push((case.name.clone(), system.clone(), outcome));
             }
@@ -1019,6 +1044,7 @@ impl SuiteRunner {
 mod tests {
     use super::*;
     use crate::cases;
+    use benchapps::memo::SolveKey;
     use parkern::Model;
 
     #[test]
@@ -2224,5 +2250,156 @@ printf 'done:0:\n'
             break;
         }
         assert!(exercised, "no seed in 0..200 produced commits-then-tear");
+    }
+
+    /// The catalog's seven simulated partitions.
+    const PARTITIONS: [&str; 7] = [
+        "archer2:rome",
+        "cosma8:rome",
+        "csd3:cascadelake",
+        "isambard:xci",
+        "isambard-macs:cascadelake",
+        "isambard-macs:volta",
+        "noctua2:milan",
+    ];
+
+    /// The CLI's 16 benchmarks, built as `benchkit survey` builds them.
+    fn full_grid_cases() -> Vec<TestCase> {
+        let mut all: Vec<TestCase> = Model::all()
+            .iter()
+            .map(|&m| cases::babelstream(m, 1 << 25))
+            .collect();
+        for &variant in benchapps::hpcg::HpcgVariant::all() {
+            all.push(cases::hpcg(variant, 40));
+        }
+        all.push(cases::hpgmg());
+        all.push(cases::stream(1 << 25));
+        all
+    }
+
+    /// `result=fail` records of a report's perflogs, by (system, case).
+    fn failure_records(report: &SuiteReport) -> BTreeMap<(String, String), PerflogRecord> {
+        report
+            .perflogs
+            .iter()
+            .flat_map(|(_, log)| log.records())
+            .filter(|r| r.extras.iter().any(|(k, v)| k == "result" && v == "fail"))
+            .map(|r| ((r.system.clone(), r.benchmark.clone()), r.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn memoised_cells_match_memo_free_sessions_at_any_jobs() {
+        // Every cell of a study that shares host solves must report exactly
+        // what a memo-free session with the same job options reports:
+        // stdout, FOMs and the whole perflog record, failures included.
+        let cases = full_grid_cases();
+        let runner = SuiteRunner::new(&PARTITIONS)
+            .with_seed(3)
+            .with_fault_profile(FaultProfile::flaky())
+            .with_max_retries(1);
+        let mut reference = BTreeMap::new();
+        let mut reference_failures = BTreeMap::new();
+        for system in PARTITIONS {
+            for case in &cases {
+                let mut harness = Harness::new(runner.job_options(system));
+                let outcome = harness.run_case(case);
+                if let Some(record) = harness.take_failure() {
+                    let key = (record.system.clone(), case.name.clone());
+                    reference_failures.insert(
+                        key,
+                        PerflogRecord {
+                            sequence: 0,
+                            ..record
+                        },
+                    );
+                }
+                reference.insert((case.name.clone(), system.to_string()), outcome);
+            }
+        }
+        assert!(
+            !reference_failures.is_empty(),
+            "seed 3 under flaky with one retry must fail some cell"
+        );
+        for jobs in [1, 2, 8] {
+            let report = runner.clone().with_jobs(jobs).run(&cases);
+            for (case, system, outcome) in &report.outcomes {
+                let want = &reference[&(case.clone(), system.clone())];
+                match (outcome, want) {
+                    (SuiteOutcome::Ran(got), Ok(want)) => {
+                        // The suite renumbers sequences per system.
+                        let mut got = got.as_ref().clone();
+                        got.record.sequence = want.record.sequence;
+                        assert_eq!(got.stdout, want.stdout, "{case} on {system}");
+                        assert_eq!(got.record, want.record, "{case} on {system}");
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "{case} on {system} at jobs={jobs}"
+                        );
+                    }
+                    (SuiteOutcome::Skipped(got), Err(HarnessError::Unsupported(want))) => {
+                        assert_eq!(got, want, "{case} on {system}");
+                    }
+                    (SuiteOutcome::Failed(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{case} on {system}");
+                        assert_eq!(got.fault_stats(), want.fault_stats());
+                    }
+                    (got, want) => panic!("{case} on {system}: {got:?} vs {want:?}"),
+                }
+            }
+            assert_eq!(failure_records(&report), reference_failures, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn a_full_grid_study_solves_each_distinct_problem_once() {
+        // One memo entry per distinct solve key among the cells that reach
+        // the solve: 81 ran cells share about a dozen host solves. One
+        // kernel thread per cell fixes the keys' host-thread component.
+        let cases = full_grid_cases();
+        let memo = Arc::new(SolveMemo::new());
+        let runner = SuiteRunner {
+            threads: Some(1),
+            ..SuiteRunner::new(&PARTITIONS).with_seed(3).with_jobs(2)
+        };
+        let report = runner
+            .sweep(&cases, &|_| {}, Arc::clone(&memo))
+            .expect("no checkpoint configured");
+        let mut expected = std::collections::HashSet::new();
+        for (case, _, outcome) in &report.outcomes {
+            assert!(!matches!(outcome, SuiteOutcome::Failed(_)), "{outcome:?}");
+            if !outcome.ran() {
+                continue;
+            }
+            let app = &cases.iter().find(|c| &c.name == case).unwrap().app;
+            expected.insert(match app {
+                crate::App::BabelStream(cfg) => SolveKey::BabelStream {
+                    model: cfg.model,
+                    n: cfg.array_size.min(1 << 16),
+                    reps: cfg.reps.min(3),
+                    threads: 1,
+                },
+                crate::App::Hpcg(cfg) => SolveKey::Hpcg {
+                    variant: cfg.variant,
+                    dim: cfg.local_dim.min(16),
+                    iterations: cfg.iterations.min(60),
+                    threads: cfg.threads,
+                },
+                crate::App::Hpgmg(cfg) => SolveKey::Hpgmg {
+                    n: 1 << cfg.log2_box_dim.min(5),
+                },
+                crate::App::Stream(cfg) => SolveKey::Stream {
+                    n: cfg.array_size.min(1 << 16),
+                    reps: cfg.reps.min(2),
+                    threads: 1,
+                },
+            });
+        }
+        let solved: std::collections::HashSet<SolveKey> = memo.keys().into_iter().collect();
+        assert_eq!(memo.keys().len(), solved.len());
+        assert_eq!(solved, expected);
+        assert_eq!(report.n_ran(), 81);
+        assert_eq!(solved.len(), 16, "{solved:?}");
     }
 }

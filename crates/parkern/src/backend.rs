@@ -37,10 +37,6 @@ pub trait Backend: Send + Sync {
     /// dominates tiny loops. `grain <= 1` behaves like [`Backend::par_for`].
     fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync));
 
-    /// Sum the per-chunk partial results of `body` over `0..n`, adding the
-    /// partials in chunk order.
-    fn par_reduce_sum(&self, n: usize, body: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f64;
-
     /// Backend label for logs.
     fn label(&self) -> &'static str;
 }
@@ -97,14 +93,6 @@ impl Backend for SerialBackend {
 
     fn par_for_grained(&self, n: usize, _grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
         self.par_for(n, body);
-    }
-
-    fn par_reduce_sum(&self, n: usize, body: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f64 {
-        if n > 0 {
-            body(0..n)
-        } else {
-            0.0
-        }
     }
 
     fn label(&self) -> &'static str {
@@ -236,26 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn reduce_matches_serial() {
-        let n = 100_000;
-        let data: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let expect: f64 = data.iter().sum();
-        for b in backends() {
-            let got = b.par_reduce_sum(n, &|r| r.map(|i| data[i]).sum());
-            assert!(
-                (got - expect).abs() < 1e-6 * expect.abs().max(1.0),
-                "backend {}: {got} != {expect}",
-                b.label()
-            );
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_inputs() {
         for b in backends() {
             b.par_for(0, &|_| panic!("no work expected"));
             b.par_for_grained(0, 64, &|_| panic!("no work expected"));
-            assert_eq!(b.par_reduce_sum(0, &|_| 1.0), 0.0);
             let mut hit = std::sync::atomic::AtomicUsize::new(0);
             b.par_for(1, &|r| {
                 assert_eq!(r, 0..1);
@@ -283,14 +255,6 @@ mod tests {
                 "backend {} caller did not run exactly one chunk",
                 b.label()
             );
-            let caller_parts = AtomicUsize::new(0);
-            b.par_reduce_sum(4096, &|r| {
-                if std::thread::current().id() == caller {
-                    caller_parts.fetch_add(1, Ordering::Relaxed);
-                }
-                r.len() as f64
-            });
-            assert_eq!(caller_parts.load(Ordering::Relaxed), 1, "{}", b.label());
         }
     }
 

@@ -8,24 +8,16 @@
 //! so a one-worker pool spawns no thread and runs every chunk inline.
 //!
 //! Parallel regions are allocation-free: chunk boundaries come from
-//! [`chunk_range`] arithmetic instead of a materialized `Vec<Range>`, and
-//! reductions write into a cache-line-padded partials array allocated once
-//! at pool construction and reused by every `par_reduce_sum` call.
+//! [`chunk_range`] arithmetic instead of a materialized `Vec<Range>`.
 
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::backend::{chunk_range, grained_pieces, Backend};
-
-/// One cache line per slot so workers publishing partial sums never bounce
-/// a shared line between cores.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedSlot(AtomicU64);
 
 /// The closure type broadcast to workers: `f(worker_index, n_workers)`.
 type TaskRef = *const (dyn Fn(usize, usize) + Sync);
@@ -57,11 +49,9 @@ pub struct PoolBackend {
     handles: Vec<JoinHandle<()>>,
     /// Total workers including the calling thread.
     workers: usize,
-    /// Held across a region (and a reduction's read-back), so callers
-    /// sharing one pool take turns. Regions do not nest.
+    /// Held across a region, so callers sharing one pool take turns.
+    /// Regions do not nest.
     turn: Mutex<()>,
-    /// Reduction scratch, one padded slot per worker, allocated once.
-    partials: Box<[PaddedSlot]>,
 }
 
 impl PoolBackend {
@@ -85,13 +75,11 @@ impl PoolBackend {
                 worker_loop(shared, worker_id, workers)
             }));
         }
-        let partials = (0..workers).map(|_| PaddedSlot::default()).collect();
         PoolBackend {
             shared,
             handles,
             workers,
             turn: Mutex::new(()),
-            partials,
         }
     }
 
@@ -205,31 +193,6 @@ impl Backend for PoolBackend {
         });
     }
 
-    fn par_reduce_sum(&self, n: usize, body: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let pieces = self.workers.min(n);
-        if pieces <= 1 {
-            return body(0..n);
-        }
-        // Every worker < pieces overwrites its slot, and only those slots
-        // are read back, so no reset pass is needed between calls.
-        let _turn = self.turn.lock();
-        self.run(&|worker, _| {
-            if let Some(r) = chunk_range(n, pieces, worker) {
-                let v = body(r);
-                self.partials[worker]
-                    .0
-                    .store(v.to_bits(), Ordering::Release);
-            }
-        });
-        self.partials[..pieces]
-            .iter()
-            .map(|slot| f64::from_bits(slot.0.load(Ordering::Acquire)))
-            .sum()
-    }
-
     fn label(&self) -> &'static str {
         "pool"
     }
@@ -250,27 +213,6 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 100_000);
-    }
-
-    #[test]
-    fn pool_reduce_correct_repeatedly() {
-        let pool = PoolBackend::new(3);
-        let data: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        for _ in 0..20 {
-            let s = pool.par_reduce_sum(data.len(), &|r| r.map(|i| data[i]).sum());
-            assert_eq!(s, (9999.0 * 10_000.0) / 2.0);
-        }
-    }
-
-    #[test]
-    fn pool_reduce_stale_slots_do_not_leak() {
-        // A wide reduction followed by a narrow one must not re-read slots
-        // written by the wide call.
-        let pool = PoolBackend::new(4);
-        let wide = pool.par_reduce_sum(4_000, &|r| r.len() as f64);
-        assert_eq!(wide, 4_000.0);
-        let narrow = pool.par_reduce_sum(2, &|r| r.len() as f64);
-        assert_eq!(narrow, 2.0);
     }
 
     #[test]
@@ -304,12 +246,7 @@ mod tests {
         };
         pool.par_for(10, &on_caller);
         pool.par_for_grained(10, 2, &on_caller);
-        let sum = pool.par_reduce_sum(10, &|r| {
-            on_caller(r.clone());
-            r.len() as f64
-        });
-        assert_eq!(sum, 10.0);
-        assert_eq!(seen.into_inner().unwrap(), vec![0..10, 0..10, 0..10]);
+        assert_eq!(seen.into_inner().unwrap(), vec![0..10, 0..10]);
     }
 
     #[test]
@@ -332,14 +269,15 @@ mod tests {
     #[test]
     fn callers_sharing_a_pool_take_turns() {
         let pool = PoolBackend::new(2);
-        let data: Vec<f64> = (0..4_000).map(f64::from).collect();
-        let expect: f64 = data.iter().sum();
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
                     for _ in 0..200 {
-                        let got = pool.par_reduce_sum(data.len(), &|r| data[r].iter().sum());
-                        assert_eq!(got, expect);
+                        let total = AtomicUsize::new(0);
+                        pool.par_for(4_000, &|r| {
+                            total.fetch_add(r.len(), Ordering::Relaxed);
+                        });
+                        assert_eq!(total.load(Ordering::Relaxed), 4_000);
                     }
                 });
             }

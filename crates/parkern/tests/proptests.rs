@@ -94,19 +94,6 @@ proptest! {
         }
     }
 
-    /// Reductions agree with the serial sum to floating-point tolerance.
-    #[test]
-    fn reduce_matches_serial(kind in 0u8..2, workers in 1usize..6, data in prop::collection::vec(-1e6f64..1e6, 0..4000)) {
-        let backend = backend_for(kind, workers);
-        let expect: f64 = data.iter().sum();
-        let got = backend.par_reduce_sum(data.len(), &|r| r.map(|i| data[i]).sum());
-        prop_assert!(
-            (got - expect).abs() <= 1e-9 * expect.abs().max(1.0) + 1e-6,
-            "{} vs {expect}",
-            got
-        );
-    }
-
     /// Triad on every backend equals the scalar formula elementwise.
     #[test]
     fn triad_elementwise(kind in 0u8..2, workers in 1usize..6, n in 1usize..3000, scalar in -10.0f64..10.0) {

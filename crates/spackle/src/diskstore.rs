@@ -1219,9 +1219,14 @@ fn scan_temps(dir: &Path, rel: &str, out: &mut Vec<String>) {
 }
 
 /// Refuse a path that holds no store, for the commands that inspect or
-/// prune one and so must not create it (opening a store creates it).
+/// prune one and so must not create it (opening a store creates it). A
+/// store is a directory with a `store.meta` marker, or an unmigrated v1
+/// layout (`entries/` or `refs.jsonl`); any other directory is left alone.
 pub fn require_store(dir: &Path) -> Result<(), DiskStoreError> {
-    if dir.is_dir() {
+    let is_store = dir.join(STORE_META).is_file()
+        || dir.join(V1_ENTRIES_DIR).is_dir()
+        || dir.join(V1_REFS_FILE).is_file();
+    if is_store {
         Ok(())
     } else {
         Err(DiskStoreError::Io(format!("no store at {}", dir.display())))
