@@ -15,7 +15,10 @@
 #                  full 112-cell grid under flaky faults with retries
 #                  must report the same bytes at --jobs 1 and --jobs 4,
 #                  so the study's shared host solves (one per distinct
-#                  problem) cannot depend on interleaving or retries
+#                  problem) cannot depend on interleaving or retries;
+#                  and the default-profile full grid with --warm-store
+#                  must report the same bytes (build attribution
+#                  included) at --jobs 1 and --jobs 4
 #   5. resume    — crash-recovery smoke: a checkpointed survey killed
 #                  mid-run (--interrupt-after, exit 3) and resumed must
 #                  reproduce the uninterrupted output byte for byte
@@ -101,16 +104,16 @@ fi
 echo "fault smoke OK (replay byte-identical, $(printf '%s\n' "$first" | tail -1))"
 
 echo "== ci: full-grid solve-sharing smoke (--jobs 1 vs 4 under faults) =="
+grid_args=()
+for case in $(./target/release/benchkit list-benchmarks | tail -n +2); do
+    grid_args+=(-c "$case")
+done
+for partition in archer2:rome cosma8:rome csd3:cascadelake isambard:xci \
+    isambard-macs:cascadelake isambard-macs:volta noctua2:milan; do
+    grid_args+=(--system "$partition")
+done
 full_grid_survey() {
-    local args=()
-    for case in $(./target/release/benchkit list-benchmarks | tail -n +2); do
-        args+=(-c "$case")
-    done
-    for partition in archer2:rome cosma8:rome csd3:cascadelake isambard:xci \
-        isambard-macs:cascadelake isambard-macs:volta noctua2:milan; do
-        args+=(--system "$partition")
-    done
-    ./target/release/benchkit survey "${args[@]}" \
+    ./target/release/benchkit survey "${grid_args[@]}" \
         --fault-profile flaky --max-retries 2 --seed 7 --jobs "$1" 2>/dev/null \
         && status=0 || status=$?
     echo "exit:$status"
@@ -128,6 +131,25 @@ if [ "$grid_cells" -ne 112 ]; then
     exit 1
 fi
 echo "full-grid smoke OK (112 cells byte-identical at --jobs 1 and 4, $(printf '%s\n' "$grid_serial" | tail -1))"
+
+echo "== ci: full-grid warm-store smoke (--jobs 1 vs 4) =="
+# Warm-store build attribution (which cell builds a shared dependency,
+# which reuses it) comes from the canonical serial prepass, so it must
+# not move with --jobs either.
+warm_grid_survey() {
+    ./target/release/benchkit survey "${grid_args[@]}" \
+        --warm-store --seed 7 --jobs "$1" 2>/dev/null \
+        && status=0 || status=$?
+    echo "exit:$status"
+}
+warm_serial="$(warm_grid_survey 1)"
+warm_parallel="$(warm_grid_survey 4)"
+if [ "$warm_serial" != "$warm_parallel" ]; then
+    echo "warm-store smoke FAILED: --jobs 4 diverged from --jobs 1" >&2
+    diff <(printf '%s\n' "$warm_serial") <(printf '%s\n' "$warm_parallel") >&2 || true
+    exit 1
+fi
+echo "warm-store smoke OK (full grid byte-identical at --jobs 1 and 4, $(printf '%s\n' "$warm_serial" | grep '^warm store:'))"
 
 echo "== ci: kill-and-resume smoke (checkpointed survey) =="
 ckpt_dir="$(mktemp -d)"

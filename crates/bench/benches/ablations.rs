@@ -80,7 +80,7 @@ fn ablation_store_reuse(c: &mut Criterion) {
     let mut g = quick(c, "ablation_store");
     let repo = spackle::Repo::builtin();
     let sys = simhpc::catalog::system("csd3").expect("catalog");
-    let ctx = spackle::context_for(&sys, sys.default_partition());
+    let ctx = spackle::context_for(sys, sys.default_partition());
     let spec = spackle::Spec::parse("babelstream%gcc +kokkos").expect("valid");
     let concrete = spackle::concretize(&spec, &repo, &ctx).expect("concretizes");
     g.bench_function("cold_store", |b| {

@@ -53,7 +53,7 @@ fn bench_concretizer(c: &mut Criterion) {
     let mut g = quick(c, "spackle");
     let repo = spackle::Repo::builtin();
     let sys = simhpc::catalog::system("archer2").expect("catalog");
-    let ctx = spackle::context_for(&sys, sys.default_partition());
+    let ctx = spackle::context_for(sys, sys.default_partition());
     let spec = spackle::Spec::parse("hpgmg%gcc").expect("valid");
     g.bench_function("concretize_hpgmg", |b| {
         b.iter(|| spackle::concretize(&spec, &repo, &ctx).expect("concretizes"));

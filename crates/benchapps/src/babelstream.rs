@@ -92,19 +92,49 @@ pub fn run_memo(
     arena: &mut Arena,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
+    match mode {
+        ExecutionMode::Native => {
+            validate(config)?;
+            run_native(config, arena)
+        }
+        ExecutionMode::Simulated {
+            partition,
+            system,
+            seed,
+        } => {
+            precheck(config, partition)?;
+            run_simulated(config, partition, system, *seed, arena, memo)
+        }
+    }
+}
+
+fn validate(config: &BabelStreamConfig) -> Result<(), BenchError> {
     if config.array_size == 0 || config.reps == 0 {
         return Err(BenchError::BadConfig(
             "array size and reps must be positive".into(),
         ));
     }
-    match mode {
-        ExecutionMode::Native => run_native(config, arena),
-        ExecutionMode::Simulated {
-            partition,
-            system,
-            seed,
-        } => run_simulated(config, partition, system, *seed, arena, memo),
+    Ok(())
+}
+
+/// What a simulated run on `partition` decides before any host work: a
+/// bad configuration, then a model the platform does not offer (a skip).
+/// [`run_memo`] goes through it, and the harness asks it before the build
+/// stage, so an unsupported cell never builds.
+pub fn precheck(
+    config: &BabelStreamConfig,
+    partition: &simhpc::Partition,
+) -> Result<(), BenchError> {
+    validate(config)?;
+    let proc = partition.processor();
+    if !config.model.available_on(proc) {
+        return Err(BenchError::Unsupported(format!(
+            "model {} is not available on {}",
+            config.model.name(),
+            proc.model()
+        )));
     }
+    Ok(())
 }
 
 /// Execute the kernels for real and validate the arithmetic. Returns the
@@ -199,13 +229,6 @@ fn run_simulated(
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
     let proc = partition.processor();
-    if !config.model.available_on(proc) {
-        return Err(BenchError::Unsupported(format!(
-            "model {} is not available on {}",
-            config.model.name(),
-            proc.model()
-        )));
-    }
     // Run the real numerics at a capped size for validation, once per
     // distinct capped problem when a memo is given.
     let n = config.array_size.min(SIM_EXECUTION_CAP);

@@ -90,6 +90,20 @@ impl HpcgVariant {
             .find(|v| v.spec_name() == s)
     }
 
+    /// The operator this variant's solve constructs. The vendor binary
+    /// runs CSR's assembled-matrix algorithm (its difference is cost, not
+    /// math), so the two share an operator, and with it one host solve
+    /// per study. SELL keeps its own: its solve is what exercises the SELL
+    /// SpMV.
+    pub fn operator(&self) -> HpcgOperator {
+        match self {
+            HpcgVariant::Csr | HpcgVariant::IntelAvx2 => HpcgOperator::Csr,
+            HpcgVariant::Sell => HpcgOperator::Sell,
+            HpcgVariant::MatrixFree => HpcgOperator::MatrixFree,
+            HpcgVariant::Lfric => HpcgOperator::Lfric,
+        }
+    }
+
     /// Is the variant available on this processor? The vendor binary only
     /// targets Intel microarchitectures (Table 2 lists it N/A on AMD).
     pub fn available_on(&self, proc: &simhpc::Processor) -> bool {
@@ -101,6 +115,16 @@ impl HpcgVariant {
             _ => true,
         }
     }
+}
+
+/// The distinct linear operators behind the variants
+/// ([`HpcgVariant::operator`]): what [`build_operator`] constructs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HpcgOperator {
+    Csr,
+    Sell,
+    MatrixFree,
+    Lfric,
 }
 
 /// Run configuration.
@@ -156,13 +180,9 @@ pub fn run_memo(
     arena: &mut crate::scratch::Arena,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
-    if config.local_dim < 4 {
-        return Err(BenchError::BadConfig(
-            "local dimension must be at least 4".into(),
-        ));
-    }
     let (iterations, residual, gflops, system, wall) = match mode {
         ExecutionMode::Native => {
+            validate(config)?;
             let start = Instant::now();
             let (iterations, residual) = solve(config, config.local_dim, arena)?;
             let native_elapsed = start.elapsed().as_secs_f64();
@@ -180,28 +200,12 @@ pub fn run_memo(
             system,
             seed,
         } => {
-            // A variant the simulated platform cannot run is a skip:
-            // decide it before paying for the solve.
-            let proc = partition.processor();
-            if !config.variant.available_on(proc) {
-                return Err(BenchError::Unsupported(format!(
-                    "{} is not available on {}",
-                    config.variant.label(),
-                    proc.model()
-                )));
-            }
+            precheck(config, partition)?;
             // Execute the real solver at a capped size: the numerics are
             // genuine, and every cell posing the same capped problem
             // shares one solve.
-            let dim = config.local_dim.min(16);
-            let key = SolveKey::Hpcg {
-                variant: config.variant,
-                dim,
-                iterations: config.iterations.min(60),
-                threads: config.threads,
-            };
-            let solved = memo::solve_with(memo, key, || {
-                let (iterations, residual) = solve(config, dim, arena)?;
+            let solved = memo::solve_with(memo, solve_key(config), || {
+                let (iterations, residual) = solve(config, config.local_dim.min(16), arena)?;
                 Ok(Solution::Hpcg {
                     iterations,
                     residual,
@@ -265,6 +269,43 @@ pub fn run_memo(
         stdout: out,
         wall_time_s: wall,
     })
+}
+
+fn validate(config: &HpcgConfig) -> Result<(), BenchError> {
+    if config.local_dim < 4 {
+        return Err(BenchError::BadConfig(
+            "local dimension must be at least 4".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// What a simulated run on `partition` decides before any host work: a
+/// bad configuration, then a variant the platform cannot run (a skip).
+/// [`run_memo`] goes through it, and the harness asks it before the build
+/// stage, so an unsupported cell never builds.
+pub fn precheck(config: &HpcgConfig, partition: &simhpc::Partition) -> Result<(), BenchError> {
+    validate(config)?;
+    let proc = partition.processor();
+    if !config.variant.available_on(proc) {
+        return Err(BenchError::Unsupported(format!(
+            "{} is not available on {}",
+            config.variant.label(),
+            proc.model()
+        )));
+    }
+    Ok(())
+}
+
+/// Every input of a simulated run's host solve, after the size and
+/// iteration caps.
+fn solve_key(config: &HpcgConfig) -> SolveKey {
+    SolveKey::Hpcg {
+        operator: config.variant.operator(),
+        dim: config.local_dim.min(16),
+        iterations: config.iterations.min(60),
+        threads: config.threads,
+    }
 }
 
 /// The host solve: CG on a `dim`³ cube with `config`'s variant, iteration
@@ -414,6 +455,41 @@ mod tests {
             extract_gflops(&run(&cfg, &mode).unwrap().stdout)
         };
         assert!(gf("archer2", 128) > gf("isambard-macs:cascadelake", 40));
+    }
+
+    #[test]
+    fn csr_and_vendor_variants_share_one_solve_key_and_solution() {
+        // The memo key is the operator built, not the variant label: the
+        // two CSR variants pose one problem and must solve it bit for bit
+        // alike, on the serial backend and on a pool.
+        for threads in [None, Some(2)] {
+            let config = |variant| HpcgConfig {
+                variant,
+                threads,
+                ..Default::default()
+            };
+            let (csr, avx2) = (config(HpcgVariant::Csr), config(HpcgVariant::IntelAvx2));
+            assert_eq!(solve_key(&csr), solve_key(&avx2));
+            let mut arena = crate::scratch::Arena::new();
+            let (i1, r1) = solve(&csr, 16, &mut arena).unwrap();
+            let (i2, r2) = solve(&avx2, 16, &mut arena).unwrap();
+            assert_eq!(
+                (i1, r1.to_bits()),
+                (i2, r2.to_bits()),
+                "threads {threads:?}"
+            );
+        }
+        // Every other variant builds an operator of its own.
+        let keys: std::collections::HashSet<_> = HpcgVariant::all()
+            .iter()
+            .map(|&variant| {
+                solve_key(&HpcgConfig {
+                    variant,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        assert_eq!(keys.len(), HpcgVariant::all().len() - 1);
     }
 
     #[test]

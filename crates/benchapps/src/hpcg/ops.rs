@@ -11,7 +11,7 @@
 use parkern::{kernels, Backend, SerialBackend};
 
 use super::problem::Problem;
-use super::HpcgVariant;
+use super::{HpcgOperator, HpcgVariant};
 
 /// A symmetric positive-definite operator with a symmetric Gauss-Seidel
 /// smoother — the two ingredients HPCG's preconditioned CG needs.
@@ -31,7 +31,8 @@ pub fn build(variant: HpcgVariant, problem: &Problem) -> Box<dyn Operator> {
     build_with_backend(variant, problem, Box::new(SerialBackend))
 }
 
-/// Build the operator for a variant with an explicit execution backend.
+/// Build the operator for a variant ([`HpcgVariant::operator`]) with an
+/// explicit execution backend.
 ///
 /// With more than one worker the Poisson operators switch their SymGS sweep
 /// from lexicographic to the 8-colour ordering: a *different* (but equally
@@ -43,15 +44,11 @@ pub fn build_with_backend(
     problem: &Problem,
     backend: Box<dyn Backend>,
 ) -> Box<dyn Operator> {
-    match variant {
-        // The vendor-optimized variant runs the same assembled-matrix
-        // algorithm; its difference is implementation cost, not math.
-        HpcgVariant::Csr | HpcgVariant::IntelAvx2 => {
-            Box::new(CsrOperator::poisson27_with_backend(problem, backend))
-        }
-        HpcgVariant::Sell => Box::new(SellOperator::poisson27_with_backend(problem, backend)),
-        HpcgVariant::MatrixFree => Box::new(MatrixFreeOperator::with_backend(problem, backend)),
-        HpcgVariant::Lfric => Box::new(LfricOperator::with_backend(problem, backend)),
+    match variant.operator() {
+        HpcgOperator::Csr => Box::new(CsrOperator::poisson27_with_backend(problem, backend)),
+        HpcgOperator::Sell => Box::new(SellOperator::poisson27_with_backend(problem, backend)),
+        HpcgOperator::MatrixFree => Box::new(MatrixFreeOperator::with_backend(problem, backend)),
+        HpcgOperator::Lfric => Box::new(LfricOperator::with_backend(problem, backend)),
     }
 }
 
@@ -475,15 +472,27 @@ impl Operator for MatrixFreeOperator {
         // independent, so chunking cannot change the result, and the
         // operation order stays bitwise identical to the serial original
         // (the distributed solver pins itself to exactly this order).
+        // Rows run in index order within a chunk, so the coordinates step
+        // forward from the chunk's first row instead of being divided out
+        // of every index.
         let out = ZPtr(y.as_mut_ptr());
         self.backend
             .par_for_grained(self.n(), SYMGS_GRAIN, &|range| {
                 let p = out;
+                let (mut ix, mut iy, mut iz) = self.coords(range.start);
                 for i in range {
-                    let (ix, iy, iz) = self.coords(i);
                     let v = 26.0 * x[i] - self.neighbour_sum(x, ix, iy, iz);
                     // SAFETY: chunks are disjoint; `i` is written exactly once.
                     unsafe { p.write(i, v) };
+                    ix += 1;
+                    if ix == self.nx {
+                        ix = 0;
+                        iy += 1;
+                        if iy == self.ny {
+                            iy = 0;
+                            iz += 1;
+                        }
+                    }
                 }
             });
     }
@@ -686,6 +695,35 @@ mod tests {
         mf.symgs(&r, &mut z2);
         for (a, b) in z1.iter().zip(&z2) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn matrix_free_apply_steps_coordinates_across_chunks_on_a_box() {
+        // Unequal edges catch a swapped axis in the stepped coordinates;
+        // 1000 rows split into several chunks per pool size, each one
+        // starting mid-row and mid-plane.
+        let p = Problem::new(5, 8, 25);
+        let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.23).sin()).collect();
+        // Each row on its own, coordinates divided out of the index.
+        let reference = MatrixFreeOperator::new(&p);
+        let want: Vec<f64> = (0..p.n())
+            .map(|i| {
+                let (ix, iy, iz) = reference.coords(i);
+                26.0 * x[i] - reference.neighbour_sum(&x, ix, iy, iz)
+            })
+            .collect();
+        for workers in [1usize, 2, 3] {
+            let mf = MatrixFreeOperator::with_backend(&p, Box::new(PoolBackend::new(workers)));
+            let mut got = vec![f64::NAN; p.n()];
+            mf.apply(&x, &mut got);
+            for i in 0..p.n() {
+                assert_eq!(
+                    got[i].to_bits(),
+                    want[i].to_bits(),
+                    "row {i}, {workers} workers"
+                );
+            }
         }
     }
 

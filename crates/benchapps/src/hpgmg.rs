@@ -496,6 +496,34 @@ fn simulated_time(config: &HpgmgConfig, level: u32, partition: &Partition) -> f6
     volume + surface + fixed
 }
 
+fn validate(config: &HpgmgConfig) -> Result<(), BenchError> {
+    if config.log2_box_dim < 2 || config.boxes_per_rank == 0 || config.ranks == 0 {
+        return Err(BenchError::BadConfig(
+            "box dim ≥ 4 and nonzero boxes/ranks required".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// What a simulated run on `partition` decides before any host work: a
+/// bad configuration, then a platform that cannot host the run (a skip).
+/// [`run_memo`] goes through it, and the harness asks it before the build
+/// stage, so an unsupported cell never builds.
+pub fn precheck(config: &HpgmgConfig, partition: &Partition) -> Result<(), BenchError> {
+    validate(config)?;
+    if partition.processor().is_gpu() {
+        return Err(BenchError::Unsupported("HPGMG-FV here targets CPUs".into()));
+    }
+    if config.nodes() > partition.nodes() {
+        return Err(BenchError::Unsupported(format!(
+            "{} nodes requested but partition has {}",
+            config.nodes(),
+            partition.nodes()
+        )));
+    }
+    Ok(())
+}
+
 /// Run HPGMG-FV.
 pub fn run(config: &HpgmgConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
     run_memo(config, mode, None)
@@ -508,33 +536,18 @@ pub fn run_memo(
     mode: &ExecutionMode,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
-    if config.log2_box_dim < 2 || config.boxes_per_rank == 0 || config.ranks == 0 {
-        return Err(BenchError::BadConfig(
-            "box dim ≥ 4 and nonzero boxes/ranks required".into(),
-        ));
-    }
     // Always run the real solver (capped size in simulated mode) and check
     // that multigrid actually converges — the sanity step of the pipeline.
     let exec_n: usize = 1usize << config.log2_box_dim.min(5);
     let (r0, r, cycles, native_elapsed) = match mode {
         ExecutionMode::Native => {
+            validate(config)?;
             let start = Instant::now();
             let (r0, r, cycles) = solve(exec_n)?;
             (r0, r, cycles, start.elapsed().as_secs_f64())
         }
         ExecutionMode::Simulated { partition, .. } => {
-            // A simulated platform that cannot host the run is a skip:
-            // decide it before paying for the solve.
-            if partition.processor().is_gpu() {
-                return Err(BenchError::Unsupported("HPGMG-FV here targets CPUs".into()));
-            }
-            if config.nodes() > partition.nodes() {
-                return Err(BenchError::Unsupported(format!(
-                    "{} nodes requested but partition has {}",
-                    config.nodes(),
-                    partition.nodes()
-                )));
-            }
+            precheck(config, partition)?;
             let solved = memo::solve_with(memo, SolveKey::Hpgmg { n: exec_n }, || {
                 let (r0, r, cycles) = solve(exec_n)?;
                 Ok(Solution::Hpgmg { r0, r, cycles })

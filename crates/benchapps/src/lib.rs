@@ -20,8 +20,10 @@
 //!   the `simhpc` platform cost model for a named system/partition, with
 //!   deterministic noise. This regenerates the paper's tables and figure.
 //!
-//! A simulated run takes three steps: a **support check** (is the
-//! model/variant available on the partition, does it have the nodes?), a
+//! A simulated run takes three steps: a **support check** (each app's
+//! `precheck`: is the configuration valid, is the model/variant available
+//! on the partition, does it have the nodes? The harness asks it before
+//! the build stage too), a
 //! **host solve** at the capped size whose inputs never depend on the
 //! partition, and a partition-dependent **render** of the modeled times.
 //! The solve's inputs form a [`memo::SolveKey`]; each app's `run_memo`
@@ -63,10 +65,9 @@ pub enum ExecutionMode {
 impl ExecutionMode {
     /// Simulated mode for a `system:partition` spec from the catalog.
     pub fn simulated(spec: &str, seed: u64) -> Option<ExecutionMode> {
-        let (sys, part_name) = simhpc::catalog::resolve(spec)?;
-        let partition = Box::new(sys.partition(&part_name)?.clone());
+        let (sys, partition) = simhpc::catalog::partition(spec)?;
         Some(ExecutionMode::Simulated {
-            partition,
+            partition: Box::new(partition.clone()),
             system: sys.name().to_string(),
             seed,
         })

@@ -9,7 +9,7 @@
 //! Failed validations are memoised like successes: every cell sharing the
 //! key sees the same [`BenchError::ValidationFailed`].
 
-use crate::hpcg::HpcgVariant;
+use crate::hpcg::HpcgOperator;
 use crate::BenchError;
 use parkern::Model;
 use std::collections::HashMap;
@@ -20,7 +20,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveKey {
     Hpcg {
-        variant: HpcgVariant,
+        /// `HpcgVariant::operator`: variants building the same operator
+        /// pose the same problem.
+        operator: HpcgOperator,
         /// `min(local_dim, 16)`.
         dim: usize,
         /// `min(iterations, 60)`.

@@ -1,17 +1,19 @@
 //! Reusable scratch buffers for benchmark hot paths.
 //!
-//! The harness runs each cell's benchmark repeatedly (repetitions, retry
-//! attempts, survey cells), and every run used to allocate its working
-//! vectors afresh — page faults and allocator traffic that the timed
-//! kernels then measured. An [`Arena`] keeps returned buffers and hands
-//! them back zero-initialised, so steady-state iterations are
-//! allocation-free while producing exactly the values `vec![fill; n]`
-//! would: results are byte-identical with or without reuse.
+//! A benchmark run takes several working vectors, and a caller that runs
+//! benchmarks back to back (a `Harness` session over its cases, an
+//! in-process replay over a grid) used to allocate them afresh every time
+//! — page faults and allocator traffic that the timed kernels then
+//! measured. An [`Arena`] keeps returned buffers and hands them back
+//! zero-initialised, so steady-state runs are allocation-free while
+//! producing exactly the values `vec![fill; n]` would: results are
+//! byte-identical with or without reuse.
 
 /// A pool of `Vec<f64>` buffers reused across benchmark iterations.
 ///
-/// Not thread-safe by design: each harness worker owns one arena (cells
-/// already run on independent harnesses).
+/// Not thread-safe by design: each `Harness` owns one. A survey builds a
+/// fresh `Harness` for every cell (`SuiteRunner::run_job`), so its cells
+/// do not share buffers; reuse happens within one session's runs.
 #[derive(Debug, Default)]
 pub struct Arena {
     pool: Vec<Vec<f64>>,

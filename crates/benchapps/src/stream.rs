@@ -41,6 +41,27 @@ fn counted_bytes(n: usize) -> [(&'static str, u64); 4] {
     ]
 }
 
+fn validate(config: &StreamConfig) -> Result<(), BenchError> {
+    if config.array_size == 0 || config.reps == 0 {
+        return Err(BenchError::BadConfig(
+            "array size and reps must be positive".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// What a simulated run on `partition` decides before any host work: a
+/// bad configuration, then a GPU partition (a skip). [`run_memo`] goes
+/// through it, and the harness asks it before the build stage, so an
+/// unsupported cell never builds.
+pub fn precheck(config: &StreamConfig, partition: &simhpc::Partition) -> Result<(), BenchError> {
+    validate(config)?;
+    if partition.processor().is_gpu() {
+        return Err(BenchError::Unsupported("STREAM is a CPU benchmark".into()));
+    }
+    Ok(())
+}
+
 /// Run STREAM.
 pub fn run(config: &StreamConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
     run_with(config, mode, &mut Arena::new())
@@ -63,13 +84,9 @@ pub fn run_memo(
     arena: &mut Arena,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
-    if config.array_size == 0 || config.reps == 0 {
-        return Err(BenchError::BadConfig(
-            "array size and reps must be positive".into(),
-        ));
-    }
     let (times, n) = match mode {
         ExecutionMode::Native => {
+            validate(config)?;
             // Implicit thread counts go through `default_workers`: this
             // thread's kernel count, a cell's share under `--jobs N`.
             let threads = config
@@ -86,10 +103,8 @@ pub fn run_memo(
             system,
             seed,
         } => {
+            precheck(config, partition)?;
             let proc = partition.processor();
-            if proc.is_gpu() {
-                return Err(BenchError::Unsupported("STREAM is a CPU benchmark".into()));
-            }
             let n = config.array_size.min(SIM_EXECUTION_CAP);
             let reps = 2.min(config.reps);
             let host_threads = parkern::default_workers().min(4);

@@ -1665,10 +1665,9 @@ pub fn execute(
             }
         }
         Command::Spec { spec, system } => {
-            let (sys, part_name) = simhpc::catalog::resolve(&system)
+            let (sys, partition) = simhpc::catalog::partition(&system)
                 .ok_or_else(|| CliError(format!("unknown system `{system}`")))?;
-            let partition = sys.partition(&part_name).expect("resolved partition");
-            let ctx = spackle::context_for(&sys, partition);
+            let ctx = spackle::context_for(sys, partition);
             let parsed = spackle::Spec::parse(&spec)?;
             let concrete = spackle::concretize(&parsed, &spackle::Repo::builtin(), &ctx)?;
             writeln!(

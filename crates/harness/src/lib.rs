@@ -85,6 +85,19 @@ impl App {
         }
     }
 
+    /// What a simulated run on `partition` decides before any host work:
+    /// a bad configuration, then an unsupported platform (each app's
+    /// `precheck`, which its own run goes through). The pipeline asks it
+    /// before the build stage.
+    pub fn precheck(&self, partition: &simhpc::Partition) -> Result<(), BenchError> {
+        match self {
+            App::BabelStream(cfg) => benchapps::babelstream::precheck(cfg, partition),
+            App::Hpcg(cfg) => benchapps::hpcg::precheck(cfg, partition),
+            App::Hpgmg(cfg) => benchapps::hpgmg::precheck(cfg, partition),
+            App::Stream(cfg) => benchapps::stream::precheck(cfg, partition),
+        }
+    }
+
     /// Estimated interconnect traffic for one run, bytes. Used by the
     /// telemetry capture (the paper's §4 network-usage extension); zero
     /// for single-node benchmarks.

@@ -342,6 +342,11 @@ impl Harness {
         self
     }
 
+    /// Run the next cases' run stage under `engine` (`None`: in process).
+    pub(crate) fn set_engine(&mut self, engine: Option<engine::EngineSpec>) {
+        self.options.engine = engine;
+    }
+
     pub fn options(&self) -> &RunOptions {
         &self.options
     }
@@ -360,28 +365,32 @@ impl Harness {
     /// Resolve the session's `--system` spec in the simhpc catalog.
     fn resolve_platform(
         &self,
-    ) -> Result<(simhpc::System, String, simhpc::Partition), HarnessError> {
-        let (system, partition_name) = simhpc::catalog::resolve(&self.options.system)
-            .ok_or_else(|| HarnessError::UnknownSystem(self.options.system.clone()))?;
-        let partition = system
-            .partition(&partition_name)
-            .expect("resolve() returns existing partitions")
-            .clone();
-        Ok((system, partition_name, partition))
+    ) -> Result<(&'static simhpc::System, &'static simhpc::Partition), HarnessError> {
+        simhpc::catalog::partition(&self.options.system)
+            .ok_or_else(|| HarnessError::UnknownSystem(self.options.system.clone()))
     }
 
     /// The build stage alone: concretize + install via spackle (P2–P4).
     /// Warm-store sweeps call this serially in case order to fix cache
     /// attribution, then fan the prepared builds out to parallel jobs.
     pub fn prepare_build(&mut self, case: &TestCase) -> Result<PreparedBuild, HarnessError> {
-        let (system, partition_name, partition) = self.resolve_platform()?;
+        let (system, partition) = self.resolve_platform()?;
         let spec = spackle::Spec::parse(&case.spack_spec)
             .map_err(|e| HarnessError::BadSpec(e.to_string()))?;
-        let ctx = spackle::context_for(&system, &partition);
+        let ctx = spackle::context_for(system, partition);
         let concrete = spackle::concretize(&spec, &self.repo, &ctx).map_err(|e| match e {
             spackle::ConcretizeError::Conflict { .. } => HarnessError::Unsupported(e.to_string()),
             other => HarnessError::ConcretizeFailed(other.to_string()),
         })?;
+        // A cell the in-process run stage would skip is skipped here, before
+        // a build attempt can fault: the app's own predicate, so the same
+        // reason. A bad configuration still fails at the run stage, and an
+        // external engine decides support itself.
+        if self.options.engine.is_none() && system.name() != "native" {
+            if let Err(BenchError::Unsupported(reason)) = case.app.precheck(partition) {
+                return Err(HarnessError::Unsupported(reason));
+            }
+        }
         // Injected transient build failures: each faulted attempt costs a
         // backoff wait; only a clean attempt touches the package store, so
         // cache attribution is unchanged by however many retries happened.
@@ -398,7 +407,7 @@ impl Harness {
                 let err = self.fail(
                     case,
                     system.name(),
-                    &partition_name,
+                    partition.name(),
                     attempt,
                     faults,
                     time_lost,
@@ -579,8 +588,8 @@ impl Harness {
         case: &TestCase,
         prepared: PreparedBuild,
     ) -> Result<CaseReport, HarnessError> {
-        let (system, partition_name, partition) = self.resolve_platform()?;
-        let proc = partition.processor().clone();
+        let (system, partition) = self.resolve_platform()?;
+        let proc = partition.processor();
         let PreparedBuild {
             concrete,
             install,
@@ -616,7 +625,7 @@ impl Harness {
                 case,
                 &spec,
                 system.name(),
-                &partition_name,
+                partition.name(),
                 &mut retries,
                 &mut faults,
                 &mut time_lost,
@@ -631,7 +640,7 @@ impl Harness {
                         return Err(self.fail(
                             case,
                             system.name(),
-                            &partition_name,
+                            partition.name(),
                             1,
                             faults,
                             time_lost,
@@ -731,7 +740,7 @@ impl Harness {
                 return Err(self.fail(
                     case,
                     system.name(),
-                    &partition_name,
+                    partition.name(),
                     run_attempt,
                     faults,
                     time_lost,
@@ -786,7 +795,7 @@ impl Harness {
                     return Err(self.fail(
                         case,
                         system.name(),
-                        &partition_name,
+                        partition.name(),
                         run_attempt,
                         faults,
                         time_lost,
@@ -820,7 +829,7 @@ impl Harness {
             return Err(self.fail(
                 case,
                 system.name(),
-                &partition_name,
+                partition.name(),
                 run_attempt,
                 faults,
                 time_lost,
@@ -845,7 +854,7 @@ impl Harness {
                 return Err(self.fail(
                     case,
                     system.name(),
-                    &partition_name,
+                    partition.name(),
                     run_attempt,
                     faults,
                     time_lost,
@@ -869,7 +878,7 @@ impl Harness {
                     return Err(self.fail(
                         case,
                         system.name(),
-                        &partition_name,
+                        partition.name(),
                         run_attempt,
                         faults,
                         time_lost,
@@ -881,7 +890,7 @@ impl Harness {
 
         // -- telemetry: the paper's §4 extension (energy / network) -------
         let telemetry = simhpc::telemetry::capture(
-            &partition,
+            partition,
             output.wall_time_s,
             request.cores_per_node(),
             request.nodes_needed(),
@@ -916,7 +925,7 @@ impl Harness {
             sequence: self.sequence,
             benchmark: case.name.clone(),
             system: system.name().to_string(),
-            partition: partition_name.clone(),
+            partition: partition.name().to_string(),
             environ,
             spec: concrete.root().render(),
             build_hash: concrete.dag_hash().to_string(),

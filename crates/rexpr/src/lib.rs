@@ -32,6 +32,8 @@
 
 mod ast;
 mod captures;
+#[cfg(test)]
+mod differential;
 mod matcher;
 mod parser;
 
@@ -53,6 +55,12 @@ pub struct Regex {
     names: Vec<(String, usize)>,
     /// ASCII case-insensitive matching (`(?i)` prefix).
     case_insensitive: bool,
+    /// The pattern starts with `^`: only the search start can match.
+    anchored_start: bool,
+    /// Chars (case-folded under `(?i)`) one of which every match starts
+    /// with, when the pattern's leading element is a literal; the search
+    /// skips positions holding any other char.
+    leading: Option<Vec<char>>,
 }
 
 impl Regex {
@@ -72,12 +80,17 @@ impl Regex {
             body.clone()
         };
         let parsed = parser::parse(&effective)?;
+        let anchored_start =
+            matches!(parsed.ast, Ast::Concat(ref v) if v.first() == Some(&Ast::StartAnchor));
+        let leading = leading_chars(&parsed.ast);
         Ok(Regex {
             pattern: pattern.to_string(),
             ast: parsed.ast,
             n_groups: parsed.n_groups,
             names: parsed.names,
             case_insensitive,
+            anchored_start,
+            leading,
         })
     }
 
@@ -134,10 +147,23 @@ impl Regex {
         if start == 0 {
             begin = 0;
         }
-        let anchored_start =
-            matches!(self.ast, Ast::Concat(ref v) if v.first() == Some(&Ast::StartAnchor));
-        for at in begin..=chars.len() {
-            let mut slots = vec![None; self.n_groups * 2];
+        // `^...` can only match at the start position.
+        let last = if self.anchored_start {
+            begin
+        } else {
+            chars.len()
+        };
+        let mut slots = vec![None; self.n_groups * 2];
+        for at in begin..=last {
+            if let Some(leading) = &self.leading {
+                match chars.get(at) {
+                    Some((_, c)) if leading.contains(c) => {}
+                    _ => continue,
+                }
+            }
+            // A failed attempt restores every slot it set, but clearing
+            // costs nothing next to the match and needs no such proof.
+            slots.fill(None);
             slots[0] = Some(at);
             if matcher::match_at(&self.ast, &chars, at, &mut slots) {
                 return Some(Captures::from_slots(
@@ -146,10 +172,6 @@ impl Regex {
                     &slots,
                     self.names.clone(),
                 ));
-            }
-            if anchored_start && at == begin {
-                // `^...` can only match at the start position.
-                break;
             }
         }
         None
@@ -212,6 +234,44 @@ impl Regex {
         }
         out.push(&haystack[last..]);
         out
+    }
+}
+
+/// The chars one of which must start every match of `ast`, when that is
+/// decided by literals alone; `None` when any char might start one (or
+/// the node can match the empty string).
+fn leading_chars(ast: &Ast) -> Option<Vec<char>> {
+    match ast {
+        Ast::Literal(c) => Some(vec![*c]),
+        // Zero-width assertions consume nothing: the first element that
+        // consumes decides. A nullable one yields `None` below.
+        Ast::Concat(nodes) => nodes
+            .iter()
+            .find(|n| {
+                !matches!(
+                    n,
+                    Ast::Empty
+                        | Ast::StartAnchor
+                        | Ast::EndAnchor
+                        | Ast::WordBoundary
+                        | Ast::NotWordBoundary
+                )
+            })
+            .and_then(leading_chars),
+        Ast::Alternate(branches) => {
+            let mut all = Vec::new();
+            for branch in branches {
+                for c in leading_chars(branch)? {
+                    if !all.contains(&c) {
+                        all.push(c);
+                    }
+                }
+            }
+            Some(all)
+        }
+        Ast::Repeat { node, min, .. } if *min > 0 => leading_chars(node),
+        Ast::Group { node, .. } | Ast::NonCapturing(node) => leading_chars(node),
+        _ => None,
     }
 }
 

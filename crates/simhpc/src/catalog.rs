@@ -6,6 +6,11 @@
 //! interconnects and system factors are calibrated so the model reproduces
 //! the *shapes* the paper reports (Figure 2, Tables 2 and 4) — see
 //! DESIGN.md for the substitution rationale.
+//!
+//! The table is built once per process, on first use, and every lookup
+//! borrows from it: a survey resolves its partitions hundreds of times.
+
+use std::sync::LazyLock;
 
 use crate::platform::{ExternalPkg, Interconnect, Partition, SchedulerKind, System};
 use crate::processor::{CacheLevel, Processor, ProcessorKind};
@@ -153,8 +158,15 @@ fn hdr_infiniband() -> Interconnect {
     }
 }
 
-/// Build the full catalog.
-pub fn all_systems() -> Vec<System> {
+/// The process-wide catalog table.
+static CATALOG: LazyLock<Vec<System>> = LazyLock::new(build);
+
+/// The full catalog.
+pub fn all_systems() -> &'static [System] {
+    &CATALOG
+}
+
+fn build() -> Vec<System> {
     vec![
         System::new(
             "archer2",
@@ -336,23 +348,30 @@ fn generic_host() -> Processor {
 }
 
 /// Look up a system by name.
-pub fn system(name: &str) -> Option<System> {
-    all_systems().into_iter().find(|s| s.name() == name)
+pub fn system(name: &str) -> Option<&'static System> {
+    all_systems().iter().find(|s| s.name() == name)
 }
 
 /// Look up `system:partition` (ReFrame-style); a bare system name selects
 /// its default partition.
-pub fn resolve(spec: &str) -> Option<(System, String)> {
+pub fn partition(spec: &str) -> Option<(&'static System, &'static Partition)> {
     let (sys_name, part_name) = match spec.split_once(':') {
         Some((s, p)) => (s, Some(p)),
         None => (spec, None),
     };
     let sys = system(sys_name)?;
     let part = match part_name {
-        Some(p) => sys.partition(p)?.name().to_string(),
-        None => sys.default_partition().name().to_string(),
+        Some(p) => sys.partition(p)?,
+        None => sys.default_partition(),
     };
     Some((sys, part))
+}
+
+/// [`partition`] as an owned system plus the partition's name, for
+/// callers that keep a platform of their own.
+pub fn resolve(spec: &str) -> Option<(System, String)> {
+    let (sys, part) = partition(spec)?;
+    Some((sys.clone(), part.name().to_string()))
 }
 
 #[cfg(test)]
@@ -369,6 +388,20 @@ mod tests {
         assert_eq!(p, "rome");
         assert!(resolve("archer2:gpu").is_none());
         assert!(resolve("nowhere").is_none());
+    }
+
+    #[test]
+    fn lookups_borrow_one_process_wide_table() {
+        let a = system("csd3").unwrap();
+        let b = system("csd3").unwrap();
+        assert!(std::ptr::eq(a, b));
+        let (s, p) = partition("isambard-macs:volta").unwrap();
+        assert!(std::ptr::eq(s, system("isambard-macs").unwrap()));
+        assert!(std::ptr::eq(p, s.partition("volta").unwrap()));
+        assert!(std::ptr::eq(
+            partition("archer2").unwrap().1,
+            system("archer2").unwrap().default_partition()
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use simhpc::perf::KernelCost;
 
 fn partitions() -> Vec<simhpc::Partition> {
     simhpc::catalog::all_systems()
-        .into_iter()
+        .iter()
         .flat_map(|s| s.partitions().to_vec())
         .collect()
 }

@@ -112,7 +112,7 @@ mod tests {
         for (sys_name, gcc, python, mpi_name, mpi_ver) in expected {
             let sys = simhpc::catalog::system(sys_name).unwrap();
             let part = sys.default_partition();
-            let ctx = context_for(&sys, part);
+            let ctx = context_for(sys, part);
             let spec = Spec::parse("hpgmg%gcc").unwrap();
             let c = concretize(&spec, &repo, &ctx).unwrap();
             assert_eq!(
@@ -136,10 +136,10 @@ mod tests {
         let repo = Repo::builtin();
         let sys = simhpc::catalog::system("isambard-macs").unwrap();
         let volta = sys.partition("volta").unwrap();
-        let ctx = context_for(&sys, volta);
+        let ctx = context_for(sys, volta);
         assert!(concretize(&Spec::parse("babelstream +cuda").unwrap(), &repo, &ctx).is_ok());
         let cl = sys.partition("cascadelake").unwrap();
-        let ctx = context_for(&sys, cl);
+        let ctx = context_for(sys, cl);
         assert!(concretize(&Spec::parse("babelstream +cuda").unwrap(), &repo, &ctx).is_err());
     }
 }

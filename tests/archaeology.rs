@@ -8,7 +8,7 @@ use benchkit::prelude::*;
 fn lockfile_records_enough_to_replay_the_build() {
     let repo = spackle::Repo::builtin();
     let sys = simhpc::catalog::system("archer2").expect("catalog");
-    let ctx = spackle::context_for(&sys, sys.default_partition());
+    let ctx = spackle::context_for(sys, sys.default_partition());
 
     let mut env = spackle::Environment::new("excalibur-tests");
     env.add(spackle::Spec::parse("hpgmg%gcc").expect("valid"));

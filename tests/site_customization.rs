@@ -25,7 +25,7 @@ fn site_local_recipe_flows_through_the_harness() {
 
     // The custom package concretizes against a catalog system.
     let sys = simhpc::catalog::system("csd3").expect("catalog");
-    let ctx = spackle::context_for(&sys, sys.default_partition());
+    let ctx = spackle::context_for(sys, sys.default_partition());
     let spec = spackle::Spec::parse("weather-mini%gcc").expect("valid");
     let concrete = spackle::concretize(&spec, &repo, &ctx).expect("concretizes");
     assert_eq!(concrete.root().version.as_str(), "1.0");
@@ -45,7 +45,7 @@ fn spack_yaml_environment_locks_per_system() {
     let repo = spackle::Repo::builtin();
     for system in ["archer2", "cosma8"] {
         let sys = simhpc::catalog::system(system).expect("catalog");
-        let ctx = spackle::context_for(&sys, sys.default_partition());
+        let ctx = spackle::context_for(sys, sys.default_partition());
         let mut env = spackle::Environment::from_yaml("excalibur-tests", env_yaml).expect("parses");
         env.concretize_all(&repo, &ctx).expect("concretizes");
         assert!(env.is_locked());
