@@ -3,7 +3,9 @@
 //! host-hardware counterpart of Figure 2's measurements), the sparse
 //! operators, and the 32³ HPGMG solve that simulated surveys run for real.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use parkern::backend::{Backend, SerialBackend};
 use parkern::kernels;
 use parkern::PoolBackend;
@@ -67,7 +69,9 @@ fn bench_spmv(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1200));
     group.warm_up_time(std::time::Duration::from_millis(300));
     // The Table 2 story at kernel level: assembled CSR vs matrix-free
-    // stencil for the same 27-point operator.
+    // stencil for the same 27-point operator. `bench-digest --min-speedup`
+    // asserts the matrix-free stencil (row lanes, no index traffic) beats
+    // the assembled SpMV.
     let dim = 24usize;
     let problem = benchapps::hpcg::Problem::cube(dim);
     let csr = benchapps::hpcg::CsrOperator::poisson27(&problem);
@@ -81,6 +85,56 @@ fn bench_spmv(c: &mut Criterion) {
     group.bench_function("matrix_free_apply", |bench| {
         bench.iter(|| mf.apply(&x, &mut y));
     });
+    group.finish();
+}
+
+/// `lex_serial` (zero-fill `z`, then the general lexicographic sweep)
+/// beside `precondition` (CG's `z = M⁻¹r`: the same bits from the
+/// zero-start forward sweep), for the matrix-free and CSR operators.
+fn bench_lex_and_precondition(
+    group: &mut BenchmarkGroup<'_>,
+    problem: &benchapps::hpcg::Problem,
+    z: &mut [f64],
+) {
+    use benchapps::hpcg::Operator;
+    let r = &problem.rhs;
+    let mf = benchapps::hpcg::MatrixFreeOperator::new(problem);
+    group.bench_function("matfree/lex_serial", |bench| {
+        bench.iter(|| {
+            z.fill(0.0);
+            mf.symgs_lex(r, z);
+        });
+    });
+    group.bench_function("matfree/precondition", |bench| {
+        bench.iter(|| mf.precondition(r, z));
+    });
+    let csr = benchapps::hpcg::CsrOperator::poisson27(problem);
+    group.bench_function("csr/lex_serial", |bench| {
+        bench.iter(|| {
+            z.fill(0.0);
+            csr.symgs_lex(r, z);
+        });
+    });
+    group.bench_function("csr/precondition", |bench| {
+        bench.iter(|| csr.precondition(r, z));
+    });
+}
+
+fn bench_symgs_survey_size(c: &mut Criterion) {
+    // The 16³ problem every simulated survey solves, where the CSR matrix
+    // stays in cache and the zero-start forward sweep's skipped half shows
+    // (at 64³ both sweeps stream the whole matrix from memory).
+    // `bench-digest --min-speedup` asserts the CSR shortcut pays here.
+    let mut group = c.benchmark_group("symgs_16cubed");
+    // 30 batches (the vendored criterion's cap) of ~2 ms each: the fastest
+    // batch must survive a load burst for the floor to hold.
+    group.sample_size(30);
+    group.measurement_time(std::time::Duration::from_millis(1000));
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    let problem = benchapps::hpcg::Problem::cube(16);
+    group.throughput(Throughput::Elements(problem.n() as u64));
+    let mut z = vec![0.0; problem.n()];
+    bench_lex_and_precondition(&mut group, &problem, &mut z);
     group.finish();
 }
 
@@ -99,21 +153,7 @@ fn bench_symgs(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     let r = problem.rhs.clone();
     let mut z = vec![0.0; n];
-
-    let mf = benchapps::hpcg::MatrixFreeOperator::new(&problem);
-    group.bench_function("matfree/lex_serial", |bench| {
-        bench.iter(|| {
-            z.fill(0.0);
-            mf.symgs_lex(&r, &mut z);
-        });
-    });
-    let csr = benchapps::hpcg::CsrOperator::poisson27(&problem);
-    group.bench_function("csr/lex_serial", |bench| {
-        bench.iter(|| {
-            z.fill(0.0);
-            csr.symgs_lex(&r, &mut z);
-        });
-    });
+    bench_lex_and_precondition(&mut group, &problem, &mut z);
 
     for workers in POOL_WORKERS {
         let op = benchapps::hpcg::MatrixFreeOperator::with_backend(
@@ -229,6 +269,7 @@ criterion_group!(
     bench_triad,
     bench_dot,
     bench_spmv,
+    bench_symgs_survey_size,
     bench_symgs,
     bench_stream_gbs,
     bench_spmv_layout,

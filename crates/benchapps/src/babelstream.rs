@@ -8,7 +8,7 @@
 use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::scratch::Arena;
 use crate::{BenchError, ExecutionMode, RunOutput, SIM_EXECUTION_CAP};
-use parkern::{kernels, Model};
+use parkern::{kernels, BackendKind, Model};
 use simhpc::noise::NoiseModel;
 use simhpc::perf::KernelCost;
 use std::time::Instant;
@@ -137,16 +137,18 @@ pub fn precheck(
     Ok(())
 }
 
-/// Execute the kernels for real and validate the arithmetic. Returns the
-/// per-rep wall times (seconds) for each kernel, at problem size `n`.
+/// Execute the kernels for real on a `backend` host backend and validate
+/// the arithmetic. Returns the per-rep wall times (seconds) for each
+/// kernel, at problem size `n`. The model itself is not an input: it
+/// reaches the host only through its [`Model::backend_kind`].
 fn execute_and_validate(
-    config: &BabelStreamConfig,
+    backend: BackendKind,
     n: usize,
     reps: usize,
     threads: usize,
     arena: &mut Arena,
 ) -> Result<[Vec<f64>; 5], BenchError> {
-    let backend = config.model.host_backend(threads);
+    let backend = backend.build(threads);
     let mut a = arena.take(n, INIT_A);
     let mut b = arena.take(n, INIT_B);
     let mut c = arena.take(n, INIT_C);
@@ -211,7 +213,13 @@ fn run_native(config: &BabelStreamConfig, arena: &mut Arena) -> Result<RunOutput
         }
     };
     let start = Instant::now();
-    let times = execute_and_validate(config, config.array_size, config.reps, threads, arena)?;
+    let times = execute_and_validate(
+        config.model.backend_kind(),
+        config.array_size,
+        config.reps,
+        threads,
+        arena,
+    )?;
     let rates = rates_from_times(config.array_size, &times);
     let wall = start.elapsed().as_secs_f64();
     Ok(RunOutput {
@@ -230,18 +238,20 @@ fn run_simulated(
 ) -> Result<RunOutput, BenchError> {
     let proc = partition.processor();
     // Run the real numerics at a capped size for validation, once per
-    // distinct capped problem when a memo is given.
+    // distinct capped problem when a memo is given. Models of one backend
+    // kind run the same host code, so they share one validation.
     let n = config.array_size.min(SIM_EXECUTION_CAP);
     let reps = 3.min(config.reps);
     let host_threads = parkern::default_workers().min(8);
+    let backend = config.model.backend_kind();
     let key = SolveKey::BabelStream {
-        model: config.model,
+        backend,
         n,
         reps,
         threads: host_threads,
     };
     memo::solve_with(memo, key, || {
-        execute_and_validate(config, n, reps, host_threads, arena).map(|_| Solution::Validated)
+        execute_and_validate(backend, n, reps, host_threads, arena).map(|_| Solution::Validated)
     })?;
 
     // Model the timing at the full requested size.
@@ -329,6 +339,42 @@ mod tests {
             model,
             threads: Some(2),
         }
+    }
+
+    #[test]
+    fn models_share_one_validation_per_host_backend() {
+        // A model reaches the host only through its backend, so the memo
+        // key names the backend kind, never the model: all nine models
+        // validate twice, once serial and once on the pool.
+        let shared = SolveMemo::new();
+        for model in Model::all() {
+            let cfg = small(*model);
+            let run_on = |memo| {
+                ["isambard-macs:cascadelake", "isambard-macs:volta"]
+                    .iter()
+                    .map(|p| ExecutionMode::simulated(p, 1).unwrap())
+                    .find_map(|mode| run_memo(&cfg, &mode, &mut Arena::new(), Some(memo)).ok())
+                    .expect("the model runs on one of the two partitions")
+            };
+            let own = SolveMemo::new();
+            run_on(&own);
+            run_on(&shared);
+            let [SolveKey::BabelStream { backend, .. }] = own.keys()[..] else {
+                panic!(
+                    "{}: one BabelStream key, got {:?}",
+                    model.name(),
+                    own.keys()
+                );
+            };
+            assert_eq!(backend, model.backend_kind(), "{}", model.name());
+            assert_eq!(
+                backend.label(),
+                model.host_backend(2).label(),
+                "{}",
+                model.name()
+            );
+        }
+        assert_eq!(shared.keys().len(), 2, "{:?}", shared.keys());
     }
 
     #[test]

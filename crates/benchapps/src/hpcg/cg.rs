@@ -73,8 +73,7 @@ pub fn pcg_with(
     }
 
     // z = M⁻¹ r via one SymGS sweep from zero.
-    z.fill(0.0);
-    op.symgs(&r, &mut z);
+    op.precondition(&r, &mut z);
     let mut p = arena.take_copy(&z);
     let mut rz = dot(&r, &z);
     let mut iterations = 0;
@@ -96,8 +95,7 @@ pub fn pcg_with(
         if norm / norm0 < tolerance {
             break;
         }
-        z.fill(0.0);
-        op.symgs(&r, &mut z);
+        op.precondition(&r, &mut z);
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;

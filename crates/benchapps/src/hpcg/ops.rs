@@ -7,6 +7,18 @@
 //! backend the operators behave exactly like the original sequential code
 //! (lexicographic sweeps, identical arithmetic order), which keeps the
 //! cross-variant parity tests bitwise meaningful.
+//!
+//! Two shortcuts keep that arithmetic while doing less work, and
+//! `differential` pins both against verbatim copies of the code they
+//! replaced:
+//!
+//! * [`Operator::precondition`] sweeps from `z = 0`, so its forward sweep
+//!   skips every term that reads a not-yet-updated `+0.0` (see the
+//!   signed-zero argument at each implementation);
+//! * the matrix-free stencil accumulates a whole grid row at a time: each
+//!   of the row's neighbour rows is added as one slice, in the per-point
+//!   (dz, dy, dx) order, so every lane sums the same terms in the same
+//!   order as the per-point loop did.
 
 use parkern::{kernels, Backend, SerialBackend};
 
@@ -14,16 +26,17 @@ use super::problem::Problem;
 use super::{HpcgOperator, HpcgVariant};
 
 /// A symmetric positive-definite operator with a symmetric Gauss-Seidel
-/// smoother — the two ingredients HPCG's preconditioned CG needs.
+/// preconditioner — the two ingredients HPCG's preconditioned CG needs.
 pub trait Operator: Send + Sync {
     fn n(&self) -> usize;
 
     /// `y = A x`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
 
-    /// One symmetric Gauss-Seidel sweep applied to `z` for the system
-    /// `A z = r`, starting from the current contents of `z`.
-    fn symgs(&self, r: &[f64], z: &mut [f64]);
+    /// `z = M⁻¹ r`: one symmetric Gauss-Seidel sweep for `A z = r` starting
+    /// from `z = 0`. The previous contents of `z` are ignored; the result is
+    /// bit for bit what zero-filling `z` and sweeping gives.
+    fn precondition(&self, r: &[f64], z: &mut [f64]);
 }
 
 /// Build the operator for a variant over the given problem (serial backend).
@@ -97,6 +110,15 @@ impl ZPtr {
     unsafe fn write(self, i: usize, v: f64) {
         unsafe { *self.0.add(i) = v };
     }
+
+    /// The `len` elements from `start`, as a slice.
+    ///
+    /// # Safety
+    /// The range is in bounds, and no other reference to it exists while
+    /// the slice lives (this worker is its sole reader and writer).
+    unsafe fn slice<'a>(self, start: usize, len: usize) -> &'a mut [f64] {
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
+    }
 }
 
 /// Assembled 27-point Poisson operator in CSR.
@@ -105,6 +127,9 @@ pub struct CsrOperator {
     col_idx: Vec<u32>,
     values: Vec<f64>,
     diag: Vec<f64>,
+    /// Index into `col_idx` of each row's diagonal entry. Columns ascend
+    /// within a row, so the entries before it are the row's lower triangle.
+    diag_pos: Vec<usize>,
     color_sets: Vec<Vec<u32>>,
     backend: Box<dyn Backend>,
 }
@@ -123,6 +148,7 @@ impl CsrOperator {
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         let mut diag = Vec::with_capacity(n);
+        let mut diag_pos = Vec::with_capacity(n);
         row_ptr.push(0);
         for iz in 0..p.nz {
             for iy in 0..p.ny {
@@ -144,6 +170,9 @@ impl CsrOperator {
                                     continue;
                                 }
                                 let col = p.index(jx as usize, jy as usize, jz as usize);
+                                if col == row {
+                                    diag_pos.push(col_idx.len());
+                                }
                                 let v = if col == row { 26.0 } else { -1.0 };
                                 col_idx.push(col as u32);
                                 values.push(v);
@@ -161,6 +190,7 @@ impl CsrOperator {
             col_idx,
             values,
             diag,
+            diag_pos,
             color_sets,
             backend,
         }
@@ -184,27 +214,49 @@ impl CsrOperator {
         unsafe { z.write(row, sum / self.diag[row]) };
     }
 
-    /// The original lexicographic sweep (forward then backward). Kept as the
-    /// serial reference: cross-variant parity tests compare against it.
+    /// One Gauss-Seidel update of `row` from the current contents of `z`.
+    fn relax_row(&self, row: usize, r: &[f64], z: &mut [f64]) {
+        let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
+        let mut sum = r[row];
+        for (&v, &col) in self.values[lo..hi].iter().zip(&self.col_idx[lo..hi]) {
+            sum -= v * z[col as usize];
+        }
+        sum += self.diag[row] * z[row];
+        z[row] = sum / self.diag[row];
+    }
+
+    /// The lexicographic sweep (forward then backward) from the current
+    /// contents of `z`.
     pub fn symgs_lex(&self, r: &[f64], z: &mut [f64]) {
         let n = self.n();
-        // Forward sweep.
         for row in 0..n {
-            let mut sum = r[row];
-            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                sum -= self.values[k] * z[self.col_idx[k] as usize];
-            }
-            sum += self.diag[row] * z[row];
-            z[row] = sum / self.diag[row];
+            self.relax_row(row, r, z);
         }
-        // Backward sweep.
         for row in (0..n).rev() {
+            self.relax_row(row, r, z);
+        }
+    }
+
+    /// [`CsrOperator::symgs_lex`] from `z = 0`, bit for bit, without reading
+    /// `z` first.
+    ///
+    /// In the forward sweep every entry at or right of the diagonal reads a
+    /// `+0.0`. `sum - v·(+0.0)` leaves `sum` alone or adds `+0.0`, and the
+    /// trailing `+ diag·z[row]` (a positive diagonal) always adds `+0.0`, so
+    /// all of them together are exactly one `sum + 0.0`: it turns a `-0.0`
+    /// sum (from `r[row] = -0.0`) into `+0.0` and changes nothing else.
+    fn symgs_lex_from_zero(&self, r: &[f64], z: &mut [f64]) {
+        let n = self.n();
+        for row in 0..n {
+            let (lo, d) = (self.row_ptr[row], self.diag_pos[row]);
             let mut sum = r[row];
-            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                sum -= self.values[k] * z[self.col_idx[k] as usize];
+            for (&v, &col) in self.values[lo..d].iter().zip(&self.col_idx[lo..d]) {
+                sum -= v * z[col as usize];
             }
-            sum += self.diag[row] * z[row];
-            z[row] = sum / self.diag[row];
+            z[row] = (sum + 0.0) / self.diag[row];
+        }
+        for row in (0..n).rev() {
+            self.relax_row(row, r, z);
         }
     }
 
@@ -252,11 +304,12 @@ impl Operator for CsrOperator {
         );
     }
 
-    fn symgs(&self, r: &[f64], z: &mut [f64]) {
+    fn precondition(&self, r: &[f64], z: &mut [f64]) {
         if self.backend.workers() > 1 {
+            z.fill(0.0);
             self.symgs_colored(r, z);
         } else {
-            self.symgs_lex(r, z);
+            self.symgs_lex_from_zero(r, z);
         }
     }
 }
@@ -307,8 +360,8 @@ impl Operator for SellOperator {
         kernels::spmv_sell(&*self.csr.backend, &self.sell, x, y);
     }
 
-    fn symgs(&self, r: &[f64], z: &mut [f64]) {
-        self.csr.symgs(r, z);
+    fn precondition(&self, r: &[f64], z: &mut [f64]) {
+        self.csr.precondition(r, z);
     }
 }
 
@@ -407,7 +460,70 @@ impl MatrixFreeOperator {
         )
     }
 
-    /// Lexicographic reference sweep (forward then backward).
+    /// Add to `acc`, one lane per point of grid row `row`, the in-grid
+    /// neighbours of `x` that lie in grid rows `jys` of plane `jz`, in the
+    /// per-point (dz, dy, dx) order. Out-of-grid neighbours are skipped as
+    /// the per-point sum skips them; the centre point is never added.
+    fn add_neighbour_rows(
+        &self,
+        acc: &mut [f64],
+        x: &[f64],
+        row: usize,
+        jz: usize,
+        jys: std::ops::RangeInclusive<usize>,
+    ) {
+        let nx = self.nx;
+        for jy in jys {
+            let src_row = jz * self.ny + jy;
+            let src = &x[src_row * nx..(src_row + 1) * nx];
+            // dx = -1, 0, +1: lane `ix` reads `src[ix + dx]` where in grid.
+            for (a, s) in acc[1..].iter_mut().zip(&src[..nx - 1]) {
+                *a += *s;
+            }
+            if src_row != row {
+                for (a, s) in acc.iter_mut().zip(src) {
+                    *a += *s;
+                }
+            }
+            for (a, s) in acc[..nx - 1].iter_mut().zip(&src[1..]) {
+                *a += *s;
+            }
+        }
+    }
+
+    /// [`MatrixFreeOperator::symgs_lex`] from `z = 0`, bit for bit, without
+    /// reading `z` first.
+    ///
+    /// A neighbour sum starts at `+0.0`, and an IEEE sum is `-0.0` only when
+    /// both operands are, so it never holds `-0.0`: adding the `+0.0` of a
+    /// not-yet-updated neighbour changes nothing, and the forward sweep drops
+    /// those terms. What stays is the plane below and the row below, added
+    /// row-wide in (dz, dy, dx) order, then the left neighbour.
+    fn symgs_lex_from_zero(&self, r: &[f64], z: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
+        for row in 0..ny * self.nz {
+            let (iy, iz) = (row % ny, row / ny);
+            let (done, rest) = z.split_at_mut(row * nx);
+            let acc = &mut rest[..nx];
+            acc.fill(0.0);
+            if iz > 0 {
+                let jys = iy.saturating_sub(1)..=(iy + 1).min(ny - 1);
+                self.add_neighbour_rows(acc, done, row, iz - 1, jys);
+            }
+            if iy > 0 {
+                self.add_neighbour_rows(acc, done, row, iz, iy - 1..=iy - 1);
+            }
+            let r = &r[row * nx..(row + 1) * nx];
+            acc[0] = (r[0] + acc[0]) / 26.0;
+            for ix in 1..nx {
+                acc[ix] = (r[ix] + (acc[ix] + acc[ix - 1])) / 26.0;
+            }
+        }
+        self.backward_sweep(r, z);
+    }
+
+    /// Lexicographic sweep (forward then backward) from the current
+    /// contents of `z`.
     pub fn symgs_lex(&self, r: &[f64], z: &mut [f64]) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         // Forward sweep in lexicographic order (matches CSR ordering, so
@@ -420,8 +536,13 @@ impl MatrixFreeOperator {
                 }
             }
         }
-        // Backward sweep.
-        for iz in (0..nz).rev() {
+        self.backward_sweep(r, z);
+    }
+
+    /// The backward half of the lexicographic sweep.
+    fn backward_sweep(&self, r: &[f64], z: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
+        for iz in (0..self.nz).rev() {
             for iy in (0..ny).rev() {
                 for ix in (0..nx).rev() {
                     let i = (iz * ny + iy) * nx + ix;
@@ -468,40 +589,39 @@ impl Operator for MatrixFreeOperator {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Accumulate the neighbour sum first, then one subtraction: rows are
-        // independent, so chunking cannot change the result, and the
-        // operation order stays bitwise identical to the serial original
-        // (the distributed solver pins itself to exactly this order).
-        // Rows run in index order within a chunk, so the coordinates step
-        // forward from the chunk's first row instead of being divided out
-        // of every index.
+        // Accumulate the neighbour sum first, then one subtraction, in the
+        // per-point (dz, dy, dx) order the distributed solver pins itself
+        // to. Each grid row's sums build up in its own slice of `y`, one
+        // neighbour row at a time; grid rows are independent, so chunking
+        // them cannot change a bit.
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let out = ZPtr(y.as_mut_ptr());
-        self.backend
-            .par_for_grained(self.n(), SYMGS_GRAIN, &|range| {
-                let p = out;
-                let (mut ix, mut iy, mut iz) = self.coords(range.start);
-                for i in range {
-                    let v = 26.0 * x[i] - self.neighbour_sum(x, ix, iy, iz);
-                    // SAFETY: chunks are disjoint; `i` is written exactly once.
-                    unsafe { p.write(i, v) };
-                    ix += 1;
-                    if ix == self.nx {
-                        ix = 0;
-                        iy += 1;
-                        if iy == self.ny {
-                            iy = 0;
-                            iz += 1;
-                        }
-                    }
+        let grain = SYMGS_GRAIN.div_ceil(nx);
+        self.backend.par_for_grained(ny * nz, grain, &|rows| {
+            let p = out;
+            // SAFETY: chunks of grid rows are disjoint, so this worker is
+            // the only one touching these rows of `y`.
+            let y = unsafe { p.slice(rows.start * nx, rows.len() * nx) };
+            for (row, acc) in rows.zip(y.chunks_exact_mut(nx)) {
+                let (iy, iz) = (row % ny, row / ny);
+                let jys = iy.saturating_sub(1)..=(iy + 1).min(ny - 1);
+                acc.fill(0.0);
+                for jz in iz.saturating_sub(1)..=(iz + 1).min(nz - 1) {
+                    self.add_neighbour_rows(acc, x, row, jz, jys.clone());
                 }
-            });
+                for (a, &xi) in acc.iter_mut().zip(&x[row * nx..(row + 1) * nx]) {
+                    *a = 26.0 * xi - *a;
+                }
+            }
+        });
     }
 
-    fn symgs(&self, r: &[f64], z: &mut [f64]) {
+    fn precondition(&self, r: &[f64], z: &mut [f64]) {
         if self.backend.workers() > 1 {
+            z.fill(0.0);
             self.symgs_colored(r, z);
         } else {
-            self.symgs_lex(r, z);
+            self.symgs_lex_from_zero(r, z);
         }
     }
 }
@@ -609,12 +729,28 @@ impl Operator for LfricOperator {
             });
     }
 
-    fn symgs(&self, r: &[f64], z: &mut [f64]) {
+    /// The lexicographic sweep from `z = 0`. As in the matrix-free forward
+    /// sweep, `off_sum` starts at `+0.0` and so never holds `-0.0`, so the
+    /// not-yet-updated neighbours (each a coefficient times `+0.0`) add
+    /// nothing and are dropped; the left, lower and below neighbours keep
+    /// `off_sum`'s order.
+    fn precondition(&self, r: &[f64], z: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
         for iz in 0..self.nz {
-            for iy in 0..self.ny {
-                for ix in 0..self.nx {
-                    let i = (iz * self.ny + iy) * self.nx + ix;
-                    z[i] = (r[i] + self.off_sum(z, ix, iy, iz)) / self.diag_at(ix, iy, iz);
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let i = (iz * ny + iy) * nx + ix;
+                    let mut s = 0.0;
+                    if ix > 0 {
+                        s += self.ch * z[i - 1];
+                    }
+                    if iy > 0 {
+                        s += self.ch * z[i - nx];
+                    }
+                    if iz > 0 {
+                        s += self.cv * z[i - nx * ny];
+                    }
+                    z[i] = (r[i] + s) / self.diag_at(ix, iy, iz);
                 }
             }
         }
@@ -628,6 +764,10 @@ impl Operator for LfricOperator {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "ops_differential.rs"]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -691,8 +831,8 @@ mod tests {
         let r = p.rhs.clone();
         let mut z1 = vec![0.0; p.n()];
         let mut z2 = vec![0.0; p.n()];
-        csr.symgs(&r, &mut z1);
-        mf.symgs(&r, &mut z2);
+        csr.precondition(&r, &mut z1);
+        mf.precondition(&r, &mut z2);
         for (a, b) in z1.iter().zip(&z2) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -700,9 +840,9 @@ mod tests {
 
     #[test]
     fn matrix_free_apply_steps_coordinates_across_chunks_on_a_box() {
-        // Unequal edges catch a swapped axis in the stepped coordinates;
-        // 1000 rows split into several chunks per pool size, each one
-        // starting mid-row and mid-plane.
+        // Unequal edges catch a swapped axis in the row lanes; the 200
+        // grid rows split into several chunks per pool size, most of them
+        // starting mid-plane.
         let p = Problem::new(5, 8, 25);
         let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.23).sin()).collect();
         // Each row on its own, coordinates divided out of the index.
@@ -748,8 +888,8 @@ mod tests {
     fn cg_residuals_bitwise_identical_across_backends_and_worker_counts() {
         // Wrappers pinning the SymGS sweep to the coloured ordering, so the
         // whole CG trajectory is worker-count independent (the production
-        // `symgs` picks lexicographic at one worker — a different, equally
-        // valid preconditioner).
+        // `precondition` picks lexicographic at one worker — a different,
+        // equally valid preconditioner).
         struct Colored<O>(O);
         impl Operator for Colored<CsrOperator> {
             fn n(&self) -> usize {
@@ -758,7 +898,8 @@ mod tests {
             fn apply(&self, x: &[f64], y: &mut [f64]) {
                 self.0.apply(x, y)
             }
-            fn symgs(&self, r: &[f64], z: &mut [f64]) {
+            fn precondition(&self, r: &[f64], z: &mut [f64]) {
+                z.fill(0.0);
                 self.0.symgs_colored(r, z)
             }
         }
@@ -769,7 +910,8 @@ mod tests {
             fn apply(&self, x: &[f64], y: &mut [f64]) {
                 self.0.apply(x, y)
             }
-            fn symgs(&self, r: &[f64], z: &mut [f64]) {
+            fn precondition(&self, r: &[f64], z: &mut [f64]) {
+                z.fill(0.0);
                 self.0.csr.symgs_colored(r, z)
             }
         }
@@ -889,9 +1031,9 @@ mod tests {
                 .sqrt()
         };
         let r0 = res(&z);
-        op.symgs(&b, &mut z);
+        op.symgs_colored(&b, &mut z);
         let r1 = res(&z);
-        op.symgs(&b, &mut z);
+        op.symgs_colored(&b, &mut z);
         let r2 = res(&z);
         assert!(r1 < r0, "one coloured sweep should reduce the residual");
         assert!(r2 < r1, "two coloured sweeps should reduce it further");
@@ -960,9 +1102,17 @@ mod tests {
                     .sqrt()
             };
             let r0 = res(&z);
-            op.symgs(&b, &mut z);
+            op.precondition(&b, &mut z);
             let r1 = res(&z);
-            op.symgs(&b, &mut z);
+            // A second sweep from `z` is `z + M⁻¹(b - A z)`.
+            let mut az = vec![0.0; p.n()];
+            op.apply(&z, &mut az);
+            let defect: Vec<f64> = b.iter().zip(&az).map(|(bi, a)| bi - a).collect();
+            let mut correction = vec![0.0; p.n()];
+            op.precondition(&defect, &mut correction);
+            for (zi, c) in z.iter_mut().zip(&correction) {
+                *zi += c;
+            }
             let r2 = res(&z);
             assert!(r1 < r0, "one sweep should reduce the residual");
             assert!(r2 < r1, "two sweeps should reduce it further");

@@ -11,7 +11,7 @@
 
 use crate::hpcg::HpcgOperator;
 use crate::BenchError;
-use parkern::Model;
+use parkern::BackendKind;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -35,7 +35,9 @@ pub enum SolveKey {
         n: usize,
     },
     BabelStream {
-        model: Model,
+        /// `Model::backend_kind`: a model reaches the host computation only
+        /// through its backend, so models of one kind pose one problem.
+        backend: BackendKind,
         /// `min(array_size, SIM_EXECUTION_CAP)`.
         n: usize,
         /// `min(reps, 3)`.

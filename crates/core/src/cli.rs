@@ -1669,7 +1669,7 @@ pub fn execute(
                 .ok_or_else(|| CliError(format!("unknown system `{system}`")))?;
             let ctx = spackle::context_for(sys, partition);
             let parsed = spackle::Spec::parse(&spec)?;
-            let concrete = spackle::concretize(&parsed, &spackle::Repo::builtin(), &ctx)?;
+            let concrete = spackle::concretize(&parsed, spackle::Repo::builtin_shared(), &ctx)?;
             writeln!(
                 out,
                 "concretized on {system} (dag hash {}):",

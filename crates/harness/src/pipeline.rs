@@ -7,6 +7,7 @@ use benchapps::{BenchError, ExecutionMode};
 use perflogs::{Fom, Perflog, PerflogRecord};
 use simhpc::faults::{self, Fault, FaultInjector, FaultProfile};
 use simhpc::platform::SchedulerKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -284,7 +285,9 @@ pub struct PreparedBuild {
 
 /// The harness session: owns the package store, run counter, and perflogs.
 pub struct Harness {
-    repo: spackle::Repo,
+    /// The shared built-in repository unless [`Harness::with_repo`] layers
+    /// a site's own.
+    repo: Cow<'static, spackle::Repo>,
     store: spackle::Store,
     /// When set, installs go to this shared store instead of the
     /// session-private one (warm-store mode).
@@ -307,7 +310,7 @@ pub struct Harness {
 impl Harness {
     pub fn new(options: RunOptions) -> Harness {
         Harness {
-            repo: spackle::Repo::builtin(),
+            repo: Cow::Borrowed(spackle::Repo::builtin_shared()),
             store: spackle::Store::new(),
             shared_store: None,
             options,
@@ -321,7 +324,7 @@ impl Harness {
 
     /// Override the recipe repository (site-local repo layering).
     pub fn with_repo(mut self, repo: spackle::Repo) -> Harness {
-        self.repo = repo;
+        self.repo = Cow::Owned(repo);
         self
     }
 

@@ -12,7 +12,8 @@
 //!   sequential reference, and [`PoolBackend`], a persistent worker pool.
 //!   [`Model::host_backend`] runs the single-threaded models (serial,
 //!   std-ranges) on the first and every threaded model on the second, as
-//!   their real runtimes all keep a persistent pool;
+//!   their real runtimes all keep a persistent pool ([`BackendKind`] names
+//!   the choice);
 //! * [`kernels`] holds the shared array kernels (copy/mul/add/triad/dot,
 //!   SpMV and stencils) used by the benchmark applications.
 //!
@@ -165,13 +166,46 @@ impl Model {
         }
     }
 
-    /// The host execution backend used when kernels really run: the
-    /// serial reference for the single-threaded models, the persistent
-    /// pool for every other one.
-    pub fn host_backend(&self, max_threads: usize) -> Box<dyn Backend> {
+    /// Which host backend runs this model's kernels: the serial reference
+    /// for the single-threaded models, the persistent pool for every other
+    /// one. Models of one kind run the same host code.
+    pub fn backend_kind(&self) -> BackendKind {
         match self {
-            Model::Serial | Model::StdRanges => Box::new(SerialBackend),
-            _ => Box::new(PoolBackend::new(max_threads)),
+            Model::Serial | Model::StdRanges => BackendKind::Serial,
+            _ => BackendKind::Pool,
+        }
+    }
+
+    /// The host execution backend used when kernels really run
+    /// ([`Model::backend_kind`]).
+    pub fn host_backend(&self, max_threads: usize) -> Box<dyn Backend> {
+        self.backend_kind().build(max_threads)
+    }
+}
+
+/// The two host backends a [`Model`] can run on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// [`SerialBackend`].
+    Serial,
+    /// [`PoolBackend`].
+    Pool,
+}
+
+impl BackendKind {
+    /// A backend of this kind; `max_threads` sizes the pool.
+    pub fn build(self, max_threads: usize) -> Box<dyn Backend> {
+        match self {
+            BackendKind::Serial => Box::new(SerialBackend),
+            BackendKind::Pool => Box::new(PoolBackend::new(max_threads)),
+        }
+    }
+
+    /// The label of the backends this kind builds ([`Backend::label`]).
+    pub fn label(self) -> &'static str {
+        match self {
+            BackendKind::Serial => "serial",
+            BackendKind::Pool => "pool",
         }
     }
 }

@@ -8,6 +8,10 @@
 
 use crate::recipe::{Conflict, DepKind, Recipe, VariantDecl, When};
 use crate::spec::VariantSetting;
+use std::sync::LazyLock;
+
+/// The process-wide built-in repository.
+static BUILTIN: LazyLock<Repo> = LazyLock::new(Repo::builtin);
 
 /// A collection of recipes, searched in order (later repos shadow earlier
 /// ones, so a site-local repo can override a built-in recipe).
@@ -29,6 +33,13 @@ impl Repo {
             r.add(recipe);
         }
         r
+    }
+
+    /// The built-in repository, built once per process and shared: what a
+    /// harness session concretizes against unless a site layers its own
+    /// repository on top (which starts from an owned [`Repo::builtin`]).
+    pub fn builtin_shared() -> &'static Repo {
+        &BUILTIN
     }
 
     /// Add (or shadow) a recipe.
@@ -223,6 +234,13 @@ fn builtin_recipes() -> Vec<Recipe> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_shared_builtin_is_one_table_with_the_builtin_recipes() {
+        let shared = Repo::builtin_shared();
+        assert!(std::ptr::eq(shared, Repo::builtin_shared()));
+        assert!(shared.names().eq(Repo::builtin().names()));
+    }
 
     #[test]
     fn builtin_has_all_study_packages() {
