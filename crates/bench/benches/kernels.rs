@@ -139,11 +139,8 @@ fn bench_symgs_survey_size(c: &mut Criterion) {
 }
 
 fn bench_symgs(c: &mut Criterion) {
-    // Serial lexicographic sweep vs the 8-color parallel sweep on the pool
-    // at several worker counts, on the HPCG 64³ local problem. On a
-    // multicore host the colored sweep should beat the serial one well
-    // before 4 workers; at 1 worker it must not regress (the operators
-    // dispatch back to the lexicographic sweep there).
+    // The sweeps on the 64³ local problem of the survey's HPCG cases,
+    // where both operators stream from memory instead of cache.
     let mut group = c.benchmark_group("symgs_64cubed");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_millis(1500));
@@ -151,32 +148,8 @@ fn bench_symgs(c: &mut Criterion) {
     let problem = benchapps::hpcg::Problem::cube(64);
     let n = problem.n();
     group.throughput(Throughput::Elements(n as u64));
-    let r = problem.rhs.clone();
     let mut z = vec![0.0; n];
     bench_lex_and_precondition(&mut group, &problem, &mut z);
-
-    for workers in POOL_WORKERS {
-        let op = benchapps::hpcg::MatrixFreeOperator::with_backend(
-            &problem,
-            Box::new(PoolBackend::new(workers)),
-        );
-        group.bench_function(BenchmarkId::new("matfree/colored_pool", workers), |bench| {
-            bench.iter(|| {
-                z.fill(0.0);
-                op.symgs_colored(&r, &mut z);
-            });
-        });
-        let op = benchapps::hpcg::CsrOperator::poisson27_with_backend(
-            &problem,
-            Box::new(PoolBackend::new(workers)),
-        );
-        group.bench_function(BenchmarkId::new("csr/colored_pool", workers), |bench| {
-            bench.iter(|| {
-                z.fill(0.0);
-                op.symgs_colored(&r, &mut z);
-            });
-        });
-    }
     group.finish();
 }
 
@@ -233,9 +206,8 @@ fn bench_spmv_layout(c: &mut Criterion) {
     let n = problem.n();
     group.throughput(Throughput::Elements(n as u64));
     use benchapps::hpcg::Operator;
-    let serial = || Box::new(SerialBackend) as Box<dyn Backend>;
-    let csr = benchapps::hpcg::CsrOperator::poisson27_with_backend(&problem, serial());
-    let sell = benchapps::hpcg::SellOperator::poisson27_with_backend(&problem, serial());
+    let csr = benchapps::hpcg::CsrOperator::poisson27(&problem);
+    let sell = benchapps::hpcg::SellOperator::poisson27(&problem);
     let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64).collect();
     let mut y = vec![0.0; n];
     group.bench_function("csr", |bench| {

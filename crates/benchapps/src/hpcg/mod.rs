@@ -28,8 +28,7 @@ mod problem;
 
 pub use cg::{pcg, pcg_with, CgStats};
 pub use ops::{
-    build as build_operator, build_with_backend as build_operator_with_backend, CsrOperator,
-    LfricOperator, MatrixFreeOperator, Operator, SellOperator,
+    build as build_operator, CsrOperator, LfricOperator, MatrixFreeOperator, Operator, SellOperator,
 };
 pub use problem::Problem;
 
@@ -138,11 +137,6 @@ pub struct HpcgConfig {
     pub variant: HpcgVariant,
     /// CG iterations per set (HPCG runs sets of 50).
     pub iterations: usize,
-    /// Host worker threads for the kernels. `None` (the default) keeps the
-    /// serial backend and the lexicographic SymGS sweep — bit-identical to
-    /// the original sequential solver. `Some(t)` with `t > 1` executes on a
-    /// persistent worker pool with the multicoloured SymGS smoother.
-    pub threads: Option<usize>,
 }
 
 impl Default for HpcgConfig {
@@ -152,7 +146,6 @@ impl Default for HpcgConfig {
             ranks: 1,
             variant: HpcgVariant::Csr,
             iterations: 50,
-            threads: None,
         }
     }
 }
@@ -304,12 +297,11 @@ fn solve_key(config: &HpcgConfig) -> SolveKey {
         operator: config.variant.operator(),
         dim: config.local_dim.min(16),
         iterations: config.iterations.min(60),
-        threads: config.threads,
     }
 }
 
-/// The host solve: CG on a `dim`³ cube with `config`'s variant, iteration
-/// cap and threads. Returns the iterations run and the final relative
+/// The host solve: CG on a `dim`³ cube with `config`'s variant and
+/// iteration cap. Returns the iterations run and the final relative
 /// residual, or a validation failure when the residual did not decrease.
 fn solve(
     config: &HpcgConfig,
@@ -317,14 +309,7 @@ fn solve(
     arena: &mut crate::scratch::Arena,
 ) -> Result<(usize, f64), BenchError> {
     let problem = Problem::cube(dim);
-    let op = match config.threads {
-        Some(t) if t > 1 => ops::build_with_backend(
-            config.variant,
-            &problem,
-            Box::new(parkern::PoolBackend::new(t)),
-        ),
-        _ => ops::build(config.variant, &problem),
-    };
+    let op = ops::build(config.variant, &problem);
     let stats = pcg_with(
         op.as_ref(),
         &problem.rhs,
@@ -377,7 +362,6 @@ mod tests {
                 ranks: 40,
                 variant,
                 iterations: 50,
-                threads: None,
             };
             extract_gflops(&run(&cfg, &mode).unwrap().stdout)
         };
@@ -414,7 +398,6 @@ mod tests {
                 ranks: 128,
                 variant,
                 iterations: 50,
-                threads: None,
             };
             extract_gflops(&run(&cfg, &mode).unwrap().stdout)
         };
@@ -436,7 +419,6 @@ mod tests {
             ranks: 128,
             variant: HpcgVariant::IntelAvx2,
             iterations: 50,
-            threads: None,
         };
         assert!(matches!(run(&cfg, &mode), Err(BenchError::Unsupported(_))));
     }
@@ -450,7 +432,6 @@ mod tests {
                 ranks,
                 variant: HpcgVariant::Csr,
                 iterations: 50,
-                threads: None,
             };
             extract_gflops(&run(&cfg, &mode).unwrap().stdout)
         };
@@ -461,24 +442,17 @@ mod tests {
     fn csr_and_vendor_variants_share_one_solve_key_and_solution() {
         // The memo key is the operator built, not the variant label: the
         // two CSR variants pose one problem and must solve it bit for bit
-        // alike, on the serial backend and on a pool.
-        for threads in [None, Some(2)] {
-            let config = |variant| HpcgConfig {
-                variant,
-                threads,
-                ..Default::default()
-            };
-            let (csr, avx2) = (config(HpcgVariant::Csr), config(HpcgVariant::IntelAvx2));
-            assert_eq!(solve_key(&csr), solve_key(&avx2));
-            let mut arena = crate::scratch::Arena::new();
-            let (i1, r1) = solve(&csr, 16, &mut arena).unwrap();
-            let (i2, r2) = solve(&avx2, 16, &mut arena).unwrap();
-            assert_eq!(
-                (i1, r1.to_bits()),
-                (i2, r2.to_bits()),
-                "threads {threads:?}"
-            );
-        }
+        // alike.
+        let config = |variant| HpcgConfig {
+            variant,
+            ..Default::default()
+        };
+        let (csr, avx2) = (config(HpcgVariant::Csr), config(HpcgVariant::IntelAvx2));
+        assert_eq!(solve_key(&csr), solve_key(&avx2));
+        let mut arena = crate::scratch::Arena::new();
+        let (i1, r1) = solve(&csr, 16, &mut arena).unwrap();
+        let (i2, r2) = solve(&avx2, 16, &mut arena).unwrap();
+        assert_eq!((i1, r1.to_bits()), (i2, r2.to_bits()));
         // Every other variant builds an operator of its own.
         let keys: std::collections::HashSet<_> = HpcgVariant::all()
             .iter()

@@ -1,12 +1,12 @@
 //! The linear operators behind the four HPCG variants.
 //!
-//! Every operator owns an execution [`Backend`]: `apply` always routes
-//! through the shared `parkern` kernels, and the Poisson operators carry an
-//! 8-colour decomposition of the grid so their symmetric Gauss-Seidel
-//! smoother can run same-colour rows in parallel. With the default serial
-//! backend the operators behave exactly like the original sequential code
-//! (lexicographic sweeps, identical arithmetic order), which keeps the
-//! cross-variant parity tests bitwise meaningful.
+//! Every operator runs serially. The paper runs HPCG MPI-only (Table 2's
+//! rank layout), and a survey already fills the cores with cells, so no
+//! workload would run a threaded sweep. CSR and SELL `apply` call the
+//! shared `parkern` SpMV kernels on the serial backend; the matrix-free
+//! and LFRic operators are plain loops. The SymGS smoother is the
+//! lexicographic sweep, whose arithmetic order the cross-variant parity
+//! tests rely on.
 //!
 //! Two shortcuts keep that arithmetic while doing less work, and
 //! `differential` pins both against verbatim copies of the code they
@@ -20,7 +20,7 @@
 //!   (dz, dy, dx) order, so every lane sums the same terms in the same
 //!   order as the per-point loop did.
 
-use parkern::{kernels, Backend, SerialBackend};
+use parkern::{kernels, SerialBackend};
 
 use super::problem::Problem;
 use super::{HpcgOperator, HpcgVariant};
@@ -39,85 +39,14 @@ pub trait Operator: Send + Sync {
     fn precondition(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// Build the operator for a variant over the given problem (serial backend).
+/// Build the operator for a variant ([`HpcgVariant::operator`]) over the
+/// given problem.
 pub fn build(variant: HpcgVariant, problem: &Problem) -> Box<dyn Operator> {
-    build_with_backend(variant, problem, Box::new(SerialBackend))
-}
-
-/// Build the operator for a variant ([`HpcgVariant::operator`]) with an
-/// explicit execution backend.
-///
-/// With more than one worker the Poisson operators switch their SymGS sweep
-/// from lexicographic to the 8-colour ordering: a *different* (but equally
-/// valid) preconditioner whose CG iteration counts match the serial sweep to
-/// within a couple of iterations, and whose results are deterministic for
-/// any worker count.
-pub fn build_with_backend(
-    variant: HpcgVariant,
-    problem: &Problem,
-    backend: Box<dyn Backend>,
-) -> Box<dyn Operator> {
     match variant.operator() {
-        HpcgOperator::Csr => Box::new(CsrOperator::poisson27_with_backend(problem, backend)),
-        HpcgOperator::Sell => Box::new(SellOperator::poisson27_with_backend(problem, backend)),
-        HpcgOperator::MatrixFree => Box::new(MatrixFreeOperator::with_backend(problem, backend)),
-        HpcgOperator::Lfric => Box::new(LfricOperator::with_backend(problem, backend)),
-    }
-}
-
-/// Minimum rows per parallel chunk inside one colour sweep; below this the
-/// per-region dispatch overhead outweighs the row updates.
-const SYMGS_GRAIN: usize = 256;
-
-/// Partition grid rows into 8 parity classes by `(ix mod 2, iy mod 2,
-/// iz mod 2)`. In a 27-point (or any ±1-offset) stencil, two cells of the
-/// same class differ by an even, non-zero amount in some axis, so they are
-/// never neighbours: every class is an independent set, and rows within a
-/// class can be smoothed concurrently.
-fn parity_color_sets(nx: usize, ny: usize, nz: usize) -> Vec<Vec<u32>> {
-    let mut sets: Vec<Vec<u32>> = (0..8).map(|_| Vec::new()).collect();
-    for iz in 0..nz {
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let color = (ix & 1) | ((iy & 1) << 1) | ((iz & 1) << 2);
-                sets[color].push(((iz * ny + iy) * nx + ix) as u32);
-            }
-        }
-    }
-    sets
-}
-
-/// Shared-mutable access to the iterate `z` during a coloured sweep.
-///
-/// Safety contract: within one colour phase, each worker writes only rows of
-/// that colour assigned to its chunk; all rows it *reads* belong either to
-/// other colours (not written this phase) or are its own row. Phases are
-/// separated by the backend's fork-join, which orders the writes.
-#[derive(Clone, Copy)]
-struct ZPtr(*mut f64);
-unsafe impl Send for ZPtr {}
-unsafe impl Sync for ZPtr {}
-
-impl ZPtr {
-    /// # Safety
-    /// `i` in bounds; no concurrent write to `i` (see type-level contract).
-    unsafe fn read(self, i: usize) -> f64 {
-        unsafe { *self.0.add(i) }
-    }
-
-    /// # Safety
-    /// `i` in bounds; this worker is the only writer of `i` this phase.
-    unsafe fn write(self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v };
-    }
-
-    /// The `len` elements from `start`, as a slice.
-    ///
-    /// # Safety
-    /// The range is in bounds, and no other reference to it exists while
-    /// the slice lives (this worker is its sole reader and writer).
-    unsafe fn slice<'a>(self, start: usize, len: usize) -> &'a mut [f64] {
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
+        HpcgOperator::Csr => Box::new(CsrOperator::poisson27(problem)),
+        HpcgOperator::Sell => Box::new(SellOperator::poisson27(problem)),
+        HpcgOperator::MatrixFree => Box::new(MatrixFreeOperator::new(problem)),
+        HpcgOperator::Lfric => Box::new(LfricOperator::new(problem)),
     }
 }
 
@@ -130,19 +59,12 @@ pub struct CsrOperator {
     /// Index into `col_idx` of each row's diagonal entry. Columns ascend
     /// within a row, so the entries before it are the row's lower triangle.
     diag_pos: Vec<usize>,
-    color_sets: Vec<Vec<u32>>,
-    backend: Box<dyn Backend>,
 }
 
 impl CsrOperator {
     /// Assemble the 27-point operator (diag 26, off-diag −1, Dirichlet
-    /// truncation at the boundary) on the serial backend.
+    /// truncation at the boundary).
     pub fn poisson27(p: &Problem) -> CsrOperator {
-        CsrOperator::poisson27_with_backend(p, Box::new(SerialBackend))
-    }
-
-    /// Assemble with an explicit execution backend.
-    pub fn poisson27_with_backend(p: &Problem, backend: Box<dyn Backend>) -> CsrOperator {
         let n = p.n();
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
@@ -184,34 +106,17 @@ impl CsrOperator {
                 }
             }
         }
-        let color_sets = parity_color_sets(p.nx, p.ny, p.nz);
         CsrOperator {
             row_ptr,
             col_idx,
             values,
             diag,
             diag_pos,
-            color_sets,
-            backend,
         }
     }
 
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// One Gauss-Seidel update of `row`, reading and writing through `z`.
-    ///
-    /// # Safety
-    /// Callers must uphold the [`ZPtr`] contract: no other worker writes any
-    /// row this call reads, and this worker is the sole writer of `row`.
-    unsafe fn gs_row(&self, row: usize, r: &[f64], z: ZPtr) {
-        let mut sum = r[row];
-        for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-            sum -= self.values[k] * unsafe { z.read(self.col_idx[k] as usize) };
-        }
-        sum += self.diag[row] * unsafe { z.read(row) };
-        unsafe { z.write(row, sum / self.diag[row]) };
     }
 
     /// One Gauss-Seidel update of `row` from the current contents of `z`.
@@ -259,33 +164,6 @@ impl CsrOperator {
             self.relax_row(row, r, z);
         }
     }
-
-    /// The multicoloured sweep: colours in order forward, reversed backward;
-    /// rows within a colour update in parallel. Deterministic for any worker
-    /// count (each row depends only on rows of other colours, whose values
-    /// are fixed for the whole phase).
-    pub fn symgs_colored(&self, r: &[f64], z: &mut [f64]) {
-        let zp = ZPtr(z.as_mut_ptr());
-        for set in &self.color_sets {
-            self.color_phase(set, r, zp);
-        }
-        for set in self.color_sets.iter().rev() {
-            self.color_phase(set, r, zp);
-        }
-    }
-
-    fn color_phase(&self, set: &[u32], r: &[f64], zp: ZPtr) {
-        self.backend
-            .par_for_grained(set.len(), SYMGS_GRAIN, &|range| {
-                let p = zp;
-                for &row in &set[range] {
-                    // SAFETY: rows in `set` share a colour, so no row in this
-                    // phase is a neighbour of (reads) another; chunks make each
-                    // row's write exclusive to one worker.
-                    unsafe { self.gs_row(row as usize, r, p) };
-                }
-            });
-    }
 }
 
 impl Operator for CsrOperator {
@@ -295,7 +173,7 @@ impl Operator for CsrOperator {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         kernels::spmv_csr(
-            &*self.backend,
+            &SerialBackend,
             &self.row_ptr,
             &self.col_idx,
             &self.values,
@@ -305,12 +183,7 @@ impl Operator for CsrOperator {
     }
 
     fn precondition(&self, r: &[f64], z: &mut [f64]) {
-        if self.backend.workers() > 1 {
-            z.fill(0.0);
-            self.symgs_colored(r, z);
-        } else {
-            self.symgs_lex_from_zero(r, z);
-        }
+        self.symgs_lex_from_zero(r, z);
     }
 }
 
@@ -332,14 +205,9 @@ impl SellOperator {
     /// the gather pattern stays close to the natural row order.
     pub const SIGMA: usize = 64;
 
-    /// Assemble on the serial backend.
+    /// Assemble the operator and convert it to SELL-C-σ.
     pub fn poisson27(p: &Problem) -> SellOperator {
-        SellOperator::poisson27_with_backend(p, Box::new(SerialBackend))
-    }
-
-    /// Assemble with an explicit execution backend.
-    pub fn poisson27_with_backend(p: &Problem, backend: Box<dyn Backend>) -> SellOperator {
-        let csr = CsrOperator::poisson27_with_backend(p, backend);
+        let csr = CsrOperator::poisson27(p);
         let sell =
             kernels::SellMatrix::from_csr(&csr.row_ptr, &csr.col_idx, &csr.values, Self::SIGMA);
         SellOperator { csr, sell }
@@ -357,7 +225,7 @@ impl Operator for SellOperator {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        kernels::spmv_sell(&*self.csr.backend, &self.sell, x, y);
+        kernels::spmv_sell(&SerialBackend, &self.sell, x, y);
     }
 
     fn precondition(&self, r: &[f64], z: &mut [f64]) {
@@ -371,36 +239,22 @@ pub struct MatrixFreeOperator {
     nx: usize,
     ny: usize,
     nz: usize,
-    color_sets: Vec<Vec<u32>>,
-    backend: Box<dyn Backend>,
 }
 
 impl MatrixFreeOperator {
     pub fn new(p: &Problem) -> MatrixFreeOperator {
-        MatrixFreeOperator::with_backend(p, Box::new(SerialBackend))
-    }
-
-    pub fn with_backend(p: &Problem, backend: Box<dyn Backend>) -> MatrixFreeOperator {
         MatrixFreeOperator {
             nx: p.nx,
             ny: p.ny,
             nz: p.nz,
-            color_sets: parity_color_sets(p.nx, p.ny, p.nz),
-            backend,
         }
     }
 
     /// Σ over in-bounds neighbours of `x`, excluding the centre.
     fn neighbour_sum(&self, x: &[f64], ix: usize, iy: usize, iz: usize) -> f64 {
-        // SAFETY: exclusive slice access; the raw-pointer reads stay in
-        // bounds by the same boundary checks the safe path uses.
-        unsafe { self.neighbour_sum_raw(x.as_ptr(), ix, iy, iz) }
-    }
-
-    /// # Safety
-    /// `x` must point at `n()` readable elements, none concurrently written
-    /// at the neighbour offsets of `(ix, iy, iz)`.
-    unsafe fn neighbour_sum_raw(&self, x: *const f64, ix: usize, iy: usize, iz: usize) -> f64 {
+        // One length check up front keeps the unchecked reads below in
+        // bounds: every neighbour index lies inside the grid.
+        let x = &x[..self.n()];
         // Interior points (the bulk) take a branch-free path: the 26
         // neighbour offsets become compile-time constants, so the triple
         // loop fully unrolls. The accumulation order is the same
@@ -418,7 +272,7 @@ impl MatrixFreeOperator {
                         }
                         let j = (i + (dz * self.ny as i64 + dy) * self.nx as i64 + dx) as usize;
                         // SAFETY: interior ⇒ all 26 neighbours in bounds.
-                        s += unsafe { *x.add(j) };
+                        s += unsafe { *x.get_unchecked(j) };
                     }
                 }
             }
@@ -443,21 +297,13 @@ impl MatrixFreeOperator {
                     {
                         continue;
                     }
-                    s += unsafe {
-                        *x.add((jz as usize * self.ny + jy as usize) * self.nx + jx as usize)
-                    };
+                    let j = (jz as usize * self.ny + jy as usize) * self.nx + jx as usize;
+                    // SAFETY: the checks above keep the neighbour in the grid.
+                    s += unsafe { *x.get_unchecked(j) };
                 }
             }
         }
         s
-    }
-
-    fn coords(&self, i: usize) -> (usize, usize, usize) {
-        (
-            i % self.nx,
-            (i / self.nx) % self.ny,
-            i / (self.nx * self.ny),
-        )
     }
 
     /// Add to `acc`, one lane per point of grid row `row`, the in-grid
@@ -551,36 +397,6 @@ impl MatrixFreeOperator {
             }
         }
     }
-
-    /// Multicoloured sweep; see [`CsrOperator::symgs_colored`].
-    pub fn symgs_colored(&self, r: &[f64], z: &mut [f64]) {
-        let zp = ZPtr(z.as_mut_ptr());
-        for set in &self.color_sets {
-            self.color_phase(set, r, zp);
-        }
-        for set in self.color_sets.iter().rev() {
-            self.color_phase(set, r, zp);
-        }
-    }
-
-    fn color_phase(&self, set: &[u32], r: &[f64], zp: ZPtr) {
-        self.backend
-            .par_for_grained(set.len(), SYMGS_GRAIN, &|range| {
-                let p = zp;
-                for &row in &set[range] {
-                    let i = row as usize;
-                    let (ix, iy, iz) = self.coords(i);
-                    // SAFETY: same-colour rows are never stencil neighbours, so
-                    // the reads under this sum are not written this phase; `i`
-                    // itself is written only by this worker.
-                    unsafe {
-                        let v =
-                            (r[i] + self.neighbour_sum_raw(p.0 as *const f64, ix, iy, iz)) / 26.0;
-                        p.write(i, v);
-                    }
-                }
-            });
-    }
 }
 
 impl Operator for MatrixFreeOperator {
@@ -592,37 +408,23 @@ impl Operator for MatrixFreeOperator {
         // Accumulate the neighbour sum first, then one subtraction, in the
         // per-point (dz, dy, dx) order the distributed solver pins itself
         // to. Each grid row's sums build up in its own slice of `y`, one
-        // neighbour row at a time; grid rows are independent, so chunking
-        // them cannot change a bit.
+        // neighbour row at a time.
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let out = ZPtr(y.as_mut_ptr());
-        let grain = SYMGS_GRAIN.div_ceil(nx);
-        self.backend.par_for_grained(ny * nz, grain, &|rows| {
-            let p = out;
-            // SAFETY: chunks of grid rows are disjoint, so this worker is
-            // the only one touching these rows of `y`.
-            let y = unsafe { p.slice(rows.start * nx, rows.len() * nx) };
-            for (row, acc) in rows.zip(y.chunks_exact_mut(nx)) {
-                let (iy, iz) = (row % ny, row / ny);
-                let jys = iy.saturating_sub(1)..=(iy + 1).min(ny - 1);
-                acc.fill(0.0);
-                for jz in iz.saturating_sub(1)..=(iz + 1).min(nz - 1) {
-                    self.add_neighbour_rows(acc, x, row, jz, jys.clone());
-                }
-                for (a, &xi) in acc.iter_mut().zip(&x[row * nx..(row + 1) * nx]) {
-                    *a = 26.0 * xi - *a;
-                }
+        for (row, acc) in y[..self.n()].chunks_exact_mut(nx).enumerate() {
+            let (iy, iz) = (row % ny, row / ny);
+            let jys = iy.saturating_sub(1)..=(iy + 1).min(ny - 1);
+            acc.fill(0.0);
+            for jz in iz.saturating_sub(1)..=(iz + 1).min(nz - 1) {
+                self.add_neighbour_rows(acc, x, row, jz, jys.clone());
             }
-        });
+            for (a, &xi) in acc.iter_mut().zip(&x[row * nx..(row + 1) * nx]) {
+                *a = 26.0 * xi - *a;
+            }
+        }
     }
 
     fn precondition(&self, r: &[f64], z: &mut [f64]) {
-        if self.backend.workers() > 1 {
-            z.fill(0.0);
-            self.symgs_colored(r, z);
-        } else {
-            self.symgs_lex_from_zero(r, z);
-        }
+        self.symgs_lex_from_zero(r, z);
     }
 }
 
@@ -638,15 +440,10 @@ pub struct LfricOperator {
     cv: f64,
     /// Helmholtz λ (mass) term — keeps the operator positive definite.
     lambda: f64,
-    backend: Box<dyn Backend>,
 }
 
 impl LfricOperator {
     pub fn new(p: &Problem) -> LfricOperator {
-        LfricOperator::with_backend(p, Box::new(SerialBackend))
-    }
-
-    pub fn with_backend(p: &Problem, backend: Box<dyn Backend>) -> LfricOperator {
         LfricOperator {
             nx: p.nx,
             ny: p.ny,
@@ -654,7 +451,6 @@ impl LfricOperator {
             ch: 1.0,
             cv: 4.0,
             lambda: 1.0,
-            backend,
         }
     }
 
@@ -714,19 +510,15 @@ impl Operator for LfricOperator {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let out = ZPtr(y.as_mut_ptr());
-        self.backend
-            .par_for_grained(self.n(), SYMGS_GRAIN, &|range| {
-                let p = out;
-                for i in range {
-                    let ix = i % self.nx;
-                    let iy = (i / self.nx) % self.ny;
-                    let iz = i / (self.nx * self.ny);
-                    let v = self.diag_at(ix, iy, iz) * x[i] - self.off_sum(x, ix, iy, iz);
-                    // SAFETY: chunks are disjoint; `i` is written exactly once.
-                    unsafe { p.write(i, v) };
+        let (nx, ny) = (self.nx, self.ny);
+        for iz in 0..self.nz {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let i = (iz * ny + iy) * nx + ix;
+                    y[i] = self.diag_at(ix, iy, iz) * x[i] - self.off_sum(x, ix, iy, iz);
                 }
-            });
+            }
+        }
     }
 
     /// The lexicographic sweep from `z = 0`. As in the matrix-free forward
@@ -774,47 +566,6 @@ mod tests {
     use super::*;
     use crate::hpcg::cg::pcg;
     use crate::hpcg::HpcgVariant;
-    use parkern::PoolBackend;
-
-    #[test]
-    fn parallel_apply_matches_serial_bitwise_on_all_backends() {
-        // `apply` computes each row independently, so chunking must not
-        // change a single bit of the output at any pool size.
-        let p = Problem::cube(7);
-        let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.37).sin()).collect();
-        for variant in HpcgVariant::all() {
-            let serial = build(*variant, &p);
-            let mut want = vec![0.0; p.n()];
-            serial.apply(&x, &mut want);
-            for workers in [1usize, 2, 3, 4] {
-                let op = build_with_backend(*variant, &p, Box::new(PoolBackend::new(workers)));
-                let mut got = vec![0.0; p.n()];
-                op.apply(&x, &mut got);
-                assert_eq!(want, got, "{variant:?} apply diverged at {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn colored_preconditioner_matches_serial_cg_iterations() {
-        // The multicolored sweep is a different (but equally strong)
-        // preconditioner than the lexicographic one: CG must converge in
-        // the same number of iterations, give or take two.
-        let p = Problem::cube(16);
-        for variant in [HpcgVariant::Csr, HpcgVariant::MatrixFree] {
-            let serial = build(variant, &p);
-            let colored = build_with_backend(variant, &p, Box::new(PoolBackend::new(4)));
-            let a = pcg(serial.as_ref(), &p.rhs, 50, 1e-10);
-            let b = pcg(colored.as_ref(), &p.rhs, 50, 1e-10);
-            assert!(
-                a.iterations.abs_diff(b.iterations) <= 2,
-                "{variant:?}: serial {} vs colored {} iterations",
-                a.iterations,
-                b.iterations
-            );
-            assert!(b.converging());
-        }
-    }
 
     #[test]
     fn csr_and_matrix_free_agree_exactly() {
@@ -840,30 +591,18 @@ mod tests {
 
     #[test]
     fn matrix_free_apply_steps_coordinates_across_chunks_on_a_box() {
-        // Unequal edges catch a swapped axis in the row lanes; the 200
-        // grid rows split into several chunks per pool size, most of them
-        // starting mid-plane.
+        // Unequal edges catch a swapped axis in the row lanes: every point
+        // must get exactly the per-point neighbour sum.
         let p = Problem::new(5, 8, 25);
         let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.23).sin()).collect();
-        // Each row on its own, coordinates divided out of the index.
-        let reference = MatrixFreeOperator::new(&p);
-        let want: Vec<f64> = (0..p.n())
-            .map(|i| {
-                let (ix, iy, iz) = reference.coords(i);
-                26.0 * x[i] - reference.neighbour_sum(&x, ix, iy, iz)
-            })
-            .collect();
-        for workers in [1usize, 2, 3] {
-            let mf = MatrixFreeOperator::with_backend(&p, Box::new(PoolBackend::new(workers)));
-            let mut got = vec![f64::NAN; p.n()];
-            mf.apply(&x, &mut got);
-            for i in 0..p.n() {
-                assert_eq!(
-                    got[i].to_bits(),
-                    want[i].to_bits(),
-                    "row {i}, {workers} workers"
-                );
-            }
+        let mf = MatrixFreeOperator::new(&p);
+        let mut got = vec![f64::NAN; p.n()];
+        mf.apply(&x, &mut got);
+        for i in 0..p.n() {
+            // Coordinates divided out of the index, each point on its own.
+            let (ix, iy, iz) = (i % p.nx, (i / p.nx) % p.ny, i / (p.nx * p.ny));
+            let want = 26.0 * x[i] - mf.neighbour_sum(&x, ix, iy, iz);
+            assert_eq!(got[i].to_bits(), want.to_bits(), "row {i}");
         }
     }
 
@@ -885,73 +624,16 @@ mod tests {
     }
 
     #[test]
-    fn cg_residuals_bitwise_identical_across_backends_and_worker_counts() {
-        // Wrappers pinning the SymGS sweep to the coloured ordering, so the
-        // whole CG trajectory is worker-count independent (the production
-        // `precondition` picks lexicographic at one worker — a different,
-        // equally valid preconditioner).
-        struct Colored<O>(O);
-        impl Operator for Colored<CsrOperator> {
-            fn n(&self) -> usize {
-                self.0.n()
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                self.0.apply(x, y)
-            }
-            fn precondition(&self, r: &[f64], z: &mut [f64]) {
-                z.fill(0.0);
-                self.0.symgs_colored(r, z)
-            }
-        }
-        impl Operator for Colored<SellOperator> {
-            fn n(&self) -> usize {
-                self.0.n()
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                self.0.apply(x, y)
-            }
-            fn precondition(&self, r: &[f64], z: &mut [f64]) {
-                z.fill(0.0);
-                self.0.csr.symgs_colored(r, z)
-            }
-        }
-
+    fn sell_cg_residuals_bitwise_identical_to_csr() {
+        // SELL follows CSR's CG trajectory bit for bit: same matrix arrays,
+        // same per-row summation order, same sweeps.
         let p = Problem::cube(12);
-        let reference = pcg(&Colored(CsrOperator::poisson27(&p)), &p.rhs, 25, 1e-10);
-        assert!(reference.iterations > 0);
-        for workers in [1usize, 2, 3, 8] {
-            let stats = pcg(
-                &Colored(CsrOperator::poisson27_with_backend(
-                    &p,
-                    Box::new(PoolBackend::new(workers)),
-                )),
-                &p.rhs,
-                25,
-                1e-10,
-            );
-            assert_eq!(stats.iterations, reference.iterations, "{workers} workers");
-            for (i, (a, b)) in stats.residuals.iter().zip(&reference.residuals).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "residual {i} diverged at {workers} workers"
-                );
-            }
-            // SELL follows the same trajectory bit-for-bit: same matrix
-            // arrays, same per-row summation order, same sweeps.
-            let sell = pcg(
-                &Colored(SellOperator::poisson27_with_backend(
-                    &p,
-                    Box::new(PoolBackend::new(workers)),
-                )),
-                &p.rhs,
-                25,
-                1e-10,
-            );
-            assert_eq!(sell.iterations, reference.iterations);
-            for (a, b) in sell.residuals.iter().zip(&reference.residuals) {
-                assert_eq!(a.to_bits(), b.to_bits(), "sell at {workers} workers");
-            }
+        let csr = pcg(&CsrOperator::poisson27(&p), &p.rhs, 25, 1e-10);
+        assert!(csr.iterations > 0);
+        let sell = pcg(&SellOperator::poisson27(&p), &p.rhs, 25, 1e-10);
+        assert_eq!(sell.iterations, csr.iterations);
+        for (i, (a, b)) in sell.residuals.iter().zip(&csr.residuals).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "residual {i}");
         }
     }
 
@@ -964,79 +646,6 @@ mod tests {
         // Corner rows have 8 entries (2×2×2 box).
         assert!(csr.nnz() < 64 * 27);
         assert!(csr.nnz() > 64 * 8);
-    }
-
-    #[test]
-    fn parity_colors_partition_and_are_independent() {
-        let (nx, ny, nz) = (6, 5, 4);
-        let sets = parity_color_sets(nx, ny, nz);
-        assert_eq!(sets.len(), 8);
-        let total: usize = sets.iter().map(Vec::len).sum();
-        assert_eq!(total, nx * ny * nz, "colours must partition the grid");
-        // No two cells of a colour are stencil neighbours (all offsets ≤1).
-        for set in &sets {
-            for &a in set {
-                for &b in set {
-                    if a == b {
-                        continue;
-                    }
-                    let (a, b) = (a as usize, b as usize);
-                    let (ax, ay, az) = (a % nx, (a / nx) % ny, a / (nx * ny));
-                    let (bx, by, bz) = (b % nx, (b / nx) % ny, b / (nx * ny));
-                    let adjacent =
-                        ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1 && az.abs_diff(bz) <= 1;
-                    assert!(!adjacent, "same-colour neighbours: {a} and {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn colored_symgs_deterministic_across_worker_counts() {
-        let p = Problem::cube(8);
-        let reference = {
-            let op = CsrOperator::poisson27(&p);
-            let mut z = vec![0.0; p.n()];
-            op.symgs_colored(&p.rhs, &mut z);
-            z
-        };
-        for workers in [1usize, 2, 3, 4, 8] {
-            let op = CsrOperator::poisson27_with_backend(&p, Box::new(PoolBackend::new(workers)));
-            let mut z = vec![0.0; p.n()];
-            op.symgs_colored(&p.rhs, &mut z);
-            assert_eq!(z, reference, "workers={workers}");
-        }
-        // Matrix-free colored agrees with CSR colored to rounding.
-        let mf = MatrixFreeOperator::with_backend(&p, Box::new(PoolBackend::new(4)));
-        let mut z = vec![0.0; p.n()];
-        mf.symgs_colored(&p.rhs, &mut z);
-        for (a, b) in z.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn colored_symgs_reduces_residual() {
-        let p = Problem::cube(8);
-        let op = CsrOperator::poisson27_with_backend(&p, Box::new(PoolBackend::new(4)));
-        let b = p.rhs.clone();
-        let mut z = vec![0.0; p.n()];
-        let res = |z: &[f64]| {
-            let mut az = vec![0.0; p.n()];
-            op.apply(z, &mut az);
-            az.iter()
-                .zip(&b)
-                .map(|(a, bi)| (bi - a).powi(2))
-                .sum::<f64>()
-                .sqrt()
-        };
-        let r0 = res(&z);
-        op.symgs_colored(&b, &mut z);
-        let r1 = res(&z);
-        op.symgs_colored(&b, &mut z);
-        let r2 = res(&z);
-        assert!(r1 < r0, "one coloured sweep should reduce the residual");
-        assert!(r2 < r1, "two coloured sweeps should reduce it further");
     }
 
     #[test]

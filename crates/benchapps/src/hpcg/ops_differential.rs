@@ -4,17 +4,17 @@
 //! add nothing (see the signed-zero arguments in `ops`) and change loop
 //! structure, never a floating-point operation, its operands or their
 //! order. Inputs are random non-cubic boxes of 2–17 points per side whose
-//! vectors hold both signed zeros, at one and two pool workers.
+//! vectors hold both signed zeros.
 
 use super::*;
 use crate::hpcg::cg::pcg;
-use parkern::PoolBackend;
 
 /// The replaced code, copied verbatim: the CSR and matrix-free sweeps as
 /// they ran from a zero-filled `z`, the matrix-free per-point `apply`, and
-/// the LFRic sweep (with the helpers each one read).
+/// the LFRic sweep (with the helpers each one read). The per-point `apply`
+/// ran in pool chunks; here it is one chunk, the whole grid.
 mod old {
-    use super::super::{Backend, CsrOperator, ZPtr, SYMGS_GRAIN};
+    use super::super::CsrOperator;
 
     /// `CsrOperator::symgs_lex`.
     pub fn csr_symgs_lex(op: &CsrOperator, r: &[f64], z: &mut [f64]) {
@@ -43,14 +43,9 @@ mod old {
         pub nx: usize,
         pub ny: usize,
         pub nz: usize,
-        pub backend: Box<dyn Backend>,
     }
 
     impl MatrixFree {
-        fn n(&self) -> usize {
-            self.nx * self.ny * self.nz
-        }
-
         /// Σ over in-bounds neighbours of `x`, excluding the centre.
         fn neighbour_sum(&self, x: &[f64], ix: usize, iy: usize, iz: usize) -> f64 {
             // SAFETY: exclusive slice access; the raw-pointer reads stay in
@@ -119,14 +114,6 @@ mod old {
             s
         }
 
-        fn coords(&self, i: usize) -> (usize, usize, usize) {
-            (
-                i % self.nx,
-                (i / self.nx) % self.ny,
-                i / (self.nx * self.ny),
-            )
-        }
-
         /// Lexicographic reference sweep (forward then backward).
         pub fn symgs_lex(&self, r: &[f64], z: &mut [f64]) {
             let (nx, ny, nz) = (self.nx, self.ny, self.nz);
@@ -159,26 +146,20 @@ mod old {
             // Rows run in index order within a chunk, so the coordinates step
             // forward from the chunk's first row instead of being divided out
             // of every index.
-            let out = ZPtr(y.as_mut_ptr());
-            self.backend
-                .par_for_grained(self.n(), SYMGS_GRAIN, &|range| {
-                    let p = out;
-                    let (mut ix, mut iy, mut iz) = self.coords(range.start);
-                    for i in range {
-                        let v = 26.0 * x[i] - self.neighbour_sum(x, ix, iy, iz);
-                        // SAFETY: chunks are disjoint; `i` is written exactly once.
-                        unsafe { p.write(i, v) };
-                        ix += 1;
-                        if ix == self.nx {
-                            ix = 0;
-                            iy += 1;
-                            if iy == self.ny {
-                                iy = 0;
-                                iz += 1;
-                            }
-                        }
+            let (mut ix, mut iy, mut iz) = (0, 0, 0);
+            for (i, out) in y.iter_mut().enumerate() {
+                let v = 26.0 * x[i] - self.neighbour_sum(x, ix, iy, iz);
+                *out = v;
+                ix += 1;
+                if ix == self.nx {
+                    ix = 0;
+                    iy += 1;
+                    if iy == self.ny {
+                        iy = 0;
+                        iz += 1;
                     }
-                });
+                }
+            }
         }
     }
 
@@ -293,7 +274,6 @@ impl Rng {
 }
 
 const BOXES: usize = 24;
-const WORKERS: [usize; 2] = [1, 2];
 
 fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}");
@@ -306,12 +286,11 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-fn old_matrix_free(p: &Problem, workers: usize) -> old::MatrixFree {
+fn old_matrix_free(p: &Problem) -> old::MatrixFree {
     old::MatrixFree {
         nx: p.nx,
         ny: p.ny,
         nz: p.nz,
-        backend: Box::new(PoolBackend::new(workers)),
     }
 }
 
@@ -327,23 +306,19 @@ fn old_lfric(op: &LfricOperator) -> old::Lfric {
 }
 
 /// What the old `pcg` ran for one preconditioner application on `op`:
-/// zero-fill `z`, then the old trait `symgs` (coloured above one worker,
-/// the old lexicographic sweep otherwise; LFRic always lexicographic).
-fn old_precondition(op: HpcgOperator, built: &Built, r: &[f64], workers: usize) -> Vec<f64> {
+/// zero-fill `z`, then the old trait `symgs` (the lexicographic sweep).
+fn old_precondition(op: HpcgOperator, built: &Built, r: &[f64]) -> Vec<f64> {
     let mut z = vec![0.0; r.len()];
-    match (op, workers > 1) {
-        (HpcgOperator::Csr, true) => built.csr.symgs_colored(r, &mut z),
-        (HpcgOperator::Sell, true) => built.sell.csr.symgs_colored(r, &mut z),
-        (HpcgOperator::MatrixFree, true) => built.mf.symgs_colored(r, &mut z),
-        (HpcgOperator::Csr, false) => old::csr_symgs_lex(&built.csr, r, &mut z),
-        (HpcgOperator::Sell, false) => old::csr_symgs_lex(&built.sell.csr, r, &mut z),
-        (HpcgOperator::MatrixFree, false) => built.old_mf.symgs_lex(r, &mut z),
-        (HpcgOperator::Lfric, _) => old_lfric(&built.lfric).symgs(r, &mut z),
+    match op {
+        HpcgOperator::Csr => old::csr_symgs_lex(&built.csr, r, &mut z),
+        HpcgOperator::Sell => old::csr_symgs_lex(&built.sell.csr, r, &mut z),
+        HpcgOperator::MatrixFree => built.old_mf.symgs_lex(r, &mut z),
+        HpcgOperator::Lfric => old_lfric(&built.lfric).symgs(r, &mut z),
     }
     z
 }
 
-/// Every operator over one problem on a pool of `workers`.
+/// Every operator over one problem.
 struct Built {
     csr: CsrOperator,
     sell: SellOperator,
@@ -353,14 +328,13 @@ struct Built {
 }
 
 impl Built {
-    fn new(p: &Problem, workers: usize) -> Built {
-        let pool = || -> Box<dyn Backend> { Box::new(PoolBackend::new(workers)) };
+    fn new(p: &Problem) -> Built {
         Built {
-            csr: CsrOperator::poisson27_with_backend(p, pool()),
-            sell: SellOperator::poisson27_with_backend(p, pool()),
-            mf: MatrixFreeOperator::with_backend(p, pool()),
-            lfric: LfricOperator::with_backend(p, pool()),
-            old_mf: old_matrix_free(p, workers),
+            csr: CsrOperator::poisson27(p),
+            sell: SellOperator::poisson27(p),
+            mf: MatrixFreeOperator::new(p),
+            lfric: LfricOperator::new(p),
+            old_mf: old_matrix_free(p),
         }
     }
 
@@ -387,19 +361,14 @@ fn precondition_is_bit_identical_to_the_old_sweep_from_zero() {
     for case in 0..BOXES {
         let p = rng.problem();
         let r = rng.vector(p.n());
-        for workers in WORKERS {
-            let built = Built::new(&p, workers);
-            for op in OPERATORS {
-                let want = old_precondition(op, &built, &r, workers);
-                // Stale contents of `z` must not leak into the result.
-                let mut z = vec![f64::NAN; p.n()];
-                built.get(op).precondition(&r, &mut z);
-                let what = format!(
-                    "{op:?} on {}x{}x{} (case {case}), {workers} workers",
-                    p.nx, p.ny, p.nz
-                );
-                assert_bits(&z, &want, &what);
-            }
+        let built = Built::new(&p);
+        for op in OPERATORS {
+            let want = old_precondition(op, &built, &r);
+            // Stale contents of `z` must not leak into the result.
+            let mut z = vec![f64::NAN; p.n()];
+            built.get(op).precondition(&r, &mut z);
+            let what = format!("{op:?} on {}x{}x{} (case {case})", p.nx, p.ny, p.nz);
+            assert_bits(&z, &want, &what);
         }
     }
 }
@@ -411,20 +380,11 @@ fn matrix_free_apply_is_bit_identical_to_the_old_per_point_apply() {
         let p = rng.problem();
         let x = rng.vector(p.n());
         let mut want = vec![f64::NAN; p.n()];
-        old_matrix_free(&p, 1).apply(&x, &mut want);
-        for workers in WORKERS {
-            let what = format!(
-                "{}x{}x{} (case {case}), {workers} workers",
-                p.nx, p.ny, p.nz
-            );
-            let mut old_pooled = vec![f64::NAN; p.n()];
-            old_matrix_free(&p, workers).apply(&x, &mut old_pooled);
-            assert_bits(&old_pooled, &want, &what);
-            let mf = MatrixFreeOperator::with_backend(&p, Box::new(PoolBackend::new(workers)));
-            let mut got = vec![f64::NAN; p.n()];
-            mf.apply(&x, &mut got);
-            assert_bits(&got, &want, &what);
-        }
+        old_matrix_free(&p).apply(&x, &mut want);
+        let mut got = vec![f64::NAN; p.n()];
+        MatrixFreeOperator::new(&p).apply(&x, &mut got);
+        let what = format!("{}x{}x{} (case {case})", p.nx, p.ny, p.nz);
+        assert_bits(&got, &want, &what);
     }
 }
 
@@ -446,7 +406,7 @@ fn lexicographic_sweeps_from_any_start_are_bit_identical_to_the_old_code() {
         let mf = MatrixFreeOperator::new(&p);
         let (mut got, mut want) = (start.clone(), start);
         mf.symgs_lex(&r, &mut got);
-        old_matrix_free(&p, 1).symgs_lex(&r, &mut want);
+        old_matrix_free(&p).symgs_lex(&r, &mut want);
         assert_bits(&got, &want, &format!("matrix-free {what}"));
     }
 }
@@ -458,7 +418,6 @@ fn cg_trajectories_are_bit_identical_to_the_old_preconditioner() {
     struct Old<'a> {
         op: HpcgOperator,
         built: &'a Built,
-        workers: usize,
     }
     impl Operator for Old<'_> {
         fn n(&self) -> usize {
@@ -471,7 +430,7 @@ fn cg_trajectories_are_bit_identical_to_the_old_preconditioner() {
             }
         }
         fn precondition(&self, r: &[f64], z: &mut [f64]) {
-            z.copy_from_slice(&old_precondition(self.op, self.built, r, self.workers));
+            z.copy_from_slice(&old_precondition(self.op, self.built, r));
         }
     }
 
@@ -479,20 +438,14 @@ fn cg_trajectories_are_bit_identical_to_the_old_preconditioner() {
     let mut boxes: Vec<Problem> = (4..=16).step_by(4).map(Problem::cube).collect();
     boxes.extend((0..6).map(|_| rng.problem()));
     for p in &boxes {
-        for workers in WORKERS {
-            let built = Built::new(p, workers);
-            for op in OPERATORS {
-                let old = Old {
-                    op,
-                    built: &built,
-                    workers,
-                };
-                let want = pcg(&old, &p.rhs, 60, 1e-10);
-                let got = pcg(built.get(op), &p.rhs, 60, 1e-10);
-                let what = format!("{op:?} on {}x{}x{}, {workers} workers", p.nx, p.ny, p.nz);
-                assert_eq!(got.iterations, want.iterations, "{what}");
-                assert_bits(&got.residuals, &want.residuals, &what);
-            }
+        let built = Built::new(p);
+        for op in OPERATORS {
+            let old = Old { op, built: &built };
+            let want = pcg(&old, &p.rhs, 60, 1e-10);
+            let got = pcg(built.get(op), &p.rhs, 60, 1e-10);
+            let what = format!("{op:?} on {}x{}x{}", p.nx, p.ny, p.nz);
+            assert_eq!(got.iterations, want.iterations, "{what}");
+            assert_bits(&got.residuals, &want.residuals, &what);
         }
     }
 }

@@ -27,8 +27,6 @@ pub enum SolveKey {
         dim: usize,
         /// `min(iterations, 60)`.
         iterations: usize,
-        /// `HpcgConfig::threads`: picks the backend and the SymGS sweep.
-        threads: Option<usize>,
     },
     Hpgmg {
         /// Box edge, `2^min(log2_box_dim, 5)`.

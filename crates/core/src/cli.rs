@@ -74,24 +74,22 @@ pub enum Command {
         /// the input format of `rank` and `cmp`.
         perflog: Option<String>,
     },
-    /// `rank <perflog-or-dir>... [--lower-is-better] [--markdown]
-    /// [--jobs N]` — geometric-mean-speedup ranking of systems across
-    /// every (benchmark, FOM) cell of a study.
+    /// `rank <perflog-or-dir>... [--lower-is-better] [--markdown]` —
+    /// geometric-mean-speedup ranking of systems across every (benchmark,
+    /// FOM) cell of a study.
     Rank {
         inputs: Vec<String>,
         lower_is_better: bool,
         markdown: bool,
-        jobs: usize,
     },
     /// `cmp <study-a> <study-b> [--threshold PCT] [--lower-is-better]
-    /// [--markdown] [--jobs N]` — cell-by-cell deltas between two studies.
+    /// [--markdown]` — cell-by-cell deltas between two studies.
     Cmp {
         study_a: String,
         study_b: String,
         threshold_pct: f64,
         lower_is_better: bool,
         markdown: bool,
-        jobs: usize,
     },
     /// `store gc <dir> [--keep K]` — evict entries not referenced by the
     /// last K studies.
@@ -266,15 +264,16 @@ USAGE:
         Checkpoints bind the engine configuration: a journal written
         in one engine mode refuses to resume in another.
         Exits nonzero if any cell fails.
-    benchkit rank <perflog-or-dir>... [--lower-is-better] [--markdown] [--jobs N]
+    benchkit rank <perflog-or-dir>... [--lower-is-better] [--markdown]
         Rank systems by the geometric mean of their per-cell speedup
         against the best system, one cell per (benchmark, FOM) pair.
         Inputs are perflog JSONL files or directories of them (e.g. a
-        `survey --perflog` directory). Missing, non-finite, and
+        `survey --perflog` directory). Repeats of a cell average to the
+        same mean in any input order. Missing, non-finite, and
         non-positive cells are excluded from the mean and reported —
-        never silently dropped. Output is byte-identical at any --jobs.
+        never silently dropped.
     benchkit cmp <study-a> <study-b> [--threshold PCT] [--lower-is-better]
-                 [--markdown] [--jobs N]
+                 [--markdown]
         Cell-by-cell comparison of two studies (perflog files or
         directories): each (benchmark, FOM, system) cell is classified
         improved / regressed / unchanged (within --threshold percent,
@@ -369,7 +368,7 @@ fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Comm
         "list-benchmarks" => Ok(Command::ListBenchmarks),
         "run" | "survey" => parse_study(args, env, scan),
         "rank" => {
-            let (mut lower_is_better, mut markdown, mut jobs) = (false, false, 1usize);
+            let (mut lower_is_better, mut markdown) = (false, false);
             let inputs = scan(
                 "rank",
                 rest,
@@ -377,7 +376,6 @@ fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Comm
                 &mut [
                     switch("--lower-is-better", &mut lower_is_better),
                     switch("--markdown", &mut markdown),
-                    number("--jobs|-j", &mut jobs),
                 ],
             )?;
             if inputs.is_empty() {
@@ -389,11 +387,10 @@ fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Comm
                 inputs,
                 lower_is_better,
                 markdown,
-                jobs,
             })
         }
         "cmp" => {
-            let (mut threshold_pct, mut jobs) = (2.0f64, 1usize);
+            let mut threshold_pct = 2.0f64;
             let (mut lower_is_better, mut markdown) = (false, false);
             let studies = scan(
                 "cmp",
@@ -408,7 +405,6 @@ fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Comm
                     ),
                     switch("--lower-is-better", &mut lower_is_better),
                     switch("--markdown", &mut markdown),
-                    number("--jobs|-j", &mut jobs),
                 ],
             )?;
             let [study_a, study_b]: [String; 2] = studies.try_into().map_err(|_| {
@@ -420,7 +416,6 @@ fn parse_with(args: &[String], env: &Env, scan: &mut Scanner<'_>) -> Result<Comm
                 threshold_pct,
                 lower_is_better,
                 markdown,
-                jobs,
             })
         }
         "store" => match rest.first().map(String::as_str) {
@@ -1303,12 +1298,10 @@ pub fn execute(
             inputs,
             lower_is_better,
             markdown,
-            jobs,
         } => {
             let frame = load_fom_frame(&inputs).map_err(|e| CliError(format!("rank: {e}")))?;
             let policy = postproc::RankPolicy {
                 direction: rank_direction(lower_is_better),
-                jobs,
             };
             let ranking = postproc::rank_frame(&frame, &policy)
                 .map_err(|e| CliError(format!("rank: {e}")))?;
@@ -1328,7 +1321,6 @@ pub fn execute(
             threshold_pct,
             lower_is_better,
             markdown,
-            jobs,
         } => {
             let a = load_fom_frame(std::slice::from_ref(&study_a))
                 .map_err(|e| CliError(format!("cmp: {e}")))?;
@@ -1337,7 +1329,6 @@ pub fn execute(
             let policy = postproc::CmpPolicy {
                 threshold_pct,
                 direction: rank_direction(lower_is_better),
-                jobs,
             };
             let comparison =
                 postproc::cmp_frames(&a, &b, &policy).map_err(|e| CliError(format!("cmp: {e}")))?;
@@ -2935,24 +2926,22 @@ printf 'done:0:\n'
                 inputs: vec!["study-a/".into()],
                 lower_is_better: false,
                 markdown: false,
-                jobs: 1,
             }
         );
         assert_eq!(
-            parse(&argv(
-                "rank a.jsonl b.jsonl --lower-is-better --markdown -j 4"
-            ))
-            .unwrap(),
+            parse(&argv("rank a.jsonl b.jsonl --lower-is-better --markdown")).unwrap(),
             Command::Rank {
                 inputs: vec!["a.jsonl".into(), "b.jsonl".into()],
                 lower_is_better: true,
                 markdown: true,
-                jobs: 4,
             }
         );
         assert!(parse(&argv("rank")).is_err(), "missing inputs");
         assert!(parse(&argv("rank a --wat")).is_err());
-        assert!(parse(&argv("rank a --jobs nope")).is_err());
+        assert!(
+            parse(&argv("rank a --jobs 2")).is_err(),
+            "rank runs serially"
+        );
 
         assert_eq!(
             parse(&argv("cmp study-a study-b")).unwrap(),
@@ -2962,12 +2951,11 @@ printf 'done:0:\n'
                 threshold_pct: 2.0,
                 lower_is_better: false,
                 markdown: false,
-                jobs: 1,
             }
         );
         assert_eq!(
             parse(&argv(
-                "cmp a b --threshold 7.5 --lower-is-better --markdown --jobs 2"
+                "cmp a b --threshold 7.5 --lower-is-better --markdown"
             ))
             .unwrap(),
             Command::Cmp {
@@ -2976,11 +2964,14 @@ printf 'done:0:\n'
                 threshold_pct: 7.5,
                 lower_is_better: true,
                 markdown: true,
-                jobs: 2,
             }
         );
         assert!(parse(&argv("cmp a")).is_err(), "needs two studies");
         assert!(parse(&argv("cmp a b c")).is_err(), "exactly two studies");
+        assert!(
+            parse(&argv("cmp a b --jobs 2")).is_err(),
+            "cmp runs serially"
+        );
         // The threshold must be a usable percentage — a NaN threshold
         // would make every comparison silently "unchanged".
         for bad in ["nope", "-3", "NaN", "inf"] {
@@ -3094,7 +3085,7 @@ printf 'done:0:\n'
     #[test]
     fn survey_perflog_export_then_rank_end_to_end() {
         // The tentpole, end to end: survey two systems into a perflog
-        // directory, then rank them — byte-identically at any --jobs.
+        // directory, then rank and compare them.
         let dir = tmpdir("rank-e2e");
         let mut cmd = survey(&["babelstream_omp"], SuiteRunner::new(&["csd3", "archer2"]));
         if let Command::Survey { perflog, .. } = &mut cmd {
@@ -3106,15 +3097,14 @@ printf 'done:0:\n'
         assert!(dir.join("csd3-babelstream.jsonl").exists());
         assert!(dir.join("archer2-babelstream.jsonl").exists());
 
-        let rank_at = |jobs: usize, markdown: bool| {
+        let rank_as = |markdown: bool| {
             run_cmd(Command::Rank {
                 inputs: vec![dir.to_string_lossy().into_owned()],
                 lower_is_better: false,
                 markdown,
-                jobs,
             })
         };
-        let (serial, err) = rank_at(1, false);
+        let (serial, err) = rank_as(false);
         assert!(err.is_none(), "{err:?}");
         assert!(serial.contains("ranking 2 systems"), "{serial}");
         assert!(
@@ -3122,38 +3112,27 @@ printf 'done:0:\n'
             "{serial}"
         );
         assert!(serial.contains("1.0000"), "best system scores 1: {serial}");
-        for jobs in [2, 8, 0] {
-            assert_eq!(serial, rank_at(jobs, false).0, "jobs={jobs}");
-        }
-        let (md, err) = rank_at(1, true);
+        let (md, err) = rank_as(true);
         assert!(err.is_none(), "{err:?}");
         assert!(md.contains("| rank | system |"), "{md}");
 
-        // Self-comparison: every shared cell is unchanged at any jobs.
-        let cmp_at = |jobs: usize| {
-            run_cmd(Command::Cmp {
-                study_a: dir.to_string_lossy().into_owned(),
-                study_b: dir.to_string_lossy().into_owned(),
-                threshold_pct: 2.0,
-                lower_is_better: false,
-                markdown: false,
-                jobs,
-            })
-        };
-        let (self_cmp, err) = cmp_at(1);
+        // Self-comparison: every shared cell is unchanged.
+        let (self_cmp, err) = run_cmd(Command::Cmp {
+            study_a: dir.to_string_lossy().into_owned(),
+            study_b: dir.to_string_lossy().into_owned(),
+            threshold_pct: 2.0,
+            lower_is_better: false,
+            markdown: false,
+        });
         assert!(err.is_none(), "{err:?}");
         assert!(self_cmp.contains(" 0 improved, 0 regressed,"), "{self_cmp}");
         assert!(!self_cmp.contains("missing in"), "{self_cmp}");
-        for jobs in [2, 8] {
-            assert_eq!(self_cmp, cmp_at(jobs).0, "jobs={jobs}");
-        }
 
         // Unreadable input fails loudly.
         let (_, err) = run_cmd(Command::Rank {
             inputs: vec![dir.join("nope.jsonl").to_string_lossy().into_owned()],
             lower_is_better: false,
             markdown: false,
-            jobs: 1,
         });
         assert!(err.unwrap().contains("cannot read"), "unreadable perflog");
         let empty = tmpdir("rank-empty");
@@ -3162,7 +3141,6 @@ printf 'done:0:\n'
             inputs: vec![empty.to_string_lossy().into_owned()],
             lower_is_better: false,
             markdown: false,
-            jobs: 1,
         });
         assert!(err.unwrap().contains("no .jsonl perflogs"), "empty dir");
         std::fs::remove_dir_all(&empty).unwrap();
@@ -3227,7 +3205,6 @@ printf 'done:0:\n'
                 threshold_pct,
                 lower_is_better: false,
                 markdown: false,
-                jobs: 1,
             })
         };
         let (text, err) = cmp_with(2.0);
@@ -3254,7 +3231,6 @@ printf 'done:0:\n'
             threshold_pct: 2.0,
             lower_is_better: true,
             markdown: false,
-            jobs: 1,
         });
         assert!(
             text.contains("1 improved, 1 regressed, 1 unchanged, 2 missing"),
@@ -3284,7 +3260,6 @@ printf 'done:0:\n'
             inputs: vec![dir.to_string_lossy().into_owned()],
             lower_is_better: false,
             markdown: false,
-            jobs: 1,
         });
         assert!(err.is_none(), "{err:?}");
         let lines: Vec<&str> = text.lines().collect();

@@ -30,6 +30,22 @@ fn parse_error_exits_2_with_message_then_usage_on_stderr() {
 }
 
 #[test]
+fn rank_and_cmp_take_no_jobs_flag() {
+    for (args, sub) in [
+        (&["rank", "a", "--jobs", "2"][..], "rank"),
+        (&["cmp", "a", "b", "--jobs", "2"][..], "cmp"),
+    ] {
+        let (code, stdout, stderr) = benchkit(args);
+        assert_eq!(code, Some(2), "{sub}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: {sub}: unexpected argument `--jobs`\n{USAGE}\n")
+        );
+        assert_eq!(stdout, "");
+    }
+}
+
+#[test]
 fn execute_error_exits_1() {
     let (code, _, stderr) = benchkit(&["rank", "/nonexistent.jsonl"]);
     assert_eq!(code, Some(1));

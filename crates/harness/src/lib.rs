@@ -276,7 +276,6 @@ pub mod cases {
             ranks,
             variant,
             iterations: 50,
-            threads: None,
         };
         TestCase::new(
             &format!("hpcg_{}", variant.spec_name()),

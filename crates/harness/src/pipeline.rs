@@ -12,6 +12,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// Account passed to the scheduler (`-J'--account=...'`).
+const ACCOUNT: &str = "ec176";
+
+/// QoS (`--qos=standard` on ARCHER2).
+const QOS: &str = "standard";
+
 /// Options for a harness session (the command-line of the paper's appendix).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -23,10 +29,6 @@ pub struct RunOptions {
     /// Principle 3: rebuild the benchmark every run. On by default; the
     /// ablation bench turns it off to measure what P3 costs/saves.
     pub rebuild_every_run: bool,
-    /// Account passed to the scheduler (`-J'--account=...'`).
-    pub account: String,
-    /// QoS (`--qos=standard` on ARCHER2).
-    pub qos: String,
     /// Injected fault profile (`--fault-profile`); defaults to `none`,
     /// which leaves every pipeline byte-identical to the fault-free world.
     pub fault_profile: FaultProfile,
@@ -54,8 +56,6 @@ impl RunOptions {
             system: system.to_string(),
             seed: 42,
             rebuild_every_run: true,
-            account: "ec176".to_string(),
-            qos: "standard".to_string(),
             fault_profile: FaultProfile::none(),
             max_retries: 2,
             heal: false,
@@ -669,8 +669,8 @@ impl Harness {
             case.num_tasks_per_node,
             cpus_per_task,
         )
-        .with_account(&self.options.account)
-        .with_qos(&self.options.qos)
+        .with_account(ACCOUNT)
+        .with_qos(QOS)
         .with_time_limit(time_limit_s);
         let policy = match system.scheduler() {
             SchedulerKind::Slurm => Policy::Backfill,
@@ -694,8 +694,8 @@ impl Harness {
         // dependency, exactly as a site CI pipeline would chain them.
         let build_job = if install.total_time_s > 0.0 {
             let build_request = JobRequest::new(&format!("{}-build", case.name), 1, 1, 1)
-                .with_account(&self.options.account)
-                .with_qos(&self.options.qos)
+                .with_account(ACCOUNT)
+                .with_qos(QOS)
                 .with_time_limit(install.total_time_s * 2.0 + 60.0);
             Some(
                 sched

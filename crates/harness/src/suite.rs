@@ -2438,7 +2438,6 @@ printf 'done:0:\n'
                     operator: cfg.variant.operator(),
                     dim: cfg.local_dim.min(16),
                     iterations: cfg.iterations.min(60),
-                    threads: cfg.threads,
                 },
                 crate::App::Hpgmg(cfg) => SolveKey::Hpgmg {
                     n: 1 << cfg.log2_box_dim.min(5),

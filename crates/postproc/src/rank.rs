@@ -12,12 +12,12 @@
 //!
 //! Both reduce a frame through one fold, [`RankAggregate`]: per cell label
 //! (`benchmark/fom`) and entity label (`system` or `system:partition`) it
-//! keeps the running sum and count of the finite samples and the canonical
-//! poison of the non-finite ones. Samples merge by label, so row order
-//! cannot decide which key wins — keys that render alike (benchmark `a/b`
-//! with fom `c`, benchmark `a` with fom `b/c`) share one aggregate — and
-//! moves a mean only by the float rounding of summing its repeats in
-//! arrival order. The fold is incremental: the results daemon
+//! keeps the exact running sum and count of the finite samples and the
+//! canonical poison of the non-finite ones. Samples merge by label, so row
+//! order cannot decide which key wins — keys that render alike (benchmark
+//! `a/b` with fom `c`, benchmark `a` with fom `b/c`) share one aggregate —
+//! and cannot move a mean either: the sum is exact until its one final
+//! rounding. The fold is incremental: the results daemon
 //! pushes each acknowledged record into one and ranks it on every verdict
 //! read, the same path [`rank_frame`] takes over a whole frame.
 //!
@@ -40,22 +40,16 @@ use dframe::{Cell, DataFrame, FrameError};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How to rank: which direction is good, and how many worker threads to
-/// use for the per-system reduction (0 = one per available core). The
-/// output is byte-identical at any `jobs` count: parallelism only chunks
-/// independent per-system reductions, each of which visits its cells in
-/// canonical order.
+/// How to rank: which direction is good.
 #[derive(Debug, Clone)]
 pub struct RankPolicy {
     pub direction: Direction,
-    pub jobs: usize,
 }
 
 impl Default for RankPolicy {
     fn default() -> RankPolicy {
         RankPolicy {
             direction: Direction::HigherIsBetter,
-            jobs: 1,
         }
     }
 }
@@ -205,11 +199,15 @@ fn direction_label(d: Direction) -> &'static str {
     }
 }
 
-/// The running aggregate of one (cell, entity) pair: the sum and count of
-/// its finite samples, and the canonical poison of its non-finite ones.
-#[derive(Debug, Clone, Copy, Default)]
+/// The running aggregate of one (cell, entity) pair: the exact sum and
+/// the count of its finite samples, and the canonical poison of its
+/// non-finite ones.
+#[derive(Debug, Clone, Default)]
 struct Sample {
-    sum: f64,
+    /// The finite samples' sum, exactly: non-overlapping partials in
+    /// ascending magnitude (Shewchuk's expansion, as in Python's
+    /// `math.fsum`), so the mean depends only on the set of samples.
+    partials: Vec<f64>,
     n: usize,
     poison: Option<f64>,
 }
@@ -218,7 +216,11 @@ impl Sample {
     fn push(&mut self, value: Option<f64>) {
         match value {
             Some(v) if v.is_finite() => {
-                self.sum += v;
+                // A zero leaves the exact sum alone; skipping it keeps an
+                // all-zero sum at `+0.0`.
+                if v != 0.0 {
+                    grow_exact(&mut self.partials, v);
+                }
                 self.n += 1;
             }
             // A non-finite sample must not vanish into the mean; it
@@ -242,9 +244,65 @@ impl Sample {
         match self.poison {
             Some(p) => Some(p),
             None if self.n == 0 => None,
-            None => Some(self.sum / self.n as f64),
+            None => Some(round_exact(&self.partials) / self.n as f64),
         }
     }
+}
+
+/// Add `x` to the exact sum held in `partials`. Each two-sum splits a
+/// partial plus `x` into its rounded sum and the exact error, so no bit is
+/// lost. A sum past `f64::MAX` saturates at ±inf (as a running sum would).
+fn grow_exact(partials: &mut Vec<f64>, mut x: f64) {
+    let mut kept = 0;
+    for j in 0..partials.len() {
+        let mut y = partials[j];
+        if x.abs() < y.abs() {
+            std::mem::swap(&mut x, &mut y);
+        }
+        let hi = x + y;
+        let lo = y - (hi - x);
+        if lo != 0.0 {
+            partials[kept] = lo;
+            kept += 1;
+        }
+        x = hi;
+    }
+    if x.is_infinite() {
+        kept = 0;
+    }
+    partials.truncate(kept);
+    partials.push(x);
+}
+
+/// The sum `partials` hold, rounded once to nearest, ties to even.
+fn round_exact(partials: &[f64]) -> f64 {
+    let Some((&top, mut rest)) = partials.split_last() else {
+        return 0.0;
+    };
+    // Add partials from the top down until a sum turns inexact.
+    let (mut hi, mut lo) = (top, 0.0);
+    while let Some((&y, below)) = rest.split_last() {
+        rest = below;
+        let x = hi;
+        hi = x + y;
+        lo = y - (hi - x);
+        if lo != 0.0 {
+            break;
+        }
+    }
+    // A tie (`hi + 2·lo` exact, so `lo` is half an ulp) with partials
+    // below pushing the same way: the true sum lies past the tie, so round
+    // away from `hi`.
+    if let Some(&next) = rest.last() {
+        if (lo < 0.0 && next < 0.0) || (lo > 0.0 && next > 0.0) {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+    }
+    hi
 }
 
 /// A study's FOM samples folded to one aggregate per (cell, entity) label
@@ -252,8 +310,9 @@ impl Sample {
 /// [`cmp_frames`]. A cell is labelled `benchmark/fom`, an entity `system`
 /// or `system:partition`, and samples whose labels render the same merge,
 /// whatever order they arrive in. Repeats reduce to the mean of their
-/// finite samples in arrival order; any non-finite sample poisons the
-/// aggregate instead (see [`Skip::NonFinite`]); all-null is missing.
+/// finite samples, the same in any arrival order; any non-finite sample
+/// poisons the aggregate instead (see [`Skip::NonFinite`]); all-null is
+/// missing.
 ///
 /// The fold is incremental: pushing the rows of a frame one by one, in
 /// row order, gives the aggregate [`from_frame`](RankAggregate::from_frame)
@@ -395,7 +454,7 @@ impl RankAggregate {
                 skipped,
             }
         };
-        let mut entries = par_map(&entities, policy.jobs, score);
+        let mut entries: Vec<RankEntry> = entities.iter().map(score).collect();
 
         // All geomeans are finite and positive by construction (the fold
         // keeps non-finite samples out of every mean), so this sort cannot
@@ -422,32 +481,6 @@ fn usable(v: Option<f64>) -> Option<f64> {
     v.filter(|v| v.is_finite() && *v > 0.0)
 }
 
-/// Run `f` over `items` with up to `jobs` threads (0 = one per core),
-/// returning results in item order regardless of the thread count.
-fn par_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(items: &[T], jobs: usize, f: F) -> Vec<R> {
-    let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        n => n,
-    }
-    .min(items.len())
-    .max(1);
-    if jobs == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(jobs);
-    let mut chunks: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            chunks.push(h.join().expect("rank worker panicked"));
-        }
-    });
-    chunks.into_iter().flatten().collect()
-}
-
 /// Rank the systems of an assimilated FOM frame (see module docs for the
 /// aggregation rule and the skip policy).
 pub fn rank_frame(df: &DataFrame, policy: &RankPolicy) -> Result<Ranking, FrameError> {
@@ -455,14 +488,11 @@ pub fn rank_frame(df: &DataFrame, policy: &RankPolicy) -> Result<Ranking, FrameE
 }
 
 /// How to compare two studies: the noise threshold (percent change below
-/// which a cell is "unchanged"), the good direction, and worker threads
-/// for the per-cell classification (0 = one per core; output identical at
-/// any count).
+/// which a cell is "unchanged") and the good direction.
 #[derive(Debug, Clone)]
 pub struct CmpPolicy {
     pub threshold_pct: f64,
     pub direction: Direction,
-    pub jobs: usize,
 }
 
 impl Default for CmpPolicy {
@@ -470,7 +500,6 @@ impl Default for CmpPolicy {
         CmpPolicy {
             threshold_pct: 2.0,
             direction: Direction::HigherIsBetter,
-            jobs: 1,
         }
     }
 }
@@ -725,7 +754,7 @@ pub fn cmp_frames(
         }
     };
     Ok(Comparison {
-        cells: par_map(&keys, policy.jobs, classify),
+        cells: keys.iter().map(classify).collect(),
         threshold_pct: policy.threshold_pct,
         direction: policy.direction,
     })
@@ -787,7 +816,6 @@ mod tests {
         let df = frame(&[("s", "time", "a", 5.0), ("s", "time", "b", 10.0)]);
         let policy = RankPolicy {
             direction: Direction::LowerIsBetter,
-            ..RankPolicy::default()
         };
         let r = rank_frame(&df, &policy).unwrap();
         assert_eq!(r.order(), vec!["a", "b"]);
@@ -940,28 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_byte_identical_across_jobs() {
-        let mut rows = Vec::new();
-        for s in ["a", "b", "c", "d", "e"] {
-            for (bench, base) in [("s1", 100.0), ("s2", 50.0), ("s3", 75.0)] {
-                rows.push((bench, "Triad", s, base * (1.0 + (s.len() as f64))));
-            }
-        }
-        let rows: Vec<(&str, &str, &str, f64)> = rows;
-        let df = frame(&rows);
-        let serial = rank_frame(&df, &RankPolicy::default()).unwrap();
-        for jobs in [2, 8, 0] {
-            let policy = RankPolicy {
-                jobs,
-                ..RankPolicy::default()
-            };
-            let r = rank_frame(&df, &policy).unwrap();
-            assert_eq!(serial, r, "jobs={jobs}");
-            assert_eq!(serial.render_text(), r.render_text(), "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn cmp_classifies_with_threshold() {
         let a = frame(&[
             ("s1", "Triad", "x", 100.0),
@@ -1070,29 +1076,6 @@ mod tests {
         assert!(md.contains("| cell | system |"), "{md}");
     }
 
-    #[test]
-    fn cmp_byte_identical_across_jobs() {
-        let mut rows_a = Vec::new();
-        let mut rows_b = Vec::new();
-        for (i, s) in ["a", "b", "c", "d"].iter().enumerate() {
-            for bench in ["s1", "s2", "s3"] {
-                rows_a.push((bench, "Triad", *s, 100.0 + i as f64));
-                rows_b.push((bench, "Triad", *s, 100.0 + 3.0 * i as f64));
-            }
-        }
-        let (a, b) = (frame(&rows_a), frame(&rows_b));
-        let serial = cmp_frames(&a, &b, &CmpPolicy::default()).unwrap();
-        for jobs in [2, 8, 0] {
-            let policy = CmpPolicy {
-                jobs,
-                ..CmpPolicy::default()
-            };
-            let c = cmp_frames(&a, &b, &policy).unwrap();
-            assert_eq!(serial, c, "jobs={jobs}");
-            assert_eq!(serial.render_text(), c.render_text(), "jobs={jobs}");
-        }
-    }
-
     /// Keys that differ but render the same labels — benchmark `a/b` with
     /// fom `c` and benchmark `a` with fom `b/c` are both cell `a/b/c`;
     /// system `x:y` with no partition and system `x` on partition `y` are
@@ -1177,7 +1160,7 @@ mod tests {
         ])
         .unwrap();
         for direction in [Direction::HigherIsBetter, Direction::LowerIsBetter] {
-            let policy = RankPolicy { direction, jobs: 1 };
+            let policy = RankPolicy { direction };
             assert_eq!(agg.rank(&policy), rank_frame(&df, &policy).unwrap());
         }
     }
@@ -1193,5 +1176,51 @@ mod tests {
         let r = rank_frame(&df, &RankPolicy::default()).unwrap();
         assert_eq!(r.order(), vec!["a", "b"]);
         assert!((r.entries[1].geomean.unwrap() - 0.8).abs() < 1e-12);
+    }
+
+    /// Summed left to right, these repeats give 987652.8209999999 in one
+    /// order and 987652.821 in another; the exact sum makes both means the
+    /// correctly rounded 246913.20525.
+    #[test]
+    fn repeat_means_do_not_depend_on_arrival_order() {
+        let (a, b) = (
+            frame(&[
+                ("s1", "Triad", "x", 987654.321),
+                ("s1", "Triad", "x", 1.1),
+                ("s1", "Triad", "x", -3.3),
+                ("s1", "Triad", "x", 0.7),
+            ]),
+            frame(&[
+                ("s1", "Triad", "x", 1.1),
+                ("s1", "Triad", "x", -3.3),
+                ("s1", "Triad", "x", 987654.321),
+                ("s1", "Triad", "x", 0.7),
+            ]),
+        );
+        let c = cmp_frames(&a, &b, &CmpPolicy::default()).unwrap();
+        let Delta::Unchanged { a, b, .. } = c.cells[0].delta else {
+            panic!("{c:?}");
+        };
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        assert_eq!(a, 246913.20525);
+    }
+
+    /// Python's `math.fsum` examples: one rounding of the exact sum,
+    /// ties to even across partials.
+    #[test]
+    fn exact_sum_rounds_once() {
+        for (values, want) in [
+            (&[1e-16, 1.0, 1e16][..], 1.0000000000000002e16),
+            (&[0.1; 10][..], 1.0),
+            (&[1e100, 1.0, -1e100, 1e-100, 1e50, -1.0, -1e50][..], 1e-100),
+            (&[-0.0, -0.0][..], 0.0),
+        ] {
+            let mut sample = Sample::default();
+            for &v in values {
+                sample.push(Some(v));
+            }
+            let sum = round_exact(&sample.partials);
+            assert_eq!(sum.to_bits(), f64::to_bits(want), "{values:?}: {sum}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the ranking/comparison layer: the ranking must be a
 //! pure function of the *set* of measurements — invariant under row order
-//! and under the worker-thread count — even when the values include the
-//! full menagerie of numeric edge cases (NaN, ±inf, zero, negatives).
+//! — even when the values include the full menagerie of numeric edge cases
+//! (NaN, ±inf, zero, negatives).
 
 use dframe::{Cell, DataFrame};
 use postproc::{cmp_frames, rank_frame, CmpPolicy, RankPolicy};
@@ -56,22 +56,18 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 
 proptest! {
     /// Rank output (structure *and* rendered bytes) is invariant under any
-    /// permutation of the input rows and any jobs count.
+    /// permutation of the input rows.
     #[test]
-    fn rank_invariant_under_row_order_and_jobs(rows in rows(), seed in any::<u64>()) {
+    fn rank_invariant_under_row_order(rows in rows(), seed in any::<u64>()) {
         let df = frame_of(&rows);
         let baseline = rank_frame(&df, &RankPolicy::default()).unwrap();
 
         let perm = permutation(rows.len(), seed);
         let shuffled: Vec<_> = perm.iter().map(|&i| rows[i]).collect();
-        let shuffled_df = frame_of(&shuffled);
-        for jobs in [1, 2, 8] {
-            let policy = RankPolicy { jobs, ..RankPolicy::default() };
-            let r = rank_frame(&shuffled_df, &policy).unwrap();
-            prop_assert_eq!(&baseline, &r, "jobs={}", jobs);
-            prop_assert_eq!(baseline.render_text(), r.render_text(), "jobs={}", jobs);
-            prop_assert_eq!(baseline.render_markdown(), r.render_markdown(), "jobs={}", jobs);
-        }
+        let r = rank_frame(&frame_of(&shuffled), &RankPolicy::default()).unwrap();
+        prop_assert_eq!(&baseline, &r);
+        prop_assert_eq!(baseline.render_text(), r.render_text());
+        prop_assert_eq!(baseline.render_markdown(), r.render_markdown());
     }
 
     /// Every (cell, system) pair in the input is accounted for in the
@@ -106,8 +102,8 @@ proptest! {
         }
     }
 
-    /// cmp classifies the full union of cells, is order/jobs invariant,
-    /// and never produces a non-finite percentage.
+    /// cmp classifies the full union of cells, is order invariant, and
+    /// never produces a non-finite percentage.
     #[test]
     fn cmp_invariant_and_total(a in rows(), b in rows(), seed in any::<u64>()) {
         let (fa, fb) = (frame_of(&a), frame_of(&b));
@@ -126,11 +122,8 @@ proptest! {
         }
         let perm = permutation(a.len(), seed);
         let shuffled: Vec<_> = perm.iter().map(|&i| a[i]).collect();
-        for jobs in [1, 2, 8] {
-            let policy = CmpPolicy { jobs, ..CmpPolicy::default() };
-            let c = cmp_frames(&frame_of(&shuffled), &fb, &policy).unwrap();
-            prop_assert_eq!(&baseline, &c, "jobs={}", jobs);
-            prop_assert_eq!(baseline.render_text(), c.render_text(), "jobs={}", jobs);
-        }
+        let c = cmp_frames(&frame_of(&shuffled), &fb, &CmpPolicy::default()).unwrap();
+        prop_assert_eq!(&baseline, &c);
+        prop_assert_eq!(baseline.render_text(), c.render_text());
     }
 }

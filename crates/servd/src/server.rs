@@ -610,7 +610,7 @@ fn handle_verdict(req: &Request, shared: &Shared) -> Response {
     } else {
         postproc::Direction::HigherIsBetter
     };
-    let policy = postproc::RankPolicy { direction, jobs: 1 };
+    let policy = postproc::RankPolicy { direction };
     let ranking = {
         let ingest = shared.ingest.lock().expect("ingest lock");
         if ingest.lines.is_empty() {

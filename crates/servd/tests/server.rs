@@ -96,7 +96,6 @@ fn ingest_query_drain_restart_round_trip() {
     let frame = postproc::assimilate(std::slice::from_ref(&body)).unwrap();
     let policy = postproc::RankPolicy {
         direction: postproc::Direction::HigherIsBetter,
-        jobs: 1,
     };
     let offline = postproc::rank_frame(&frame, &policy).unwrap().render_text();
     assert_eq!(verdict.body_text(), offline);

@@ -138,8 +138,7 @@ fn offline(fom_body: &str, b: usize, p: usize, f: usize) -> Vec<(u16, String)> {
         } else {
             postproc::Direction::HigherIsBetter
         };
-        let ranking =
-            postproc::rank_frame(&frame, &postproc::RankPolicy { direction, jobs: 1 }).unwrap();
+        let ranking = postproc::rank_frame(&frame, &postproc::RankPolicy { direction }).unwrap();
         answers.push((
             200,
             if path.contains("markdown") {
