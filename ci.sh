@@ -27,8 +27,10 @@
 #                  tables, a corrupted entry is quarantined (not fatal),
 #                  both gc subcommands run without deleting quarantine
 #                  memory, and `store gc --keep 1` after two surveys keeps
-#                  the newer one (its rerun misses nothing); then the
-#                  criterion bench logs join
+#                  the newer one (its rerun misses nothing), `store fsck`
+#                  and `store gc` refuse a v1 layout without touching it,
+#                  and `list-benchmarks | head -1` exits 0 with an empty
+#                  stderr; then the criterion bench logs join
 #                  a history digest (postproc::criterion_history) with
 #                  --min-speedup floors pinning the roofline relations
 #                  (triad bandwidth within 1.5x of copy, SELL-C-sigma
@@ -272,7 +274,34 @@ case "$rerun" in
     exit 1
     ;;
 esac
-echo "nightly smoke OK (cold, warm reuse, corruption quarantined, gc ran, gc kept the newest study)"
+# The v1 single-lock layout (entries/ + refs.jsonl, no store.meta) is
+# refused, not migrated: fsck and gc exit 1 and leave it byte-identical.
+v1_dir="$nightly_dir/v1"
+mkdir -p "$v1_dir/entries"
+printf '{}\n' > "$v1_dir/entries/aaa.json"
+printf '{"refs":["aaa"],"study":1}\n' > "$v1_dir/refs.jsonl"
+printf '{"pid":999999999,"acquired_unix":1}' > "$v1_dir/.lock"
+v1_sums() { find "$v1_dir" -type f | sort | xargs sha256sum; }
+v1_before="$(v1_sums)"
+for v1_cmd in "fsck" "gc --keep 1"; do
+    v1_code=0
+    # shellcheck disable=SC2086 # the subcommand and its flags split on purpose
+    ./target/release/benchkit store $v1_cmd "$v1_dir" >/dev/null 2>&1 || v1_code=$?
+    if [ "$v1_code" -ne 1 ] || [ "$(v1_sums)" != "$v1_before" ]; then
+        echo "nightly smoke FAILED: store $v1_cmd on a v1 layout exited $v1_code or changed it" >&2
+        exit 1
+    fi
+done
+# A closed stdout ends the output: exit 0 and nothing on stderr.
+head_err="$( (./target/release/benchkit list-benchmarks | head -1 >/dev/null) 2>&1)" || {
+    echo "nightly smoke FAILED: list-benchmarks | head -1 failed: $head_err" >&2
+    exit 1
+}
+[ -z "$head_err" ] || {
+    echo "nightly smoke FAILED: list-benchmarks | head -1 wrote to stderr: $head_err" >&2
+    exit 1
+}
+echo "nightly smoke OK (cold, warm reuse, corruption quarantined, gc ran, gc kept the newest study, v1 layout refused untouched, closed stdout exits 0)"
 
 echo "== ci: bench history digest (criterion regression loop) =="
 # Each CI run contributes one criterion log; digest the accumulated

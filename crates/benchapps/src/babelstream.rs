@@ -49,15 +49,6 @@ pub struct KernelRates {
     pub rows: Vec<(String, f64, f64, f64, f64)>,
 }
 
-impl KernelRates {
-    pub fn rate_of(&self, kernel: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|(n, ..)| n == kernel)
-            .map(|&(_, r, ..)| r)
-    }
-}
-
 /// Bytes moved by one invocation of each kernel at size `n`.
 fn kernel_bytes(n: usize) -> [(&'static str, u64); 5] {
     let b = 8 * n as u64;

@@ -1346,15 +1346,8 @@ pub fn execute(
         Command::StoreGc { dir, keep } => {
             let path = std::path::Path::new(&dir);
             spackle::require_store(path).map_err(|e| CliError(format!("store gc: {e}")))?;
-            let mut disk = spackle::DiskStore::open(path).map_err(|e| {
-                CliError(match e {
-                    spackle::DiskStoreError::Busy { pid, .. } => format!(
-                        "store gc: `{dir}` holds a legacy v1 lock owned by a live process \
-                     (pid {pid}); retry once its study finishes"
-                    ),
-                    other => format!("store gc: {other}"),
-                })
-            })?;
+            let mut disk =
+                spackle::DiskStore::open(path).map_err(|e| CliError(format!("store gc: {e}")))?;
             let report = disk
                 .gc(keep)
                 .map_err(|e| CliError(format!("store gc: {e}")))?;
@@ -1410,13 +1403,6 @@ pub fn execute(
             }
             for lease in &report.expired_leases {
                 writeln!(out, "  expired lease {lease}")?;
-            }
-            if report.legacy_layout {
-                writeln!(
-                    out,
-                    "  note: unmigrated v1 layout (entries/) — \
-                     the next writer will migrate it in place"
-                )?;
             }
             if !report.clean() {
                 return Err(CliError(format!(

@@ -107,3 +107,70 @@ fn help_exits_0_with_usage_on_stdout() {
     assert_eq!(stdout, format!("{USAGE}\n"));
     assert_eq!(stderr, "");
 }
+
+#[test]
+fn a_closed_stdout_ends_the_output_and_exits_0() {
+    // The reader is gone before the binary writes its first line, so
+    // every write to stdout fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let Output { status, stderr, .. } = Command::new(env!("CARGO_BIN_EXE_benchkit"))
+        .arg("list-benchmarks")
+        .stdout(writer)
+        .output()
+        .expect("run the benchkit binary");
+    let stderr = String::from_utf8(stderr).expect("utf-8 output");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert_eq!(stderr, "");
+}
+
+/// Every file and directory under `dir`, with its bytes, sorted.
+fn tree(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for e in std::fs::read_dir(&d).expect("list the directory") {
+            let path = e.expect("directory entry").path();
+            if path.is_dir() {
+                stack.push(path.clone());
+                out.push((path, Vec::new()));
+            } else {
+                let bytes = std::fs::read(&path).expect("read a file");
+                out.push((path, bytes));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn store_gc_and_fsck_refuse_a_v1_layout_and_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("benchkit-v1-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("entries")).expect("create entries/");
+    std::fs::write(dir.join("entries/aaa.json"), "{}\n").expect("write an entry");
+    std::fs::write(dir.join("refs.jsonl"), "{\"refs\":[\"aaa\"],\"study\":1}\n")
+        .expect("write refs.jsonl");
+    std::fs::write(dir.join(".lock"), "{\"pid\":999999999,\"acquired_unix\":1}")
+        .expect("write a stale lock");
+    let before = tree(&dir);
+    let arg = dir.to_str().expect("utf-8 temp path");
+    for (args, sub) in [
+        (vec!["store", "gc", arg, "--keep", "1"], "gc"),
+        (vec!["store", "fsck", arg], "fsck"),
+    ] {
+        let (code, stdout, stderr) = benchkit(&args);
+        assert_eq!(code, Some(1), "{sub}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "error: store {sub}: store I/O: {arg} holds a v1 store layout \
+                 (entries/ or refs.jsonl, no store.meta), which this build does not read\n"
+            )
+        );
+        assert_eq!(stdout, "");
+        assert_eq!(tree(&dir), before, "store {sub} changed {arg}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove the v1 directory");
+}

@@ -288,10 +288,9 @@ pub struct Harness {
     /// The shared built-in repository unless [`Harness::with_repo`] layers
     /// a site's own.
     repo: Cow<'static, spackle::Repo>,
-    store: spackle::Store,
-    /// When set, installs go to this shared store instead of the
-    /// session-private one (warm-store mode).
-    shared_store: Option<spackle::SharedStore>,
+    /// The package store installs go to: a fresh one per session, or one
+    /// shared with other sessions (warm-store mode).
+    store: spackle::SharedStore,
     options: RunOptions,
     sequence: u64,
     /// Perflogs keyed by (system, benchmark) — ReFrame's directory layout.
@@ -311,8 +310,7 @@ impl Harness {
     pub fn new(options: RunOptions) -> Harness {
         Harness {
             repo: Cow::Borrowed(spackle::Repo::builtin_shared()),
-            store: spackle::Store::new(),
-            shared_store: None,
+            store: spackle::SharedStore::new(),
             options,
             sequence: 0,
             perflogs: BTreeMap::new(),
@@ -333,7 +331,7 @@ impl Harness {
     /// callers needing deterministic attribution must serialize their
     /// `prepare_build` calls canonically (see `SuiteRunner`).
     pub fn with_shared_store(mut self, store: spackle::SharedStore) -> Harness {
-        self.shared_store = Some(store);
+        self.store = store;
         self
     }
 
@@ -428,10 +426,7 @@ impl Harness {
             rebuild_root: self.options.rebuild_every_run,
             ..spackle::InstallOptions::default()
         };
-        let install = match &self.shared_store {
-            Some(shared) => spackle::install(&concrete, &mut shared.lock(), opts),
-            None => spackle::install(&concrete, &mut self.store, opts),
-        };
+        let install = spackle::install(&concrete, &mut self.store.lock(), opts);
         Ok(PreparedBuild {
             concrete,
             install,

@@ -104,11 +104,6 @@ impl Regex {
         self.n_groups
     }
 
-    /// Index of the named capture group `name`, if declared in the pattern.
-    pub fn group_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().find(|(n, _)| n == name).map(|&(_, i)| i)
-    }
-
     /// Does `haystack` contain a match anywhere?
     pub fn is_match(&self, haystack: &str) -> bool {
         self.find(haystack).is_some()

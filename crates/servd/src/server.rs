@@ -38,7 +38,7 @@ use crate::netfault::{ConnShim, NetShim};
 use crate::wal::IngestWal;
 use perflogs::PerflogRecord;
 use postproc::RankAggregate;
-use spackle::{read_lease_info, write_lease, DiskStore, IoShim, StoreOptions};
+use spackle::{read_lease, write_lease, DiskStore, IoShim, StoreOptions};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
@@ -299,7 +299,7 @@ impl Server {
         // leases (including cross-host expiry-only trust), guarding
         // against two daemons serving one directory.
         let lease_path = state_dir.join(".lease");
-        if let Some(info) = read_lease_info(&lease_path) {
+        if let Some(info) = read_lease(&lease_path) {
             if info.writer != writer && info.is_live(unix_now()) {
                 return Err(io::Error::other(format!(
                     "another daemon already serves {}: writer {} (pid {}, host {}, \
@@ -313,7 +313,7 @@ impl Server {
             }
         }
         write_lease(&cfg.io, &lease_path, &writer, cfg.lease_ttl_s)?;
-        match read_lease_info(&lease_path) {
+        match read_lease(&lease_path) {
             Some(info) if info.writer == writer => {}
             _ => {
                 return Err(io::Error::other(
@@ -367,11 +367,6 @@ impl Server {
     /// process-global flag instead).
     pub fn drain_handle(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.drain)
-    }
-
-    /// The fault transcript accumulated by this daemon's network shim.
-    pub fn net_transcript(&self) -> Vec<String> {
-        self.cfg.net.transcript()
     }
 
     /// Serve until drained (in-process flag or SIGTERM), then finish
@@ -447,7 +442,7 @@ impl Server {
         // Every acknowledged batch is already fsync'd; release the daemon
         // lease if it is still ours (never clobber a taker's lease after
         // an expiry).
-        match read_lease_info(&self.lease_path) {
+        match read_lease(&self.lease_path) {
             Some(info) if info.writer == self.writer => {
                 let _ = std::fs::remove_file(&self.lease_path);
             }

@@ -36,10 +36,10 @@
 //!   live lease, skips (with notice) shards it cannot lease, and never
 //!   touches the quarantine directory.
 //!
-//! Stores written by the v1 single-lock layout (`DIR/entries/` +
-//! `DIR/refs.jsonl` + `DIR/.lock`) are migrated in place on first open
-//! under the old lock's semantics: a live v1 holder still yields
-//! [`DiskStoreError::Busy`], so old readers are never raced.
+//! The sharded layout above (stamped `store.meta` version 2) is the only
+//! one read. A directory without `store.meta` that holds the old v1
+//! single-lock layout (`DIR/entries/` or `DIR/refs.jsonl`) is refused,
+//! and nothing in it is created, moved or deleted.
 
 use crate::build::{BuildAction, BuildRecord, Store};
 use crate::iofault::{write_atomic_with, IoShim};
@@ -47,7 +47,6 @@ use crate::walog::{valid_prefix, AppendLog};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::{self, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,32 +69,21 @@ const LEASE_FILE: &str = ".lease";
 /// How long a lease lives without renewal before takeover is allowed.
 const DEFAULT_LEASE_TTL_S: i64 = 600;
 
-/// Legacy (v1) single-writer layout, migrated on open.
+/// Markers of the refused v1 single-writer layout.
 const V1_ENTRIES_DIR: &str = "entries";
 const V1_REFS_FILE: &str = "refs.jsonl";
-const V1_LOCK_FILE: &str = ".lock";
-/// Writer id assigned to the migrated v1 reference log segment.
-const V1_WRITER: &str = "v1";
 
 /// Errors from opening or maintaining a disk store.
 #[derive(Debug)]
 pub enum DiskStoreError {
-    /// Filesystem trouble (context + source message).
+    /// Filesystem trouble or a refused layout (context + source message).
     Io(String),
-    /// A live process holds the legacy v1 whole-store lock, so the v1
-    /// layout cannot be migrated yet.
-    Busy { pid: u32, acquired_unix: i64 },
 }
 
 impl fmt::Display for DiskStoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DiskStoreError::Io(msg) => write!(f, "store I/O: {msg}"),
-            DiskStoreError::Busy { pid, acquired_unix } => write!(
-                f,
-                "store locked by live pid {pid} (since unix {acquired_unix})"
-            ),
-        }
+        let DiskStoreError::Io(msg) = self;
+        write!(f, "store I/O: {msg}")
     }
 }
 
@@ -295,6 +283,48 @@ fn shard_dir_name(shard: usize) -> String {
     format!("shard-{shard:02x}")
 }
 
+/// Verify one committed entry file found in `shard`: readable, UTF-8,
+/// a valid [`StoreEntry`] whose hash is its file stem and whose shard is
+/// the one it sits in. `Err` carries the reason that `open` quarantines
+/// with and `fsck` reports.
+fn verify_entry(path: &Path, shard: usize) -> Result<StoreEntry, String> {
+    let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+    let text = String::from_utf8(bytes).map_err(|_| "not valid UTF-8".to_string())?;
+    let entry = StoreEntry::decode(&text)?;
+    let stem = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    if entry.hash != stem {
+        return Err(format!(
+            "hash {} does not match file name {stem}",
+            entry.hash
+        ));
+    }
+    if shard_of(&entry.hash) != shard {
+        return Err(format!(
+            "entry {} misplaced in {} (belongs in {})",
+            entry.hash,
+            shard_dir_name(shard),
+            shard_name(&entry.hash)
+        ));
+    }
+    Ok(entry)
+}
+
+/// The committed entry files of one shard directory, sorted. Dotfiles
+/// are infrastructure (leases, in-flight temps from atomic writes), never
+/// committed entries.
+fn entry_files(shard_dir: &Path) -> Result<Vec<PathBuf>, DiskStoreError> {
+    let mut names: Vec<PathBuf> = fs::read_dir(shard_dir)
+        .map_err(|e| io_err("listing shard", e))?
+        .filter_map(|r| r.ok().map(|d| d.path()))
+        .filter(|p| is_entry_file(p))
+        .collect();
+    names.sort();
+    Ok(names)
+}
+
 /// A note about one quarantined entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineNote {
@@ -348,7 +378,9 @@ impl LeaseInfo {
     }
 }
 
-fn read_lease(path: &Path) -> Option<LeaseInfo> {
+/// Read a lease file in the store's format. `None` for missing or
+/// unreadable leases, which are takeover candidates.
+pub fn read_lease(path: &Path) -> Option<LeaseInfo> {
     let text = fs::read_to_string(path).ok()?;
     let v = tinycfg::parse(&text).ok()?;
     let pid = v.get_path("pid")?.as_int()?;
@@ -385,19 +417,17 @@ pub fn local_hostname() -> &'static str {
     })
 }
 
-/// Read a lease file in the store's format. `None` for missing or
-/// unreadable leases (unreadable leases are takeover candidates, exactly
-/// as inside the store).
-pub fn read_lease_info(path: &Path) -> Option<LeaseInfo> {
-    read_lease(path)
-}
-
 /// Claim `path` as a lease for `writer` on this host for `ttl_s` seconds,
 /// in the same on-disk format (and with the same liveness semantics) as
 /// the store's shard leases. The write is atomic+durable through `io`;
 /// callers racing for the same lease must read back and check `writer`
 /// afterwards, exactly like shard acquisition.
 pub fn write_lease(io: &IoShim, path: &Path, writer: &str, ttl_s: i64) -> std::io::Result<()> {
+    write_atomic_with(io, path, &lease_body(writer, ttl_s))
+}
+
+/// A lease claimed now by this process on this host for `ttl_s` seconds.
+fn lease_body(writer: &str, ttl_s: i64) -> String {
     let now = unix_now();
     let mut m = tinycfg::Map::new();
     m.insert("writer", tinycfg::Value::Str(writer.to_string()));
@@ -408,7 +438,7 @@ pub fn write_lease(io: &IoShim, path: &Path, writer: &str, ttl_s: i64) -> std::i
         "expires_unix",
         tinycfg::Value::Int(now.saturating_add(ttl_s)),
     );
-    write_atomic_with(io, path, &tinycfg::Value::Map(m).to_json())
+    tinycfg::Value::Map(m).to_json()
 }
 
 /// One merged reference-log record: study `study` of writer `writer` used
@@ -461,18 +491,6 @@ pub fn merged_ref_log(dir: &Path) -> Result<Vec<RefRecord>, DiskStoreError> {
         (a_key, &a.writer, a.study).cmp(&(b_key, &b.writer, b.study))
     });
     Ok(records.into_iter().map(|(_, record)| record).collect())
-}
-
-/// Holds the legacy `DIR/.lock` during v1 migration; removed on drop.
-#[derive(Debug)]
-struct LockGuard {
-    path: PathBuf,
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
 }
 
 /// Seconds since the unix epoch (0 if the clock is before 1970).
@@ -572,7 +590,7 @@ pub struct DiskStore {
     fault_key: String,
     lease_ttl_s: i64,
     io: IoShim,
-    entries: BTreeSet<String>,
+    /// Verified resident entries: hash to rendered spec.
     renders: BTreeMap<String, String>,
     quarantined: Vec<QuarantineNote>,
     held: BTreeSet<usize>,
@@ -584,10 +602,9 @@ impl DiskStore {
     ///
     /// Tries to lease every shard — shards held by a live competing writer
     /// are recorded as contended (persists to them are skipped), never an
-    /// error. A v1-layout store is migrated first; only a *live v1 lock
-    /// holder* yields [`DiskStoreError::Busy`]. Every resident entry is
-    /// verified; bad ones are moved to `dir/corrupt/` and recorded in
-    /// [`DiskStore::quarantined`], never returned as errors.
+    /// error. A v1-layout directory is refused untouched. Every resident
+    /// entry is verified; bad ones are moved to `dir/corrupt/` and recorded
+    /// in [`DiskStore::quarantined`], never returned as errors.
     pub fn open(dir: &Path) -> Result<DiskStore, DiskStoreError> {
         Self::open_with(dir, StoreOptions::default())
     }
@@ -595,7 +612,6 @@ impl DiskStore {
     /// Open with explicit writer identity, lease TTL, and I/O shim.
     pub fn open_with(dir: &Path, opts: StoreOptions) -> Result<DiskStore, DiskStoreError> {
         fs::create_dir_all(dir).map_err(|e| io_err("creating store dir", e))?;
-        migrate_v1(dir)?;
         check_or_write_meta(dir, &opts.io)?;
         fs::create_dir_all(dir.join(CORRUPT_DIR)).map_err(|e| io_err("creating corrupt dir", e))?;
         fs::create_dir_all(dir.join(REFS_DIR)).map_err(|e| io_err("creating refs dir", e))?;
@@ -613,7 +629,6 @@ impl DiskStore {
             fault_key,
             lease_ttl_s: opts.lease_ttl_s,
             io: opts.io,
-            entries: BTreeSet::new(),
             renders: BTreeMap::new(),
             quarantined: Vec::new(),
             held: BTreeSet::new(),
@@ -653,20 +668,6 @@ impl DiskStore {
         self.shard_dir(shard).join(LEASE_FILE)
     }
 
-    fn lease_body(&self) -> String {
-        let now = unix_now();
-        let mut m = tinycfg::Map::new();
-        m.insert("writer", tinycfg::Value::Str(self.writer.clone()));
-        m.insert("pid", tinycfg::Value::Int(std::process::id() as i64));
-        m.insert("host", tinycfg::Value::Str(local_hostname().to_string()));
-        m.insert("acquired_unix", tinycfg::Value::Int(now));
-        m.insert(
-            "expires_unix",
-            tinycfg::Value::Int(now.saturating_add(self.lease_ttl_s)),
-        );
-        tinycfg::Value::Map(m).to_json()
-    }
-
     /// Try to lease `shard`. A live competing lease marks the shard
     /// contended; an expired/dead/unreadable one is taken over by atomic
     /// overwrite. Every path ends in a read-back verification, so the
@@ -680,7 +681,7 @@ impl DiskStore {
         let path = self.lease_path(shard);
         match OpenOptions::new().write(true).create_new(true).open(&path) {
             Ok(mut f) => {
-                let body = self.lease_body();
+                let body = lease_body(&self.writer, self.lease_ttl_s);
                 let wrote = self
                     .io
                     .write_all(&mut f, &path, body.as_bytes())
@@ -703,7 +704,7 @@ impl DiskStore {
                         // Expired, dead-PID, or unreadable: take over by
                         // atomic overwrite (not unlink + create, which
                         // would let two racers both "win" a create_new).
-                        let _ = write_atomic_with(&self.io, &path, &self.lease_body());
+                        let _ = write_lease(&self.io, &path, &self.writer, self.lease_ttl_s);
                     }
                 }
             }
@@ -748,7 +749,7 @@ impl DiskStore {
                     // Still ours: renew. A failed renewal write keeps the
                     // old (sooner) expiry, which is safe — we only ever
                     // shorten our own claim.
-                    let _ = write_atomic_with(&self.io, &path, &self.lease_body());
+                    let _ = write_lease(&self.io, &path, &self.writer, self.lease_ttl_s);
                 }
                 other => {
                     self.held.remove(&shard);
@@ -764,46 +765,9 @@ impl DiskStore {
 
     fn load_entries(&mut self) -> Result<(), DiskStoreError> {
         for shard in 0..SHARD_COUNT {
-            let shard_dir = self.shard_dir(shard);
-            // Dotfiles are infrastructure (leases, in-flight temps from
-            // atomic writes), never committed entries.
-            let mut names: Vec<PathBuf> = fs::read_dir(&shard_dir)
-                .map_err(|e| io_err("listing shard", e))?
-                .filter_map(|r| r.ok().map(|d| d.path()))
-                .filter(|p| is_entry_file(p))
-                .collect();
-            names.sort();
-            for path in names {
-                let stem = path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let verdict = match fs::read(&path) {
-                    Err(e) => Err(format!("unreadable: {e}")),
-                    Ok(bytes) => match String::from_utf8(bytes) {
-                        Err(_) => Err("not valid UTF-8".to_string()),
-                        Ok(text) => StoreEntry::decode(&text).and_then(|entry| {
-                            if entry.hash != stem {
-                                Err(format!(
-                                    "hash {} does not match file name {stem}",
-                                    entry.hash
-                                ))
-                            } else if shard_of(&entry.hash) != shard {
-                                Err(format!(
-                                    "entry {} misplaced in {} (belongs in {})",
-                                    entry.hash,
-                                    shard_dir_name(shard),
-                                    shard_name(&entry.hash)
-                                ))
-                            } else {
-                                Ok(entry)
-                            }
-                        }),
-                    },
-                };
-                match verdict {
+            for path in entry_files(&self.shard_dir(shard))? {
+                match verify_entry(&path, shard) {
                     Ok(entry) => {
-                        self.entries.insert(entry.hash.clone());
                         self.renders.insert(entry.hash, entry.render);
                     }
                     Err(reason) => self.quarantine(&path, reason),
@@ -864,16 +828,16 @@ impl DiskStore {
 
     /// Is `hash` resident (verified) on disk as of open?
     pub fn resident(&self, hash: &str) -> bool {
-        self.entries.contains(hash)
+        self.renders.contains_key(hash)
     }
 
     /// Number of verified resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.renders.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.renders.is_empty()
     }
 
     /// Entries quarantined while opening this store.
@@ -902,7 +866,6 @@ impl DiskStore {
         let path = self.shard_dir(shard).join(format!("{}.json", entry.hash));
         write_atomic_with(&self.io, &path, &entry.encode())
             .map_err(|e| io_err("persisting entry", e))?;
-        self.entries.insert(entry.hash.clone());
         self.renders
             .insert(entry.hash.clone(), entry.render.clone());
         Ok(Persist::Written)
@@ -969,8 +932,8 @@ impl DiskStore {
             }
         }
         let doomed: Vec<String> = self
-            .entries
-            .iter()
+            .renders
+            .keys()
             .filter(|h| !live.contains(*h))
             .cloned()
             .collect();
@@ -984,12 +947,11 @@ impl DiskStore {
             }
             let path = self.shard_dir(shard).join(format!("{hash}.json"));
             fs::remove_file(&path).map_err(|e| io_err("evicting entry", e))?;
-            self.entries.remove(&hash);
             self.renders.remove(&hash);
             evicted += 1;
         }
         Ok(GcReport {
-            kept: self.entries.len(),
+            kept: self.renders.len(),
             evicted,
             studies_considered: records.len().min(keep_last),
             skipped_shards: skipped.into_iter().collect(),
@@ -1013,22 +975,26 @@ impl Drop for DiskStore {
 /// Validate (or create) `DIR/store.meta`. An unreadable meta file is
 /// rewritten — layout presence, not the marker, is the real authority —
 /// but a *different version* is a hard error: refuse to scribble on a
-/// future layout.
+/// future layout. A missing one is written unless the directory holds
+/// the v1 layout, which is refused.
 fn check_or_write_meta(dir: &Path, io: &IoShim) -> Result<(), DiskStoreError> {
     let path = dir.join(STORE_META);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Ok(v) = tinycfg::parse(&text) {
-            let version = v.get_path("version").and_then(|x| x.as_int());
-            match version {
-                Some(STORE_VERSION) => return Ok(()),
-                Some(other) => {
-                    return Err(DiskStoreError::Io(format!(
-                        "unsupported store version {other} (this build reads {STORE_VERSION})"
-                    )))
+    match fs::read_to_string(&path) {
+        Ok(text) => {
+            if let Ok(v) = tinycfg::parse(&text) {
+                match v.get_path("version").and_then(|x| x.as_int()) {
+                    Some(STORE_VERSION) => return Ok(()),
+                    Some(other) => {
+                        return Err(DiskStoreError::Io(format!(
+                            "unsupported store version {other} (this build reads {STORE_VERSION})"
+                        )))
+                    }
+                    None => {}
                 }
-                None => {}
             }
         }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => refuse_v1(dir)?,
+        Err(_) => {}
     }
     let mut m = tinycfg::Map::new();
     m.insert("format", tinycfg::Value::Str(STORE_FORMAT.to_string()));
@@ -1041,93 +1007,18 @@ fn check_or_write_meta(dir: &Path, io: &IoShim) -> Result<(), DiskStoreError> {
     .map_err(|e| io_err("writing store.meta", e))
 }
 
-/// Migrate a v1 single-lock store in place: entries move into their
-/// shards, `refs.jsonl` becomes the `v1` reference segment. Runs under
-/// the legacy `.lock` so a live v1 writer is never raced — that case is
-/// [`DiskStoreError::Busy`] and the caller degrades exactly as v1 callers
-/// always did.
-fn migrate_v1(dir: &Path) -> Result<(), DiskStoreError> {
-    let entries_dir = dir.join(V1_ENTRIES_DIR);
-    if !entries_dir.is_dir() {
-        return Ok(());
+/// Refuse a directory holding the v1 layout (`entries/` or `refs.jsonl`;
+/// the caller has found no `store.meta`): this build reads only the
+/// sharded layout, and leaves an older one exactly as it found it.
+fn refuse_v1(dir: &Path) -> Result<(), DiskStoreError> {
+    if dir.join(V1_ENTRIES_DIR).is_dir() || dir.join(V1_REFS_FILE).is_file() {
+        return Err(DiskStoreError::Io(format!(
+            "{} holds a v1 store layout (entries/ or refs.jsonl, no store.meta), \
+             which this build does not read",
+            dir.display()
+        )));
     }
-    let _lock = acquire_v1_lock(dir)?;
-    let mut names: Vec<PathBuf> = fs::read_dir(&entries_dir)
-        .map_err(|e| io_err("listing v1 entries", e))?
-        .filter_map(|r| r.ok().map(|d| d.path()))
-        .filter(|p| is_entry_file(p))
-        .collect();
-    names.sort();
-    for path in names {
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let shard_dir = dir.join(shard_name(&stem));
-        fs::create_dir_all(&shard_dir).map_err(|e| io_err("creating shard dir", e))?;
-        let name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        fs::rename(&path, shard_dir.join(name)).map_err(|e| io_err("migrating v1 entry", e))?;
-    }
-    let v1_refs = dir.join(V1_REFS_FILE);
-    if v1_refs.exists() {
-        let refs_dir = dir.join(REFS_DIR);
-        fs::create_dir_all(&refs_dir).map_err(|e| io_err("creating refs dir", e))?;
-        fs::rename(&v1_refs, refs_dir.join(format!("{V1_WRITER}.jsonl")))
-            .map_err(|e| io_err("migrating v1 reference log", e))?;
-    }
-    // Only removed if empty — leftover temp files stay for fsck to report.
-    let _ = fs::remove_dir(&entries_dir);
     Ok(())
-}
-
-fn acquire_v1_lock(dir: &Path) -> Result<LockGuard, DiskStoreError> {
-    let path = dir.join(V1_LOCK_FILE);
-    for _ in 0..2 {
-        let mut m = tinycfg::Map::new();
-        m.insert("pid", tinycfg::Value::Int(std::process::id() as i64));
-        m.insert("acquired_unix", tinycfg::Value::Int(unix_now()));
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut f) => {
-                let body = tinycfg::Value::Map(m).to_json();
-                f.write_all(body.as_bytes())
-                    .and_then(|_| f.sync_data())
-                    .map_err(|e| io_err("writing lock file", e))?;
-                return Ok(LockGuard { path });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder = fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|text| tinycfg::parse(&text).ok())
-                    .map(|v| {
-                        (
-                            v.get_path("pid").and_then(|p| p.as_int()),
-                            v.get_path("acquired_unix")
-                                .and_then(|t| t.as_int())
-                                .unwrap_or(0),
-                        )
-                    });
-                match holder {
-                    Some((Some(pid), acquired_unix)) if pid >= 0 && pid_alive(pid as u32) => {
-                        return Err(DiskStoreError::Busy {
-                            pid: pid as u32,
-                            acquired_unix,
-                        });
-                    }
-                    _ => {
-                        // Dead or unreadable: take over and retry once.
-                        let _ = fs::remove_file(&path);
-                    }
-                }
-            }
-            Err(e) => return Err(io_err("creating lock file", e)),
-        }
-    }
-    Err(DiskStoreError::Io(
-        "lock takeover raced with another writer".to_string(),
-    ))
 }
 
 /// What `fsck` found. Only invalid committed entries make the store
@@ -1151,8 +1042,6 @@ pub struct FsckReport {
     pub ref_records: usize,
     /// Files sitting in `corrupt/` (previously quarantined).
     pub quarantined: usize,
-    /// True when an unmigrated v1 `entries/` directory is present.
-    pub legacy_layout: bool,
 }
 
 impl FsckReport {
@@ -1199,7 +1088,6 @@ impl FsckReport {
         );
         m.insert("ref_records", tinycfg::Value::Int(self.ref_records as i64));
         m.insert("quarantined", tinycfg::Value::Int(self.quarantined as i64));
-        m.insert("legacy_layout", tinycfg::Value::Bool(self.legacy_layout));
         tinycfg::Value::Map(m).to_json()
     }
 }
@@ -1220,17 +1108,14 @@ fn scan_temps(dir: &Path, rel: &str, out: &mut Vec<String>) {
 
 /// Refuse a path that holds no store, for the commands that inspect or
 /// prune one and so must not create it (opening a store creates it). A
-/// store is a directory with a `store.meta` marker, or an unmigrated v1
-/// layout (`entries/` or `refs.jsonl`); any other directory is left alone.
+/// store is a directory with a `store.meta` marker; a v1 layout gets the
+/// v1 refusal, and any other directory is left alone.
 pub fn require_store(dir: &Path) -> Result<(), DiskStoreError> {
-    let is_store = dir.join(STORE_META).is_file()
-        || dir.join(V1_ENTRIES_DIR).is_dir()
-        || dir.join(V1_REFS_FILE).is_file();
-    if is_store {
-        Ok(())
-    } else {
-        Err(DiskStoreError::Io(format!("no store at {}", dir.display())))
+    if dir.join(STORE_META).is_file() {
+        return Ok(());
     }
+    refuse_v1(dir)?;
+    Err(DiskStoreError::Io(format!("no store at {}", dir.display())))
 }
 
 /// Read-only integrity scan of a store directory: verifies every
@@ -1243,34 +1128,6 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, DiskStoreError> {
     let mut report = FsckReport::default();
     let now = unix_now();
     scan_temps(dir, "", &mut report.orphan_temps);
-    let check_entry = |path: &Path, rel: String, shard: Option<usize>, report: &mut FsckReport| {
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let verdict = match fs::read(path) {
-            Err(e) => Err(format!("unreadable: {e}")),
-            Ok(bytes) => match String::from_utf8(bytes) {
-                Err(_) => Err("not valid UTF-8".to_string()),
-                Ok(text) => StoreEntry::decode(&text).and_then(|entry| {
-                    if entry.hash != stem {
-                        Err(format!(
-                            "hash {} does not match file name {stem}",
-                            entry.hash
-                        ))
-                    } else if shard.is_some_and(|s| shard_of(&entry.hash) != s) {
-                        Err(format!("misplaced: belongs in {}", shard_name(&entry.hash)))
-                    } else {
-                        Ok(())
-                    }
-                }),
-            },
-        };
-        match verdict {
-            Ok(()) => report.valid += 1,
-            Err(reason) => report.invalid.push((rel, reason)),
-        }
-    };
     for shard in 0..SHARD_COUNT {
         let sname = shard_dir_name(shard);
         let shard_dir = dir.join(&sname);
@@ -1294,51 +1151,21 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, DiskStoreError> {
                     .push(format!("{sname}: unreadable lease")),
             }
         }
-        let mut names: Vec<PathBuf> = fs::read_dir(&shard_dir)
-            .map_err(|e| io_err("listing shard", e))?
-            .filter_map(|r| r.ok().map(|d| d.path()))
-            .filter(|p| is_entry_file(p))
-            .collect();
-        names.sort();
-        for path in names {
-            let rel = format!(
-                "{sname}/{}",
-                path.file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default()
-            );
-            check_entry(&path, rel, Some(shard), &mut report);
-        }
-    }
-    // An unmigrated v1 layout: verify those entries too (no shard check).
-    let v1_entries = dir.join(V1_ENTRIES_DIR);
-    if v1_entries.is_dir() {
-        report.legacy_layout = true;
-        scan_temps(&v1_entries, V1_ENTRIES_DIR, &mut report.orphan_temps);
-        let mut names: Vec<PathBuf> = fs::read_dir(&v1_entries)
-            .map_err(|e| io_err("listing v1 entries", e))?
-            .filter_map(|r| r.ok().map(|d| d.path()))
-            .filter(|p| is_entry_file(p))
-            .collect();
-        names.sort();
-        for path in names {
-            let rel = format!(
-                "{V1_ENTRIES_DIR}/{}",
-                path.file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default()
-            );
-            check_entry(&path, rel, None, &mut report);
+        for path in entry_files(&shard_dir)? {
+            match verify_entry(&path, shard) {
+                Ok(_) => report.valid += 1,
+                Err(reason) => {
+                    let name = path.file_name().unwrap_or_default().to_string_lossy();
+                    report.invalid.push((format!("{sname}/{name}"), reason));
+                }
+            }
         }
     }
     let refs_dir = dir.join(REFS_DIR);
     if refs_dir.is_dir() {
         scan_temps(&refs_dir, REFS_DIR, &mut report.orphan_temps);
     }
-    for record in merged_ref_log(dir)? {
-        let _ = record;
-        report.ref_records += 1;
-    }
+    report.ref_records = merged_ref_log(dir)?.len();
     if refs_dir.is_dir() {
         report.ref_segments = fs::read_dir(&refs_dir)
             .map_err(|e| io_err("listing reference segments", e))?
@@ -2058,48 +1885,62 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn v1_store_is_migrated_in_place() {
-        let dir = tmpdir("migrate");
-        // Hand-build a v1 layout: entries/, refs.jsonl, stale .lock.
-        fs::create_dir_all(dir.join("entries")).unwrap();
-        fs::write(dir.join("entries/aaa.json"), entry("aaa").encode()).unwrap();
-        fs::write(dir.join("entries/bbb.json"), entry("bbb").encode()).unwrap();
-        fs::write(
-            dir.join("refs.jsonl"),
-            "{\"refs\":[\"aaa\"],\"study\":1}\n{\"refs\":[\"bbb\"],\"study\":2}\n",
-        )
-        .unwrap();
-        fs::write(dir.join(".lock"), "{\"pid\":999999999,\"acquired_unix\":1}").unwrap();
-        let store = DiskStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(store.resident("aaa") && store.resident("bbb"));
-        assert!(store.quarantined().is_empty());
-        assert!(!dir.join("entries").exists(), "v1 entries dir not retired");
-        assert!(!dir.join("refs.jsonl").exists());
-        assert!(dir.join(shard_name("aaa")).join("aaa.json").exists());
-        // The old log became the `v1` writer's segment, order preserved.
-        let merged = merged_ref_log(&dir).unwrap();
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].writer, "v1");
-        assert_eq!(merged[0].refs, vec!["aaa".to_string()]);
-        assert_eq!(merged[1].refs, vec!["bbb".to_string()]);
-        let _ = fs::remove_dir_all(&dir);
+    /// Recursive listing of every file under `dir` with its bytes.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for e in fs::read_dir(&d).unwrap() {
+                let path = e.unwrap().path();
+                if path.is_dir() {
+                    out.push((path.clone(), Vec::new()));
+                    stack.push(path);
+                } else {
+                    out.push((path.clone(), fs::read(&path).unwrap()));
+                }
+            }
+        }
+        out.sort();
+        out
     }
 
     #[test]
-    fn live_v1_lock_reports_busy() {
-        let dir = tmpdir("v1busy");
+    fn a_v1_layout_is_refused_and_left_untouched() {
+        let dir = tmpdir("v1");
+        // Hand-build a v1 layout: entries/, refs.jsonl, stale .lock.
         fs::create_dir_all(dir.join("entries")).unwrap();
+        fs::write(dir.join("entries/aaa.json"), entry("aaa").encode()).unwrap();
+        fs::write(dir.join("refs.jsonl"), "{\"refs\":[\"aaa\"],\"study\":1}\n").unwrap();
+        fs::write(dir.join(".lock"), "{\"pid\":999999999,\"acquired_unix\":1}").unwrap();
+        let before = snapshot(&dir);
+        let refusal = |r: Result<(), DiskStoreError>, what: &str| match r {
+            Err(DiskStoreError::Io(msg)) => {
+                assert!(msg.contains("v1 store layout"), "{what}: {msg}")
+            }
+            Ok(()) => panic!("{what}: a v1 layout was accepted"),
+        };
+        refusal(
+            DiskStore::open_with(&dir, StoreOptions::default()).map(drop),
+            "open_with",
+        );
+        refusal(fsck(&dir).map(drop), "fsck");
+        refusal(require_store(&dir), "require_store");
+        assert_eq!(snapshot(&dir), before, "the v1 directory changed");
+        // Either marker alone is the v1 layout.
+        fs::remove_dir_all(dir.join("entries")).unwrap();
+        refusal(require_store(&dir), "refs.jsonl alone");
+        // A store that finished migrating under an older build has
+        // `store.meta`; leftovers in `entries/` do not make it v1.
+        fs::remove_file(dir.join("refs.jsonl")).unwrap();
+        fs::create_dir_all(dir.join("entries")).unwrap();
+        fs::write(dir.join("entries/.tmp-1-x.json"), b"part").unwrap();
         fs::write(
-            dir.join(".lock"),
-            format!("{{\"pid\":{},\"acquired_unix\":1}}", std::process::id()),
+            dir.join("store.meta"),
+            "{\"format\":\"spackle-store\",\"version\":2}\n",
         )
         .unwrap();
-        match DiskStore::open(&dir) {
-            Err(DiskStoreError::Busy { pid, .. }) => assert_eq!(pid, std::process::id()),
-            other => panic!("expected Busy, got {other:?}"),
-        }
+        assert!(DiskStore::open(&dir).is_ok());
+        assert!(fsck(&dir).unwrap().clean());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2176,7 +2017,6 @@ mod tests {
             1
         );
         assert_eq!(v.get_path("invalid").unwrap().as_list().unwrap().len(), 0);
-        assert_eq!(v.get_path("legacy_layout").unwrap().as_bool(), Some(false));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2193,6 +2033,47 @@ mod tests {
         let report = fsck(&dir).unwrap();
         assert!(!report.clean());
         assert!(report.invalid[0].1.contains("misplaced"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `open` and `fsck` share one verifier: every bad entry gets the same
+    /// reason from both, file for file.
+    #[test]
+    fn open_and_fsck_give_one_reason_per_bad_entry() {
+        let dir = tmpdir("one-reason");
+        {
+            let mut s = DiskStore::open(&dir).unwrap();
+            s.persist(&entry("flip")).unwrap();
+            s.persist(&entry("canon")).unwrap();
+        }
+        let at = |hash: &str| dir.join(shard_name(hash)).join(format!("{hash}.json"));
+        let mut bytes = fs::read(at("flip")).unwrap();
+        bytes[40] ^= 0x01;
+        fs::write(at("flip"), bytes).unwrap();
+        fs::write(at("binary"), [0xff, 0xfe, 0x00]).unwrap();
+        fs::write(at("alias"), entry("other").encode()).unwrap();
+        let wrong = (shard_of("stray") + 1) % SHARD_COUNT;
+        fs::write(
+            dir.join(shard_dir_name(wrong)).join("stray.json"),
+            entry("stray").encode(),
+        )
+        .unwrap();
+        fs::write(at("canon"), format!("{} ", entry("canon").encode())).unwrap();
+        let report = fsck(&dir).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        let fsck_reasons: BTreeMap<String, String> = report
+            .invalid
+            .iter()
+            .map(|(rel, why)| (rel.rsplit('/').next().unwrap().to_string(), why.clone()))
+            .collect();
+        let open_reasons: BTreeMap<String, String> = store
+            .quarantined()
+            .iter()
+            .map(|n| (n.file.clone(), n.reason.clone()))
+            .collect();
+        assert_eq!(fsck_reasons.len(), 5, "{fsck_reasons:?}");
+        assert_eq!(fsck_reasons, open_reasons);
+        assert!(fsck_reasons["stray.json"].contains("misplaced"));
         let _ = fs::remove_dir_all(&dir);
     }
 

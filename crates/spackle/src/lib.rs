@@ -54,7 +54,7 @@ pub use concretize::{
     concretize, ConcretePackage, ConcreteSpec, ConcretizeError, SystemContext, Target,
 };
 pub use diskstore::{
-    fnv1a64, fsck, local_hostname, merged_ref_log, parse_ref_log, read_lease_info, require_store,
+    fnv1a64, fsck, local_hostname, merged_ref_log, parse_ref_log, read_lease, require_store,
     shard_name, write_atomic, write_lease, DiskStore, DiskStoreError, FsckReport, GcReport,
     LeaseInfo, Persist, QuarantineNote, RefRecord, StoreEntry, StoreOptions, SHARD_COUNT,
 };
