@@ -9,16 +9,16 @@
 #   2. tests     — the whole workspace, vendored stubs included
 #   3. bench     — criterion smoke benches: the framework bench plus the
 #                  kernel roofline suite (STREAM GB/s, CSR-vs-SELL SpMV)
-#                  whose machine-readable logs feed the stage-6 digest
+#                  whose machine-readable logs feed the stage-11 digest
 #   4. faults    — fault-injection smoke: the same seeded faulty survey
 #                  run twice must produce byte-identical reports; the
 #                  full 112-cell grid under flaky faults with retries
-#                  must report the same bytes at --jobs 1 and --jobs 4,
-#                  so the study's shared host solves (one per distinct
-#                  problem) cannot depend on interleaving or retries;
-#                  and the default-profile full grid with --warm-store
-#                  must report the same bytes (build attribution
-#                  included) at --jobs 1 and --jobs 4
+#                  must report the same bytes at --jobs 1, 2 and 4, so
+#                  the study's shared host solves (one per distinct
+#                  problem, started longest first) cannot depend on
+#                  interleaving or retries; and the default-profile full
+#                  grid with --warm-store must report the same bytes
+#                  (build attribution included) at --jobs 1, 2 and 4
 #   5. resume    — crash-recovery smoke: a checkpointed survey killed
 #                  mid-run (--interrupt-after, exit 3) and resumed must
 #                  reproduce the uninterrupted output byte for byte
@@ -30,13 +30,7 @@
 #                  the newer one (its rerun misses nothing), `store fsck`
 #                  and `store gc` refuse a v1 layout without touching it,
 #                  and `list-benchmarks | head -1` exits 0 with an empty
-#                  stderr; then the criterion bench logs join
-#                  a history digest (postproc::criterion_history) with
-#                  --min-speedup floors pinning the roofline relations
-#                  (triad bandwidth within 1.5x of copy, SELL-C-sigma
-#                  SpMV at least 1.05x CSR, the matrix-free stencil at
-#                  least 1.3x the CSR SpMV, CG's zero-start SymGS at least
-#                  1.1x the general sweep at 16^3)
+#                  stderr
 #   7. rank      — cross-system comparison smoke: two surveys export
 #                  perflogs (--perflog), `rank` must score a best system,
 #                  `rank`/`cmp` must reject --jobs (exit 2), a
@@ -71,6 +65,15 @@
 #                  commit per ingest POST (group commit),
 #                  SIGTERM drains gracefully (exit 0, lease released),
 #                  and `store fsck --json` stays clean throughout
+#  11. digest    — the criterion bench logs join a history digest
+#                  (postproc::criterion_history) with --min-speedup
+#                  floors pinning the roofline relations (triad bandwidth
+#                  within 1.5x of copy, SELL-C-sigma SpMV at least 1.05x
+#                  CSR, the matrix-free stencil at least 1.3x the CSR
+#                  SpMV, CG's zero-start SymGS at least 1.1x the general
+#                  sweep at 16^3). It runs last: a floor missed on a
+#                  loaded host still fails ci.sh, but only after every
+#                  byte-identity smoke above has run
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -80,7 +83,7 @@ echo "== ci: cargo test --workspace =="
 cargo test -q --workspace
 
 echo "== ci: cargo bench smoke (framework + kernels) =="
-# Keep the machine-readable criterion lines: stage 6 digests them
+# Keep the machine-readable criterion lines: stage 11 digests them
 # against history (postproc::criterion_history closes the loop) and
 # asserts the kernel speedup floors.
 bench_log="$(mktemp)"
@@ -108,7 +111,7 @@ if [ "$first" != "$second" ]; then
 fi
 echo "fault smoke OK (replay byte-identical, $(printf '%s\n' "$first" | tail -1))"
 
-echo "== ci: full-grid solve-sharing smoke (--jobs 1 vs 4 under faults) =="
+echo "== ci: full-grid solve-sharing smoke (--jobs 1 vs 2 and 4 under faults) =="
 grid_args=()
 for case in $(./target/release/benchkit list-benchmarks | tail -n +2); do
     grid_args+=(-c "$case")
@@ -124,20 +127,23 @@ full_grid_survey() {
     echo "exit:$status"
 }
 grid_serial="$(full_grid_survey 1)"
-grid_parallel="$(full_grid_survey 4)"
-if [ "$grid_serial" != "$grid_parallel" ]; then
-    echo "full-grid smoke FAILED: --jobs 4 diverged from --jobs 1" >&2
-    diff <(printf '%s\n' "$grid_serial") <(printf '%s\n' "$grid_parallel") >&2 || true
-    exit 1
-fi
+# --jobs 2 is the study hostbench's survey_sweep times.
+for j in 2 4; do
+    grid_parallel="$(full_grid_survey "$j")"
+    if [ "$grid_serial" != "$grid_parallel" ]; then
+        echo "full-grid smoke FAILED: --jobs $j diverged from --jobs 1" >&2
+        diff <(printf '%s\n' "$grid_serial") <(printf '%s\n' "$grid_parallel") >&2 || true
+        exit 1
+    fi
+done
 grid_cells="$(printf '%s\n' "$grid_serial" | grep -c '^\[[0-9]*/112\]')"
 if [ "$grid_cells" -ne 112 ]; then
     echo "full-grid smoke FAILED: $grid_cells of 112 cells reported" >&2
     exit 1
 fi
-echo "full-grid smoke OK (112 cells byte-identical at --jobs 1 and 4, $(printf '%s\n' "$grid_serial" | tail -1))"
+echo "full-grid smoke OK (112 cells byte-identical at --jobs 1, 2 and 4, $(printf '%s\n' "$grid_serial" | tail -1))"
 
-echo "== ci: full-grid warm-store smoke (--jobs 1 vs 4) =="
+echo "== ci: full-grid warm-store smoke (--jobs 1 vs 2 and 4) =="
 # Warm-store build attribution (which cell builds a shared dependency,
 # which reuses it) comes from the canonical serial prepass, so it must
 # not move with --jobs either.
@@ -148,13 +154,15 @@ warm_grid_survey() {
     echo "exit:$status"
 }
 warm_serial="$(warm_grid_survey 1)"
-warm_parallel="$(warm_grid_survey 4)"
-if [ "$warm_serial" != "$warm_parallel" ]; then
-    echo "warm-store smoke FAILED: --jobs 4 diverged from --jobs 1" >&2
-    diff <(printf '%s\n' "$warm_serial") <(printf '%s\n' "$warm_parallel") >&2 || true
-    exit 1
-fi
-echo "warm-store smoke OK (full grid byte-identical at --jobs 1 and 4, $(printf '%s\n' "$warm_serial" | grep '^warm store:'))"
+for j in 2 4; do
+    warm_parallel="$(warm_grid_survey "$j")"
+    if [ "$warm_serial" != "$warm_parallel" ]; then
+        echo "warm-store smoke FAILED: --jobs $j diverged from --jobs 1" >&2
+        diff <(printf '%s\n' "$warm_serial") <(printf '%s\n' "$warm_parallel") >&2 || true
+        exit 1
+    fi
+done
+echo "warm-store smoke OK (full grid byte-identical at --jobs 1, 2 and 4, $(printf '%s\n' "$warm_serial" | grep '^warm store:'))"
 
 echo "== ci: kill-and-resume smoke (checkpointed survey) =="
 ckpt_dir="$(mktemp -d)"
@@ -302,36 +310,6 @@ head_err="$( (./target/release/benchkit list-benchmarks | head -1 >/dev/null) 2>
     exit 1
 }
 echo "nightly smoke OK (cold, warm reuse, corruption quarantined, gc ran, gc kept the newest study, v1 layout refused untouched, closed stdout exits 0)"
-
-echo "== ci: bench history digest (criterion regression loop) =="
-# Each CI run contributes one criterion log; digest the accumulated
-# history (here: stage 3's log replayed as a synthetic 6-run history so
-# the digest has enough points to judge — a real nightly keeps one log
-# per night next to the store directory and passes them oldest first).
-history=()
-for i in 1 2 3 4 5 6; do
-    cat "$bench_log" "$kern_log" > "$nightly_dir/bench-history-$i.json"
-    history+=("$nightly_dir/bench-history-$i.json")
-done
-# The --min-speedup floors pin the roofline relations on the newest log:
-# triad must stay within 1.5x of copy bandwidth (speed ratio >= 1/1.5)
-# and the SELL-C-sigma layout must beat CSR SpMV. The SELL floor is
-# 1.05x, not the ~1.3x an idle box measures: on a loaded single-core CI
-# container the min-sample ratio dips to ~1.05-1.2x, and the relation
-# being gated is "the layout still pays for itself", not its margin.
-# The other two floors follow the same rule, at about half the margin a
-# 2-vCPU host measured beside a second bench process: the matrix-free
-# stencil beats the assembled SpMV (Table 2's algorithmic gain at kernel
-# level; 1.70-2.58x, floor 1.3x), and CG's zero-start preconditioner
-# beats zero-filling and running the general lexicographic sweep at the
-# survey's 16^3 (1.20-1.72x, floor 1.1x; at 64^3 both sweeps stream the
-# whole matrix from memory and the gap is 1.02-1.11x, too thin to gate).
-./target/release/benchkit bench-digest "${history[@]}" \
-    --min-speedup "stream_gbs/copy:stream_gbs/triad:0.66" \
-    --min-speedup "spmv_layout/csr:spmv_layout/sell:1.05" \
-    --min-speedup "spmv_vs_stencil/csr_apply:spmv_vs_stencil/matrix_free_apply:1.3" \
-    --min-speedup "symgs_16cubed/csr/lex_serial:symgs_16cubed/csr/precondition:1.1"
-echo "bench digest OK"
 
 echo "== ci: cross-system rank/cmp smoke =="
 # Two small surveys export perflogs; rank must score a best system, rank
@@ -783,5 +761,36 @@ if [ -e "$serve_dir/servd/.lease" ]; then
     exit 1
 fi
 echo "serve smoke OK (concurrent pushes, verdict==rank byte-for-byte before and after SIGKILL, WAL survives SIGKILL, 503+retry, group commit, clean drain)"
+
+echo "== ci: bench history digest (criterion regression loop) =="
+# Last, so that a load-sensitive floor miss cannot skip the smokes above.
+# Each CI run contributes one criterion log; digest the accumulated
+# history (here: stage 3's log replayed as a synthetic 6-run history so
+# the digest has enough points to judge — a real nightly keeps one log
+# per night next to the store directory and passes them oldest first).
+history=()
+for i in 1 2 3 4 5 6; do
+    cat "$bench_log" "$kern_log" > "$nightly_dir/bench-history-$i.json"
+    history+=("$nightly_dir/bench-history-$i.json")
+done
+# The --min-speedup floors pin the roofline relations on the newest log:
+# triad must stay within 1.5x of copy bandwidth (speed ratio >= 1/1.5)
+# and the SELL-C-sigma layout must beat CSR SpMV. The SELL floor is
+# 1.05x, not the ~1.3x an idle box measures: on a loaded single-core CI
+# container the min-sample ratio dips to ~1.05-1.2x, and the relation
+# being gated is "the layout still pays for itself", not its margin.
+# The other two floors follow the same rule, at about half the margin a
+# 2-vCPU host measured beside a second bench process: the matrix-free
+# stencil beats the assembled SpMV (Table 2's algorithmic gain at kernel
+# level; 1.70-2.58x, floor 1.3x), and CG's zero-start preconditioner
+# beats zero-filling and running the general lexicographic sweep at the
+# survey's 16^3 (1.20-1.72x, floor 1.1x; at 64^3 both sweeps stream the
+# whole matrix from memory and the gap is 1.02-1.11x, too thin to gate).
+./target/release/benchkit bench-digest "${history[@]}" \
+    --min-speedup "stream_gbs/copy:stream_gbs/triad:0.66" \
+    --min-speedup "spmv_layout/csr:spmv_layout/sell:1.05" \
+    --min-speedup "spmv_vs_stencil/csr_apply:spmv_vs_stencil/matrix_free_apply:1.3" \
+    --min-speedup "symgs_16cubed/csr/lex_serial:symgs_16cubed/csr/precondition:1.1"
+echo "bench digest OK"
 
 echo "ci OK"

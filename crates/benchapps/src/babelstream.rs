@@ -219,6 +219,19 @@ fn run_native(config: &BabelStreamConfig, arena: &mut Arena) -> Result<RunOutput
     })
 }
 
+/// Every input of a simulated run's host validation, after the size and
+/// repetition caps. `threads` is this thread's kernel worker cap
+/// (`parkern::default_workers`), so it is the same for every call on one
+/// thread.
+pub fn solve_key(config: &BabelStreamConfig) -> SolveKey {
+    SolveKey::BabelStream {
+        backend: config.model.backend_kind(),
+        n: config.array_size.min(SIM_EXECUTION_CAP),
+        reps: 3.min(config.reps),
+        threads: parkern::default_workers().min(8),
+    }
+}
+
 fn run_simulated(
     config: &BabelStreamConfig,
     partition: &simhpc::Partition,
@@ -231,15 +244,15 @@ fn run_simulated(
     // Run the real numerics at a capped size for validation, once per
     // distinct capped problem when a memo is given. Models of one backend
     // kind run the same host code, so they share one validation.
-    let n = config.array_size.min(SIM_EXECUTION_CAP);
-    let reps = 3.min(config.reps);
-    let host_threads = parkern::default_workers().min(8);
-    let backend = config.model.backend_kind();
-    let key = SolveKey::BabelStream {
+    let key = solve_key(config);
+    let SolveKey::BabelStream {
         backend,
         n,
         reps,
         threads: host_threads,
+    } = key
+    else {
+        unreachable!("a BabelStream config keys a BabelStream solve")
     };
     memo::solve_with(memo, key, || {
         execute_and_validate(backend, n, reps, host_threads, arena).map(|_| Solution::Validated)

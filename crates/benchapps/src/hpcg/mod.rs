@@ -173,11 +173,21 @@ pub fn run_memo(
     arena: &mut crate::scratch::Arena,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
+    // Both modes cap the CG iterations; simulated mode caps the size too.
+    let key = solve_key(config);
+    let SolveKey::Hpcg {
+        dim,
+        iterations: max_iterations,
+        ..
+    } = key
+    else {
+        unreachable!("an HPCG config keys an HPCG solve")
+    };
     let (iterations, residual, gflops, system, wall) = match mode {
         ExecutionMode::Native => {
             validate(config)?;
             let start = Instant::now();
-            let (iterations, residual) = solve(config, config.local_dim, arena)?;
+            let (iterations, residual) = solve(config, config.local_dim, max_iterations, arena)?;
             let native_elapsed = start.elapsed().as_secs_f64();
             let flops = cost::flops_for(config.variant, config.local_dim.pow(3), iterations);
             (
@@ -197,8 +207,8 @@ pub fn run_memo(
             // Execute the real solver at a capped size: the numerics are
             // genuine, and every cell posing the same capped problem
             // shares one solve.
-            let solved = memo::solve_with(memo, solve_key(config), || {
-                let (iterations, residual) = solve(config, config.local_dim.min(16), arena)?;
+            let solved = memo::solve_with(memo, key, || {
+                let (iterations, residual) = solve(config, dim, max_iterations, arena)?;
                 Ok(Solution::Hpcg {
                     iterations,
                     residual,
@@ -292,7 +302,7 @@ pub fn precheck(config: &HpcgConfig, partition: &simhpc::Partition) -> Result<()
 
 /// Every input of a simulated run's host solve, after the size and
 /// iteration caps.
-fn solve_key(config: &HpcgConfig) -> SolveKey {
+pub fn solve_key(config: &HpcgConfig) -> SolveKey {
     SolveKey::Hpcg {
         operator: config.variant.operator(),
         dim: config.local_dim.min(16),
@@ -300,23 +310,19 @@ fn solve_key(config: &HpcgConfig) -> SolveKey {
     }
 }
 
-/// The host solve: CG on a `dim`³ cube with `config`'s variant and
-/// iteration cap. Returns the iterations run and the final relative
-/// residual, or a validation failure when the residual did not decrease.
+/// The host solve: CG on a `dim`³ cube with `config`'s variant, for at
+/// most `max_iterations`. Returns the iterations run and the final
+/// relative residual, or a validation failure when the residual did not
+/// decrease.
 fn solve(
     config: &HpcgConfig,
     dim: usize,
+    max_iterations: usize,
     arena: &mut crate::scratch::Arena,
 ) -> Result<(usize, f64), BenchError> {
     let problem = Problem::cube(dim);
     let op = ops::build(config.variant, &problem);
-    let stats = pcg_with(
-        op.as_ref(),
-        &problem.rhs,
-        config.iterations.min(60),
-        1e-10,
-        arena,
-    );
+    let stats = pcg_with(op.as_ref(), &problem.rhs, max_iterations, 1e-10, arena);
     if !stats.converging() {
         return Err(BenchError::ValidationFailed(format!(
             "CG residual did not decrease: first {:.3e}, last {:.3e}",
@@ -450,8 +456,8 @@ mod tests {
         let (csr, avx2) = (config(HpcgVariant::Csr), config(HpcgVariant::IntelAvx2));
         assert_eq!(solve_key(&csr), solve_key(&avx2));
         let mut arena = crate::scratch::Arena::new();
-        let (i1, r1) = solve(&csr, 16, &mut arena).unwrap();
-        let (i2, r2) = solve(&avx2, 16, &mut arena).unwrap();
+        let (i1, r1) = solve(&csr, 16, 60, &mut arena).unwrap();
+        let (i2, r2) = solve(&avx2, 16, 60, &mut arena).unwrap();
         assert_eq!((i1, r1.to_bits()), (i2, r2.to_bits()));
         // Every other variant builds an operator of its own.
         let keys: std::collections::HashSet<_> = HpcgVariant::all()

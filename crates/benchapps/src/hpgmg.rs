@@ -524,6 +524,14 @@ pub fn precheck(config: &HpgmgConfig, partition: &Partition) -> Result<(), Bench
     Ok(())
 }
 
+/// Every input of a simulated run's host solve: the box edge after the
+/// size cap.
+pub fn solve_key(config: &HpgmgConfig) -> SolveKey {
+    SolveKey::Hpgmg {
+        n: 1usize << config.log2_box_dim.min(5),
+    }
+}
+
 /// Run HPGMG-FV.
 pub fn run(config: &HpgmgConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
     run_memo(config, mode, None)
@@ -536,9 +544,12 @@ pub fn run_memo(
     mode: &ExecutionMode,
     memo: Option<&SolveMemo>,
 ) -> Result<RunOutput, BenchError> {
-    // Always run the real solver (capped size in simulated mode) and check
+    // Always run the real solver (capped size in both modes) and check
     // that multigrid actually converges — the sanity step of the pipeline.
-    let exec_n: usize = 1usize << config.log2_box_dim.min(5);
+    let key = solve_key(config);
+    let SolveKey::Hpgmg { n: exec_n } = key else {
+        unreachable!("an HPGMG config keys an HPGMG solve")
+    };
     let (r0, r, cycles, native_elapsed) = match mode {
         ExecutionMode::Native => {
             validate(config)?;
@@ -548,7 +559,7 @@ pub fn run_memo(
         }
         ExecutionMode::Simulated { partition, .. } => {
             precheck(config, partition)?;
-            let solved = memo::solve_with(memo, SolveKey::Hpgmg { n: exec_n }, || {
+            let solved = memo::solve_with(memo, key, || {
                 let (r0, r, cycles) = solve(exec_n)?;
                 Ok(Solution::Hpgmg { r0, r, cycles })
             })?;

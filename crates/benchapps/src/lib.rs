@@ -26,7 +26,8 @@
 //! the build stage too), a
 //! **host solve** at the capped size whose inputs never depend on the
 //! partition, and a partition-dependent **render** of the modeled times.
-//! The solve's inputs form a [`memo::SolveKey`]; each app's `run_memo`
+//! The solve's inputs form a [`memo::SolveKey`], derived in one place per
+//! app (its `solve_key`); each app's `run_memo`
 //! takes an optional [`memo::SolveMemo`] through which every cell of a
 //! study that poses the same problem shares one solve (its outcome, a
 //! failed validation included). `run` and `run_with` pass no memo and

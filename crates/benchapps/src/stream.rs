@@ -62,6 +62,18 @@ pub fn precheck(config: &StreamConfig, partition: &simhpc::Partition) -> Result<
     Ok(())
 }
 
+/// Every input of a simulated run's host validation, after the size and
+/// repetition caps. `threads` is this thread's kernel worker cap
+/// (`parkern::default_workers`), so it is the same for every call on one
+/// thread.
+pub fn solve_key(config: &StreamConfig) -> SolveKey {
+    SolveKey::Stream {
+        n: config.array_size.min(SIM_EXECUTION_CAP),
+        reps: 2.min(config.reps),
+        threads: parkern::default_workers().min(4),
+    }
+}
+
 /// Run STREAM.
 pub fn run(config: &StreamConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
     run_with(config, mode, &mut Arena::new())
@@ -105,13 +117,14 @@ pub fn run_memo(
         } => {
             precheck(config, partition)?;
             let proc = partition.processor();
-            let n = config.array_size.min(SIM_EXECUTION_CAP);
-            let reps = 2.min(config.reps);
-            let host_threads = parkern::default_workers().min(4);
-            let key = SolveKey::Stream {
+            let key = solve_key(config);
+            let SolveKey::Stream {
                 n,
                 reps,
                 threads: host_threads,
+            } = key
+            else {
+                unreachable!("a STREAM config keys a STREAM solve")
             };
             memo::solve_with(memo, key, || {
                 execute(n, reps, host_threads, arena).map(|_| Solution::Validated)

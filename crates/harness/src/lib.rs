@@ -37,7 +37,7 @@ pub use suite::{StoreStats, SuiteOutcome, SuiteProgress, SuiteReport, SuiteRunne
 use benchapps::babelstream::BabelStreamConfig;
 use benchapps::hpcg::HpcgConfig;
 use benchapps::hpgmg::HpgmgConfig;
-use benchapps::memo::SolveMemo;
+use benchapps::memo::{SolveKey, SolveMemo};
 use benchapps::stream::StreamConfig;
 use benchapps::{BenchError, ExecutionMode, RunOutput};
 
@@ -95,6 +95,18 @@ impl App {
             App::Hpcg(cfg) => benchapps::hpcg::precheck(cfg, partition),
             App::Hpgmg(cfg) => benchapps::hpgmg::precheck(cfg, partition),
             App::Stream(cfg) => benchapps::stream::precheck(cfg, partition),
+        }
+    }
+
+    /// The key of the host solve a simulated run poses (each app's
+    /// `solve_key`, which its `run_memo` uses too). BabelStream and STREAM
+    /// keys read the calling thread's kernel worker cap.
+    pub fn solve_key(&self) -> SolveKey {
+        match self {
+            App::BabelStream(cfg) => benchapps::babelstream::solve_key(cfg),
+            App::Hpcg(cfg) => benchapps::hpcg::solve_key(cfg),
+            App::Hpgmg(cfg) => benchapps::hpgmg::solve_key(cfg),
+            App::Stream(cfg) => benchapps::stream::solve_key(cfg),
         }
     }
 

@@ -5,11 +5,13 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMode, Journal};
 use crate::{CaseReport, Harness, HarnessError, PreparedBuild, RunOptions, TestCase};
-use benchapps::memo::SolveMemo;
+use benchapps::hpcg::HpcgOperator;
+use benchapps::memo::{SolveKey, SolveMemo};
 use perflogs::{Perflog, PerflogRecord};
 use simhpc::faults::FaultProfile;
 use spackle::{BuildAction, DiskStore, IoShim, Persist, StoreEntry, StoreOptions};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -236,20 +238,29 @@ struct FlushState {
     canary_failed: bool,
 }
 
-/// Shared coordination state for one sweep: result slots, the job-claim
-/// counter, the ordered-flush cursor, and the short-circuit signals.
+/// Shared coordination state for one sweep: result slots, the dispatch
+/// order and its claim counter, the ordered-flush cursor, and the
+/// short-circuit signals.
 struct SweepState {
     slots: Vec<Mutex<Option<JobResult>>>,
+    /// Grid indices in the order workers claim them
+    /// ([`SuiteRunner::dispatch_order`]).
+    order: Vec<usize>,
+    /// Claims made so far: the k-th claim runs `order[k]`.
     next: AtomicUsize,
     flush: Mutex<FlushState>,
     /// Lowest grid index known to hold a genuine failure (fail-fast).
-    /// Workers may skip claiming any job behind it: the flush pass
-    /// demotes those cells canonically anyway, so skipping only saves
-    /// work, never changes the report.
+    /// Workers may skip any job behind it, whenever they claim it: the
+    /// flush pass demotes every cell behind the first failure
+    /// canonically anyway, so skipping only saves work, never changes the
+    /// report. Claims are not in grid order, so a later failure may be
+    /// known first; cells before it still run.
     first_failure: AtomicUsize,
-    /// Per-system quarantine flags, set only by the ordered flush (so a
+    /// Per-system quarantine flags, set only by the ordered flush, so a
     /// set flag implies every later claim for that system will be
-    /// demoted at flush time — claims are monotonic past the cursor).
+    /// demoted at flush time: a cell flushes only once it has been
+    /// claimed, so every cell still unclaimed lies past the flush cursor,
+    /// whatever the dispatch order.
     quarantined: Vec<AtomicBool>,
     /// Per-system canary flag from quarantine memory: `Some(streak)` when
     /// the system enters this study on probation with that many prior
@@ -271,6 +282,28 @@ struct SweepState {
     memo: Arc<SolveMemo>,
 }
 
+/// How long a host solve runs, as a static rank: the study starts its
+/// longest solves first. Beside each arm, one memo-free run's time on one
+/// kernel thread with a fresh arena (median of 41, release build, 2-vCPU
+/// x86-64 host). Absolute times moved by up to 2x between sessions on
+/// that shared host while their order held; only the order matters, and
+/// nothing measured at run time feeds it.
+fn solve_rank(key: &SolveKey) -> u8 {
+    match key {
+        // HPGMG's 32³ multigrid: 15 ms.
+        SolveKey::Hpgmg { .. } => 3,
+        // LFRic's CG at 16³: 3.3 ms.
+        SolveKey::Hpcg {
+            operator: HpcgOperator::Lfric,
+            ..
+        } => 1,
+        // CSR, SELL-C-σ and matrix-free CG at 16³: 9.7, 11.7 and 6.9 ms.
+        SolveKey::Hpcg { .. } => 2,
+        // Bandwidth validations at 2^16 elements: 0.3–0.7 ms.
+        SolveKey::BabelStream { .. } | SolveKey::Stream { .. } => 0,
+    }
+}
+
 /// Sweeps cases across systems with a bounded worker pool.
 ///
 /// Every (system, case) combination is a job on its own harness session,
@@ -288,11 +321,17 @@ struct SweepState {
 ///   each shared dependency), and jobs then execute the prepared builds
 ///   in parallel. Root packages still rebuild every run (P3).
 ///
-/// Outcomes stream through an **ordered flush**: a grid cell is emitted to
-/// the progress callback as soon as it and every earlier cell (system-
-/// major, case-minor order) are done, with perflog sequence numbers
-/// renumbered per system in case order exactly as a serial sweep would
-/// have assigned them.
+/// Workers claim cells in a **dispatch order** fixed before they start:
+/// one cell per distinct host solve, longest solve first, then the rest
+/// in grid order ([`SuiteRunner::dispatch_order`]). So the study's
+/// longest solves start at once, and the cells that pose them again
+/// share their outcomes through the study's [`SolveMemo`].
+///
+/// Outcomes stream through an **ordered flush**, in grid order whatever
+/// the claim order: a grid cell is emitted to the progress callback as
+/// soon as it and every earlier cell (system-major, case-minor order) are
+/// done, with perflog sequence numbers renumbered per system in case
+/// order exactly as a serial sweep would have assigned them.
 ///
 /// The runner is also the survey's one configuration value: the CLI parses
 /// it once, `benchkit::Study` carries it unchanged, and the checkpoint
@@ -523,6 +562,54 @@ impl SuiteRunner {
         prepared
     }
 
+    /// The cells that lead the dispatch order: one per distinct host solve
+    /// among cells `from..` (a resume replays the cells before `from`),
+    /// longest solve first by [`solve_rank`], grid order within a rank.
+    /// Only cells that reach the study's memo count: run in process, on a
+    /// simulated system, and supported there by the app's own
+    /// [`App::precheck`](crate::App::precheck).
+    fn solve_leads(&self, cases: &[TestCase], from: usize) -> Vec<usize> {
+        let mut keys = HashSet::new();
+        let mut leads = Vec::new();
+        for job in from..self.systems.len() * cases.len() {
+            let case = &cases[job % cases.len()];
+            if self.engine_for(&case.name).is_some() {
+                continue;
+            }
+            let Some((system, partition)) =
+                simhpc::catalog::partition(&self.systems[job / cases.len()])
+            else {
+                continue;
+            };
+            if system.name() == "native" || case.app.precheck(partition).is_err() {
+                continue;
+            }
+            // Keys read on this thread carry its kernel worker cap, not a
+            // worker's. Every worker of the study sets one and the same
+            // cap, so both split the cells into the same solves.
+            let key = case.app.solve_key();
+            if keys.insert(key) {
+                leads.push((solve_rank(&key), job));
+            }
+        }
+        leads.sort_by_key(|&(rank, _)| Reverse(rank)); // stable
+        leads.into_iter().map(|(_, job)| job).collect()
+    }
+
+    /// The order workers claim the cells `from..` in: the
+    /// [solve leads](SuiteRunner::solve_leads), then every other cell in
+    /// grid order. The same at every `--jobs`; the ordered flush, and so
+    /// every output byte, does not depend on it.
+    fn dispatch_order(&self, cases: &[TestCase], from: usize) -> Vec<usize> {
+        let mut order = self.solve_leads(cases, from);
+        let mut leads = vec![false; self.systems.len() * cases.len()];
+        for &job in &order {
+            leads[job] = true;
+        }
+        order.extend((from..leads.len()).filter(|&job| !leads[job]));
+        order
+    }
+
     /// Classify a pipeline result into a suite outcome, keeping a failed
     /// cell's `result=fail` record.
     fn classify(
@@ -572,7 +659,7 @@ impl SuiteRunner {
         Self::classify(result, harness.take_failure())
     }
 
-    /// Pull jobs off the shared index until none remain, flushing the
+    /// Claim jobs in dispatch order until none remain, flushing the
     /// outcome stream after every completion. Jobs provably behind a
     /// failure (fail-fast) or inside a quarantined system are not run at
     /// all; their placeholder result is demoted canonically at flush time.
@@ -584,10 +671,10 @@ impl SuiteRunner {
         on_flush: &(dyn Fn(SuiteProgress<'_>) + Sync),
     ) {
         loop {
-            let job = state.next.fetch_add(1, Ordering::Relaxed);
-            if job >= state.slots.len() {
+            let claim = state.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&job) = state.order.get(claim) else {
                 return;
-            }
+            };
             let short_circuit = (self.fail_fast
                 && state.first_failure.load(Ordering::Relaxed) < job)
                 || (self.quarantine > 0
@@ -852,7 +939,8 @@ impl SuiteRunner {
 
         let state = SweepState {
             slots: (0..n_jobs).map(|_| Mutex::new(None)).collect(),
-            next: AtomicUsize::new(replay_count),
+            order: self.dispatch_order(cases, replay_count),
+            next: AtomicUsize::new(0),
             flush: Mutex::new(FlushState {
                 next: 0,
                 sequence: 0,
@@ -1370,6 +1458,33 @@ mod tests {
                 "jobs={jobs}"
             );
         }
+
+        // A failure claimed before the cells ahead of it: the failing
+        // HPGMG cell on csd3 leads the dispatch order. The two cells before
+        // it in grid order still run, and everything behind it is skipped.
+        let cases = vec![
+            cases::babelstream(Model::Omp, 1 << 22),
+            cases::babelstream(Model::Tbb, 1 << 22),
+            cases::hpgmg().with_reference("l0", crate::Reference::within(1.0, 0.05)),
+        ];
+        let run = |jobs| {
+            SuiteRunner::new(&systems)
+                .with_fail_fast(true)
+                .with_jobs(jobs)
+                .run(&cases)
+        };
+        assert_eq!(SuiteRunner::new(&systems).dispatch_order(&cases, 0)[0], 2);
+        let serial = run(1);
+        assert!(serial.outcomes[0].2.ran() && serial.outcomes[1].2.ran());
+        assert!(matches!(serial.outcomes[2].2, SuiteOutcome::Failed(_)));
+        assert_eq!((serial.n_failed(), serial.n_skipped()), (1, 3));
+        for jobs in [2, 8] {
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{:?}", run(jobs)),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]
@@ -1417,6 +1532,44 @@ mod tests {
                 }
             }
         }
+        for jobs in [2, 8] {
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{:?}", run(jobs)),
+                "jobs={jobs}"
+            );
+        }
+
+        // A quarantined cell the dispatch order ran first: every run on
+        // csd3 fails, and its HPGMG cell leads the order, so it runs (and
+        // fails) before the two failures that trip the quarantine. The
+        // flush still reports it quarantined, and archer2 runs clean.
+        let cases = vec![
+            cases::babelstream(Model::Omp, 1 << 22),
+            cases::babelstream(Model::Tbb, 1 << 22),
+            cases::hpgmg(),
+        ];
+        let doomed = FaultProfile {
+            name: "doomed".to_string(),
+            timeout_p: 1.0,
+            ..FaultProfile::none()
+        };
+        let runner = SuiteRunner::new(&systems)
+            .with_quarantine(2)
+            .with_fault_override("csd3", doomed)
+            .with_max_retries(0);
+        assert_eq!(runner.dispatch_order(&cases, 0)[0], 2);
+        let run = |jobs| runner.clone().with_jobs(jobs).run(&cases);
+        let serial = run(1);
+        assert!(matches!(serial.outcomes[0].2, SuiteOutcome::Failed(_)));
+        assert!(matches!(serial.outcomes[1].2, SuiteOutcome::Failed(_)));
+        match &serial.outcomes[2].2 {
+            SuiteOutcome::Skipped(reason) => {
+                assert_eq!(reason, "quarantined: 2 consecutive failures on csd3")
+            }
+            other => panic!("expected quarantine skip, got {other:?}"),
+        }
+        assert!(serial.outcomes[3..].iter().all(|(_, _, o)| o.ran()));
         for jobs in [2, 8] {
             assert_eq!(
                 format!("{serial:?}"),
@@ -2457,5 +2610,89 @@ printf 'done:0:\n'
         // and BabelStream validates once per host backend (serial, pool):
         // 4 HPCG operators, HPGMG, 2 BabelStream backends and STREAM.
         assert_eq!(solved.len(), 8, "{solved:?}");
+    }
+
+    /// Checks that `runner`'s dispatch order claims exactly the cells
+    /// `from..`, its solve leads first and the rest in grid order, and
+    /// returns the leads.
+    fn checked_leads(runner: &SuiteRunner, cases: &[TestCase], from: usize) -> Vec<usize> {
+        let leads = runner.solve_leads(cases, from);
+        let order = runner.dispatch_order(cases, from);
+        assert_eq!(order[..leads.len()], leads[..]);
+        let rest = &order[leads.len()..];
+        assert!(rest.windows(2).all(|w| w[0] < w[1]), "{rest:?}");
+        let mut claimed = order.clone();
+        claimed.sort_unstable();
+        let n_jobs = runner.systems.len() * cases.len();
+        assert_eq!(claimed, (from..n_jobs).collect::<Vec<_>>());
+        leads
+    }
+
+    #[test]
+    fn the_full_grid_dispatch_order_leads_with_each_solve_once_longest_first() {
+        let cases = full_grid_cases();
+        let runner = SuiteRunner::new(&PARTITIONS);
+        let leads = checked_leads(&runner, &cases, 0);
+        let keys: Vec<SolveKey> = leads
+            .iter()
+            .map(|&job| cases[job % cases.len()].app.solve_key())
+            .collect();
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 8, "{keys:?}");
+        // All on archer2:rome, the first system: HPGMG, the three long
+        // HPCG operators and LFRic's in grid order (the AVX2 variant does
+        // not run on AMD), then BabelStream's pool and serial backends and
+        // STREAM.
+        assert_eq!(leads, [14, 9, 11, 12, 13, 0, 6, 15]);
+        let ranks: Vec<u8> = keys.iter().map(solve_rank).collect();
+        assert_eq!(ranks, [3, 2, 2, 2, 1, 0, 0, 0]);
+        assert!(matches!(keys[0], SolveKey::Hpgmg { .. }));
+        // The same order at any `--jobs`.
+        assert_eq!(
+            runner.dispatch_order(&cases, 0),
+            runner.with_jobs(2).dispatch_order(&cases, 0)
+        );
+    }
+
+    #[test]
+    fn a_resumed_sweep_claims_no_replayed_cell() {
+        // Replayed past archer2's HPGMG cell (grid index 14): the next
+        // system's takes the lead, and no claim falls below the replay
+        // (`checked_leads` checks the claims are exactly 15..).
+        let cases = full_grid_cases();
+        let leads = checked_leads(&SuiteRunner::new(&PARTITIONS), &cases, 15);
+        assert_eq!(leads.len(), 8);
+        assert_eq!(leads[0], cases.len() + 14);
+    }
+
+    #[test]
+    fn cells_that_skip_the_memo_never_lead() {
+        let cases = full_grid_cases();
+        let hpgmg = cases
+            .iter()
+            .position(|c| matches!(c.app, crate::App::Hpgmg(_)))
+            .unwrap();
+        // An engine runs the case out of process: no HPGMG cell leads.
+        let engined = SuiteRunner::new(&PARTITIONS)
+            .with_engine_override(&cases[hpgmg].name, sh_engine("exit 0"));
+        let leads = checked_leads(&engined, &cases, 0);
+        assert_eq!(leads.len(), 7, "{leads:?}");
+        assert!(leads.iter().all(|&job| job % cases.len() != hpgmg));
+        // A native system measures its own solves: none of its cells lead.
+        let native = SuiteRunner::new(&["native", "archer2:rome"]);
+        let leads = checked_leads(&native, &cases, 0);
+        assert_eq!(leads.len(), 8);
+        assert!(leads.iter().all(|&job| job >= cases.len()), "{leads:?}");
+        // On a GPU partition only the supported cells can lead.
+        let (_, volta) = simhpc::catalog::partition("isambard-macs:volta").unwrap();
+        let unsupported: Vec<usize> = (0..cases.len())
+            .filter(|&job| cases[job].app.precheck(volta).is_err())
+            .collect();
+        assert!(unsupported.contains(&hpgmg), "{unsupported:?}");
+        let leads = checked_leads(&SuiteRunner::new(&["isambard-macs:volta"]), &cases, 0);
+        assert!(!leads.is_empty());
+        assert!(
+            leads.iter().all(|job| !unsupported.contains(job)),
+            "{leads:?}"
+        );
     }
 }
