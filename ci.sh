@@ -18,7 +18,8 @@
 #                  problem, started longest first) cannot depend on
 #                  interleaving or retries; and the default-profile full
 #                  grid with --warm-store must report the same bytes
-#                  (build attribution included) at --jobs 1, 2 and 4
+#                  (build attribution included) at --jobs 1, 2 and 4,
+#                  and at --jobs 2 under BENCHKIT_THREADS=1 and =3
 #   5. resume    — crash-recovery smoke: a checkpointed survey killed
 #                  mid-run (--interrupt-after, exit 3) and resumed must
 #                  reproduce the uninterrupted output byte for byte
@@ -162,7 +163,18 @@ for j in 2 4; do
         exit 1
     fi
 done
-echo "warm-store smoke OK (full grid byte-identical at --jobs 1, 2 and 4, $(printf '%s\n' "$warm_serial" | grep '^warm store:'))"
+# Simulated host solves run on the serial reference, so a cell's kernel
+# thread count must not reach a report byte either. Stderr is left out:
+# the --jobs clamp note differs with the count.
+for t in 1 3; do
+    warm_threads="$(BENCHKIT_THREADS=$t warm_grid_survey 2)"
+    if [ "$warm_serial" != "$warm_threads" ]; then
+        echo "warm-store smoke FAILED: --jobs 2 with BENCHKIT_THREADS=$t diverged from --jobs 1" >&2
+        diff <(printf '%s\n' "$warm_serial") <(printf '%s\n' "$warm_threads") >&2 || true
+        exit 1
+    fi
+done
+echo "warm-store smoke OK (full grid byte-identical at --jobs 1, 2 and 4, and at --jobs 2 under BENCHKIT_THREADS=1 and 3, $(printf '%s\n' "$warm_serial" | grep '^warm store:'))"
 
 echo "== ci: kill-and-resume smoke (checkpointed survey) =="
 ckpt_dir="$(mktemp -d)"

@@ -189,10 +189,6 @@ fn bench_stream_gbs(c: &mut Criterion) {
     group.bench_function("dot", |bench| {
         bench.iter(|| criterion::black_box(kernels::dot(&backend, &a, &b)));
     });
-    group.throughput(Throughput::Bytes((3 * M * 8) as u64));
-    group.bench_function("waxpby", |bench| {
-        bench.iter(|| kernels::waxpby(&backend, 0.4, &a, 0.6, &b, &mut out));
-    });
     group.finish();
 }
 

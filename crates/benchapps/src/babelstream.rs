@@ -8,7 +8,7 @@
 use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::scratch::Arena;
 use crate::{BenchError, ExecutionMode, RunOutput, SIM_EXECUTION_CAP};
-use parkern::{kernels, BackendKind, Model};
+use parkern::{kernels, Backend, Model, SerialBackend};
 use simhpc::noise::NoiseModel;
 use simhpc::perf::KernelCost;
 use std::time::Instant;
@@ -61,22 +61,14 @@ fn kernel_bytes(n: usize) -> [(&'static str, u64); 5] {
     ]
 }
 
-/// Run BabelStream.
+/// Run BabelStream, validating every call.
 pub fn run(config: &BabelStreamConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
-    run_with(config, mode, &mut Arena::new())
+    run_memo(config, mode, &mut Arena::new(), None)
 }
 
-/// [`run`] drawing the kernel arrays from a caller-owned arena.
-pub fn run_with(
-    config: &BabelStreamConfig,
-    mode: &ExecutionMode,
-    arena: &mut Arena,
-) -> Result<RunOutput, BenchError> {
-    run_memo(config, mode, arena, None)
-}
-
-/// [`run_with`] taking a simulated run's validation from `memo` when one
-/// is given (see [`crate::memo`]); native runs always execute.
+/// Run BabelStream, drawing the kernel arrays from `arena` and taking a
+/// simulated run's validation from `memo` when one is given (see
+/// [`crate::memo`]); native runs always execute.
 pub fn run_memo(
     config: &BabelStreamConfig,
     mode: &ExecutionMode,
@@ -128,18 +120,15 @@ pub fn precheck(
     Ok(())
 }
 
-/// Execute the kernels for real on a `backend` host backend and validate
-/// the arithmetic. Returns the per-rep wall times (seconds) for each
-/// kernel, at problem size `n`. The model itself is not an input: it
-/// reaches the host only through its [`Model::backend_kind`].
+/// Execute the kernels for real on `backend` and validate the
+/// arithmetic. Returns the per-rep wall times (seconds) for each kernel,
+/// at problem size `n`.
 fn execute_and_validate(
-    backend: BackendKind,
+    backend: &dyn Backend,
     n: usize,
     reps: usize,
-    threads: usize,
     arena: &mut Arena,
 ) -> Result<[Vec<f64>; 5], BenchError> {
-    let backend = backend.build(threads);
     let mut a = arena.take(n, INIT_A);
     let mut b = arena.take(n, INIT_B);
     let mut c = arena.take(n, INIT_C);
@@ -147,19 +136,19 @@ fn execute_and_validate(
     let mut dot_sum = 0.0;
     for _ in 0..reps {
         let t = Instant::now();
-        kernels::copy(backend.as_ref(), &a, &mut c);
+        kernels::copy(backend, &a, &mut c);
         times[0].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::mul(backend.as_ref(), SCALAR, &c, &mut b);
+        kernels::mul(backend, SCALAR, &c, &mut b);
         times[1].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::add(backend.as_ref(), &a, &b, &mut c);
+        kernels::add(backend, &a, &b, &mut c);
         times[2].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::triad(backend.as_ref(), SCALAR, &b, &c, &mut a);
+        kernels::triad(backend, SCALAR, &b, &c, &mut a);
         times[3].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        dot_sum = kernels::dot(backend.as_ref(), &a, &b);
+        dot_sum = kernels::dot(backend, &a, &b);
         times[4].push(t.elapsed().as_secs_f64());
     }
     // Validation, as the real BabelStream does: evolve scalars the same way.
@@ -204,13 +193,8 @@ fn run_native(config: &BabelStreamConfig, arena: &mut Arena) -> Result<RunOutput
         }
     };
     let start = Instant::now();
-    let times = execute_and_validate(
-        config.model.backend_kind(),
-        config.array_size,
-        config.reps,
-        threads,
-        arena,
-    )?;
+    let backend = config.model.host_backend(threads);
+    let times = execute_and_validate(backend.as_ref(), config.array_size, config.reps, arena)?;
     let rates = rates_from_times(config.array_size, &times);
     let wall = start.elapsed().as_secs_f64();
     Ok(RunOutput {
@@ -220,15 +204,12 @@ fn run_native(config: &BabelStreamConfig, arena: &mut Arena) -> Result<RunOutput
 }
 
 /// Every input of a simulated run's host validation, after the size and
-/// repetition caps. `threads` is this thread's kernel worker cap
-/// (`parkern::default_workers`), so it is the same for every call on one
-/// thread.
+/// repetition caps. The validation runs on the serial reference, so the
+/// model never reaches it.
 pub fn solve_key(config: &BabelStreamConfig) -> SolveKey {
     SolveKey::BabelStream {
-        backend: config.model.backend_kind(),
         n: config.array_size.min(SIM_EXECUTION_CAP),
         reps: 3.min(config.reps),
-        threads: parkern::default_workers().min(8),
     }
 }
 
@@ -242,20 +223,14 @@ fn run_simulated(
 ) -> Result<RunOutput, BenchError> {
     let proc = partition.processor();
     // Run the real numerics at a capped size for validation, once per
-    // distinct capped problem when a memo is given. Models of one backend
-    // kind run the same host code, so they share one validation.
+    // distinct capped problem when a memo is given. Every model runs the
+    // same serial host code, so all of them share one validation.
     let key = solve_key(config);
-    let SolveKey::BabelStream {
-        backend,
-        n,
-        reps,
-        threads: host_threads,
-    } = key
-    else {
+    let SolveKey::BabelStream { n, reps } = key else {
         unreachable!("a BabelStream config keys a BabelStream solve")
     };
     memo::solve_with(memo, key, || {
-        execute_and_validate(backend, n, reps, host_threads, arena).map(|_| Solution::Validated)
+        execute_and_validate(&SerialBackend, n, reps, arena).map(|_| Solution::Validated)
     })?;
 
     // Model the timing at the full requested size.
@@ -346,39 +321,25 @@ mod tests {
     }
 
     #[test]
-    fn models_share_one_validation_per_host_backend() {
-        // A model reaches the host only through its backend, so the memo
-        // key names the backend kind, never the model: all nine models
-        // validate twice, once serial and once on the pool.
+    fn all_nine_models_share_one_validation() {
+        // Every model validates on the serial reference, so the memo key
+        // names no model: the whole model axis poses one problem.
         let shared = SolveMemo::new();
         for model in Model::all() {
             let cfg = small(*model);
-            let run_on = |memo| {
-                ["isambard-macs:cascadelake", "isambard-macs:volta"]
-                    .iter()
-                    .map(|p| ExecutionMode::simulated(p, 1).unwrap())
-                    .find_map(|mode| run_memo(&cfg, &mode, &mut Arena::new(), Some(memo)).ok())
-                    .expect("the model runs on one of the two partitions")
-            };
-            let own = SolveMemo::new();
-            run_on(&own);
-            run_on(&shared);
-            let [SolveKey::BabelStream { backend, .. }] = own.keys()[..] else {
-                panic!(
-                    "{}: one BabelStream key, got {:?}",
-                    model.name(),
-                    own.keys()
-                );
-            };
-            assert_eq!(backend, model.backend_kind(), "{}", model.name());
-            assert_eq!(
-                backend.label(),
-                model.host_backend(2).label(),
-                "{}",
-                model.name()
-            );
+            ["isambard-macs:cascadelake", "isambard-macs:volta"]
+                .iter()
+                .map(|p| ExecutionMode::simulated(p, 1).unwrap())
+                .find_map(|mode| run_memo(&cfg, &mode, &mut Arena::new(), Some(&shared)).ok())
+                .expect("the model runs on one of the two partitions");
         }
-        assert_eq!(shared.keys().len(), 2, "{:?}", shared.keys());
+        assert_eq!(
+            shared.keys(),
+            [SolveKey::BabelStream {
+                n: 1 << 14,
+                reps: 3
+            }]
+        );
     }
 
     #[test]

@@ -150,23 +150,16 @@ impl Default for HpcgConfig {
     }
 }
 
-/// Run HPCG and produce output in the real benchmark's summary format.
+/// Run HPCG and produce output in the real benchmark's summary format,
+/// solving every call.
 pub fn run(config: &HpcgConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
-    run_with(config, mode, &mut crate::scratch::Arena::new())
+    run_memo(config, mode, &mut crate::scratch::Arena::new(), None)
 }
 
 /// [`run`] drawing CG working vectors from a caller-owned arena, so the
-/// harness can reuse buffers across repetitions and cells.
-pub fn run_with(
-    config: &HpcgConfig,
-    mode: &ExecutionMode,
-    arena: &mut crate::scratch::Arena,
-) -> Result<RunOutput, BenchError> {
-    run_memo(config, mode, arena, None)
-}
-
-/// [`run_with`] taking a simulated run's solve from `memo` when one is
-/// given (see [`crate::memo`]); native runs always solve.
+/// harness can reuse buffers across repetitions and cells, and taking a
+/// simulated run's solve from `memo` when one is given (see
+/// [`crate::memo`]); native runs always solve.
 pub fn run_memo(
     config: &HpcgConfig,
     mode: &ExecutionMode,
@@ -496,7 +489,7 @@ mod tests {
                 ..Default::default()
             };
             let mut arena = crate::scratch::Arena::new();
-            let err = run_with(&cfg, &mode, &mut arena).unwrap_err();
+            let err = run_memo(&cfg, &mode, &mut arena, None).unwrap_err();
             assert!(matches!(err, BenchError::Unsupported(_)), "{err}");
             // CG returns its vectors to the arena; none were taken.
             assert_eq!(arena.pooled(), 0, "{}", variant.spec_name());

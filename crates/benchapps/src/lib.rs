@@ -24,14 +24,15 @@
 //! `precheck`: is the configuration valid, is the model/variant available
 //! on the partition, does it have the nodes? The harness asks it before
 //! the build stage too), a
-//! **host solve** at the capped size whose inputs never depend on the
-//! partition, and a partition-dependent **render** of the modeled times.
+//! **host solve** at the capped size, run serially, whose inputs never
+//! depend on the partition or the host's threads, and a
+//! partition-dependent **render** of the modeled times.
 //! The solve's inputs form a [`memo::SolveKey`], derived in one place per
 //! app (its `solve_key`); each app's `run_memo`
 //! takes an optional [`memo::SolveMemo`] through which every cell of a
 //! study that poses the same problem shares one solve (its outcome, a
-//! failed validation included). `run` and `run_with` pass no memo and
-//! solve every call. Native runs never go through the memo: their solve
+//! failed validation included). `run` passes no memo and solves every
+//! call. Native runs never go through the memo: their solve
 //! *is* the measurement.
 //!
 //! Each run returns a [`RunOutput`]: the benchmark's textual stdout —

@@ -1,8 +1,8 @@
 //! The study-scoped solve memo: one host solve per distinct problem.
 //!
 //! On a simulated platform the host solve only checks numerics, and its
-//! inputs (the capped problem, the iteration cap, the host threads) never
-//! depend on the partition. A [`SolveMemo`] keyed by exactly those inputs
+//! inputs (the capped problem and the iteration cap) never depend on the
+//! partition. A [`SolveMemo`] keyed by exactly those inputs
 //! lets every cell of a study that poses the same problem share one solve.
 //! Each key owns one [`OnceLock`], so concurrent cells asking for the same
 //! key wait for the single in-flight solve instead of starting their own.
@@ -11,7 +11,6 @@
 
 use crate::hpcg::HpcgOperator;
 use crate::BenchError;
-use parkern::BackendKind;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -33,23 +32,16 @@ pub enum SolveKey {
         n: usize,
     },
     BabelStream {
-        /// `Model::backend_kind`: a model reaches the host computation only
-        /// through its backend, so models of one kind pose one problem.
-        backend: BackendKind,
         /// `min(array_size, SIM_EXECUTION_CAP)`.
         n: usize,
         /// `min(reps, 3)`.
         reps: usize,
-        /// `default_workers().min(8)`.
-        threads: usize,
     },
     Stream {
         /// `min(array_size, SIM_EXECUTION_CAP)`.
         n: usize,
         /// `min(reps, 2)`.
         reps: usize,
-        /// `default_workers().min(4)`.
-        threads: usize,
     },
 }
 
@@ -206,5 +198,24 @@ mod tests {
             .unwrap();
         }
         assert_eq!(runs.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn bandwidth_keys_ignore_the_thread_worker_cap() {
+        // A simulated validation runs on the serial reference, so its key
+        // reads no thread-local state: two threads with different kernel
+        // worker caps pose the same problems.
+        let keys_at = |cap| {
+            std::thread::spawn(move || {
+                parkern::set_worker_cap(cap);
+                (
+                    crate::babelstream::solve_key(&Default::default()),
+                    crate::stream::solve_key(&Default::default()),
+                )
+            })
+            .join()
+            .expect("key thread panicked")
+        };
+        assert_eq!(keys_at(1), keys_at(4));
     }
 }

@@ -7,7 +7,7 @@
 use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::scratch::Arena;
 use crate::{BenchError, ExecutionMode, RunOutput, SIM_EXECUTION_CAP};
-use parkern::{kernels, Model};
+use parkern::{kernels, Backend, Model, SerialBackend};
 use simhpc::noise::NoiseModel;
 use simhpc::perf::KernelCost;
 use std::time::Instant;
@@ -63,33 +63,22 @@ pub fn precheck(config: &StreamConfig, partition: &simhpc::Partition) -> Result<
 }
 
 /// Every input of a simulated run's host validation, after the size and
-/// repetition caps. `threads` is this thread's kernel worker cap
-/// (`parkern::default_workers`), so it is the same for every call on one
-/// thread.
+/// repetition caps. The validation runs on the serial reference.
 pub fn solve_key(config: &StreamConfig) -> SolveKey {
     SolveKey::Stream {
         n: config.array_size.min(SIM_EXECUTION_CAP),
         reps: 2.min(config.reps),
-        threads: parkern::default_workers().min(4),
     }
 }
 
-/// Run STREAM.
+/// Run STREAM, validating every call.
 pub fn run(config: &StreamConfig, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
-    run_with(config, mode, &mut Arena::new())
+    run_memo(config, mode, &mut Arena::new(), None)
 }
 
-/// [`run`] drawing the kernel arrays from a caller-owned arena.
-pub fn run_with(
-    config: &StreamConfig,
-    mode: &ExecutionMode,
-    arena: &mut Arena,
-) -> Result<RunOutput, BenchError> {
-    run_memo(config, mode, arena, None)
-}
-
-/// [`run_with`] taking a simulated run's validation from `memo` when one
-/// is given (see [`crate::memo`]); native runs always execute.
+/// Run STREAM, drawing the kernel arrays from `arena` and taking a
+/// simulated run's validation from `memo` when one is given (see
+/// [`crate::memo`]); native runs always execute.
 pub fn run_memo(
     config: &StreamConfig,
     mode: &ExecutionMode,
@@ -105,8 +94,9 @@ pub fn run_memo(
                 .threads
                 .map(|t| t as usize)
                 .unwrap_or_else(parkern::default_workers);
+            let backend = Model::Omp.host_backend(threads);
             (
-                execute(config.array_size, config.reps, threads, arena)?,
+                execute(backend.as_ref(), config.array_size, config.reps, arena)?,
                 config.array_size,
             )
         }
@@ -118,16 +108,11 @@ pub fn run_memo(
             precheck(config, partition)?;
             let proc = partition.processor();
             let key = solve_key(config);
-            let SolveKey::Stream {
-                n,
-                reps,
-                threads: host_threads,
-            } = key
-            else {
+            let SolveKey::Stream { n, reps } = key else {
                 unreachable!("a STREAM config keys a STREAM solve")
             };
             memo::solve_with(memo, key, || {
-                execute(n, reps, host_threads, arena).map(|_| Solution::Validated)
+                execute(&SerialBackend, n, reps, arena).map(|_| Solution::Validated)
             })?;
             let threads = config.threads.unwrap_or(proc.total_cores());
             let ws = 3 * config.array_size as u64 * 8;
@@ -170,12 +155,11 @@ pub fn run_memo(
 }
 
 fn execute(
+    backend: &dyn Backend,
     n: usize,
     reps: usize,
-    threads: usize,
     arena: &mut Arena,
 ) -> Result<[Vec<f64>; 4], BenchError> {
-    let backend = Model::Omp.host_backend(threads);
     let a = arena.take(n, 1.0);
     let mut b = arena.take(n, 2.0);
     let mut c = arena.take(n, 0.0);
@@ -186,16 +170,16 @@ fn execute(
     let mut failed = false;
     for _ in 0..reps {
         let t = Instant::now();
-        kernels::copy(backend.as_ref(), &a, &mut c);
+        kernels::copy(backend, &a, &mut c);
         times[0].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::mul(backend.as_ref(), 3.0, &c, &mut b);
+        kernels::mul(backend, 3.0, &c, &mut b);
         times[1].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::add(backend.as_ref(), &a, &b, &mut c);
+        kernels::add(backend, &a, &b, &mut c);
         times[2].push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        kernels::triad(backend.as_ref(), 3.0, &b, &c, &mut a2);
+        kernels::triad(backend, 3.0, &b, &c, &mut a2);
         times[3].push(t.elapsed().as_secs_f64());
         if (a2[0] - (b[0] + 3.0 * c[0])).abs() > 1e-12 {
             failed = true;
@@ -251,7 +235,7 @@ mod tests {
     fn gpu_partition_rejected() {
         let mode = ExecutionMode::simulated("isambard-macs:volta", 1).unwrap();
         let mut arena = Arena::new();
-        let err = run_with(&StreamConfig::default(), &mode, &mut arena).unwrap_err();
+        let err = run_memo(&StreamConfig::default(), &mode, &mut arena, None).unwrap_err();
         assert_eq!(
             err.to_string(),
             "unsupported configuration: STREAM is a CPU benchmark"

@@ -51,15 +51,9 @@ pub enum App {
 }
 
 impl App {
-    /// Execute the application.
-    pub fn run(&self, mode: &ExecutionMode) -> Result<RunOutput, BenchError> {
-        self.run_with(mode, &mut benchapps::scratch::Arena::new())
-    }
-
-    /// Execute the application, drawing working vectors from a caller-owned
-    /// arena so repeated runs (repetitions, retries, survey cells) are
-    /// allocation-free in steady state. Results are byte-identical to
-    /// [`App::run`].
+    /// Execute the application, solving every call and drawing working
+    /// vectors from a caller-owned arena so repeated runs (repetitions,
+    /// retries, survey cells) are allocation-free in steady state.
     pub fn run_with(
         &self,
         mode: &ExecutionMode,
@@ -99,8 +93,7 @@ impl App {
     }
 
     /// The key of the host solve a simulated run poses (each app's
-    /// `solve_key`, which its `run_memo` uses too). BabelStream and STREAM
-    /// keys read the calling thread's kernel worker cap.
+    /// `solve_key`, which its `run_memo` uses too).
     pub fn solve_key(&self) -> SolveKey {
         match self {
             App::BabelStream(cfg) => benchapps::babelstream::solve_key(cfg),

@@ -584,9 +584,6 @@ impl SuiteRunner {
             if system.name() == "native" || case.app.precheck(partition).is_err() {
                 continue;
             }
-            // Keys read on this thread carry its kernel worker cap, not a
-            // worker's. Every worker of the study sets one and the same
-            // cap, so both split the cells into the same solves.
             let key = case.app.solve_key();
             if keys.insert(key) {
                 leads.push((solve_rank(&key), job));
@@ -2562,14 +2559,10 @@ printf 'done:0:\n'
     #[test]
     fn a_full_grid_study_solves_each_distinct_problem_once() {
         // One memo entry per distinct solve key among the cells that reach
-        // the solve: 81 ran cells share eight host solves. One
-        // kernel thread per cell fixes the keys' host-thread component.
+        // the solve: 81 ran cells share seven host solves.
         let cases = full_grid_cases();
         let memo = Arc::new(SolveMemo::new());
-        let runner = SuiteRunner {
-            threads: Some(1),
-            ..SuiteRunner::new(&PARTITIONS).with_seed(3).with_jobs(2)
-        };
+        let runner = SuiteRunner::new(&PARTITIONS).with_seed(3).with_jobs(2);
         let report = runner
             .sweep(&cases, &|_| {}, Arc::clone(&memo))
             .expect("no checkpoint configured");
@@ -2582,10 +2575,8 @@ printf 'done:0:\n'
             let app = &cases.iter().find(|c| &c.name == case).unwrap().app;
             expected.insert(match app {
                 crate::App::BabelStream(cfg) => SolveKey::BabelStream {
-                    backend: cfg.model.backend_kind(),
                     n: cfg.array_size.min(1 << 16),
                     reps: cfg.reps.min(3),
-                    threads: 1,
                 },
                 crate::App::Hpcg(cfg) => SolveKey::Hpcg {
                     operator: cfg.variant.operator(),
@@ -2598,7 +2589,6 @@ printf 'done:0:\n'
                 crate::App::Stream(cfg) => SolveKey::Stream {
                     n: cfg.array_size.min(1 << 16),
                     reps: cfg.reps.min(2),
-                    threads: 1,
                 },
             });
         }
@@ -2607,9 +2597,9 @@ printf 'done:0:\n'
         assert_eq!(solved, expected);
         assert_eq!(report.n_ran(), 81);
         // CSR and Intel-avx2 build one operator, so they share a solve,
-        // and BabelStream validates once per host backend (serial, pool):
-        // 4 HPCG operators, HPGMG, 2 BabelStream backends and STREAM.
-        assert_eq!(solved.len(), 8, "{solved:?}");
+        // and all nine BabelStream models share one validation: 4 HPCG
+        // operators, HPGMG, BabelStream and STREAM.
+        assert_eq!(solved.len(), 7, "{solved:?}");
     }
 
     /// Checks that `runner`'s dispatch order claims exactly the cells
@@ -2637,14 +2627,14 @@ printf 'done:0:\n'
             .iter()
             .map(|&job| cases[job % cases.len()].app.solve_key())
             .collect();
-        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 8, "{keys:?}");
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 7, "{keys:?}");
         // All on archer2:rome, the first system: HPGMG, the three long
         // HPCG operators and LFRic's in grid order (the AVX2 variant does
-        // not run on AMD), then BabelStream's pool and serial backends and
-        // STREAM.
-        assert_eq!(leads, [14, 9, 11, 12, 13, 0, 6, 15]);
+        // not run on AMD), then BabelStream's first model, which validates
+        // for all nine, and STREAM.
+        assert_eq!(leads, [14, 9, 11, 12, 13, 0, 15]);
         let ranks: Vec<u8> = keys.iter().map(solve_rank).collect();
-        assert_eq!(ranks, [3, 2, 2, 2, 1, 0, 0, 0]);
+        assert_eq!(ranks, [3, 2, 2, 2, 1, 0, 0]);
         assert!(matches!(keys[0], SolveKey::Hpgmg { .. }));
         // The same order at any `--jobs`.
         assert_eq!(
@@ -2660,7 +2650,7 @@ printf 'done:0:\n'
         // (`checked_leads` checks the claims are exactly 15..).
         let cases = full_grid_cases();
         let leads = checked_leads(&SuiteRunner::new(&PARTITIONS), &cases, 15);
-        assert_eq!(leads.len(), 8);
+        assert_eq!(leads.len(), 7);
         assert_eq!(leads[0], cases.len() + 14);
     }
 
@@ -2675,12 +2665,12 @@ printf 'done:0:\n'
         let engined = SuiteRunner::new(&PARTITIONS)
             .with_engine_override(&cases[hpgmg].name, sh_engine("exit 0"));
         let leads = checked_leads(&engined, &cases, 0);
-        assert_eq!(leads.len(), 7, "{leads:?}");
+        assert_eq!(leads.len(), 6, "{leads:?}");
         assert!(leads.iter().all(|&job| job % cases.len() != hpgmg));
         // A native system measures its own solves: none of its cells lead.
         let native = SuiteRunner::new(&["native", "archer2:rome"]);
         let leads = checked_leads(&native, &cases, 0);
-        assert_eq!(leads.len(), 8);
+        assert_eq!(leads.len(), 7);
         assert!(leads.iter().all(|&job| job >= cases.len()), "{leads:?}");
         // On a GPU partition only the supported cells can lead.
         let (_, volta) = simhpc::catalog::partition("isambard-macs:volta").unwrap();

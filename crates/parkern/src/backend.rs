@@ -31,12 +31,6 @@ pub trait Backend: Send + Sync {
     /// Run `body` over disjoint chunks covering `0..n`.
     fn par_for(&self, n: usize, body: &(dyn Fn(Range<usize>) + Sync));
 
-    /// Run `body` over disjoint chunks covering `0..n`, with at least
-    /// `grain` indices per chunk. Small iteration spaces therefore use
-    /// fewer workers (possibly one), so per-chunk dispatch overhead never
-    /// dominates tiny loops. `grain <= 1` behaves like [`Backend::par_for`].
-    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync));
-
     /// Backend label for logs.
     fn label(&self) -> &'static str;
 }
@@ -57,13 +51,6 @@ pub fn chunk_range(n: usize, pieces: usize, index: usize) -> Option<Range<usize>
     let start = index * base + index.min(extra);
     let len = base + usize::from(index < extra);
     Some(start..start + len)
-}
-
-/// How many chunks a grained loop over `0..n` should use: enough to give
-/// every chunk at least `grain` indices, capped at `workers`.
-pub(crate) fn grained_pieces(n: usize, grain: usize, workers: usize) -> usize {
-    let grain = grain.max(1);
-    n.div_ceil(grain).clamp(1, workers.max(1))
 }
 
 /// Worker count to use when none is specified: this thread's count from
@@ -89,10 +76,6 @@ impl Backend for SerialBackend {
         if n > 0 {
             body(0..n);
         }
-    }
-
-    fn par_for_grained(&self, n: usize, _grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.par_for(n, body);
     }
 
     fn label(&self) -> &'static str {
@@ -141,23 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn grained_pieces_respects_grain_and_cap() {
-        assert_eq!(grained_pieces(1000, 1, 8), 8);
-        assert_eq!(grained_pieces(1000, 500, 8), 2);
-        assert_eq!(grained_pieces(1000, 1000, 8), 1);
-        assert_eq!(grained_pieces(3, 1, 8), 3); // capped by chunk_range clamp anyway
-        assert_eq!(grained_pieces(0, 1, 8), 1);
-        // Every chunk meets the grain (except possibly when n < grain).
-        for (n, grain, workers) in [(10_000, 256, 8), (777, 100, 4), (50, 64, 8)] {
-            let pieces = grained_pieces(n, grain, workers);
-            for i in 0..pieces {
-                let r = chunk_range(n, pieces, i).unwrap();
-                assert!(r.len() >= grain.min(n), "n={n} grain={grain}: {r:?}");
-            }
-        }
-    }
-
-    #[test]
     fn worker_count_is_exact_and_per_thread() {
         let machine = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         // Unset means the machine's parallelism.
@@ -189,34 +155,16 @@ mod tests {
     #[test]
     fn par_for_visits_every_index_once() {
         for b in backends() {
-            let n = 10_000;
-            let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            b.par_for(n, &|r| {
-                for i in r {
-                    counters[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                counters.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "backend {} missed or duplicated indices",
-                b.label()
-            );
-        }
-    }
-
-    #[test]
-    fn par_for_grained_visits_every_index_once() {
-        for b in backends() {
-            for (n, grain) in [(10_000, 256), (100, 1000), (9, 2), (1, 4)] {
+            for n in [10_000, 100, 9, 1] {
                 let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                b.par_for_grained(n, grain, &|r| {
+                b.par_for(n, &|r| {
                     for i in r {
                         counters[i].fetch_add(1, Ordering::Relaxed);
                     }
                 });
                 assert!(
                     counters.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                    "backend {} n={n} grain={grain} missed or duplicated indices",
+                    "backend {} n={n} missed or duplicated indices",
                     b.label()
                 );
             }
@@ -227,7 +175,6 @@ mod tests {
     fn empty_and_tiny_inputs() {
         for b in backends() {
             b.par_for(0, &|_| panic!("no work expected"));
-            b.par_for_grained(0, 64, &|_| panic!("no work expected"));
             let mut hit = std::sync::atomic::AtomicUsize::new(0);
             b.par_for(1, &|r| {
                 assert_eq!(r, 0..1);

@@ -1,9 +1,9 @@
 //! Shared array kernels, written once against the [`Backend`] abstraction.
 //!
 //! These are the numerical bodies of the benchmark applications: the five
-//! BabelStream/STREAM operations, dot products, sparse matrix-vector
-//! products and stencil applications. They always run for real, so sanity
-//! checks downstream validate genuine arithmetic.
+//! BabelStream/STREAM operations, dot products and sparse matrix-vector
+//! products. They always run for real, so sanity checks downstream
+//! validate genuine arithmetic.
 //!
 //! # Roofline discipline
 //!
@@ -109,26 +109,6 @@ fn triad_block(scalar: f64, b: &[f64], c: &[f64], a: &mut [f64]) {
         .zip(cc.remainder())
     {
         *ax = bx + scalar * cx;
-    }
-}
-
-/// `y[i] = alpha * x[i] + beta * z[i]` on one chunk, in exact blocks.
-fn waxpby_block(alpha: f64, x: &[f64], beta: f64, z: &[f64], y: &mut [f64]) {
-    let mut yc = y.chunks_exact_mut(W);
-    let mut xc = x.chunks_exact(W);
-    let mut zc = z.chunks_exact(W);
-    for ((yx, xx), zx) in (&mut yc).zip(&mut xc).zip(&mut zc) {
-        for j in 0..W {
-            yx[j] = alpha * xx[j] + beta * zx[j];
-        }
-    }
-    for ((yx, xx), zx) in yc
-        .into_remainder()
-        .iter_mut()
-        .zip(xc.remainder())
-        .zip(zc.remainder())
-    {
-        *yx = alpha * xx + beta * zx;
     }
 }
 
@@ -238,18 +218,6 @@ pub fn dot(backend: &dyn Backend, a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// `y[i] = alpha * x[i] + beta * z[i]` — HPCG's WAXPBY.
-pub fn waxpby(backend: &dyn Backend, alpha: f64, x: &[f64], beta: f64, z: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), z.len());
-    assert_eq!(x.len(), y.len());
-    let out = ParPtr(y.as_mut_ptr());
-    backend.par_for(x.len(), &|r: Range<usize>| {
-        // SAFETY: chunks are disjoint (ParPtr contract).
-        let dst = unsafe { out.slice(r.clone()) };
-        waxpby_block(alpha, &x[r.clone()], beta, &z[r], dst);
-    });
-}
-
 /// CSR sparse matrix-vector product `y = A x`.
 ///
 /// `row_ptr` has `nrows + 1` entries; column indices and values are packed.
@@ -284,9 +252,6 @@ pub fn spmv_csr(
 
 /// SELL-C-σ slice height: rows per slice, i.e. the SIMD/ILP lane count.
 pub const SELL_C: usize = 8;
-
-/// Scheduling grain for [`spmv_sell`], in slices (× [`SELL_C`] rows).
-const SELL_SLICE_GRAIN: usize = 32;
 
 /// A sparse matrix in SELL-C-σ format (Kreutzer et al., SIAM J. Sci.
 /// Comput. 2014): rows are packed into slices of [`SELL_C`], each slice
@@ -411,7 +376,7 @@ pub fn spmv_sell(backend: &dyn Backend, m: &SellMatrix, x: &[f64], y: &mut [f64]
     assert!(x.len() >= m.ncols, "x shorter than the widest matrix row");
     let n_slices = m.slice_ptr.len() - 1;
     let out = ParPtr(y.as_mut_ptr());
-    backend.par_for_grained(n_slices, SELL_SLICE_GRAIN, &|sr: Range<usize>| {
+    backend.par_for(n_slices, &|sr: Range<usize>| {
         for s in sr.clone() {
             let base = m.slice_ptr[s];
             let width = (m.slice_ptr[s + 1] - base) / SELL_C;
@@ -455,82 +420,6 @@ pub fn spmv_sell(backend: &dyn Backend, m: &SellMatrix, x: &[f64], y: &mut [f64]
                 // to disjoint rows even across concurrent slices.
                 unsafe { out.write(*m.perm.get_unchecked(r0 + l) as usize, a) };
             }
-        }
-    });
-}
-
-/// Matrix-free 27-point stencil apply on an `nx × ny × nz` grid with
-/// constant coefficients: `y = A x` for the HPCG operator without an
-/// assembled matrix. Boundary rows truncate the stencil (Dirichlet).
-///
-/// Interior points (the bulk) take a branch-free path: the 26 neighbour
-/// offsets are compile-time constants, so the triple loop fully unrolls
-/// with unchecked loads. Neighbours accumulate in (dz, dy, dx)-ascending
-/// order on both paths, so boundary and interior rounding match the
-/// reference formulation exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn stencil27(
-    backend: &dyn Backend,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    diag: f64,
-    off: f64,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let n = nx * ny * nz;
-    assert_eq!(x.len(), n);
-    assert_eq!(y.len(), n);
-    let out = ParPtr(y.as_mut_ptr());
-    backend.par_for(n, &|r: Range<usize>| {
-        for idx in r {
-            let iz = idx / (nx * ny);
-            let iy = (idx / nx) % ny;
-            let ix = idx % nx;
-            let interior =
-                ix >= 1 && ix + 1 < nx && iy >= 1 && iy + 1 < ny && iz >= 1 && iz + 1 < nz;
-            let mut sum = diag * x[idx];
-            if interior {
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                continue;
-                            }
-                            let j =
-                                (idx as i64 + ((dz * ny as i64 + dy) * nx as i64 + dx)) as usize;
-                            // SAFETY: interior ⇒ all 26 neighbours in bounds.
-                            sum += off * unsafe { *x.get_unchecked(j) };
-                        }
-                    }
-                }
-            } else {
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                continue;
-                            }
-                            let jx = ix as i64 + dx;
-                            let jy = iy as i64 + dy;
-                            let jz = iz as i64 + dz;
-                            if jx < 0
-                                || jy < 0
-                                || jz < 0
-                                || jx >= nx as i64
-                                || jy >= ny as i64
-                                || jz >= nz as i64
-                            {
-                                continue;
-                            }
-                            let j = (jz as usize * ny + jy as usize) * nx + jx as usize;
-                            sum += off * x[j];
-                        }
-                    }
-                }
-            }
-            unsafe { out.write(idx, sum) };
         }
     });
 }
@@ -594,10 +483,6 @@ mod tests {
             for i in 0..n {
                 assert_eq!(out[i], a[i] + 1.5 * b[i], "triad n={n} i={i}");
             }
-            waxpby(&SerialBackend, 0.5, &a, -2.0, &b, &mut out);
-            for i in 0..n {
-                assert_eq!(out[i], 0.5 * a[i] + -2.0 * b[i], "waxpby n={n} i={i}");
-            }
         }
     }
 
@@ -618,20 +503,6 @@ mod tests {
                     be.workers()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn waxpby_matches_reference() {
-        let x: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.3).sin()).collect();
-        let z: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let mut want = vec![0.0; 1000];
-        waxpby(&SerialBackend, 2.0, &x, -1.0, &z, &mut want);
-        assert_eq!(want[10], 2.0 * x[10] - 10.0);
-        for b in backends() {
-            let mut y = vec![0.0; 1000];
-            waxpby(b.as_ref(), 2.0, &x, -1.0, &z, &mut y);
-            assert!(y.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
         }
     }
 
@@ -746,66 +617,5 @@ mod tests {
         let unsorted = SellMatrix::from_csr(&row_ptr, &col_idx, &values, 8);
         assert!(sorted.stored_entries() <= unsorted.stored_entries());
         assert!(sorted.stored_entries() >= col_idx.len());
-    }
-
-    #[test]
-    fn stencil_interior_row_sums() {
-        // With diag=26, off=-1, applying to the constant vector gives 0 in
-        // the interior (row sum zero) and positive values at boundaries.
-        let (nx, ny, nz) = (5, 5, 5);
-        let x = vec![1.0; nx * ny * nz];
-        for b in backends() {
-            let mut y = vec![0.0; nx * ny * nz];
-            stencil27(b.as_ref(), nx, ny, nz, 26.0, -1.0, &x, &mut y);
-            let center = (2 * ny + 2) * nx + 2;
-            assert!((y[center] - (26.0 - 26.0)).abs() < 1e-12);
-            let corner = 0;
-            // Corner has 7 neighbours: 26 - 7 = 19.
-            assert!((y[corner] - 19.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_stencil() {
-        let (nx, ny, nz) = (13, 7, 9);
-        let n = nx * ny * nz;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 * 0.01).collect();
-        let mut y_serial = vec![0.0; n];
-        stencil27(&SerialBackend, nx, ny, nz, 26.0, -1.0, &x, &mut y_serial);
-        for b in backends() {
-            let mut y = vec![0.0; n];
-            stencil27(b.as_ref(), nx, ny, nz, 26.0, -1.0, &x, &mut y);
-            assert_eq!(y, y_serial, "backend {}", b.label());
-        }
-    }
-
-    #[test]
-    fn stencil_thin_grids_have_no_interior_fast_path() {
-        // nx = 1 means every point is a boundary point; the general path
-        // must handle it alone.
-        let (nx, ny, nz) = (1, 6, 4);
-        let n = nx * ny * nz;
-        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
-        let mut y = vec![0.0; n];
-        stencil27(&SerialBackend, nx, ny, nz, 26.0, -1.0, &x, &mut y);
-        // Row sums: each point couples to its (up to 8) in-plane-and-depth
-        // neighbours; check one value by brute force.
-        let idx = ny; // (ix=0, iy=0, iz=1) for nx=1
-        let mut expect = 26.0 * x[idx];
-        for dz in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        continue;
-                    }
-                    let (jx, jy, jz) = (dx, dy, dz + 1);
-                    if jx < 0 || jy < 0 || jz < 0 || jx >= 1 || jy >= ny as i64 || jz >= nz as i64 {
-                        continue;
-                    }
-                    expect -= x[(jz as usize * ny + jy as usize) * nx + jx as usize];
-                }
-            }
-        }
-        assert_eq!(y[idx], expect);
     }
 }

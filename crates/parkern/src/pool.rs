@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::backend::{chunk_range, grained_pieces, Backend};
+use crate::backend::{chunk_range, Backend};
 
 /// The closure type broadcast to workers: `f(worker_index, n_workers)`.
 type TaskRef = *const (dyn Fn(usize, usize) + Sync);
@@ -173,15 +173,11 @@ impl Backend for PoolBackend {
     }
 
     fn par_for(&self, n: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.par_for_grained(n, 1, body);
-    }
-
-    fn par_for_grained(&self, n: usize, grain: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
         if n == 0 {
             return;
         }
-        let pieces = grained_pieces(n, grain, self.workers);
-        if pieces <= 1 {
+        let pieces = n.min(self.workers);
+        if pieces == 1 {
             body(0..n);
             return;
         }
@@ -216,23 +212,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_grained_uses_fewer_chunks() {
-        let pool = PoolBackend::new(4);
-        let calls = AtomicUsize::new(0);
-        let indices = AtomicUsize::new(0);
-        pool.par_for_grained(1000, 600, &|r| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            indices.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        // ceil(1000/600) = 2 chunks despite 4 workers.
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(indices.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
     fn single_worker_pool_is_serial() {
-        // The path of every survey cell that `--jobs` leaves one kernel
-        // thread: no thread is spawned and every region runs on the caller.
+        // The path of every native survey cell that `--jobs` leaves one
+        // kernel thread: no thread is spawned and every region runs on the
+        // caller.
         let pool = PoolBackend::new(1);
         assert!(
             pool.handles.is_empty(),
@@ -245,8 +228,7 @@ mod tests {
             seen.lock().unwrap().push(r);
         };
         pool.par_for(10, &on_caller);
-        pool.par_for_grained(10, 2, &on_caller);
-        assert_eq!(seen.into_inner().unwrap(), vec![0..10, 0..10]);
+        assert_eq!(seen.into_inner().unwrap(), vec![0..10]);
     }
 
     #[test]

@@ -29,8 +29,6 @@ fn kernel_bits(backend: &dyn Backend, n: usize, scalar: f64) -> Vec<u64> {
     keep(&out);
     kernels::triad(backend, scalar, &a, &b, &mut out);
     keep(&out);
-    kernels::waxpby(backend, scalar, &a, -0.5, &b, &mut out);
-    keep(&out);
     keep(&[kernels::dot(backend, &a, &b)]);
     // A tridiagonal CSR matrix and its SELL-C-sigma form.
     let mut row_ptr = vec![0usize];
@@ -47,10 +45,6 @@ fn kernel_bits(backend: &dyn Backend, n: usize, scalar: f64) -> Vec<u64> {
     keep(&out);
     let sell = kernels::SellMatrix::from_csr(&row_ptr, &col_idx, &values, 16);
     kernels::spmv_sell(backend, &sell, &b, &mut out);
-    keep(&out);
-    // A 27-point stencil over an n-point box (nx × 3 × 2 when n allows).
-    let (ny, nz) = if n.is_multiple_of(6) { (3, 2) } else { (1, 1) };
-    kernels::stencil27(backend, n / (ny * nz), ny, nz, 26.0, -1.0, &a, &mut out);
     keep(&out);
     bits
 }
