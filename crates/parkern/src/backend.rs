@@ -152,10 +152,10 @@ mod tests {
         assert_eq!(default_workers(), machine);
     }
 
-    #[test]
-    fn par_for_visits_every_index_once() {
+    /// Every index is visited exactly once over `0..n` on every backend.
+    fn assert_visits_once(sizes: &[usize]) {
         for b in backends() {
-            for n in [10_000, 100, 9, 1] {
+            for &n in sizes {
                 let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                 b.par_for(n, &|r| {
                     for i in r {
@@ -169,6 +169,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn par_for_visits_every_index_once() {
+        assert_visits_once(&[10_000]);
+    }
+
+    #[test]
+    fn par_for_visits_every_index_once_at_small_sizes() {
+        // Sizes below, at and just above the worker counts, where the pool
+        // splits into `min(n, workers)` chunks.
+        assert_visits_once(&[100, 9, 8, 3, 2, 1]);
     }
 
     #[test]
