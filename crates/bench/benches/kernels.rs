@@ -215,6 +215,21 @@ fn bench_spmv_layout(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hpcg_build(c: &mut Criterion) {
+    // Operator set-up at the survey's 16³ HPCG size: a study assembles
+    // the CSR matrix once for the CSR solve and once inside SELL.
+    let mut group = c.benchmark_group("hpcg_build");
+    group.sample_size(10);
+    let problem = benchapps::hpcg::Problem::cube(16);
+    group.bench_function("csr", |bench| {
+        bench.iter(|| benchapps::hpcg::CsrOperator::poisson27(&problem));
+    });
+    group.bench_function("sell", |bench| {
+        bench.iter(|| benchapps::hpcg::SellOperator::poisson27(&problem));
+    });
+    group.finish();
+}
+
 fn bench_hpgmg(c: &mut Criterion) {
     // The hottest kernel of a simulated survey: every HPGMG cell solves
     // this 32³ multigrid problem for real, with exactly these arguments.
@@ -241,6 +256,7 @@ criterion_group!(
     bench_symgs,
     bench_stream_gbs,
     bench_spmv_layout,
+    bench_hpcg_build,
     bench_hpgmg
 );
 criterion_main!(benches);

@@ -66,32 +66,24 @@ impl CsrOperator {
     /// truncation at the boundary).
     pub fn poisson27(p: &Problem) -> CsrOperator {
         let n = p.n();
+        let nnz = Self::poisson27_nnz(p);
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         let mut diag = Vec::with_capacity(n);
         let mut diag_pos = Vec::with_capacity(n);
+        // The in-range neighbours of cell `i` along an axis of `m` cells,
+        // ascending: the truncated offsets −1, 0, +1.
+        let near = |i: usize, m: usize| i.saturating_sub(1)..(i + 2).min(m);
         row_ptr.push(0);
         for iz in 0..p.nz {
             for iy in 0..p.ny {
                 for ix in 0..p.nx {
                     let row = p.index(ix, iy, iz);
-                    for dz in -1i64..=1 {
-                        for dy in -1i64..=1 {
-                            for dx in -1i64..=1 {
-                                let jx = ix as i64 + dx;
-                                let jy = iy as i64 + dy;
-                                let jz = iz as i64 + dz;
-                                if jx < 0
-                                    || jy < 0
-                                    || jz < 0
-                                    || jx >= p.nx as i64
-                                    || jy >= p.ny as i64
-                                    || jz >= p.nz as i64
-                                {
-                                    continue;
-                                }
-                                let col = p.index(jx as usize, jy as usize, jz as usize);
+                    for jz in near(iz, p.nz) {
+                        for jy in near(iy, p.ny) {
+                            for jx in near(ix, p.nx) {
+                                let col = p.index(jx, jy, jz);
                                 if col == row {
                                     diag_pos.push(col_idx.len());
                                 }
@@ -113,6 +105,15 @@ impl CsrOperator {
             diag,
             diag_pos,
         }
+    }
+
+    /// Entries [`CsrOperator::poisson27`] stores for `p`. Along an axis of
+    /// `m` cells the in-range offsets number 2 at each end and 3 inside,
+    /// `3m − 2` in all (1 when `m` is 1), and a row's entry count is the
+    /// product of its three axes' counts, so the total is the product of
+    /// the three sums.
+    fn poisson27_nnz(p: &Problem) -> usize {
+        [p.nx, p.ny, p.nz].iter().map(|&m| 3 * m - 2).product()
     }
 
     pub fn nnz(&self) -> usize {
@@ -603,6 +604,23 @@ mod tests {
             let (ix, iy, iz) = (i % p.nx, (i / p.nx) % p.ny, i / (p.nx * p.ny));
             let want = 26.0 * x[i] - mf.neighbour_sum(&x, ix, iy, iz);
             assert_eq!(got[i].to_bits(), want.to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn poisson27_entry_count_matches_the_assembled_matrix() {
+        // A one-wide axis is below `Problem::new`'s minimum, so that box
+        // is built by hand; assembly only reads the three edges.
+        let thin = Problem {
+            nx: 4,
+            ny: 1,
+            nz: 3,
+            rhs: Vec::new(),
+        };
+        for p in [Problem::new(5, 8, 25), thin, Problem::cube(2)] {
+            let csr = CsrOperator::poisson27(&p);
+            assert_eq!(CsrOperator::poisson27_nnz(&p), csr.nnz(), "{p:?}");
+            assert_eq!(csr.values.capacity(), csr.nnz(), "reserved exactly");
         }
     }
 

@@ -15,15 +15,19 @@
 //! cannot host the run (a GPU, too few nodes) is rejected before the
 //! solve, so skipped cells cost nothing.
 //!
-//! The solver's loops are shaped for speed but its arithmetic is fixed:
-//! each colour's sweep visits only its own cells, interior rows (no j or k
-//! boundary face) run a branch-free stencil over row slices with the
-//! diagonal folded to 6, prolongation weights are listed once per call and
-//! the right-hand side's sines are tabled. Every floating-point operation,
-//! its operands and its order match the straightforward triple-loop solver
-//! (`u += r / diag`, never `r * (1/6)`; neighbours subtracted i, j, k; the
-//! residual norm summed lexicographically), so results are bit-identical
-//! to it — the `differential` test below holds a copy and compares bits.
+//! The solver's loops are shaped for speed but its arithmetic is fixed.
+//! Each level keeps its cube inside a one-cell ghost shell of `+0.0` that
+//! nothing writes, so every phase runs one branch-free loop per row: a
+//! boundary cell subtracts a ghost, which is exactly skipping the missing
+//! neighbour, and its diagonal is the row's integer `6 + j/k faces`, plus 1
+//! at the row's two end cells. Each colour's sweep visits only its own
+//! cells, restriction sums four fine residual rows computed on the spot,
+//! prolongation weighs each coarse row once, and the right-hand side's
+//! sines are tabled. Every floating-point operation, its operands and its
+//! order match the straightforward triple-loop solver (`u += r / diag`,
+//! never `r * (1/6)`; neighbours subtracted i, j, k; the residual norm
+//! summed lexicographically), so results are bit-identical to it — the
+//! `differential` test below holds a copy and compares bits.
 
 use crate::memo::{self, Solution, SolveKey, SolveMemo};
 use crate::{BenchError, ExecutionMode, RunOutput};
@@ -83,130 +87,78 @@ impl HpgmgConfig {
 // The real multigrid solver (periodically sized cube, 7-point FV Laplacian).
 // ---------------------------------------------------------------------------
 
-/// One grid level: an `n³` cell-centred cube with Dirichlet boundaries.
+/// One grid level: an `n³` cell-centred cube with Dirichlet boundaries,
+/// stored with a one-cell ghost shell on an `(n+2)³` grid. The shell holds
+/// `+0.0` and is never written: smoothing and prolongation write interior
+/// cells only, and restriction zeroes the whole coarse `u`. So a boundary
+/// cell's missing neighbour reads as `+0.0`, and `x - (+0.0) == x` for
+/// every `x` (`-0.0` included): subtracting a ghost is exactly skipping it.
 struct Level {
     n: usize,
     u: Vec<f64>,
     rhs: Vec<f64>,
-    tmp: Vec<f64>,
 }
 
 impl Level {
     fn new(n: usize) -> Level {
-        let len = n * n * n;
+        let len = (n + 2).pow(3);
         Level {
             n,
             u: vec![0.0; len],
             rhs: vec![0.0; len],
-            tmp: vec![0.0; len],
         }
     }
 
-    #[inline]
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.n + j) * self.n + i
+    /// Index of interior row (j, k)'s `i = −1` ghost; cell `i` of the row
+    /// sits at `row(j, k) + i + 1`.
+    fn row(&self, j: usize, k: usize) -> usize {
+        let p = self.n + 2;
+        ((k + 1) * p + j + 1) * p
     }
 
-    /// Diagonal of the cell-centred Dirichlet Laplacian at (i,j,k):
-    /// the boundary lies half a cell away, so the ghost-cell elimination
-    /// (`u_ghost = −u_cell` for a zero boundary value) adds 1 per
-    /// boundary face. Getting this right is what makes the coarse-grid
-    /// correction consistent near the boundary (and the V-cycle converge
-    /// at its textbook rate).
-    fn diag_at(&self, i: usize, j: usize, k: usize) -> f64 {
+    /// Diagonal of the cell-centred Dirichlet Laplacian, less its i faces,
+    /// along row (j, k): the boundary lies half a cell away, so the
+    /// ghost-cell elimination (`u_ghost = −u_cell` for a zero boundary
+    /// value) adds 1 per boundary face. The two end cells of a row add 1
+    /// for their i face. Every term is an integer, so the sum is exact in
+    /// any grouping. Getting this right is what makes the coarse-grid
+    /// correction consistent near the boundary (and the V-cycle converge at
+    /// its textbook rate).
+    fn row_diag(&self, j: usize, k: usize) -> f64 {
         let n = self.n;
-        let mut d = 6.0;
-        d += f64::from(i == 0) + f64::from(i + 1 == n);
-        d += f64::from(j == 0) + f64::from(j + 1 == n);
-        d += f64::from(k == 0) + f64::from(k + 1 == n);
-        d
-    }
-
-    /// 7-point cell-centred Laplacian `A u` at (i,j,k).
-    fn apply_at(&self, u: &[f64], i: usize, j: usize, k: usize) -> f64 {
-        let n = self.n;
-        let mut s = self.diag_at(i, j, k) * u[self.idx(i, j, k)];
-        if i > 0 {
-            s -= u[self.idx(i - 1, j, k)];
-        }
-        if i + 1 < n {
-            s -= u[self.idx(i + 1, j, k)];
-        }
-        if j > 0 {
-            s -= u[self.idx(i, j - 1, k)];
-        }
-        if j + 1 < n {
-            s -= u[self.idx(i, j + 1, k)];
-        }
-        if k > 0 {
-            s -= u[self.idx(i, j, k - 1)];
-        }
-        if k + 1 < n {
-            s -= u[self.idx(i, j, k + 1)];
-        }
-        s
-    }
-
-    /// Whether row (j, k) is interior: none of its cells touches a j or k
-    /// boundary face, so cells `1..n-1` have diagonal 6 and six neighbours.
-    fn interior_row(&self, j: usize, k: usize) -> bool {
-        let n = self.n;
-        j > 0 && j + 1 < n && k > 0 && k + 1 < n
-    }
-
-    /// One Gauss-Seidel update of cell (i, j, k) through the general
-    /// stencil (any cell, boundary or not).
-    fn relax_at(&mut self, i: usize, j: usize, k: usize) {
-        let at = self.idx(i, j, k);
-        let r = self.rhs[at] - self.apply_at(&self.u, i, j, k);
-        self.u[at] += r / self.diag_at(i, j, k);
-    }
-
-    /// Gauss-Seidel updates of the interior cells `start, start+2, …` (all
-    /// below `n-1`) of interior row (j, k), over row slices borrowed once.
-    /// The arithmetic is `relax_at`'s with the diagonal folded to 6.
-    fn relax_interior_row(&mut self, j: usize, k: usize, start: usize) {
-        let n = self.n;
-        let row = self.idx(0, j, k);
-        let (before, rest) = self.u.split_at_mut(row);
-        let (c, after) = rest.split_at_mut(n);
-        let rows = Rows {
-            north: &before[row - n..],
-            south: &after[..n],
-            down: &before[row - n * n..][..n],
-            up: &after[n * n - n..][..n],
-        };
-        let rhs = &self.rhs[row..row + n];
-        for i in (start..n - 1).step_by(2) {
-            let r = rhs[i] - rows.apply(c, i);
-            c[i] += r / 6.0;
-        }
+        6.0 + (f64::from(j == 0) + f64::from(j + 1 == n))
+            + (f64::from(k == 0) + f64::from(k + 1 == n))
     }
 
     /// Red-black Gauss-Seidel smoothing (HPGMG's GSRB smoother). Each
     /// colour's sweep visits only that colour's cells; within a colour no
     /// cell reads another, so the update order is immaterial.
     fn smooth(&mut self, sweeps: usize) {
-        let n = self.n;
+        let (n, p) = (self.n, self.n + 2);
         for _ in 0..sweeps {
             for color in 0..2 {
                 for k in 0..n {
                     for j in 0..n {
+                        let d = self.row_diag(j, k);
+                        let at = self.row(j, k);
+                        let (before, rest) = self.u.split_at_mut(at);
+                        let (c, after) = rest.split_at_mut(p);
+                        let rows = Rows {
+                            north: &before[at - p..],
+                            south: &after[..p],
+                            down: &before[at - p * p..][..p],
+                            up: &after[p * p - p..][..p],
+                        };
+                        let rhs = &self.rhs[at..at + p];
+                        // n is even, so this colour holds cell 0 (position
+                        // 1) exactly when it does not hold cell n-1
+                        // (position n); that end cell adds its i face.
                         let first = (color + j + k) % 2;
-                        if !self.interior_row(j, k) {
-                            for i in (first..n).step_by(2) {
-                                self.relax_at(i, j, k);
-                            }
-                            continue;
-                        }
-                        // n is even, so cell 0 has this colour exactly
-                        // when cell n-1 does not.
-                        if first == 0 {
-                            self.relax_at(0, j, k);
-                            self.relax_interior_row(j, k, 2);
-                        } else {
-                            self.relax_interior_row(j, k, 1);
-                            self.relax_at(n - 1, j, k);
+                        rows.relax(c, rhs, if first == 0 { 1 } else { n }, d + 1.0);
+                        let mut x = 3 - first;
+                        while x < n {
+                            rows.relax(c, rhs, x, d);
+                            x += 2;
                         }
                     }
                 }
@@ -216,28 +168,23 @@ impl Level {
 
     /// The residual `rhs − A u` along row (j, k), written to `out[..n]`.
     fn residual_row(&self, j: usize, k: usize, out: &mut [f64]) {
-        let n = self.n;
-        let row = self.idx(0, j, k);
-        let rhs = &self.rhs[row..row + n];
-        if !self.interior_row(j, k) {
-            for (i, r) in out[..n].iter_mut().enumerate() {
-                *r = rhs[i] - self.apply_at(&self.u, i, j, k);
-            }
-            return;
-        }
-        let u = &self.u;
-        let c = &u[row..row + n];
+        let (n, p) = (self.n, self.n + 2);
+        let d = self.row_diag(j, k);
+        let at = self.row(j, k);
+        let c = &self.u[at..at + p];
         let rows = Rows {
-            north: &u[row - n..row],
-            south: &u[row + n..row + 2 * n],
-            down: &u[row - n * n..][..n],
-            up: &u[row + n * n..][..n],
+            north: &self.u[at - p..at],
+            south: &self.u[at + p..][..p],
+            down: &self.u[at - p * p..][..p],
+            up: &self.u[at + p * p..][..p],
         };
-        out[0] = rhs[0] - self.apply_at(u, 0, j, k);
-        for i in 1..n - 1 {
-            out[i] = rhs[i] - rows.apply(c, i);
+        let rhs = &self.rhs[at..at + p];
+        let out = &mut out[..n];
+        out[0] = rhs[1] - rows.apply(c, 1, d + 1.0);
+        for x in 2..n {
+            out[x - 1] = rhs[x] - rows.apply(c, x, d);
         }
-        out[n - 1] = rhs[n - 1] - self.apply_at(u, n - 1, j, k);
+        out[n - 1] = rhs[n] - rows.apply(c, n, d + 1.0);
     }
 
     /// Residual 2-norm, summed in lexicographic cell order.
@@ -256,8 +203,8 @@ impl Level {
     }
 }
 
-/// The four off-row neighbour rows of an interior row: `j∓1` (north,
-/// south) and `k∓1` (down, up).
+/// The four off-row neighbour rows of a row, ghosts included: `j∓1`
+/// (north, south) and `k∓1` (down, up), each `n+2` cells long.
 struct Rows<'a> {
     north: &'a [f64],
     south: &'a [f64],
@@ -266,25 +213,32 @@ struct Rows<'a> {
 }
 
 impl Rows<'_> {
-    /// `A u` at interior cell `i` of row `c`: `apply_at` with diagonal 6,
-    /// subtracting the neighbours in the same order.
+    /// 7-point cell-centred Laplacian `A u` at position `x` of row `c`
+    /// with diagonal `d`, subtracting the neighbours i, j, k in turn.
     #[inline(always)]
-    fn apply(&self, c: &[f64], i: usize) -> f64 {
-        6.0 * c[i] - c[i - 1] - c[i + 1] - self.north[i] - self.south[i] - self.down[i] - self.up[i]
+    fn apply(&self, c: &[f64], x: usize, d: f64) -> f64 {
+        d * c[x] - c[x - 1] - c[x + 1] - self.north[x] - self.south[x] - self.down[x] - self.up[x]
+    }
+
+    /// One Gauss-Seidel update of position `x` of row `c`: `u += r / d`.
+    #[inline(always)]
+    fn relax(&self, c: &mut [f64], rhs: &[f64], x: usize, d: f64) {
+        let r = rhs[x] - self.apply(c, x, d);
+        c[x] += r / d;
     }
 }
 
 /// For fine cell index `f`, the coarse cells of its trilinear stencil with
-/// their nonzero weights. A fine cell's centre sits 1/4 of a coarse cell
-/// away from its parent's centre, giving weights 3/4 / 1/4; at the domain
-/// edge the stencil clamps to the parent alone.
-fn coarse_terms(f: usize, nc: usize) -> Vec<(usize, f64)> {
+/// their nonzero weights, nearest first. A fine cell's centre sits 1/4 of a
+/// coarse cell away from its parent's centre, giving weights 3/4 / 1/4; at
+/// the domain edge the stencil clamps to the parent alone.
+fn coarse_terms(f: usize, nc: usize) -> [Option<(usize, f64)>; 2] {
     let c = f / 2;
     match (f.is_multiple_of(2), c) {
-        (true, 0) => vec![(c, 1.0)],
-        (true, _) => vec![(c, 0.75), (c - 1, 0.25)],
-        (false, _) if c + 1 >= nc => vec![(c, 1.0)],
-        (false, _) => vec![(c, 0.75), (c + 1, 0.25)],
+        (true, 0) => [Some((c, 1.0)), None],
+        (true, _) => [Some((c, 0.75)), Some((c - 1, 0.25))],
+        (false, _) if c + 1 >= nc => [Some((c, 1.0)), None],
+        (false, _) => [Some((c, 0.75)), Some((c + 1, 0.25))],
     }
 }
 
@@ -322,44 +276,40 @@ impl Multigrid {
             .collect();
         for k in 0..n {
             for j in 0..n {
-                for i in 0..n {
-                    fine.rhs[(k * n + j) * n + i] = sines[i] * sines[j] * sines[k];
+                let at = fine.row(j, k);
+                for (rhs, si) in fine.rhs[at + 1..=at + n].iter_mut().zip(&sines) {
+                    *rhs = si * sines[j] * sines[k];
                 }
             }
         }
         fine.u.fill(0.0);
     }
 
-    /// Restrict the fine residual to the coarse RHS (8-cell average).
+    /// Restrict the fine residual to the coarse RHS (8-cell average). Each
+    /// coarse row sums the four fine residual rows under it, computed on
+    /// the spot, in (dk, dj, di) order.
     fn restrict(&mut self, fine: usize) {
-        // Compute residual on the fine level into tmp.
-        {
-            let lv = &mut self.levels[fine];
-            let n = lv.n;
-            let mut tmp = std::mem::take(&mut lv.tmp);
-            for (row, out) in tmp.chunks_exact_mut(n).enumerate() {
-                lv.residual_row(row % n, row / n, out);
-            }
-            lv.tmp = tmp;
-        }
         let (head, tail) = self.levels.split_at_mut(fine + 1);
         let f = &head[fine];
         let c = &mut tail[0];
-        for k in 0..c.n {
-            for j in 0..c.n {
-                for i in 0..c.n {
+        let (n, nc) = (f.n, c.n);
+        // Fine rows (dj, dk) = (0, 0), (1, 0), (0, 1), (1, 1), one after another.
+        let mut r = vec![0.0; 4 * n];
+        for k in 0..nc {
+            for j in 0..nc {
+                for (q, out) in r.chunks_exact_mut(n).enumerate() {
+                    f.residual_row(2 * j + q % 2, 2 * k + q / 2, out);
+                }
+                let at = c.row(j, k);
+                for (i, rhs) in c.rhs[at + 1..=at + nc].iter_mut().enumerate() {
                     let mut s = 0.0;
-                    for dk in 0..2 {
-                        for dj in 0..2 {
-                            for di in 0..2 {
-                                s += f.tmp[f.idx(2 * i + di, 2 * j + dj, 2 * k + dk)];
-                            }
-                        }
+                    for q in 0..4 {
+                        s += r[q * n + 2 * i];
+                        s += r[q * n + 2 * i + 1];
                     }
-                    let at = c.idx(i, j, k);
                     // Galerkin-consistent scaling for this cell-centred
                     // average/trilinear transfer pair: r_2h = 4 · avg(r_h).
-                    c.rhs[at] = s * 0.5;
+                    *rhs = s * 0.5;
                 }
             }
         }
@@ -368,42 +318,39 @@ impl Multigrid {
 
     /// Prolong the coarse correction onto the fine solution with
     /// cell-centred trilinear interpolation (weights 3/4 and 1/4 per
-    /// dimension, clamped at the boundary). The cube has one size in every
-    /// dimension, so one term list per fine index serves all three.
+    /// dimension, clamped at the boundary). A fine cell's terms come coarse
+    /// row by coarse row (k, then j, nearest first); within a row the fine
+    /// cells pair up over two neighbouring coarse cells, odd cells nearer
+    /// the left one and even cells the right, and the row's end cells
+    /// clamp to one term.
     fn prolong(&mut self, fine: usize) {
         let (head, tail) = self.levels.split_at_mut(fine + 1);
         let f = &mut head[fine];
         let c = &tail[0];
-        let nc = c.n;
-        let terms: Vec<Vec<(usize, f64)>> = (0..f.n).map(|x| coarse_terms(x, nc)).collect();
-        // The coarse rows (with their `wk·wj` weight) feeding one fine row.
-        let mut rows: Vec<(&[f64], f64)> = Vec::with_capacity(4);
-        for (fk, tk) in terms.iter().enumerate() {
-            for (fj, tj) in terms.iter().enumerate() {
-                rows.clear();
-                for &(kk, wkk) in tk {
-                    for &(jj, wjj) in tj {
-                        rows.push((&c.u[c.idx(0, jj, kk)..][..nc], wkk * wjj));
+        let (n, nc) = (f.n, c.n);
+        let mut acc = vec![0.0; n];
+        for fk in 0..n {
+            for fj in 0..n {
+                acc.fill(0.0);
+                for (kk, wk) in coarse_terms(fk, nc).into_iter().flatten() {
+                    for (jj, wj) in coarse_terms(fj, nc).into_iter().flatten() {
+                        let w = wk * wj;
+                        let (near, far, one) = (w * 0.75, w * 0.25, w * 1.0);
+                        let row = &c.u[c.row(jj, kk)..][..nc + 2];
+                        acc[0] += one * row[1];
+                        let pairs = acc[1..n - 1].chunks_exact_mut(2);
+                        for (cells, parents) in pairs.zip(row[1..=nc].windows(2)) {
+                            cells[0] += near * parents[0];
+                            cells[0] += far * parents[1];
+                            cells[1] += near * parents[1];
+                            cells[1] += far * parents[0];
+                        }
+                        acc[n - 1] += one * row[nc];
                     }
                 }
-                let row = f.idx(0, fj, fk);
-                for (u, ti) in f.u[row..row + f.n].iter_mut().zip(&terms) {
-                    let mut acc = 0.0;
-                    // Every fine cell off the i boundary has two i terms:
-                    // the general loop below, unrolled, in the same order.
-                    if let [(i0, w0), (i1, w1)] = ti[..] {
-                        for &(coarse, w) in &rows {
-                            acc += w * w0 * coarse[i0];
-                            acc += w * w1 * coarse[i1];
-                        }
-                    } else {
-                        for &(coarse, w) in &rows {
-                            for &(ii, wii) in ti {
-                                acc += w * wii * coarse[ii];
-                            }
-                        }
-                    }
-                    *u += acc;
+                let at = f.row(fj, fk);
+                for (u, a) in f.u[at + 1..=at + n].iter_mut().zip(&acc) {
+                    *u += a;
                 }
             }
         }
@@ -919,11 +866,39 @@ mod differential {
     /// Bits of `(r0, r, cycles)` and of every fine-level cell value.
     type Solve = ((u64, u64, usize), Vec<u64>);
 
+    /// The production solve, with the fine interior read through the
+    /// level's row index. Every ghost cell of every level must still hold
+    /// `+0.0`, bit for bit: the stencil's exactness rests on it.
     fn production(n: usize, max_cycles: usize) -> Solve {
         let mut mg = super::Multigrid::new(n).unwrap();
         mg.set_rhs_sine();
         let (r0, r, cycles) = mg.solve(max_cycles, 1e-7);
-        let u = mg.levels[0].u.iter().map(|v| v.to_bits()).collect();
+        for lv in &mg.levels {
+            let m = lv.n;
+            let mut interior = vec![false; (m + 2).pow(3)];
+            for k in 0..m {
+                for j in 0..m {
+                    let at = lv.row(j, k);
+                    interior[at + 1..=at + m].fill(true);
+                }
+            }
+            for grid in [&lv.u, &lv.rhs] {
+                let ghosts = grid.iter().zip(&interior).filter(|(_, &inside)| !inside);
+                assert_eq!(ghosts.clone().count(), (m + 2).pow(3) - m * m * m);
+                assert!(
+                    ghosts.clone().all(|(v, _)| v.to_bits() == 0),
+                    "n={n} max_cycles={max_cycles}: a ghost of the {m}³ level moved"
+                );
+            }
+        }
+        let fine = &mg.levels[0];
+        let mut u = Vec::with_capacity(n * n * n);
+        for k in 0..n {
+            for j in 0..n {
+                let at = fine.row(j, k);
+                u.extend(fine.u[at + 1..=at + n].iter().map(|v| v.to_bits()));
+            }
+        }
         ((r0.to_bits(), r.to_bits(), cycles), u)
     }
 

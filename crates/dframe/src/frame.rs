@@ -1,4 +1,9 @@
 //! The data frame itself.
+//!
+//! A frame's `Display` is a plain-text table: every column as wide as its
+//! longest header or cell in bytes, cells left-aligned and padded with
+//! spaces up to that width counted in chars (as `{:<w$}` pads), columns
+//! separated by two spaces, a dash rule under the header, one line per row.
 
 use crate::cell::Cell;
 use crate::group::GroupBy;
@@ -287,15 +292,22 @@ impl DataFrame {
                 }
             }
         }
-        let mut out = DataFrame::new(names.clone());
+        let mut out = DataFrame::new(names);
+        let rows = frames.iter().map(|f| f.n_rows).sum();
+        for col in &mut out.columns {
+            col.cells.reserve_exact(rows);
+        }
         for f in frames {
-            for i in 0..f.n_rows {
-                let cells = names
-                    .iter()
-                    .map(|n| f.column(n).map(|c| c.get(i).clone()).unwrap_or(Cell::Null))
-                    .collect();
-                out.push_row(cells).expect("schema is the union");
+            // Each output column's source in `f`, looked up once per frame.
+            let sources: Vec<Option<&Column>> =
+                out.columns.iter().map(|c| f.column(c.name())).collect();
+            for (col, src) in out.columns.iter_mut().zip(sources) {
+                match src {
+                    Some(src) => col.cells.extend((0..f.n_rows).map(|i| src.get(i).clone())),
+                    None => col.cells.resize(col.cells.len() + f.n_rows, Cell::Null),
+                }
             }
+            out.n_rows += f.n_rows;
         }
         out
     }
@@ -403,41 +415,246 @@ impl DataFrame {
     }
 }
 
+/// The table the module docs describe. Each cell is rendered once, the
+/// lines are built in one buffer and written with one `write_str`.
 impl fmt::Display for DataFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Compute column widths over header + all cells.
+        use fmt::Write as _;
+        // Every cell's text, row by row, in one buffer; `ends` closes each.
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(self.n_rows * self.columns.len());
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.name().len()).collect();
-        let rendered: Vec<Vec<String>> = (0..self.n_rows)
-            .map(|i| self.columns.iter().map(|c| c.get(i).to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+        for i in 0..self.n_rows {
+            for (w, c) in widths.iter_mut().zip(&self.columns) {
+                let start = text.len();
+                match c.get(i) {
+                    Cell::Str(s) => text.push_str(s),
+                    cell => write!(text, "{cell}")?,
+                }
+                *w = (*w).max(text.len() - start);
+                ends.push(text.len());
             }
         }
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                write!(f, "  ")?;
-            }
-            write!(f, "{:<width$}", c.name(), width = widths[i])?;
+        let line_len = widths.iter().map(|w| w + 2).sum::<usize>() + 1;
+        let mut out = String::with_capacity(line_len * (self.n_rows + 2));
+        push_line(&mut out, &widths, self.columns.iter().map(Column::name));
+        let rules: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        push_line(&mut out, &widths, rules.iter().map(String::as_str));
+        let (mut ends, mut start) = (ends.into_iter(), 0);
+        for _ in 0..self.n_rows {
+            let row = ends.by_ref().take(self.columns.len()).map(|end| {
+                let cell = &text[start..end];
+                start = end;
+                cell
+            });
+            push_line(&mut out, &widths, row);
         }
-        writeln!(f)?;
-        for (i, w) in widths.iter().enumerate() {
-            if i > 0 {
-                write!(f, "  ")?;
-            }
-            write!(f, "{}", "-".repeat(*w))?;
+        f.write_str(&out)
+    }
+}
+
+/// One table line: `cells` left-aligned in `widths` (padded by chars),
+/// two spaces apart.
+fn push_line<'a>(out: &mut String, widths: &[usize], cells: impl Iterator<Item = &'a str>) {
+    for (i, (cell, w)) in cells.zip(widths).enumerate() {
+        if i > 0 {
+            out.push_str("  ");
         }
-        writeln!(f)?;
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
+        out.push_str(cell);
+        let pad = w.saturating_sub(cell.chars().count());
+        out.extend(std::iter::repeat_n(' ', pad));
+    }
+    out.push('\n');
+}
+
+/// `concat` and `Display` against verbatim copies of the per-cell versions
+/// they replaced, compared byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::{Cell, DataFrame};
+    use std::fmt;
+
+    // The reference: the per-cell code, copied verbatim. `Old` derefs to
+    // the frame, so the bodies read its fields unchanged.
+
+    struct Old<'a>(&'a DataFrame);
+
+    impl std::ops::Deref for Old<'_> {
+        type Target = DataFrame;
+        fn deref(&self) -> &DataFrame {
+            self.0
+        }
+    }
+
+    fn concat(frames: &[DataFrame]) -> DataFrame {
+        let mut names: Vec<String> = Vec::new();
+        for f in frames {
+            for c in &f.columns {
+                if !names.iter().any(|n| n == c.name()) {
+                    names.push(c.name().to_string());
+                }
+            }
+        }
+        let mut out = DataFrame::new(names.clone());
+        for f in frames {
+            for i in 0..f.n_rows {
+                let cells = names
+                    .iter()
+                    .map(|n| f.column(n).map(|c| c.get(i).clone()).unwrap_or(Cell::Null))
+                    .collect();
+                out.push_row(cells).expect("schema is the union");
+            }
+        }
+        out
+    }
+
+    impl fmt::Display for Old<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            // Compute column widths over header + all cells.
+            let mut widths: Vec<usize> = self.columns.iter().map(|c| c.name().len()).collect();
+            let rendered: Vec<Vec<String>> = (0..self.n_rows)
+                .map(|i| self.columns.iter().map(|c| c.get(i).to_string()).collect())
+                .collect();
+            for row in &rendered {
+                for (w, cell) in widths.iter_mut().zip(row) {
+                    *w = (*w).max(cell.len());
+                }
+            }
+            for (i, c) in self.columns.iter().enumerate() {
                 if i > 0 {
                     write!(f, "  ")?;
                 }
-                write!(f, "{:<width$}", cell, width = widths[i])?;
+                write!(f, "{:<width$}", c.name(), width = widths[i])?;
             }
             writeln!(f)?;
+            for (i, w) in widths.iter().enumerate() {
+                if i > 0 {
+                    write!(f, "  ")?;
+                }
+                write!(f, "{}", "-".repeat(*w))?;
+            }
+            writeln!(f)?;
+            for row in &rendered {
+                for (i, cell) in row.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, "  ")?;
+                    }
+                    write!(f, "{:<width$}", cell, width = widths[i])?;
+                }
+                writeln!(f)?;
+            }
+            Ok(())
         }
-        Ok(())
+    }
+
+    fn frame(names: &[&str], rows: Vec<Vec<Cell>>) -> DataFrame {
+        let mut df = DataFrame::new(names.to_vec());
+        for row in rows {
+            df.push_row(row).unwrap();
+        }
+        df
+    }
+
+    /// Frames covering every cell kind and the rendering corners: nulls,
+    /// integral and non-integral floats, non-finite values, multi-byte
+    /// text wider in bytes than in chars, no rows, no columns, a repeated
+    /// column name, and schemas that only partly overlap.
+    fn frames() -> Vec<DataFrame> {
+        use Cell::*;
+        let runs = frame(
+            &["sequence", "system", "ok", "value", "unit"],
+            vec![
+                vec![
+                    Int(0),
+                    Str("archer2".into()),
+                    Bool(true),
+                    Float(95.0),
+                    Str("µs".into()),
+                ],
+                vec![Int(-12), Str("csd3".into()), Bool(false), Float(0.1), Null],
+                vec![
+                    Null,
+                    Str("≥ 2 nodes".into()),
+                    Null,
+                    Float(f64::INFINITY),
+                    Str("GB/s".into()),
+                ],
+                vec![
+                    Int(7),
+                    Str("".into()),
+                    Bool(true),
+                    Float(f64::NAN),
+                    Str("µµµµµµµµµµ".into()),
+                ],
+                vec![
+                    Int(i64::MIN),
+                    Str("x".into()),
+                    Bool(false),
+                    Float(-0.0),
+                    Str("s".into()),
+                ],
+                vec![Int(3), Null, Null, Float(1e20), Str("≥".into())],
+                vec![
+                    Int(4),
+                    Str("cosma8".into()),
+                    Bool(true),
+                    Float(-2.5e-9),
+                    Null,
+                ],
+                vec![
+                    Int(5),
+                    Str("a|b".into()),
+                    Bool(true),
+                    Float(f64::NEG_INFINITY),
+                    Null,
+                ],
+            ],
+        );
+        let other = frame(
+            &["system", "fom", "value", "µ-note"],
+            vec![
+                vec![
+                    Str("isambard".into()),
+                    Str("l0".into()),
+                    Int(31),
+                    Str("≥≥".into()),
+                ],
+                vec![Null, Str("Triad".into()), Float(1234.5), Null],
+            ],
+        );
+        let no_rows = frame(&["fom", "extra"], vec![]);
+        let no_columns = frame(&[], vec![vec![], vec![]]);
+        let repeated = frame(&["unit", "unit"], vec![vec![Str("ms".into()), Int(1)]]);
+        vec![
+            runs,
+            other,
+            no_rows,
+            no_columns,
+            repeated,
+            DataFrame::default(),
+        ]
+    }
+
+    #[test]
+    fn concat_and_display_match_the_per_cell_code() {
+        let frames = frames();
+        let mut joins: Vec<Vec<DataFrame>> = vec![vec![], frames.clone()];
+        joins.extend(frames.iter().map(|f| vec![f.clone()]));
+        joins.push(vec![
+            frames[1].clone(),
+            frames[0].clone(),
+            frames[1].clone(),
+        ]);
+        for join in &joins {
+            let (got, want) = (DataFrame::concat(join), concat(join));
+            // Debug, not `==`: a NaN cell is unequal to itself.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(got.to_string(), Old(&want).to_string());
+        }
+        for df in &frames {
+            assert_eq!(df.to_string(), Old(df).to_string());
+        }
+        let shown = DataFrame::concat(&frames).to_string();
+        assert!(shown.contains("µµµµµµµµµµ  ") && shown.contains("NaN") && shown.contains("inf"));
     }
 }

@@ -309,20 +309,22 @@ impl SellMatrix {
             window.sort_by_key(|&row| (std::cmp::Reverse(len_of(row)), row));
         }
 
+        // Each slice is as wide as its longest row: size the arrays once.
         let n_slices = nrows.div_ceil(SELL_C);
         let mut slice_ptr = Vec::with_capacity(n_slices + 1);
         slice_ptr.push(0);
+        for lanes in perm.chunks(SELL_C) {
+            let width = lanes.iter().map(|&row| len_of(row)).max().unwrap_or(0);
+            slice_ptr.push(slice_ptr[slice_ptr.len() - 1] + width * SELL_C);
+        }
+        let stored = slice_ptr[n_slices];
         let mut row_len = vec![0u32; nrows];
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
+        let mut cols = vec![0u32; stored];
+        let mut vals = vec![0.0f64; stored];
         let mut ncols = 0usize;
-        for s in 0..n_slices {
+        for (s, &base) in slice_ptr[..n_slices].iter().enumerate() {
             let r0 = s * SELL_C;
             let lanes = SELL_C.min(nrows - r0);
-            let width = (0..lanes).map(|l| len_of(perm[r0 + l])).max().unwrap_or(0);
-            let base = cols.len();
-            cols.resize(base + width * SELL_C, 0u32);
-            vals.resize(base + width * SELL_C, 0.0f64);
             for l in 0..lanes {
                 let row = perm[r0 + l] as usize;
                 row_len[r0 + l] = (row_ptr[row + 1] - row_ptr[row]) as u32;
@@ -332,7 +334,6 @@ impl SellMatrix {
                     ncols = ncols.max(col_idx[idx] as usize + 1);
                 }
             }
-            slice_ptr.push(cols.len());
         }
         SellMatrix {
             nrows,
