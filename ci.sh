@@ -5,7 +5,8 @@
 #   ./ci.sh
 #
 # Stages:
-#   1. tier2.sh  — rustfmt-clean, clippy-clean (warnings are errors)
+#   1. tier2.sh  — rustfmt-clean, clippy-clean and rustdoc-clean (warnings
+#                  are errors)
 #   2. tests     — the whole workspace, vendored stubs included
 #   3. bench     — criterion smoke benches: the framework bench plus the
 #                  kernel roofline suite (STREAM GB/s, CSR-vs-SELL SpMV)

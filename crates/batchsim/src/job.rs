@@ -99,7 +99,7 @@ pub enum LayoutError {
         requested: u32,
         available: u32,
     },
-    /// Unknown account or QoS.
+    /// A dependency on a job the scheduler does not know.
     BadAccounting(String),
     /// `requeue` asked for a job that is not in a requeueable state.
     NotRequeueable(String),

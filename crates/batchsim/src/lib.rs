@@ -8,7 +8,7 @@
 //! real job objects to this simulated scheduler rather than shelling out.
 //!
 //! The simulator is a discrete-event queue over a homogeneous node pool
-//! with two policies — strict FIFO and EASY backfill — plus accounting and
+//! with two policies — strict FIFO and EASY backfill — plus
 //! job-script rendering in both SLURM and PBS dialects.
 //!
 //! # Example
@@ -31,7 +31,7 @@ mod sched;
 mod script;
 
 pub use job::{Job, JobId, JobRequest, JobState, LayoutError};
-pub use sched::{Accounting, NodeEvent, Policy, Scheduler};
+pub use sched::{NodeEvent, Policy, Scheduler};
 pub use script::render_script;
 
 #[cfg(test)]

@@ -13,45 +13,6 @@ pub enum Policy {
     Backfill,
 }
 
-/// Per-account usage bookkeeping (core-seconds).
-#[derive(Debug, Clone, Default)]
-pub struct Accounting {
-    usage: BTreeMap<String, f64>,
-    /// Accounts allowed to submit; empty = open system.
-    allowed: Vec<String>,
-}
-
-impl Accounting {
-    pub fn restrict_to(accounts: &[&str]) -> Accounting {
-        Accounting {
-            usage: BTreeMap::new(),
-            allowed: accounts.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    pub fn permits(&self, account: &str) -> bool {
-        self.allowed.is_empty() || self.allowed.iter().any(|a| a == account)
-    }
-
-    fn charge(&mut self, account: &str, core_seconds: f64) {
-        *self.usage.entry(account.to_string()).or_insert(0.0) += core_seconds;
-    }
-
-    pub fn usage_core_seconds(&self, account: &str) -> f64 {
-        self.usage.get(account).copied().unwrap_or(0.0)
-    }
-}
-
-/// How a dependent job relates to its parent (SLURM's `--dependency`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepKind {
-    /// Start only after the parent completed successfully (`afterok`).
-    AfterOk,
-    /// Start only after the parent terminated *un*successfully
-    /// (`afternotok`) — the requeue/cleanup hook.
-    AfterNotOk,
-}
-
 /// One node-pool state change, timestamped in simulated seconds. The
 /// ledger is append-only and ordered by event time, so a post-mortem can
 /// reconstruct exactly which nodes were out of service when.
@@ -91,9 +52,8 @@ pub struct Scheduler {
     repairing: Vec<(f64, u32)>,
     /// Ordered drain/repair ledger.
     events: Vec<NodeEvent>,
-    accounting: Accounting,
-    /// Dependencies: job → (parent job, kind).
-    dependencies: BTreeMap<JobId, (JobId, DepKind)>,
+    /// Dependencies (`afterok`): job → parent job.
+    dependencies: BTreeMap<JobId, JobId>,
 }
 
 impl Scheduler {
@@ -112,14 +72,8 @@ impl Scheduler {
             heal_window_s: None,
             repairing: Vec::new(),
             events: Vec::new(),
-            accounting: Accounting::default(),
             dependencies: BTreeMap::new(),
         }
-    }
-
-    pub fn with_accounting(mut self, accounting: Accounting) -> Scheduler {
-        self.accounting = accounting;
-        self
     }
 
     /// Enable node healing: every node drained by an injected failure
@@ -155,7 +109,7 @@ impl Scheduler {
     }
 
     /// Submit a job whose true runtime (from the platform model) is
-    /// `run_time_s`. Returns its id, or a layout/accounting error.
+    /// `run_time_s`. Returns its id, or a layout error.
     pub fn submit(&mut self, request: JobRequest, run_time_s: f64) -> Result<JobId, LayoutError> {
         self.enqueue(request, run_time_s, None, 0.0)
     }
@@ -187,12 +141,6 @@ impl Scheduler {
                 available: self.total_nodes,
             });
         }
-        if !self.accounting.permits(&request.account) {
-            return Err(LayoutError::BadAccounting(format!(
-                "account `{}` has no allocation on this system",
-                request.account
-            )));
-        }
         let id = JobId(self.next_id);
         self.next_id += 1;
         self.pending.push(Job {
@@ -221,7 +169,7 @@ impl Scheduler {
         run_time_s: f64,
         after: JobId,
     ) -> Result<JobId, LayoutError> {
-        self.submit_dependent(request, run_time_s, after, DepKind::AfterOk, None)
+        self.submit_dependent(request, run_time_s, after, None)
     }
 
     /// [`Scheduler::submit_after`] with an injected node failure on the
@@ -233,20 +181,7 @@ impl Scheduler {
         after: JobId,
         fail_after_s: Option<f64>,
     ) -> Result<JobId, LayoutError> {
-        self.submit_dependent(request, run_time_s, after, DepKind::AfterOk, fail_after_s)
-    }
-
-    /// Submit a job that only starts if `after` terminated
-    /// *unsuccessfully* (SLURM's `--dependency=afternotok:<id>`): the
-    /// classic hook for requeue/cleanup jobs. If the parent completes
-    /// successfully, the dependent job is cancelled.
-    pub fn submit_after_notok(
-        &mut self,
-        request: JobRequest,
-        run_time_s: f64,
-        after: JobId,
-    ) -> Result<JobId, LayoutError> {
-        self.submit_dependent(request, run_time_s, after, DepKind::AfterNotOk, None)
+        self.submit_dependent(request, run_time_s, after, fail_after_s)
     }
 
     fn submit_dependent(
@@ -254,7 +189,6 @@ impl Scheduler {
         request: JobRequest,
         run_time_s: f64,
         after: JobId,
-        kind: DepKind,
         fail_after_s: Option<f64>,
     ) -> Result<JobId, LayoutError> {
         if self.job(after).is_none() {
@@ -267,7 +201,7 @@ impl Scheduler {
         // the job before the dependency is known: enqueue with an
         // eligibility hold, then clear it.
         let id = self.enqueue(request, run_time_s, fail_after_s, f64::INFINITY)?;
-        self.dependencies.insert(id, (after, kind));
+        self.dependencies.insert(id, after);
         if let Some(job) = self.pending.iter_mut().find(|j| j.id == id) {
             job.eligible_time = 0.0;
         }
@@ -315,13 +249,10 @@ impl Scheduler {
     fn dependency_satisfied(&self, id: JobId) -> bool {
         match self.dependencies.get(&id) {
             None => true,
-            Some((dep, kind)) => self.finished.iter().any(|j| {
-                j.id == *dep
-                    && match kind {
-                        DepKind::AfterOk => j.state == JobState::Completed,
-                        DepKind::AfterNotOk => j.state != JobState::Completed,
-                    }
-            }),
+            Some(dep) => self
+                .finished
+                .iter()
+                .any(|j| j.id == *dep && j.state == JobState::Completed),
         }
     }
 
@@ -329,18 +260,15 @@ impl Scheduler {
     fn dependency_impossible(&self, id: JobId) -> bool {
         match self.dependencies.get(&id) {
             None => false,
-            Some((dep, kind)) => self.finished.iter().any(|j| {
-                j.id == *dep
-                    && match kind {
-                        DepKind::AfterOk => j.state != JobState::Completed,
-                        DepKind::AfterNotOk => j.state == JobState::Completed,
-                    }
-            }),
+            Some(dep) => self
+                .finished
+                .iter()
+                .any(|j| j.id == *dep && j.state != JobState::Completed),
         }
     }
 
     /// Cancel a pending or running job. Cancelling a running job releases
-    /// its nodes immediately and charges only the elapsed core-seconds.
+    /// its nodes immediately.
     pub fn cancel(&mut self, id: JobId) -> bool {
         if let Some(pos) = self.pending.iter().position(|j| j.id == id) {
             let mut job = self.pending.remove(pos);
@@ -355,10 +283,6 @@ impl Scheduler {
             job.end_time = Some(self.now);
             self.free_nodes.extend(job.allocated_nodes.iter().copied());
             self.free_nodes.sort_unstable();
-            let elapsed = self.now - job.start_time.expect("running jobs have start times");
-            let cores = job.request.nodes_needed() as f64 * job.request.cores_per_node() as f64;
-            self.accounting
-                .charge(&job.request.account, elapsed * cores);
             self.finished.push(job);
             self.schedule_pass();
             return true;
@@ -469,10 +393,6 @@ impl Scheduler {
             }
             self.free_nodes.extend(released);
             self.free_nodes.sort_unstable();
-            let elapsed = job.end_time.expect("set at start") - job.start_time.expect("set");
-            let cores = job.request.nodes_needed() as f64 * job.request.cores_per_node() as f64;
-            self.accounting
-                .charge(&job.request.account, elapsed * cores);
             self.finished.push(job);
         }
     }
@@ -625,10 +545,6 @@ impl Scheduler {
         &self.finished
     }
 
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
-
     /// Mean queue wait over finished jobs.
     pub fn mean_wait_time(&self) -> f64 {
         let waits: Vec<f64> = self.finished.iter().filter_map(Job::wait_time).collect();
@@ -756,23 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn accounting_charges_core_seconds() {
-        let mut s = Scheduler::new(Policy::Fifo, 4, 16)
-            .with_accounting(Accounting::restrict_to(&["ec176"]));
-        assert!(
-            s.submit(req("x", 1, 100.0), 10.0).is_err(),
-            "default account rejected"
-        );
-        let r = JobRequest::new("y", 2, 1, 4)
-            .with_account("ec176")
-            .with_time_limit(100.0);
-        s.submit(r, 10.0).unwrap();
-        s.run_to_completion();
-        // 2 nodes x 4 cores x 10 s = 80 core-seconds.
-        assert!((s.accounting().usage_core_seconds("ec176") - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cancel_pending_job() {
         let mut s = Scheduler::new(Policy::Fifo, 1, 16);
         s.submit(req("a", 1, 100.0), 50.0).unwrap();
@@ -877,9 +776,8 @@ mod tests {
         assert_eq!(s.free_node_count(), 2, "nodes released immediately");
         let j = s.job(a).unwrap();
         assert_eq!(j.state, JobState::Cancelled);
+        // Ended at the elapsed 10 s, not the full 50 s runtime.
         assert_eq!(j.end_time, Some(10.0));
-        // 2 nodes x 1 core x 10 s elapsed — not the full 50 s runtime.
-        assert!((s.accounting().usage_core_seconds("default") - 20.0).abs() < 1e-9);
         // The freed nodes are immediately reusable.
         let b = s.submit(req("b", 2, 100.0), 5.0).unwrap();
         s.run_to_completion();
@@ -940,30 +838,6 @@ mod tests {
             (j.start_time.unwrap() - 70.0).abs() < 1e-9,
             "10 s end + 60 s backoff"
         );
-    }
-
-    #[test]
-    fn afternotok_runs_only_after_parent_failure() {
-        // Failing parent: the cleanup job runs.
-        let mut s = Scheduler::new(Policy::Fifo, 2, 16);
-        let parent = s.submit(req("slow", 1, 10.0), 100.0).unwrap();
-        let cleanup = s
-            .submit_after_notok(req("cleanup", 1, 10.0), 2.0, parent)
-            .unwrap();
-        s.run_to_completion();
-        assert_eq!(s.job(parent).unwrap().state, JobState::TimedOut);
-        assert_eq!(s.job(cleanup).unwrap().state, JobState::Completed);
-        assert!(s.job(cleanup).unwrap().start_time.unwrap() >= 10.0);
-
-        // Succeeding parent: the cleanup job is cancelled.
-        let mut s = Scheduler::new(Policy::Fifo, 2, 16);
-        let parent = s.submit(req("ok", 1, 100.0), 10.0).unwrap();
-        let cleanup = s
-            .submit_after_notok(req("cleanup", 1, 10.0), 2.0, parent)
-            .unwrap();
-        s.run_to_completion();
-        assert_eq!(s.job(parent).unwrap().state, JobState::Completed);
-        assert_eq!(s.job(cleanup).unwrap().state, JobState::Cancelled);
     }
 
     #[test]

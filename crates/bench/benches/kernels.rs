@@ -4,7 +4,7 @@
 //! operators, and the 32³ HPGMG solve that simulated surveys run for real.
 
 use criterion::{
-    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use parkern::backend::{Backend, SerialBackend};
 use parkern::kernels;
@@ -215,17 +215,46 @@ fn bench_spmv_layout(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hand every free heap page back to the kernel, so the next allocation
+/// touches fresh memory. Earlier groups free large arrays, after which
+/// glibc keeps tens of MiB of touched pages on its free lists and would
+/// serve the operator builds from them.
+fn release_free_pages() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` only returns free, unused heap pages to the
+        // kernel; it takes no pointer and changes no live allocation.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 fn bench_hpcg_build(c: &mut Criterion) {
     // Operator set-up at the survey's 16³ HPCG size: a study assembles
-    // the CSR matrix once for the CSR solve and once inside SELL.
+    // the CSR matrix once for the CSR solve and once inside SELL, into
+    // memory it touches for the first time. So each timed build starts
+    // with the free pages released, and keeps the batch's earlier
+    // operators alive (`iter_batched`) rather than reusing their pages.
     let mut group = c.benchmark_group("hpcg_build");
     group.sample_size(10);
     let problem = benchapps::hpcg::Problem::cube(16);
     group.bench_function("csr", |bench| {
-        bench.iter(|| benchapps::hpcg::CsrOperator::poisson27(&problem));
+        bench.iter_batched(
+            release_free_pages,
+            |()| benchapps::hpcg::CsrOperator::poisson27(&problem),
+            BatchSize::SmallInput,
+        );
     });
     group.bench_function("sell", |bench| {
-        bench.iter(|| benchapps::hpcg::SellOperator::poisson27(&problem));
+        bench.iter_batched(
+            release_free_pages,
+            |()| benchapps::hpcg::SellOperator::poisson27(&problem),
+            BatchSize::SmallInput,
+        );
     });
     group.finish();
 }

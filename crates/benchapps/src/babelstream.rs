@@ -44,7 +44,7 @@ const INIT_C: f64 = 0.0;
 
 /// Per-kernel measured rates.
 #[derive(Debug, Clone)]
-pub struct KernelRates {
+pub(crate) struct KernelRates {
     /// (name, mbytes_per_sec, min_s, max_s, avg_s)
     pub rows: Vec<(String, f64, f64, f64, f64)>,
 }

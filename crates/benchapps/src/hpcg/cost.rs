@@ -22,7 +22,7 @@ use simhpc::{Partition, Processor};
 ///
 /// One SpMV + one SymGS (two sweeps) over ~27 nonzeros at 2 flops each,
 /// plus the CG vector updates; the LFRic operator has 7 nonzeros.
-pub fn flops_per_row(variant: HpcgVariant) -> f64 {
+pub(crate) fn flops_per_row(variant: HpcgVariant) -> f64 {
     match variant {
         HpcgVariant::Csr | HpcgVariant::IntelAvx2 | HpcgVariant::Sell | HpcgVariant::MatrixFree => {
             3.0 * 2.0 * 27.0 + 12.0
@@ -32,13 +32,13 @@ pub fn flops_per_row(variant: HpcgVariant) -> f64 {
 }
 
 /// Total flops for a run.
-pub fn flops_for(variant: HpcgVariant, n_rows: usize, iterations: usize) -> f64 {
+pub(crate) fn flops_for(variant: HpcgVariant, n_rows: usize, iterations: usize) -> f64 {
     flops_per_row(variant) * n_rows as f64 * iterations as f64
 }
 
 /// Delivered flops per byte of memory traffic, calibrated per
 /// variant × microarchitecture from the paper's Table 2.
-pub fn flops_per_byte(variant: HpcgVariant, proc: &Processor) -> f64 {
+pub(crate) fn flops_per_byte(variant: HpcgVariant, proc: &Processor) -> f64 {
     let vendor = proc.vendor().to_lowercase();
     // Rome/Milan carry 256 MB of L3 per socket; matrix-free vector sets
     // become cache-resident there, which is where the paper's outsized
@@ -81,7 +81,7 @@ pub fn flops_per_byte(variant: HpcgVariant, proc: &Processor) -> f64 {
 }
 
 /// Simulated GFLOP/s rating for a single-node MPI run (Table 2's setup).
-pub fn simulated_gflops(config: &HpcgConfig, partition: &Partition) -> f64 {
+pub(crate) fn simulated_gflops(config: &HpcgConfig, partition: &Partition) -> f64 {
     let proc = partition.processor();
     let threads = config.ranks.min(proc.total_cores());
     // The working set is far larger than any cache for the vector data the

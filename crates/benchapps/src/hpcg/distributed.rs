@@ -63,7 +63,7 @@ impl Slab {
 
 /// Exchange boundary planes with z-neighbours; returns (below, above)
 /// ghost planes (empty when at the global boundary).
-pub fn halo_exchange(comm: &mut Comm, slab: &Slab, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn halo_exchange(comm: &mut Comm, slab: &Slab, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let plane = slab.plane_len();
     let rank = comm.rank();
     let size = comm.size();
@@ -191,7 +191,7 @@ fn block_symgs(comm: &mut Comm, slab: &Slab, r: &[f64], z: &mut [f64]) {
 }
 
 /// Distributed dot product.
-pub fn ddot(comm: &Comm, a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn ddot(comm: &Comm, a: &[f64], b: &[f64]) -> f64 {
     let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     comm.allreduce_sum(local)
 }

@@ -116,10 +116,6 @@ impl CsrOperator {
         [p.nx, p.ny, p.nz].iter().map(|&m| 3 * m - 2).product()
     }
 
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// One Gauss-Seidel update of `row` from the current contents of `z`.
     fn relax_row(&self, row: usize, r: &[f64], z: &mut [f64]) {
         let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
@@ -204,7 +200,7 @@ impl SellOperator {
     /// σ sorting window for the SELL conversion: large enough to pack
     /// equal-length boundary rows into uniform slices, small enough that
     /// the gather pattern stays close to the natural row order.
-    pub const SIGMA: usize = 64;
+    pub(crate) const SIGMA: usize = 64;
 
     /// Assemble the operator and convert it to SELL-C-σ.
     pub fn poisson27(p: &Problem) -> SellOperator {
@@ -619,8 +615,8 @@ mod tests {
         };
         for p in [Problem::new(5, 8, 25), thin, Problem::cube(2)] {
             let csr = CsrOperator::poisson27(&p);
-            assert_eq!(CsrOperator::poisson27_nnz(&p), csr.nnz(), "{p:?}");
-            assert_eq!(csr.values.capacity(), csr.nnz(), "reserved exactly");
+            assert_eq!(CsrOperator::poisson27_nnz(&p), csr.values.len(), "{p:?}");
+            assert_eq!(csr.values.capacity(), csr.values.len(), "reserved exactly");
         }
     }
 
@@ -630,7 +626,7 @@ mod tests {
         let csr = CsrOperator::poisson27(&p);
         let sell = SellOperator::poisson27(&p);
         // Padding exists (boundary rows are shorter) but is bounded.
-        assert!(sell.stored_entries() >= csr.nnz());
+        assert!(sell.stored_entries() >= csr.values.len());
         let x: Vec<f64> = (0..p.n()).map(|i| (i as f64 * 0.11).cos() * 2.0).collect();
         let mut y_csr = vec![0.0; p.n()];
         let mut y_sell = vec![f64::NAN; p.n()];
@@ -662,8 +658,8 @@ mod tests {
         // 64 rows; interior rows have 27 entries, boundary fewer.
         assert_eq!(csr.n(), 64);
         // Corner rows have 8 entries (2×2×2 box).
-        assert!(csr.nnz() < 64 * 27);
-        assert!(csr.nnz() > 64 * 8);
+        assert!(csr.values.len() < 64 * 27);
+        assert!(csr.values.len() > 64 * 8);
     }
 
     #[test]

@@ -17,7 +17,7 @@ mod old {
     use super::super::CsrOperator;
 
     /// `CsrOperator::symgs_lex`.
-    pub fn csr_symgs_lex(op: &CsrOperator, r: &[f64], z: &mut [f64]) {
+    pub(crate) fn csr_symgs_lex(op: &CsrOperator, r: &[f64], z: &mut [f64]) {
         let n = op.diag.len();
         // Forward sweep.
         for row in 0..n {

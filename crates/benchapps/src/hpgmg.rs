@@ -388,10 +388,6 @@ impl Multigrid {
         }
         (r0, r, cycles)
     }
-
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -593,8 +589,7 @@ fn solve(n: usize) -> Result<(f64, f64, usize), BenchError> {
 mod differential {
     use super::BenchError;
 
-    // The reference: the original triple-loop solver, copied verbatim
-    // (less `n_levels`, which the comparison does not need).
+    // The reference: the original triple-loop solver, copied verbatim.
 
     /// One grid level: an `n³` cell-centred cube with Dirichlet boundaries.
     struct Level {
@@ -950,7 +945,7 @@ mod tests {
         let (r0, r, cycles) = mg.solve(40, 1e-9);
         assert!(r < r0 * 1e-8, "reduction {:.3e} in {cycles} cycles", r / r0);
         assert!(cycles <= 40);
-        assert!(mg.n_levels() >= 4);
+        assert!(mg.levels.len() >= 4);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl Arena {
     }
 
     /// A buffer of length `n` initialised from `src`.
-    pub fn take_copy(&mut self, src: &[f64]) -> Vec<f64> {
+    pub(crate) fn take_copy(&mut self, src: &[f64]) -> Vec<f64> {
         match self.pool.pop() {
             Some(mut v) => {
                 v.clear();

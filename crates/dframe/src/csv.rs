@@ -83,7 +83,7 @@ impl Field {
 }
 
 /// Parse CSV text (with header) into a frame, inferring cell types.
-/// Quoted fields always parse as strings (see [`Field`]).
+/// Quoted fields always parse as strings.
 pub fn from_csv(text: &str) -> Result<DataFrame, CsvError> {
     let records = parse_records(text)?;
     let mut iter = records.into_iter();

@@ -106,7 +106,7 @@ impl Row<'_> {
     }
 
     /// The row as owned cells, in column order.
-    pub fn to_cells(&self) -> Vec<Cell> {
+    pub(crate) fn to_cells(&self) -> Vec<Cell> {
         self.frame
             .columns
             .iter()
@@ -283,9 +283,10 @@ impl DataFrame {
     /// Concatenate frames, aligning columns by name (union of schemas);
     /// cells absent in a source frame become nulls. This is the operation
     /// that assimilates perflogs generated on isolated systems (§2.4).
-    pub fn concat(frames: &[DataFrame]) -> DataFrame {
+    /// The cells move out of `frames`; none is copied.
+    pub fn concat(frames: Vec<DataFrame>) -> DataFrame {
         let mut names: Vec<String> = Vec::new();
-        for f in frames {
+        for f in &frames {
             for c in &f.columns {
                 if !names.iter().any(|n| n == c.name()) {
                     names.push(c.name().to_string());
@@ -298,12 +299,19 @@ impl DataFrame {
             col.cells.reserve_exact(rows);
         }
         for f in frames {
-            // Each output column's source in `f`, looked up once per frame.
-            let sources: Vec<Option<&Column>> =
-                out.columns.iter().map(|c| f.column(c.name())).collect();
+            // Each output column's source in `f`; the first of a repeated
+            // name wins, as `column` finds it.
+            let mut sources: Vec<Option<Vec<Cell>>> = vec![None; out.columns.len()];
+            for c in f.columns {
+                let at = out.columns.iter().position(|o| o.name == c.name);
+                let slot = &mut sources[at.expect("schema is the union")];
+                if slot.is_none() {
+                    *slot = Some(c.cells);
+                }
+            }
             for (col, src) in out.columns.iter_mut().zip(sources) {
                 match src {
-                    Some(src) => col.cells.extend((0..f.n_rows).map(|i| src.get(i).clone())),
+                    Some(cells) => col.cells.extend(cells),
                     None => col.cells.resize(col.cells.len() + f.n_rows, Cell::Null),
                 }
             }
@@ -646,7 +654,7 @@ mod reference {
             frames[1].clone(),
         ]);
         for join in &joins {
-            let (got, want) = (DataFrame::concat(join), concat(join));
+            let (got, want) = (DataFrame::concat(join.clone()), concat(join));
             // Debug, not `==`: a NaN cell is unequal to itself.
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert_eq!(got.to_string(), Old(&want).to_string());
@@ -654,7 +662,7 @@ mod reference {
         for df in &frames {
             assert_eq!(df.to_string(), Old(df).to_string());
         }
-        let shown = DataFrame::concat(&frames).to_string();
+        let shown = DataFrame::concat(frames).to_string();
         assert!(shown.contains("µµµµµµµµµµ  ") && shown.contains("NaN") && shown.contains("inf"));
     }
 }

@@ -169,13 +169,6 @@ impl<'f> GroupBy<'f> {
         }
         Ok(out)
     }
-
-    /// Visit each group as (key cells, sub-frame of its rows).
-    pub fn for_each<F: FnMut(&[Cell], DataFrame)>(&self, mut f: F) {
-        for (key, members) in &self.groups {
-            f(key, self.frame.take(members));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,18 +190,6 @@ mod tests {
             .map(|c| c.to_string())
             .collect();
         assert_eq!(keys, vec!["b", "a", "c"]);
-    }
-
-    #[test]
-    fn for_each_subframes() {
-        let mut df = DataFrame::new(vec!["k", "v"]);
-        for (k, v) in [("a", 1i64), ("b", 2), ("a", 3)] {
-            df.push_row(vec![Cell::from(k), Cell::from(v)]).unwrap();
-        }
-        let mut sizes = Vec::new();
-        df.group_by(&["k"])
-            .for_each(|_, sub| sizes.push(sub.n_rows()));
-        assert_eq!(sizes, vec![2, 1]);
     }
 
     #[test]

@@ -220,7 +220,7 @@ mod tests {
         let mut b = DataFrame::new(vec!["fom", "compiler"]);
         b.push_row(vec![Cell::from(2.0), Cell::from("gcc")])
             .unwrap();
-        let c = DataFrame::concat(&[a, b]);
+        let c = DataFrame::concat(vec![a, b]);
         assert_eq!(c.n_rows(), 2);
         assert_eq!(c.column_names(), vec!["system", "fom", "compiler"]);
         // Missing cells become nulls.

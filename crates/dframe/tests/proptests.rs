@@ -97,7 +97,7 @@ proptest! {
     /// Concat of a frame with itself doubles rows and keeps schema.
     #[test]
     fn concat_self_doubles(df in frame(15)) {
-        let c = DataFrame::concat(&[df.clone(), df.clone()]);
+        let c = DataFrame::concat(vec![df.clone(), df.clone()]);
         prop_assert_eq!(c.n_rows(), 2 * df.n_rows());
         prop_assert_eq!(c.n_cols(), df.n_cols());
     }

@@ -19,10 +19,10 @@
 //! [`MAX_VALUE_LEN`]).
 
 /// Longest permitted key, bytes.
-pub const MAX_KEY_LEN: usize = 32;
+pub(crate) const MAX_KEY_LEN: usize = 32;
 /// Most digits a length field may carry.
-pub const MAX_LEN_DIGITS: usize = 8;
-/// Largest permitted value, bytes (fits in [`MAX_LEN_DIGITS`] digits).
+pub(crate) const MAX_LEN_DIGITS: usize = 8;
+/// Largest permitted value, bytes (its length fits in 8 digits).
 pub const MAX_VALUE_LEN: usize = 16 * 1024 * 1024;
 
 /// One decoded key-length-value frame.
@@ -61,7 +61,7 @@ impl Frame {
     }
 
     /// The value as text (lossy — engines may emit arbitrary bytes).
-    pub fn value_lossy(&self) -> String {
+    pub(crate) fn value_lossy(&self) -> String {
         String::from_utf8_lossy(&self.value).into_owned()
     }
 
@@ -89,8 +89,7 @@ impl Frame {
 pub enum ProtocolError {
     /// The key is empty, too long, or contains a byte outside `[a-z0-9_-]`.
     BadKey { offset: usize, found: String },
-    /// The length field is empty, non-decimal, or longer than
-    /// [`MAX_LEN_DIGITS`] digits.
+    /// The length field is empty, non-decimal, or longer than 8 digits.
     BadLength { offset: usize, found: String },
     /// The declared value length exceeds [`MAX_VALUE_LEN`].
     Oversized {

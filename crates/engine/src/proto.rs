@@ -31,7 +31,7 @@
 use crate::klv::{decode_all, Frame, ProtocolError};
 
 /// Protocol revision spoken by this crate.
-pub const PROTOCOL_VERSION: &str = "1";
+pub(crate) const PROTOCOL_VERSION: &str = "1";
 
 /// What the harness asks an engine to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,7 +180,7 @@ impl EngineReport {
     }
 
     /// Interpret decoded frames as a report (the harness side).
-    pub fn from_frames(frames: &[Frame]) -> Result<EngineReport, ReportError> {
+    pub(crate) fn from_frames(frames: &[Frame]) -> Result<EngineReport, ReportError> {
         let mut wall: Option<f64> = None;
         let mut stdout: Option<String> = None;
         let mut saw_done = false;

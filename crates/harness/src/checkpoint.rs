@@ -11,10 +11,10 @@
 //! `--jobs` count.
 //!
 //! The journal's first line is a header binding the study configuration,
-//! rendered by [`header_line`] straight from the `SuiteRunner` (systems,
-//! cases, seed, store mode, fault profile and overrides, retry/fail-fast/
-//! quarantine/heal settings, engines, and the quarantine-memory snapshot
-//! the run started from). Resuming under a different configuration is a hard
+//! rendered straight from the `SuiteRunner` (systems, cases, seed, store
+//! mode, fault profile and overrides, retry/fail-fast/quarantine/heal
+//! settings, engines, and the quarantine-memory snapshot the run started
+//! from). Resuming under a different configuration is a hard
 //! [`CheckpointError::ConfigMismatch`] — never silent reuse. A torn or
 //! truncated trailing record (the crash arrived mid-write) is detected,
 //! discarded, and re-run; everything before it is trusted because each
@@ -37,7 +37,7 @@ use tinycfg::{Map, Value};
 /// Journal file name inside the checkpoint directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// Quarantine-memory file name inside the checkpoint directory.
-pub const QUARANTINE_FILE: &str = "quarantine.json";
+pub(crate) const QUARANTINE_FILE: &str = "quarantine.json";
 const FORMAT_VERSION: i64 = 2;
 
 /// How the suite runner uses a checkpoint directory.
@@ -118,7 +118,11 @@ impl From<std::io::Error> for CheckpointError {
 /// silently switch store modes mid-study. The engine is always present —
 /// `null` in-process, else the base spec then every per-case override —
 /// so a resume can never cross engine modes.
-pub fn header_line(runner: &SuiteRunner, cases: &[TestCase], streaks: &[(String, u32)]) -> String {
+pub(crate) fn header_line(
+    runner: &SuiteRunner,
+    cases: &[TestCase],
+    streaks: &[(String, u32)],
+) -> String {
     let mut m = Map::new();
     m.insert("format", Value::from("benchkit-checkpoint"));
     m.insert("version", Value::Int(FORMAT_VERSION));
@@ -167,9 +171,7 @@ fn str_list<'a>(items: impl Iterator<Item = &'a String>) -> Value {
 
 /// One journal record replayed during resume.
 #[derive(Debug)]
-pub struct ReplayedCell {
-    pub case: String,
-    pub system: String,
+pub(crate) struct ReplayedCell {
     pub outcome: SuiteOutcome,
     /// The `result=fail` perflog record of a failed cell, when the
     /// harness wrote one.
@@ -185,7 +187,7 @@ pub struct ReplayedCell {
 /// the survey's shim) can inject torn appends and fsync failures here and
 /// prove the resume path recovers the valid prefix.
 #[derive(Debug)]
-pub struct Journal {
+pub(crate) struct Journal {
     log: AppendLog,
 }
 
@@ -287,9 +289,11 @@ fn parse_cell(line: &str, expected_index: usize) -> Result<ReplayedCell, Checkpo
         ),
         None => None,
     };
+    // `case` and `system` are not read back, but a record without them
+    // is torn and ends the valid prefix.
+    str_at("case")?;
+    str_at("system")?;
     Ok(ReplayedCell {
-        case: str_at("case")?,
-        system: str_at("system")?,
         outcome: outcome_from_value(outcome)?,
         failure,
     })
@@ -483,7 +487,7 @@ fn int_as_u32(v: &Value, what: &str) -> Result<u32, CheckpointError> {
 /// warn and start fresh — quarantine memory is an optimization, and the
 /// atomic rewrite in [`save_streaks`] makes this path unreachable except
 /// after external damage.
-pub fn load_streaks(dir: &Path) -> Result<Vec<(String, u32)>, CheckpointError> {
+pub(crate) fn load_streaks(dir: &Path) -> Result<Vec<(String, u32)>, CheckpointError> {
     let path = dir.join(QUARANTINE_FILE);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -528,7 +532,7 @@ pub fn load_streaks(dir: &Path) -> Result<Vec<(String, u32)>, CheckpointError> {
 /// (systems with streak 0 are omitted — absence means healthy). Written
 /// atomically (temp + fsync + rename) so a crash mid-write can never
 /// corrupt cross-study quarantine memory.
-pub fn save_streaks(dir: &Path, streaks: &[(String, u32)]) -> Result<(), CheckpointError> {
+pub(crate) fn save_streaks(dir: &Path, streaks: &[(String, u32)]) -> Result<(), CheckpointError> {
     std::fs::create_dir_all(dir)?;
     let mut m = Map::new();
     m.insert("format", Value::from("benchkit-quarantine"));
@@ -656,7 +660,7 @@ mod tests {
         std::fs::write(dir.join(JOURNAL_FILE), "{}\n").unwrap();
         save_streaks(&dir, &[("archer2".to_string(), 3)]).unwrap();
         let spec = |raw| engine::EngineSpec::parse(raw, 30.0).unwrap();
-        let runner = crate::SuiteRunner::new(&["csd3", "archer2"])
+        let mut runner = crate::SuiteRunner::new(&["csd3", "archer2"])
             .with_seed(7)
             .with_jobs(4)
             .with_warm_store(true)
@@ -664,12 +668,12 @@ mod tests {
             .with_fault_profile(simhpc::faults::FaultProfile::flaky())
             .with_fault_override("archer2", simhpc::faults::FaultProfile::brutal())
             .with_max_retries(3)
-            .with_fail_fast(true)
             .with_quarantine(2)
             .with_heal(true)
             .with_engine(Some(spec("./engine --fast")))
             .with_engine_override("hpgmg_fv", spec("./other"))
             .with_resume(&dir);
+        runner.fail_fast = true;
         let cases = [
             crate::cases::babelstream(parkern::Model::Omp, 1 << 22),
             crate::cases::hpgmg(),
@@ -773,7 +777,6 @@ mod tests {
         drop(f);
         let (journal, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
         assert_eq!(cells.len(), 2, "torn record discarded");
-        assert_eq!(cells[0].case, "babelstream_omp");
         assert!(cells[0].outcome.skipped());
         match &cells[1].outcome {
             SuiteOutcome::Failed(e) => {
@@ -797,6 +800,42 @@ mod tests {
         drop(journal);
         let (_, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
         assert_eq!(cells.len(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_missing_its_system_ends_the_valid_prefix() {
+        let dir = tmpdir("keyless");
+        let b = header();
+        let cases = ["babelstream_omp", "babelstream_tbb", "hpgmg_fv"];
+        let append_from = |journal: &Journal, first: usize| {
+            for (i, case) in cases.iter().enumerate().skip(first) {
+                let outcome = SuiteOutcome::Skipped(format!("cell {i}"));
+                journal.append(i, case, "csd3", &outcome, None).unwrap();
+            }
+        };
+        append_from(&Journal::create(&dir, &b, IoShim::Real).unwrap(), 0);
+        let path = dir.join(JOURNAL_FILE);
+        let full = std::fs::read_to_string(&path).unwrap();
+        let keyless = full.replacen(
+            r#""case":"babelstream_tbb","system":"csd3","#,
+            r#""case":"babelstream_tbb","#,
+            1,
+        );
+        assert_ne!(keyless, full, "the second record loses its system");
+        std::fs::write(&path, &keyless).unwrap();
+
+        let (journal, cells) = Journal::resume(&dir, &b, IoShim::Real).unwrap();
+        assert_eq!(cells.len(), 1, "the keyless record ends the prefix");
+        let prefix: String = full.split_inclusive('\n').take(2).collect();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            prefix,
+            "truncated there"
+        );
+        // The cells from the keyless one on re-run and re-append.
+        append_from(&journal, 1);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -216,29 +216,30 @@ impl TestCase {
         }
     }
 
-    pub fn with_layout(mut self, tasks: u32, per_node: u32, cpus: u32) -> TestCase {
+    pub(crate) fn with_layout(mut self, tasks: u32, per_node: u32, cpus: u32) -> TestCase {
         self.num_tasks = tasks;
         self.num_tasks_per_node = per_node;
         self.num_cpus_per_task = cpus;
         self
     }
 
-    pub fn with_sanity(mut self, pattern: &str) -> TestCase {
+    pub(crate) fn with_sanity(mut self, pattern: &str) -> TestCase {
         self.sanity_pattern = pattern.to_string();
         self
     }
 
-    pub fn with_perf_var(mut self, var: PerfVar) -> TestCase {
+    pub(crate) fn with_perf_var(mut self, var: PerfVar) -> TestCase {
         self.perf_vars.push(var);
         self
     }
 
-    pub fn with_reference(mut self, fom: &str, reference: Reference) -> TestCase {
+    #[cfg(test)]
+    pub(crate) fn with_reference(mut self, fom: &str, reference: Reference) -> TestCase {
         self.references.push((fom.to_string(), reference));
         self
     }
 
-    pub fn with_extra(mut self, key: &str, value: &str) -> TestCase {
+    pub(crate) fn with_extra(mut self, key: &str, value: &str) -> TestCase {
         self.extras.push((key.to_string(), value.to_string()));
         self
     }

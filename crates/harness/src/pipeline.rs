@@ -154,7 +154,7 @@ pub enum HarnessError {
 
 impl HarnessError {
     /// Resilience accounting, when this error wraps a retry chain.
-    pub fn fault_stats(&self) -> Option<(u32, u32, f64)> {
+    pub(crate) fn fault_stats(&self) -> Option<(u32, u32, f64)> {
         match self {
             HarnessError::AfterFaults {
                 attempts,
@@ -169,7 +169,7 @@ impl HarnessError {
 
     /// Subprocess facts when an external engine caused this failure,
     /// descending through the retry-chain wrapper.
-    pub fn engine_status(&self) -> Option<(Option<i64>, Option<i64>, bool)> {
+    pub(crate) fn engine_status(&self) -> Option<(Option<i64>, Option<i64>, bool)> {
         match self {
             HarnessError::EngineFailed {
                 exit_code,
@@ -330,7 +330,7 @@ impl Harness {
     /// Cache accounting then depends on install order across sessions;
     /// callers needing deterministic attribution must serialize their
     /// `prepare_build` calls canonically (see `SuiteRunner`).
-    pub fn with_shared_store(mut self, store: spackle::SharedStore) -> Harness {
+    pub(crate) fn with_shared_store(mut self, store: spackle::SharedStore) -> Harness {
         self.store = store;
         self
     }
@@ -338,7 +338,7 @@ impl Harness {
     /// Share simulated host solves through `memo`, which the study owns:
     /// cells posing the same capped problem solve it once. Reports are
     /// byte-identical to a memo-free session's.
-    pub fn with_solve_memo(mut self, memo: Arc<SolveMemo>) -> Harness {
+    pub(crate) fn with_solve_memo(mut self, memo: Arc<SolveMemo>) -> Harness {
         self.solve_memo = Some(memo);
         self
     }
@@ -374,7 +374,7 @@ impl Harness {
     /// The build stage alone: concretize + install via spackle (P2–P4).
     /// Warm-store sweeps call this serially in case order to fix cache
     /// attribution, then fan the prepared builds out to parallel jobs.
-    pub fn prepare_build(&mut self, case: &TestCase) -> Result<PreparedBuild, HarnessError> {
+    pub(crate) fn prepare_build(&mut self, case: &TestCase) -> Result<PreparedBuild, HarnessError> {
         let (system, partition) = self.resolve_platform()?;
         let spec = spackle::Spec::parse(&case.spack_spec)
             .map_err(|e| HarnessError::BadSpec(e.to_string()))?;
@@ -581,7 +581,7 @@ impl Harness {
 
     /// Continue the pipeline after the build stage:
     /// **submit → run → sanity → performance → perflog**.
-    pub fn run_prepared(
+    pub(crate) fn run_prepared(
         &mut self,
         case: &TestCase,
         prepared: PreparedBuild,

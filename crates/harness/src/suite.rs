@@ -48,7 +48,7 @@ impl SuiteOutcome {
     }
 
     /// Faults injected into this cell.
-    pub fn faults_injected(&self) -> u32 {
+    pub(crate) fn faults_injected(&self) -> u32 {
         match self {
             SuiteOutcome::Ran(r) => r.faults_injected,
             SuiteOutcome::Failed(e) => e.fault_stats().map(|(_, f, _)| f).unwrap_or(0),
@@ -57,7 +57,7 @@ impl SuiteOutcome {
     }
 
     /// Simulated time this cell lost to faults and backoff.
-    pub fn time_lost_s(&self) -> f64 {
+    pub(crate) fn time_lost_s(&self) -> f64 {
         match self {
             SuiteOutcome::Ran(r) => r.time_lost_s,
             SuiteOutcome::Failed(e) => e.fault_stats().map(|(_, _, t)| t).unwrap_or(0.0),
@@ -121,12 +121,8 @@ impl SuiteReport {
 
     /// Assimilate every perflog into one data frame (Principle 6).
     pub fn combined_frame(&self) -> dframe::DataFrame {
-        let frames: Vec<dframe::DataFrame> = self
-            .perflogs
-            .iter()
-            .map(|(_, log)| log.to_frame())
-            .collect();
-        dframe::DataFrame::concat(&frames)
+        let frames = self.perflogs.iter().map(|(_, log)| log.to_frame());
+        dframe::DataFrame::concat(frames.collect())
     }
 
     /// Outcome for a (case, system) pair.
@@ -323,7 +319,7 @@ fn solve_rank(key: &SolveKey) -> u8 {
 ///
 /// Workers claim cells in a **dispatch order** fixed before they start:
 /// one cell per distinct host solve, longest solve first, then the rest
-/// in grid order ([`SuiteRunner::dispatch_order`]). So the study's
+/// in grid order. So the study's
 /// longest solves start at once, and the cells that pose them again
 /// share their outcomes through the study's [`SolveMemo`].
 ///
@@ -335,7 +331,7 @@ fn solve_rank(key: &SolveKey) -> u8 {
 ///
 /// The runner is also the survey's one configuration value: the CLI parses
 /// it once, `benchkit::Study` carries it unchanged, and the checkpoint
-/// header is rendered straight from it ([`checkpoint::header_line`]).
+/// header is rendered straight from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRunner {
     pub systems: Vec<String>,
@@ -440,12 +436,6 @@ impl SuiteRunner {
         self
     }
 
-    /// Skip every cell after the first failure.
-    pub fn with_fail_fast(mut self, fail_fast: bool) -> SuiteRunner {
-        self.fail_fast = fail_fast;
-        self
-    }
-
     /// Quarantine a system after `k` consecutive failures (0 = off).
     pub fn with_quarantine(mut self, k: u32) -> SuiteRunner {
         self.quarantine = k;
@@ -509,7 +499,7 @@ impl SuiteRunner {
 
     /// The engine a given case runs under (override, then base), `None`
     /// for the in-process path.
-    pub fn engine_for(&self, case: &str) -> Option<&engine::EngineSpec> {
+    pub(crate) fn engine_for(&self, case: &str) -> Option<&engine::EngineSpec> {
         self.engine_overrides
             .iter()
             .find(|(c, _)| c == case)
@@ -518,7 +508,7 @@ impl SuiteRunner {
     }
 
     /// The fault profile a given system draws from (override or base).
-    pub fn profile_for(&self, system: &str) -> &FaultProfile {
+    pub(crate) fn profile_for(&self, system: &str) -> &FaultProfile {
         self.fault_overrides
             .iter()
             .find(|(s, _)| s == system)
@@ -816,7 +806,8 @@ impl SuiteRunner {
     }
 
     /// [`SuiteRunner::run`] with checkpoint errors surfaced.
-    pub fn try_run(&self, cases: &[TestCase]) -> Result<SuiteReport, CheckpointError> {
+    #[cfg(test)]
+    pub(crate) fn try_run(&self, cases: &[TestCase]) -> Result<SuiteReport, CheckpointError> {
         self.try_run_with_progress(cases, &|_| {})
     }
 
@@ -1430,10 +1421,9 @@ mod tests {
         ];
         let systems = ["csd3", "archer2"];
         let run = |jobs| {
-            SuiteRunner::new(&systems)
-                .with_fail_fast(true)
-                .with_jobs(jobs)
-                .run(&cases)
+            let mut runner = SuiteRunner::new(&systems).with_jobs(jobs);
+            runner.fail_fast = true;
+            runner.run(&cases)
         };
         let serial = run(1);
         assert_eq!(serial.n_failed(), 1, "only the first failure is reported");
@@ -1465,10 +1455,9 @@ mod tests {
             cases::hpgmg().with_reference("l0", crate::Reference::within(1.0, 0.05)),
         ];
         let run = |jobs| {
-            SuiteRunner::new(&systems)
-                .with_fail_fast(true)
-                .with_jobs(jobs)
-                .run(&cases)
+            let mut runner = SuiteRunner::new(&systems).with_jobs(jobs);
+            runner.fail_fast = true;
+            runner.run(&cases)
         };
         assert_eq!(SuiteRunner::new(&systems).dispatch_order(&cases, 0)[0], 2);
         let serial = run(1);

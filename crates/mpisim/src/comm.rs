@@ -93,14 +93,8 @@ impl Comm {
         }
     }
 
-    /// Simultaneous exchange with `partner` (deadlock-free halo pattern).
-    pub fn sendrecv(&mut self, partner: usize, tag: u32, data: Vec<f64>) -> Vec<f64> {
-        self.send(partner, tag, data);
-        self.recv(partner, tag)
-    }
-
     /// Synchronize all ranks.
-    pub fn barrier(&self) {
+    pub(crate) fn barrier(&self) {
         self.collectives.barrier.wait();
     }
 
@@ -109,13 +103,8 @@ impl Comm {
         self.allreduce_vec(vec![value], |acc, v| acc[0] += v[0])[0]
     }
 
-    /// Maximum of a scalar across all ranks.
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        self.allreduce_vec(vec![value], |acc, v| acc[0] = acc[0].max(v[0]))[0]
-    }
-
     /// Element-wise vector all-reduce with a custom combiner.
-    pub fn allreduce_vec(
+    pub(crate) fn allreduce_vec(
         &self,
         value: Vec<f64>,
         combine: impl Fn(&mut Vec<f64>, &Vec<f64>),

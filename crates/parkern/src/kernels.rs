@@ -11,16 +11,16 @@
 //! speed (the paper's P2/P6: a slow harness measures itself, not the
 //! system), so every hot loop here is written to vectorize:
 //!
-//! * element kernels iterate in exact [`W`]-wide chunks with a scalar
+//! * element kernels iterate in exact 8-wide chunks with a scalar
 //!   remainder peel, so the compiler sees fixed-trip inner loops with no
 //!   bounds checks;
-//! * [`dot`] uses [`W`] independent accumulators (ILP over the FMA latency
+//! * [`dot`] uses 8 independent accumulators (ILP over the FMA latency
 //!   chain) and a **fixed-shape decomposition**: the piece count depends
 //!   only on `n`, and partials combine left-to-right on the calling
 //!   thread, so the result is bit-identical on every backend at every
 //!   worker count;
-//! * [`spmv_sell`] stores the matrix in SELL-C-σ slices of [`SELL_C`]
-//!   rows, turning the per-row serial FMA chain of CSR into [`SELL_C`]
+//! * [`spmv_sell`] stores the matrix in SELL-C-σ slices of C = 8
+//!   rows, turning the per-row serial FMA chain of CSR into C
 //!   independent lanes while keeping each row's summation order exactly
 //!   CSR's (k-ascending), so CSR and SELL results are bitwise equal.
 
@@ -188,9 +188,9 @@ const MAX_DOT_PIECES: usize = 64;
 ///
 /// Bit-reproducible by construction: the input splits into
 /// `clamp(ceil(n / DOT_GRAIN), 1, MAX_DOT_PIECES)` pieces — a function of
-/// `n` only — each piece is summed by [`dot_block`]'s fixed-order
-/// accumulators, and the per-piece partials combine left-to-right on the
-/// calling thread. Any backend at any worker count computes the same bits.
+/// `n` only — each piece is summed by fixed-order accumulators, and the
+/// per-piece partials combine left-to-right on the calling thread. Any
+/// backend at any worker count computes the same bits.
 pub fn dot(backend: &dyn Backend, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     let n = a.len();
@@ -251,10 +251,10 @@ pub fn spmv_csr(
 }
 
 /// SELL-C-σ slice height: rows per slice, i.e. the SIMD/ILP lane count.
-pub const SELL_C: usize = 8;
+pub(crate) const SELL_C: usize = 8;
 
 /// A sparse matrix in SELL-C-σ format (Kreutzer et al., SIAM J. Sci.
-/// Comput. 2014): rows are packed into slices of [`SELL_C`], each slice
+/// Comput. 2014): rows are packed into slices of C = 8 rows, each slice
 /// stored column-major (`entry(lane, k)` at `slice_ptr[s] + k * C + lane`)
 /// and padded to its longest row, with rows pre-sorted by descending length
 /// inside windows of `σ` rows to keep slices uniform.
@@ -282,7 +282,7 @@ pub struct SellMatrix {
 
 impl SellMatrix {
     /// Convert a CSR matrix to SELL-C-σ. `sigma` is the sorting-window size
-    /// in rows (rounded up to a multiple of [`SELL_C`]); rows are reordered
+    /// in rows (rounded up to a multiple of C = 8); rows are reordered
     /// by descending length (stable) only *within* each window, bounding
     /// how far the gather pattern drifts from the CSR row order.
     pub fn from_csr(
@@ -365,7 +365,7 @@ impl SellMatrix {
 
 /// SELL-C-σ sparse matrix-vector product `y = A x`.
 ///
-/// Each slice runs [`SELL_C`] rows as independent accumulator lanes —
+/// Each slice runs its C = 8 rows as independent accumulator lanes —
 /// breaking CSR's per-row serial FMA dependency chain — in two phases: a
 /// branch-free phase up to the slice's shortest row (after σ-sorting most
 /// slices are uniform, so this is nearly all of it), then a per-lane

@@ -57,15 +57,6 @@ impl PerflogRecord {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Look up an extra field and parse it as a signed integer.
-    ///
-    /// Extras are stored as strings; subprocess facts like `exit_code`
-    /// can legitimately be negative, so this parses through `i64` — never
-    /// an unsigned cast that would wrap `-11` into 18446744073709551605.
-    pub fn int_extra(&self, key: &str) -> Option<i64> {
-        self.extra(key)?.parse().ok()
-    }
-
     /// Serialize as a single JSON line.
     pub fn to_json_line(&self) -> String {
         self.to_value().to_json()
@@ -495,7 +486,7 @@ mod tests {
         a.append(record(0, "archer2", 100.0));
         let mut b = Perflog::new();
         b.append(record(0, "cosma8", 150.0));
-        let combined = dframe::DataFrame::concat(&[a.to_frame(), b.to_frame()]);
+        let combined = dframe::DataFrame::concat(vec![a.to_frame(), b.to_frame()]);
         assert_eq!(combined.n_rows(), 4);
         assert_eq!(combined.unique("system").unwrap().len(), 2);
     }
@@ -518,12 +509,11 @@ mod tests {
         ];
         let back = PerflogRecord::from_json_line(&r.to_json_line()).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.int_extra("exit_code"), Some(-11), "no wraparound");
-        assert_eq!(back.int_extra("signal"), Some(15));
+        assert_eq!(back.extra("exit_code"), Some("-11"));
+        assert_eq!(back.extra("signal"), Some("15"));
         assert_eq!(back.extra("timed_out"), Some("true"));
         assert_eq!(back.extra("stderr"), Some(lossy_stderr.as_str()));
         assert_eq!(back.extra("nope"), None);
-        assert_eq!(back.int_extra("error"), None, "non-numeric extra");
     }
 
     #[test]

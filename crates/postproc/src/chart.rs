@@ -21,7 +21,7 @@ impl BarChart {
         }
     }
 
-    pub fn with_categories<S: Into<String>>(mut self, cats: Vec<S>) -> BarChart {
+    pub(crate) fn with_categories<S: Into<String>>(mut self, cats: Vec<S>) -> BarChart {
         self.categories = cats.into_iter().map(Into::into).collect();
         self
     }

@@ -68,7 +68,7 @@ pub fn assimilate(jsonl_logs: &[String]) -> Result<DataFrame, PerflogError> {
     for text in jsonl_logs {
         frames.push(Perflog::from_jsonl(text)?.to_frame());
     }
-    Ok(DataFrame::concat(&frames))
+    Ok(DataFrame::concat(frames))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 /// A single range of characters in a class, inclusive on both ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassRange {
+pub(crate) struct ClassRange {
     pub lo: char,
     pub hi: char,
 }
@@ -19,7 +19,7 @@ impl ClassRange {
 
 /// A character class: a set of ranges, possibly negated.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CharClass {
+pub(crate) struct CharClass {
     pub ranges: Vec<ClassRange>,
     pub negated: bool,
 }
@@ -66,7 +66,7 @@ impl CharClass {
         }
     }
 
-    pub fn negate(mut self) -> CharClass {
+    pub(crate) fn negate(mut self) -> CharClass {
         self.negated = !self.negated;
         self
     }
@@ -74,14 +74,14 @@ impl CharClass {
 
 /// Greediness of a quantifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Greed {
+pub(crate) enum Greed {
     Greedy,
     Lazy,
 }
 
 /// Pattern AST. Matching is defined over a haystack of `char`s.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Ast {
+pub(crate) enum Ast {
     /// Matches the empty string.
     Empty,
     /// A single literal character.
@@ -116,6 +116,6 @@ pub enum Ast {
 }
 
 /// Is `c` a word character for `\b` purposes?
-pub fn is_word_char(c: char) -> bool {
+pub(crate) fn is_word_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }

@@ -99,11 +99,6 @@ impl Regex {
         &self.pattern
     }
 
-    /// Number of capture groups, including the whole-match group 0.
-    pub fn group_count(&self) -> usize {
-        self.n_groups
-    }
-
     /// Does `haystack` contain a match anywhere?
     pub fn is_match(&self, haystack: &str) -> bool {
         self.find(haystack).is_some()
@@ -122,7 +117,7 @@ impl Regex {
 
     /// Leftmost match with captures, starting the search at byte offset
     /// `start` (which must lie on a char boundary).
-    pub fn captures_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Captures<'h>> {
+    pub(crate) fn captures_at<'h>(&self, haystack: &'h str, start: usize) -> Option<Captures<'h>> {
         let chars: Vec<(usize, char)> = if self.case_insensitive {
             haystack
                 .char_indices()
@@ -204,19 +199,6 @@ impl Regex {
                 out
             }
         }
-    }
-
-    /// Replace every non-overlapping match with `replacement`.
-    pub fn replace_all(&self, haystack: &str, replacement: &str) -> String {
-        let mut out = String::with_capacity(haystack.len());
-        let mut last = 0;
-        for m in self.find_iter(haystack) {
-            out.push_str(&haystack[last..m.start()]);
-            out.push_str(replacement);
-            last = m.end();
-        }
-        out.push_str(&haystack[last..]);
-        out
     }
 
     /// Split `haystack` on every match, returning the separated pieces.
@@ -458,7 +440,7 @@ mod tests {
         let caps = re.captures("ababc").unwrap();
         assert_eq!(caps.get(0).unwrap().as_str(), "ababc");
         assert_eq!(caps.get(1).unwrap().as_str(), "c");
-        assert_eq!(re.group_count(), 2);
+        assert_eq!(re.n_groups, 2);
     }
 
     #[test]
@@ -567,16 +549,6 @@ mod tests {
         assert_eq!(re.find("zzCAFEzz").unwrap().as_str(), "CAFE");
         // Without the flag, matching stays exact.
         assert!(!Regex::new("triad").unwrap().is_match("TRIAD"));
-    }
-
-    #[test]
-    fn replace_all_every_match() {
-        let re = Regex::new(r"\d+").unwrap();
-        assert_eq!(re.replace_all("a1b22c333", "#"), "a#b#c#");
-        assert_eq!(re.replace_all("none", "#"), "none");
-        // Empty matches don't loop forever.
-        let re = Regex::new("x*").unwrap();
-        assert_eq!(re.replace_all("ab", "-"), "-a-b-");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::ast::{is_word_char, Ast, Greed};
 
 /// Try to match `ast` at char index `at`. On success returns `true` with
 /// `slots` populated (slot 1 = end of the whole match).
-pub fn match_at(
+pub(crate) fn match_at(
     ast: &Ast,
     chars: &[(usize, char)],
     at: usize,

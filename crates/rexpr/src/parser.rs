@@ -26,7 +26,7 @@ impl std::error::Error for ParseError {}
 
 /// Result of a successful parse.
 #[derive(Debug)]
-pub struct Parsed {
+pub(crate) struct Parsed {
     pub ast: Ast,
     pub n_groups: usize,
     pub names: Vec<(String, usize)>,

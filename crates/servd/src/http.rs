@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 /// Cap on the request-line + header block. Generous for a CLI protocol.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// A parsed request. Header names are lowercased; the query string is
 /// split into `key=value` pairs (no percent-decoding — the daemon's
@@ -49,7 +49,7 @@ impl Request {
 pub enum HttpError {
     /// Declared body exceeds the daemon's bound — answer 413 and close.
     BodyTooLarge { declared: usize, max: usize },
-    /// Header block exceeded [`MAX_HEADER_BYTES`] — answer 431 and close.
+    /// Header block exceeded 16 KiB — answer 431 and close.
     HeadersTooLarge,
     /// Malformed request line / headers / body framing — answer 400.
     Malformed(String),
@@ -179,7 +179,7 @@ fn find_blank_line(bytes: &[u8]) -> Option<usize> {
 
 /// A response to serialize. Always `Connection: close`.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     pub status: u16,
     pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
@@ -194,7 +194,7 @@ impl Response {
         }
     }
 
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
+    pub(crate) fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.to_string(), value.to_string()));
         self
     }
@@ -217,7 +217,7 @@ impl Response {
     /// Serialize and send through the fault shim in one write, so a short
     /// write tears the whole response rather than leaving framing intact
     /// with a truncated body the peer might misparse as complete.
-    pub fn write_to(&self, dst: &mut impl Write, shim: &ConnShim) -> io::Result<()> {
+    pub(crate) fn write_to(&self, dst: &mut impl Write, shim: &ConnShim) -> io::Result<()> {
         let mut text = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
         for (name, value) in &self.headers {
             text.push_str(&format!("{name}: {value}\r\n"));
@@ -258,7 +258,7 @@ impl ClientResponse {
 /// daemon's shim does to the wire). The body must satisfy
 /// `Content-Length`: a short body (torn response) is an error, so a
 /// truncated 200 is never mistaken for an acknowledgment.
-pub fn read_response(src: &mut impl Read) -> io::Result<ClientResponse> {
+pub(crate) fn read_response(src: &mut impl Read) -> io::Result<ClientResponse> {
     let mut bytes = Vec::new();
     let mut buf = [0u8; 8192];
     let header_end = loop {

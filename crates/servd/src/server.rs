@@ -53,7 +53,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// Subdirectory of the store that holds the daemon's own state (WAL,
 /// daemon lease). Invisible to `fsck`, which scans only store layout.
-pub const SERVD_DIR: &str = "servd";
+pub(crate) const SERVD_DIR: &str = "servd";
 
 /// How long the acceptor blocks in `poll(2)` for a connection before it
 /// rechecks the drain flags and the lease-renewal clock.

@@ -72,7 +72,7 @@ impl IngestWal {
     /// be acknowledged; on `Err` none is, and the WAL is rolled back to
     /// its previous length. The file bytes are those of appending the
     /// records one by one.
-    pub fn append_batch(&mut self, records: &[&PerflogRecord]) -> io::Result<u64> {
+    pub(crate) fn append_batch(&mut self, records: &[&PerflogRecord]) -> io::Result<u64> {
         let first = self.next_seq;
         let lines: Vec<String> = records
             .iter()

@@ -10,8 +10,8 @@
 //!
 //! Determinism comes from the draw keying, not from draw order: every
 //! fault is drawn from a fresh [`SplitMix64`] stream seeded by the
-//! `(profile, run seed, system, case, stage, attempt)` tuple via
-//! [`fnv1a`]. Two workers racing over a suite grid therefore see exactly
+//! `(profile, run seed, system, case, stage, attempt)` tuple via an
+//! FNV-1a hash. Two workers racing over a suite grid therefore see exactly
 //! the faults a serial sweep would have seen, whatever order the jobs run
 //! in.
 //!

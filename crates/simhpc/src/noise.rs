@@ -35,17 +35,10 @@ impl SplitMix64 {
         // 53 mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform integer in [0, n).
-    pub fn next_below(&mut self, n: u64) -> u64 {
-        assert!(n > 0);
-        // Modulo bias is irrelevant at our n << 2^64.
-        self.next_u64() % n
-    }
 }
 
 /// FNV-1a hash of a byte stream — used to derive seeds from names.
-pub fn fnv1a(parts: &[&[u8]]) -> u64 {
+pub(crate) fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {
@@ -59,12 +52,13 @@ pub fn fnv1a(parts: &[&[u8]]) -> u64 {
     h
 }
 
+/// Relative standard deviation of the perturbation (2%).
+const SIGMA: f64 = 0.02;
+
 /// Multiplicative noise source for simulated timings.
 #[derive(Debug, Clone)]
 pub struct NoiseModel {
     rng: SplitMix64,
-    /// Relative standard deviation of the perturbation (e.g. 0.02 = 2%).
-    sigma: f64,
 }
 
 impl NoiseModel {
@@ -73,23 +67,15 @@ impl NoiseModel {
         let h = fnv1a(&[system.as_bytes(), benchmark.as_bytes(), &seed.to_le_bytes()]);
         NoiseModel {
             rng: SplitMix64::new(h),
-            sigma: 0.02,
         }
-    }
-
-    /// Override the noise amplitude.
-    pub fn with_sigma(mut self, sigma: f64) -> NoiseModel {
-        assert!((0.0..0.5).contains(&sigma), "sigma must be in [0, 0.5)");
-        self.sigma = sigma;
-        self
     }
 
     /// Perturb a simulated time: multiply by a right-skewed factor ≥ 1.
     /// Timings can only be *delayed* by interference, never sped up below
-    /// the model's floor, so the factor is `1 + |N(0, sigma)|` with an
+    /// the model's floor, so the factor is `1 + |N(0, SIGMA)|` with an
     /// occasional larger straggler.
     pub fn perturb(&mut self, time: f64) -> f64 {
-        let gauss = self.sample_gauss().abs() * self.sigma;
+        let gauss = self.sample_gauss().abs() * SIGMA;
         let straggler = if self.rng.next_f64() < 0.01 {
             self.rng.next_f64() * 0.05
         } else {
@@ -131,14 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn next_below_in_range() {
-        let mut r = SplitMix64::new(3);
-        for _ in 0..1000 {
-            assert!(r.next_below(7) < 7);
-        }
-    }
-
-    #[test]
     fn fnv_separator_matters() {
         assert_ne!(fnv1a(&[b"ab", b"c"]), fnv1a(&[b"a", b"bc"]));
         assert_ne!(fnv1a(&[b"x"]), fnv1a(&[b"x", b""]));
@@ -161,13 +139,5 @@ mod tests {
         let va: Vec<f64> = (0..5).map(|_| a.perturb(1.0)).collect();
         let vb: Vec<f64> = (0..5).map(|_| b.perturb(1.0)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn sigma_bounds_enforced() {
-        let n = NoiseModel::for_run("s", "b", 0);
-        let _ = n.clone().with_sigma(0.1);
-        let result = std::panic::catch_unwind(|| n.with_sigma(0.9));
-        assert!(result.is_err());
     }
 }

@@ -44,21 +44,6 @@ impl KernelCost {
         self
     }
 
-    /// Override the number of synchronization points.
-    pub fn with_sync_points(mut self, n: u32) -> KernelCost {
-        self.sync_points = n;
-        self
-    }
-
-    /// Arithmetic intensity, FLOPs per byte.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes == 0 {
-            f64::INFINITY
-        } else {
-            self.flops as f64 / self.bytes as f64
-        }
-    }
-
     /// Merge two phases executed back to back.
     pub fn then(self, other: KernelCost) -> KernelCost {
         KernelCost {
@@ -73,13 +58,6 @@ impl KernelCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intensity() {
-        let c = KernelCost::new(100, 400);
-        assert_eq!(c.arithmetic_intensity(), 4.0);
-        assert!(KernelCost::new(0, 10).arithmetic_intensity().is_infinite());
-    }
 
     #[test]
     fn then_accumulates() {

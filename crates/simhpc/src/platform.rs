@@ -21,7 +21,7 @@ pub struct Interconnect {
 
 impl Interconnect {
     /// Time to exchange `bytes` between two ranks.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / (self.bandwidth_gbs * 1e9)
     }
 }
@@ -312,12 +312,19 @@ mod tests {
     fn mpi_adds_communication() {
         let part = part();
         let pl = part.platform();
-        let cost = KernelCost::streaming(1u64 << 30).with_sync_points(10);
+        let cost = KernelCost {
+            sync_points: 10,
+            ..KernelCost::streaming(1u64 << 30)
+        };
         let single = pl.kernel_time(&cost, 16, 1.0);
         let multi = pl.mpi_kernel_time(&cost, 8, 4, 2, 1.0, 1 << 20);
         // Distributed run divides memory traffic 4 ways but pays comm.
         assert!(multi < single);
-        let comm_heavy = pl.mpi_kernel_time(&cost.with_sync_points(10_000), 8, 4, 2, 1.0, 1 << 20);
+        let sync_heavy = KernelCost {
+            sync_points: 10_000,
+            ..cost
+        };
+        let comm_heavy = pl.mpi_kernel_time(&sync_heavy, 8, 4, 2, 1.0, 1 << 20);
         assert!(comm_heavy > multi);
     }
 

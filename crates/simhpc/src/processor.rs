@@ -142,22 +142,17 @@ impl Processor {
     }
 
     /// Sustained streaming bandwidth for perfectly tuned code, GB/s.
-    pub fn sustained_mem_bw_gbs(&self) -> f64 {
+    pub(crate) fn sustained_mem_bw_gbs(&self) -> f64 {
         self.peak_mem_bw_gbs * self.stream_efficiency
     }
 
-    /// Single-core achievable bandwidth, GB/s.
-    pub fn per_core_bw_gbs(&self) -> f64 {
-        self.per_core_bw_gbs
-    }
-
     /// Theoretical peak double-precision GFLOP/s for the whole processor.
-    pub fn peak_gflops(&self) -> f64 {
+    pub(crate) fn peak_gflops(&self) -> f64 {
         self.total_cores() as f64 * self.clock_ghz * self.flops_per_cycle
     }
 
     /// Fixed parallel-region / kernel-launch overhead, seconds.
-    pub fn launch_overhead_s(&self) -> f64 {
+    pub(crate) fn launch_overhead_s(&self) -> f64 {
         self.launch_overhead_s
     }
 
@@ -183,7 +178,7 @@ impl Processor {
 
     /// Effective GFLOP/s with `threads` workers and a model-efficiency
     /// multiplier in (0, 1].
-    pub fn effective_gflops(&self, threads: u32, model_eff: f64) -> f64 {
+    pub(crate) fn effective_gflops(&self, threads: u32, model_eff: f64) -> f64 {
         let threads = threads.clamp(1, self.total_cores()) as f64;
         let frac = threads / self.total_cores() as f64;
         self.peak_gflops() * frac * model_eff.clamp(0.01, 1.0)

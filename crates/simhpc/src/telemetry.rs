@@ -13,7 +13,7 @@ use crate::processor::Processor;
 /// Thermal design power, watts, estimated from the catalog processors.
 /// (The catalog keeps TDP out of the constructor to preserve Table 1/5
 /// provenance; the estimates below follow the vendors' public specs.)
-pub fn tdp_watts(proc: &Processor) -> f64 {
+pub(crate) fn tdp_watts(proc: &Processor) -> f64 {
     let model = proc.model().to_lowercase();
     if model.contains("v100") {
         250.0
@@ -45,17 +45,6 @@ pub struct Telemetry {
     /// Energy efficiency helper: joules per second of runtime (= watts,
     /// all nodes).
     pub total_power_w: f64,
-}
-
-impl Telemetry {
-    /// Energy per unit of work, J per FOM-unit (e.g. J per GB moved).
-    pub fn energy_per(&self, work_units: f64) -> f64 {
-        if work_units <= 0.0 {
-            f64::NAN
-        } else {
-            self.energy_j / work_units
-        }
-    }
 }
 
 /// Power/energy for a run of `wall_s` seconds using `threads` workers per
@@ -132,14 +121,5 @@ mod tests {
         assert!(idle.avg_power_w >= 0.3 * tdp);
         assert!(idle.avg_power_w < busy.avg_power_w);
         assert!(busy.avg_power_w <= tdp * 1.0001);
-    }
-
-    #[test]
-    fn energy_per_work() {
-        let p = partition("archer2");
-        let t = capture(&p, 2.0, 128, 1, 0);
-        let per_gb = t.energy_per(100.0);
-        assert!(per_gb > 0.0);
-        assert!(t.energy_per(0.0).is_nan());
     }
 }

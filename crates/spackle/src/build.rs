@@ -114,7 +114,8 @@ pub struct InstallReport {
 }
 
 impl InstallReport {
-    pub fn record_for(&self, package: &str) -> Option<&BuildRecord> {
+    #[cfg(test)]
+    pub(crate) fn record_for(&self, package: &str) -> Option<&BuildRecord> {
         self.records.iter().find(|r| r.package == package)
     }
 

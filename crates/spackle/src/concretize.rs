@@ -175,7 +175,7 @@ impl ConcreteSpec {
     }
 
     /// Install order: dependencies before dependents (deterministic).
-    pub fn topo_order(&self) -> Vec<&ConcretePackage> {
+    pub(crate) fn topo_order(&self) -> Vec<&ConcretePackage> {
         let mut order: Vec<usize> = Vec::with_capacity(self.nodes.len());
         let mut state = vec![0u8; self.nodes.len()]; // 0 new, 1 visiting, 2 done
         fn visit(nodes: &[ConcretePackage], i: usize, state: &mut [u8], order: &mut Vec<usize>) {

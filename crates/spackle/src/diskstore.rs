@@ -813,11 +813,6 @@ impl DiskStore {
         &self.writer
     }
 
-    /// Number of shards this handle holds leases on.
-    pub fn held_count(&self) -> usize {
-        self.held.len()
-    }
-
     /// Shards leased by competing writers, as (shard name, holder).
     pub fn contended(&self) -> Vec<(String, LeaseInfo)> {
         self.contended
@@ -1425,9 +1420,9 @@ mod tests {
     fn competing_live_writer_contends_shards_not_the_open() {
         let dir = tmpdir("contend");
         let mut held = open_as(&dir, "first");
-        assert_eq!(held.held_count(), 0, "leases are lazy: open claims none");
+        assert_eq!(held.held.len(), 0, "leases are lazy: open claims none");
         held.persist(&entry("zzz")).unwrap();
-        assert_eq!(held.held_count(), 1, "persist leases only its own shard");
+        assert_eq!(held.held.len(), 1, "persist leases only its own shard");
         // A second writer still opens — only persists into the contended
         // shard are skipped; the rest of the store is free.
         let mut second = open_as(&dir, "second");
@@ -1484,7 +1479,7 @@ mod tests {
         )
         .unwrap();
         a.persist(&entry("x")).unwrap();
-        assert_eq!(a.held_count(), 1);
+        assert_eq!(a.held.len(), 1);
         // A second writer may take over expired leases even though the
         // holder's PID is alive — expiry, not liveness, governs takeover.
         let mut b = open_as(&dir, "b");
@@ -1492,7 +1487,7 @@ mod tests {
         // The original holder discovers the loss at heartbeat time...
         let lost = a.renew_leases();
         assert_eq!(lost.len(), 1);
-        assert_eq!(a.held_count(), 0);
+        assert_eq!(a.held.len(), 0);
         // ...and degrades its persists instead of double-writing.
         assert_eq!(a.persist(&entry("x")).unwrap(), Persist::SkippedContended);
         let _ = fs::remove_dir_all(&dir);
@@ -1617,7 +1612,7 @@ mod tests {
             Persist::SkippedContended,
             "an unleasable shard skips, never errors"
         );
-        assert_eq!(s.held_count(), 0, "every lease write was torn");
+        assert_eq!(s.held.len(), 0, "every lease write was torn");
         let _ = fs::remove_dir_all(&dir);
     }
 

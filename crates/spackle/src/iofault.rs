@@ -197,7 +197,7 @@ impl IoShim {
 
     /// Fsync a directory so a rename within it survives power loss of the
     /// directory metadata.
-    pub fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+    pub(crate) fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
         if self.draw(Op::DirFsync, dir, |s| s.dir_fsync).is_some() {
             return Err(injected("directory fsync failure", dir));
         }

@@ -29,7 +29,7 @@ pub struct VariantDecl {
 }
 
 impl VariantDecl {
-    pub fn boolean(name: &str, default: bool, description: &str) -> VariantDecl {
+    pub(crate) fn boolean(name: &str, default: bool, description: &str) -> VariantDecl {
         VariantDecl {
             name: name.to_string(),
             default: if default {
@@ -129,7 +129,7 @@ impl Recipe {
         self
     }
 
-    pub fn with_dep(mut self, name: &str, req: &str, kind: DepKind) -> Recipe {
+    pub(crate) fn with_dep(mut self, name: &str, req: &str, kind: DepKind) -> Recipe {
         self.dependencies.push(DepDecl {
             name: name.to_string(),
             req: VersionReq::parse(req),
@@ -139,7 +139,13 @@ impl Recipe {
         self
     }
 
-    pub fn with_dep_when(mut self, name: &str, req: &str, kind: DepKind, when: When) -> Recipe {
+    pub(crate) fn with_dep_when(
+        mut self,
+        name: &str,
+        req: &str,
+        kind: DepKind,
+        when: When,
+    ) -> Recipe {
         self.dependencies.push(DepDecl {
             name: name.to_string(),
             req: VersionReq::parse(req),
@@ -149,7 +155,7 @@ impl Recipe {
         self
     }
 
-    pub fn with_conflict(mut self, c: Conflict) -> Recipe {
+    pub(crate) fn with_conflict(mut self, c: Conflict) -> Recipe {
         self.conflicts.push(c);
         self
     }
@@ -159,18 +165,18 @@ impl Recipe {
         self
     }
 
-    pub fn with_build_cost(mut self, cost: f64) -> Recipe {
+    pub(crate) fn with_build_cost(mut self, cost: f64) -> Recipe {
         self.build_cost = cost;
         self
     }
 
     /// Highest known version satisfying `req`.
-    pub fn best_version(&self, req: &VersionReq) -> Option<&Version> {
+    pub(crate) fn best_version(&self, req: &VersionReq) -> Option<&Version> {
         self.versions.iter().rev().find(|v| req.matches(v))
     }
 
     /// Declared variant by name.
-    pub fn variant_decl(&self, name: &str) -> Option<&VariantDecl> {
+    pub(crate) fn variant_decl(&self, name: &str) -> Option<&VariantDecl> {
         self.variants.iter().find(|v| v.name == name)
     }
 }

@@ -61,7 +61,7 @@ impl Repo {
     }
 
     /// All recipes that provide the virtual package `virtual_name`.
-    pub fn providers_of(&self, virtual_name: &str) -> Vec<&Recipe> {
+    pub(crate) fn providers_of(&self, virtual_name: &str) -> Vec<&Recipe> {
         self.recipes
             .iter()
             .filter(|r| r.provides.iter().any(|p| p == virtual_name))
@@ -69,7 +69,7 @@ impl Repo {
     }
 
     /// Is `name` a virtual package (has providers but no recipe of its own)?
-    pub fn is_virtual(&self, name: &str) -> bool {
+    pub(crate) fn is_virtual(&self, name: &str) -> bool {
         self.get(name).is_none() && !self.providers_of(name).is_empty()
     }
 

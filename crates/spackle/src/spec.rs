@@ -136,12 +136,6 @@ impl Spec {
         });
         self
     }
-
-    /// Add a dependency constraint.
-    pub fn with_dep(mut self, dep: Spec) -> Spec {
-        self.deps.push(dep);
-        self
-    }
 }
 
 impl fmt::Display for Spec {

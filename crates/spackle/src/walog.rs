@@ -146,7 +146,7 @@ impl AppendLog {
     /// Key this log's append faults on `fault_path` instead of its real
     /// path, for a file whose name varies between runs of one schedule
     /// (a name carrying the process id would make the faults differ too).
-    pub fn with_fault_path(self, fault_path: PathBuf) -> AppendLog {
+    pub(crate) fn with_fault_path(self, fault_path: PathBuf) -> AppendLog {
         AppendLog { fault_path, ..self }
     }
 
@@ -210,7 +210,8 @@ impl AppendLog {
     }
 
     /// Bytes acknowledged durable so far.
-    pub fn durable_len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn durable_len(&self) -> u64 {
         self.state
             .lock()
             .expect("append log poisoned lock")

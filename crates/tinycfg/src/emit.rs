@@ -16,13 +16,6 @@ impl Value {
         emit_json(self, &mut out);
         out
     }
-
-    /// Emit as pretty-printed JSON.
-    pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        emit_json_pretty(self, 0, &mut out);
-        out
-    }
 }
 
 fn indent_str(n: usize) -> String {
@@ -246,41 +239,6 @@ fn emit_json(v: &Value, out: &mut String) {
     }
 }
 
-fn emit_json_pretty(v: &Value, depth: usize, out: &mut String) {
-    match v {
-        Value::List(l) if !l.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in l.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&indent_str(depth + 1));
-                emit_json_pretty(item, depth + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&indent_str(depth));
-            out.push(']');
-        }
-        Value::Map(m) if !m.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&indent_str(depth + 1));
-                out.push('"');
-                out.push_str(&escape_double(k));
-                out.push_str("\": ");
-                emit_json_pretty(val, depth + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&indent_str(depth));
-            out.push('}');
-        }
-        other => emit_json(other, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,13 +275,5 @@ mod tests {
         let reparsed = parse(&v.to_yaml()).unwrap();
         assert_eq!(reparsed.get_path("a").unwrap().as_list().unwrap().len(), 0);
         assert!(reparsed.get_path("b").unwrap().as_map().unwrap().is_empty());
-    }
-
-    #[test]
-    fn pretty_json_reparses_as_compact() {
-        let v = parse("a: [1, 2]\nb:\n  c: x").unwrap();
-        let pretty = v.to_json_pretty();
-        assert!(pretty.contains('\n'));
-        assert!(pretty.contains("\"a\""));
     }
 }
